@@ -228,6 +228,8 @@ class Job:
 
     @staticmethod
     def from_dict(data: dict) -> "Job":
+        if not isinstance(data, dict):
+            raise ValueError("a job must be a JSON object")
         unknown = set(data) - _JOB_FIELDS
         if unknown:
             raise ValueError(f"unknown job fields: {sorted(unknown)}")
@@ -237,10 +239,15 @@ class Job:
             raise ValueError(f"unknown command {data['command']!r}")
         job = Job(**data)
         if job.policy is not None:
+            if not isinstance(job.policy, dict):
+                raise ValueError("policy must be a JSON object")
             bad = set(job.policy) - {"initial_bound", "step", "max_bound"}
             if bad:
                 raise ValueError(f"unknown policy fields: {sorted(bad)}")
-            if any(v is not None and int(v) < 0 for v in job.policy.values()):
+            values = [v for v in job.policy.values() if v is not None]
+            if any(type(v) is not int for v in values):
+                raise ValueError("policy values must be integers or null")
+            if any(v < 0 for v in values):
                 raise ValueError("policy bounds must be non-negative")
         return job
 

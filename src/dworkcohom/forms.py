@@ -13,12 +13,20 @@ sign in the engine.
 Degree truncation keeps total degree |nu| + |I| <= N.  Since d preserves the
 total degree and dF^ raises it, the span of degrees > N is a subcomplex and
 the retained part is a quotient complex, on which D o D = 0 holds exactly.
+
+Columns of D on monomial forms come from two builders.  ``ColumnStencil`` is
+the one the engine uses: built once per F, it yields integer columns tagged
+with the degree each entry rises by.  ``twisted_column`` is the reference it
+is tested against: rational columns assembled straight from the definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 
 from .exceptions import NonHomogeneousError, VariableCountMismatch
 from .matrices import SparseMatrix
@@ -310,8 +318,9 @@ def twisted_differential(f: Polynomial, a: DifferentialForm) -> DifferentialForm
 def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
     """Column of d + dF^ on the monomial form x^nu dx_I, untruncated.
 
-    Returns a map (nu', I') -> coefficient.  This is the assembly fast path;
-    it agrees with twisted_differential on monomial forms.
+    Returns a map (nu', I') -> coefficient.  This is the reference builder:
+    it agrees with twisted_differential on monomial forms, and
+    ColumnStencil.column is tested against it.
     """
     col = {}
     nvars = len(nu)
@@ -340,6 +349,63 @@ def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
             else:
                 col.pop(key, None)
     return {k: v for k, v in col.items() if v}
+
+
+class ColumnStencil:
+    """Integer columns of d + dF^ on monomial forms, precomputed once per F.
+
+    ``scale`` is the lcm L of F's coefficient denominators.  ``terms`` holds
+    (k, mu - e_k, c * mu_k * L, deg_w(mu)) for every term c x^mu of F and
+    every k with mu_k > 0, in f.terms order; ``wedge[I][k]`` is the
+    (sign, K) of dx_k ^ dx_I, or None when k lies in I.  ``max_rise`` is the
+    largest degree a column entry rises by.
+    """
+
+    __slots__ = ("scale", "terms", "wedge", "max_rise")
+
+    def __init__(self, f: Polynomial, weights=None):
+        coeffs = [Fraction(c) for c in f.terms.values()]
+        scale = lcm(*(c.denominator for c in coeffs))
+        terms = []
+        for mu, c in zip(f.terms, coeffs):
+            c = c.numerator * (scale // c.denominator)
+            rise = mono_degree(mu, weights)
+            for k, ek in enumerate(mu):
+                if ek:
+                    shift = mu[:k] + (ek - 1,) + mu[k + 1:]
+                    terms.append((k, shift, c * ek, rise))
+        wedge = {}
+        for i in range(f.nvars + 1):
+            for I in combinations(range(f.nvars), i):
+                wedge[I] = tuple(None if k in I else insert_sign(k, I)
+                                 for k in range(f.nvars))
+        self.scale = scale
+        self.terms = tuple(terms)
+        self.wedge = wedge
+        self.max_rise = max((t[3] for t in terms), default=0)
+
+    def column(self, nu: tuple, I: tuple) -> list:
+        """Entries (target key, rise, value) of L * D(x^nu dx_I).
+
+        The order is twisted_column's: the d part by k (rise 0), then the
+        dF part in F's term order (rise deg_w(mu)).  No two entries share a
+        key: entries with the same k share K, and their exponents differ by
+        a monomial of F (d part against dF part) or by two distinct ones, so
+        nothing cancels and every value is a nonzero integer.
+        """
+        wedge = self.wedge[I]
+        scale = self.scale
+        out = []
+        for k, e in enumerate(nu):
+            w = wedge[k]
+            if e and w is not None:
+                out.append(((nu[:k] + (e - 1,) + nu[k + 1:], w[1]), 0,
+                            w[0] * e * scale))
+        for k, shift, c, rise in self.terms:
+            w = wedge[k]
+            if w is not None:
+                out.append(((tuple(map(add, nu, shift)), w[1]), rise, w[0] * c))
+        return out
 
 
 def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:

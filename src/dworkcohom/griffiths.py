@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .exceptions import NonHomogeneousError, NotSmoothError
-from .forms import StrandSpec, strand_basis, strand_basis_at_degree, validate_twist_input
+from .forms import (ColumnStencil, StrandSpec, strand_basis, strand_basis_at_degree,
+                    validate_twist_input)
 from .linalg import ComplexDims
-from .matrices import IntRankAccumulator, integerize_column, rank_of_columns
+from .matrices import IntRankAccumulator, primitive_column, rank_of_columns
 from .poly import Polynomial, mono_mul, monomial_basis
 
 
@@ -145,28 +146,6 @@ def strand_top_dims(profile: JacobianProfile, residue: int) -> int:
     return sum(h for d, h in enumerate(profile.hilbert) if d % m == want)
 
 
-def _df_column(f: Polynomial, nu, I) -> dict:
-    """Column of dF^ alone on the monomial form x^nu dx_I."""
-    from .forms import insert_sign
-    col = {}
-    for mu, c in f.terms.items():
-        for k, ek in enumerate(mu):
-            if not ek or k in I:
-                continue
-            sign, K = insert_sign(k, I)
-            tnu = tuple(a + b for a, b in zip(nu, mu))
-            tnu = tnu[:k] + (tnu[k] - 1,) + tnu[k + 1:]
-            v = c * ek if sign > 0 else -(c * ek)
-            key = (tnu, K)
-            acc = col.get(key, 0)
-            s = acc + v
-            if s:
-                col[key] = s
-            else:
-                col.pop(key, None)
-    return col
-
-
 def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDims:
     """Cohomology of the associated-graded complex (strand, dF^ only).
 
@@ -187,6 +166,7 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     m = f.homogeneous_degree(spec.weights)
     if m is None:
         raise NonHomogeneousError("dF-only grading needs a homogeneous input")
+    stencil = ColumnStencil(f, spec.weights)
     space = [0] * (nvars + 1)
     out = [0] * (nvars + 1)
     for tau in range(-nvars * m, bound + 1):
@@ -212,9 +192,10 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
             rows = {key: k for k, key in enumerate(bases[i + 1])}
             acc = IntRankAccumulator()
             for nu, I in bases[i]:
-                col = {rows[key]: c for key, c in _df_column(f, nu, I).items()}
+                col = {rows[key]: c for key, rise, c in stencil.column(nu, I)
+                       if rise}
                 if col:
-                    acc.add_column(integerize_column(col))
+                    acc.add_column(primitive_column(col))
             out[i] += acc.rank
     data = []
     prev = 0

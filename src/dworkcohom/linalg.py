@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 from .exceptions import NilpotenceError
 from .fields import QQ
-from .forms import (StrandSpec, TruncatedComplex, strand_basis_at_degree,
-                    twisted_column, validate_twist_input)
+from .forms import (ColumnStencil, StrandSpec, TruncatedComplex,
+                    strand_basis_at_degree, validate_twist_input)
 from .matrices import (IntRankAccumulator, SparseMatrix, exact_rank,
-                       integerize_column, rank_mod_p, rank_of_columns)
-from .poly import Polynomial, mono_degree
+                       primitive_column, rank_mod_p, rank_of_columns)
+from .poly import Polynomial
 from .reports import Certificate, CohomologyReport
 
 __all__ = [
@@ -164,19 +164,20 @@ class _WindowEngine:
     Columns of each differential are processed in ascending source total
     degree, so the cumulative rank after finishing degree e equals the exact
     rank of D^i restricted to sources of degree <= e; one sweep serves every
-    window bound.  Targets are never truncated.
+    window bound.  Targets are never truncated.  Columns come from one
+    integer stencil of F, and the sweep that adds a column to the rank also
+    feeds its entries of degree > bound to the band rank of that window.
+    Only band sources that an earlier sweep already passed are assembled a
+    second time.
     """
 
     def __init__(self, f: Polynomial, spec: StrandSpec):
         validate_twist_input(f, spec)
         if f.field is not QQ:
             raise TypeError("windowed dimensions run over the rational field")
-        self.f = f
         self.spec = spec
         self.top = spec.nvars
-        self.max_shift = max(
-            (mono_degree(mu, spec.weights) for mu in f.terms if any(mu)),
-            default=0)
+        self.stencil = ColumnStencil(f, spec.weights)
         n = self.top + 1
         self.acc = [IntRankAccumulator() for _ in range(n)]
         self.rows = [dict() for _ in range(n + 1)]
@@ -184,33 +185,61 @@ class _WindowEngine:
         self.rank_at = [dict() for _ in range(n)]
         self.dims_at_deg = [dict() for _ in range(n)]
         self.dim_cum = [0] * n
-        self._band_cache = {}
+        self.band_rank = {}
 
-    def _row_id(self, i: int, key) -> int:
-        reg = self.rows[i]
-        rid = reg.get(key)
-        if rid is None:
-            rid = len(reg)
-            reg[key] = rid
-        return rid
+    def _add_degree(self, i: int, e: int, acc, band, cut: int) -> int:
+        """Feed the D^i columns of source degree e; return how many sources.
+
+        Whole columns go to acc and their entries rising by more than cut
+        to band; either accumulator may be None.
+        """
+        reg = self.rows[i + 1]
+        column = self.stencil.column
+        basis = strand_basis_at_degree(self.spec, i, e)
+        for nu, I in basis:
+            col = {}
+            above = {}
+            for key, rise, v in column(nu, I):
+                rid = reg.get(key)
+                if rid is None:
+                    rid = reg[key] = len(reg)
+                col[rid] = v
+                if rise > cut:
+                    above[rid] = v
+            if acc is not None and col:
+                acc.add_column(primitive_column(col))
+            if band is not None and above:
+                band.add_column(primitive_column(above))
+        return len(basis)
 
     def _process(self, i: int, bound: int):
-        spec, f = self.spec, self.f
+        """Sweep D^i up to bound and fix the band rank of window (i, bound).
+
+        The band rank is the rank of the D^i columns of degree <= bound on
+        rows of degree > bound.  Only sources of degree > bound - max_rise
+        reach such rows; those below next_deg[i] were swept by an earlier
+        call, so their columns are assembled again here.
+        """
+        spec = self.spec
+        step = spec.modulus
         e = self.next_deg[i]
+        band = None
+        if i < self.top and (i, bound) not in self.band_rank:
+            band = IntRankAccumulator()
+            # lowest strand degree above bound - max_rise
+            low = bound - self.stencil.max_rise + 1
+            first = max(spec.residue, low + (spec.residue - low) % step)
+            for d in range(first, min(e, bound + 1), step):
+                self._add_degree(i, d, None, band, bound - d)
         acc = self.acc[i]
         while e <= bound:
-            basis = strand_basis_at_degree(spec, i, e)
-            for nu, I in basis:
-                col = {}
-                for key, c in twisted_column(f, nu, I).items():
-                    col[self._row_id(i + 1, key)] = c
-                if col:
-                    acc.add_column(integerize_column(col))
-            self.dim_cum[i] += len(basis)
+            self.dim_cum[i] += self._add_degree(i, e, acc, band, bound - e)
             self.rank_at[i][e] = acc.rank
             self.dims_at_deg[i][e] = self.dim_cum[i]
-            e += spec.modulus
+            e += step
         self.next_deg[i] = e
+        if band is not None:
+            self.band_rank[(i, bound)] = band.rank
 
     def _checkpoint(self, table: dict, bound: int) -> int:
         spec = self.spec
@@ -218,32 +247,6 @@ class _WindowEngine:
             return 0
         e = bound - (bound - spec.residue) % spec.modulus
         return table.get(e, 0)
-
-    def _band_rank(self, i: int, bound: int) -> int:
-        """Rank of D^i columns of degree <= bound on rows of degree > bound."""
-        key = (i, bound)
-        if key in self._band_cache:
-            return self._band_cache[key]
-        spec, f = self.spec, self.f
-        rank = 0
-        if self.max_shift > 0:
-            acc = IntRankAccumulator()
-            rows = {}
-            e = bound - (bound - spec.residue) % spec.modulus \
-                if bound >= spec.residue else -1
-            while e >= 0 and e > bound - self.max_shift:
-                for nu, I in strand_basis_at_degree(spec, i, e):
-                    col = {}
-                    for tkey, c in twisted_column(f, nu, I).items():
-                        if spec.form_degree(*tkey) > bound:
-                            rid = rows.setdefault(tkey, len(rows))
-                            col[rid] = c
-                    if col:
-                        acc.add_column(integerize_column(col))
-                e -= spec.modulus
-            rank = acc.rank
-        self._band_cache[key] = rank
-        return rank
 
     def dims_at(self, bound: int) -> dict:
         for i in range(self.top + 1):
@@ -256,7 +259,7 @@ class _WindowEngine:
                 witnessed = 0
             else:
                 witnessed = (self._checkpoint(self.rank_at[i - 1], bound)
-                             - self._band_rank(i - 1, bound))
+                             - self.band_rank[(i - 1, bound)])
             dims[i] = kernel - witnessed
         return dims
 

@@ -87,10 +87,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
-
     def __eq__(self, other):
         if isinstance(other, SparseMatrix):
             return (self.nrows, self.ncols, self.entries) == \
@@ -101,7 +97,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-def _normalize_int_column(col: dict) -> dict:
+def primitive_column(col: dict) -> dict:
+    """Divide an integer column by the gcd of its entries (rank-preserving)."""
     g = 0
     for v in col.values():
         g = gcd(g, v)
@@ -126,7 +123,7 @@ def integerize_column(col: dict) -> dict:
             w = v * lcm
         if w:
             out[r] = w
-    return _normalize_int_column(out)
+    return primitive_column(out)
 
 
 class IntRankAccumulator:
@@ -163,7 +160,7 @@ class IntRankAccumulator:
                     new[s] = u
                 else:
                     new.pop(s, None)
-            col = _normalize_int_column(new)
+            col = primitive_column(new)
         if not col:
             return False
         row = self._pick_pivot_row(col)
@@ -265,10 +262,6 @@ def rank_of_columns(columns) -> int:
 def exact_rank(m: SparseMatrix) -> int:
     """Rank over the exact base field, deterministic."""
     return rank_of_columns(m.columns())
-
-
-def kernel_dim(m: SparseMatrix) -> int:
-    return m.ncols - exact_rank(m)
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> int:

@@ -69,6 +69,25 @@ def test_job_validation():
         Job.from_dict({"command": "dwork", "bogus": 1})
     with pytest.raises(ValueError):
         Job.from_dict({})
+    with pytest.raises(ValueError):
+        Job.from_dict(["dwork"])
+
+
+@pytest.mark.parametrize("policy", [5, {"step": [1]}, {"step": True}])
+def test_bad_policy_ends_in_exit_code(tmp_path, capsys, policy):
+    # a malformed policy is a bad job file: `run` reports it as JSON with
+    # exit 1, and `verify` records an infrastructure row
+    (tmp_path / "a.job.json").write_text(json.dumps(
+        {"command": "dwork", "polynomial": "x0^3 + x1^3 + x2^3",
+         "variables": ["x0", "x1", "x2"], "policy": policy}))
+    (tmp_path / "a.expect.json").write_text(json.dumps({"exit_code": 0}))
+    code = main(["run", str(tmp_path / "a.job.json")])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and "policy" in out["error"]
+    code = main(["verify", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1 and "a  infrastructure  bad job file: policy" in out
+    assert "0/1 passed, 1 infrastructure" in out
 
 
 def test_run_job_dwork_report_fields():

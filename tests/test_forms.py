@@ -1,6 +1,7 @@
 """Exterior algebra, the twisted differential, strands and truncation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dworkcohom import (DifferentialForm, Polynomial, QQ, StrandSpec,
                         assemble_truncated_complex, cohomology_dims,
                         full_complex_spec, gradient_form, strand_basis)
-from dworkcohom.forms import strand_basis_at_degree, twisted_column
+from dworkcohom.forms import ColumnStencil, strand_basis_at_degree, twisted_column
 from dworkcohom.exceptions import NonHomogeneousError
 
 from _helpers import fermat, triangle, var
@@ -75,12 +76,33 @@ def test_twisted_differential_examples():
 
 
 def test_twisted_column_matches_form_operations():
-    f = fermat(3, 3) + 2 * var(3, 0) * var(3, 1) * var(3, 2)
-    for nu, I in [((1, 0, 2), (1,)), ((0, 0, 0), ()), ((2, 1, 0), (0, 2))]:
-        form = mono_form(3, nu, I)
-        expected = form.twisted_differential(f)
-        got = DifferentialForm(QQ, 3, len(I) + 1, twisted_column(f, nu, I))
-        assert got == expected
+    # twisted_column is the reference: it must agree with d + dF^ on forms;
+    # ColumnStencil.column must be scale * twisted_column, entry by entry
+    # and in the same order, with each rise the exact degree increase
+    x, y, z = (var(3, k) for k in range(3))
+    cases = [
+        (fermat(3, 3) + 2 * x * y * z, None, 1),
+        (Fraction(1, 3) * x ** 3 - Fraction(5, 4) * x * y * z + y ** 2 + z,
+         None, 12),
+        (var(2, 0) ** 2 + Fraction(2, 3) * var(2, 1) ** 3, (3, 2), 3),
+    ]
+    for f, weights, scale in cases:
+        spec = full_complex_spec(f.nvars, weights)
+        stencil = ColumnStencil(f, weights)
+        assert stencil.scale == scale
+        for i in range(f.nvars):
+            for nu, I in strand_basis(spec, i, 7):
+                col = twisted_column(f, nu, I)
+                form = mono_form(f.nvars, nu, I)
+                assert DifferentialForm(QQ, f.nvars, i + 1, col) == \
+                    form.twisted_differential(f)
+                entries = stencil.column(nu, I)
+                assert [key for key, _, _ in entries] == list(col)
+                for key, rise, v in entries:
+                    assert isinstance(v, int)
+                    assert Fraction(v, scale) == col[key]
+                    assert rise == spec.form_degree(*key) - \
+                        spec.form_degree(nu, I)
 
 
 def test_twisted_nilpotent_on_random_forms():

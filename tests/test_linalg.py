@@ -203,31 +203,58 @@ def test_square_one_variable_strands():
     assert stabilized_cohomology(f, StrandSpec(1, 2, 1)).dims == {0: 0, 1: 1}
 
 
-def test_windowed_dims_match_independent_formula():
-    # independent oracle: dense ranks of the untruncated differential on
-    # degree <= N sources, minus the witnessed image, per the definition
+def dense_windowed_dims(f, spec, bound):
+    """Independent oracle for the windowed dimensions at one bound.
+
+    Dense ranks of the untruncated differential on sources of degree
+    <= bound, minus the witnessed image, per the definition; the columns
+    come from the reference builder twisted_column.
+    """
     from dworkcohom.forms import strand_basis, twisted_column
-    f = var(1, 0) ** 2
-    spec = full_complex_spec(1)
-    n_bound = 4
-    basis0 = strand_basis(spec, 0, n_bound)
-    rows = {}
-    cols = []
-    for nu, I in basis0:
-        col = {}
-        for key, c in twisted_column(f, nu, I).items():
-            col[rows.setdefault(key, len(rows))] = c
-        cols.append(col)
-    dense = [[Fraction(col.get(r, 0)) for col in cols] for r in range(len(rows))]
-    rank_full = dense_rank_fractions(dense)
-    band = [[Fraction(col.get(r, 0)) for col in cols]
-            for key, r in rows.items() if spec.form_degree(*key) > n_bound]
-    rank_band = dense_rank_fractions(band)
-    kernel0 = len(basis0) - rank_full
-    dim1 = len(strand_basis(spec, 1, n_bound))
-    h1 = dim1 - (rank_full - rank_band)
-    h0 = kernel0
-    assert (h0, h1) == (0, 1)
+    kernel, witnessed = {}, {0: 0}
+    for i in range(spec.nvars + 1):
+        basis = strand_basis(spec, i, bound)
+        rows = {}
+        cols = []
+        for nu, I in basis:
+            col = {}
+            for key, c in twisted_column(f, nu, I).items():
+                col[rows.setdefault(key, len(rows))] = c
+            cols.append(col)
+        full = [[Fraction(col.get(r, 0)) for col in cols]
+                for r in range(len(rows))]
+        band = [[Fraction(col.get(r, 0)) for col in cols]
+                for key, r in rows.items() if spec.form_degree(*key) > bound]
+        rank_full = dense_rank_fractions(full)
+        kernel[i] = len(basis) - rank_full
+        witnessed[i + 1] = rank_full - dense_rank_fractions(band)
+    return {i: kernel[i] - witnessed[i] for i in kernel}
+
+
+def test_windowed_dims_match_independent_formula():
+    assert dense_windowed_dims(var(1, 0) ** 2, full_complex_spec(1), 4) \
+        == {0: 0, 1: 1}
+
+
+def test_band_completion_matches_oracle_and_fresh_engine():
+    # step 1 < the twist's top degree 3, so each window's band spans source
+    # degrees an earlier window already swept; the second call reuses the
+    # cached engine at lower bounds, so its bands are rebuilt in full
+    from dworkcohom import linalg
+    x0, x1 = var(2, 0), var(2, 1)
+    f = x0 ** 3 + x0 * x1 + Fraction(1, 3) * x1 ** 2
+    spec = full_complex_spec(2)
+    policies = (StabilizationPolicy(4, 1, 8), StabilizationPolicy(2, 1, 7))
+    cached = [stabilized_cohomology(f, spec, pol) for pol in policies]
+    for rep in cached:
+        for bound, dims in rep.certificate.history:
+            assert dict(dims) == dense_windowed_dims(f, spec, bound)
+    for pol, rep in zip(policies, cached):
+        linalg._ENGINES.clear()
+        linalg._REPORTS.clear()
+        fresh = stabilized_cohomology(f, spec, pol)
+        assert fresh.dims == rep.dims
+        assert fresh.certificate.history == rep.certificate.history
 
 
 def test_milnor_numbers_by_truncation():
