@@ -17,8 +17,8 @@ The engine computes, with no floating point anywhere:
 __version__ = "0.1.0"
 
 from .exceptions import (BasisError, NilpotenceError, NonHomogeneousError,
-                         NotSmoothError, ParseError, ReductionError,
-                         UnknownVariableError, VariableCountMismatch)
+                         NotSmoothError, ParseError, UnknownVariableError,
+                         VariableCountMismatch)
 from .fields import QQ, QQ_T, RatFunc
 from .poly import (Monomial, Polynomial, homogeneous_degree, monomial_basis,
                    partial_derivative, poly_arith)

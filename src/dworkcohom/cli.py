@@ -1,18 +1,11 @@
-"""Command-line surface: polynomial parsing, job dispatch, JSON reports,
-and the regression corpus runner.
+"""Command-line surface: polynomial parsing, the command table, JSON
+reports, and the regression corpus runner.
 
-Commands
-    hodge       primitive Hodge numbers via the Jacobian ring
-    dwork       strand-0 twisted cohomology (primitive local cohomology)
-    affine      full-complex twisted cohomology (affine fiber Betti numbers)
-    strands     per-strand decomposition with the sum identity
-    koszul      complete-intersection Koszul complex on scalars[x, y]
-    fourier     the 2r-operator Koszul complex concentration check
-    ts          Thom-Sebastiani / Kunneth dimension identities
-    suspension  suspension additivity of the three in-engine sides
-    gm          Gauss-Manin connection matrix of a one-parameter family
-    run         execute a JSON job file
-    verify      run a corpus of job files against frozen expectations
+Each pipeline command is one entry of COMMANDS: a help line, the job
+fields it requires and accepts, and a handler.  The argument parser and
+Job validation are both derived from that table, so a command line is
+exactly a job file written as flags.  ``run`` executes a JSON job file and
+``verify`` runs a corpus of job files against frozen expectations.
 
 Exit codes: 0 success, 1 input error, 2 unstabilized or unverified
 dimension identity, 3 smoothness required but absent.
@@ -28,9 +21,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
@@ -197,71 +190,114 @@ def format_polynomial(p: Polynomial, variables) -> str:
     return "".join(parts)
 
 
-# ---- jobs --------------------------------------------------------------
+# ---- the command table ----------------------------------------------------
+
+# JSON type of a job field -> (is a list, type of the value or of each item)
+_TYPES = {"string": (False, str), "integer": (False, int),
+          "list of strings": (True, str), "list of integers": (True, int)}
+
+_POLICY_KEYS = ("initial_bound", "step", "max_bound")
+_POLICY = ("policy object {initial_bound, step, max_bound: "
+           "non-negative integer or null}")
 
 
-_JOB_FIELDS = {"command", "polynomial", "polynomials", "perturbation",
-               "variables", "weights", "strand", "policy", "bound", "r",
-               "basis", "samples", "output"}
+class Field(NamedTuple):
+    """A job field: its JSON type (a key of _TYPES, or _POLICY, spelled as
+    one integer flag per key) and its command-line spelling.  With no
+    ``flags`` it is positional; a list is one argument split at ``sep``."""
 
-_COMMANDS = ("hodge", "dwork", "affine", "strands", "koszul", "fourier",
-             "ts", "suspension", "gm", "verify")
+    kind: str
+    flags: tuple = ()
+    sep: str = None
+    help: str = None
 
+    def check(self, name: str, value) -> None:
+        if self.kind == _POLICY:
+            ok = (type(value) is dict and set(value) <= set(_POLICY_KEYS)
+                  and all(v is None or type(v) is int and v >= 0
+                          for v in value.values()))
+        else:
+            is_list, item = _TYPES[self.kind]
+            ok = (type(value) is list and all(type(v) is item for v in value)
+                  if is_list else type(value) is item)
+        if not ok:
+            raise ValueError(f"{name} must be of type {self.kind}, "
+                             f"got {value!r}")
 
-@dataclass
-class Job:
-    """One pipeline invocation, as carried by a JSON job file."""
-
-    command: str
-    polynomial: str = None
-    polynomials: list = None
-    perturbation: str = None
-    variables: list = None
-    weights: list = None
-    strand: int = None
-    policy: dict = None
-    bound: int = None
-    r: int = None
-    basis: list = None
-    samples: list = None
-    output: str = None
-
-    @staticmethod
-    def from_dict(data: dict) -> "Job":
-        if not isinstance(data, dict):
-            raise ValueError("a job must be a JSON object")
-        unknown = set(data) - _JOB_FIELDS
-        if unknown:
-            raise ValueError(f"unknown job fields: {sorted(unknown)}")
-        if "command" not in data:
-            raise ValueError("job is missing the command field")
-        if data["command"] not in _COMMANDS:
-            raise ValueError(f"unknown command {data['command']!r}")
-        job = Job(**data)
-        if job.policy is not None:
-            if not isinstance(job.policy, dict):
-                raise ValueError("policy must be a JSON object")
-            bad = set(job.policy) - {"initial_bound", "step", "max_bound"}
-            if bad:
-                raise ValueError(f"unknown policy fields: {sorted(bad)}")
-            values = [v for v in job.policy.values() if v is not None]
-            if any(type(v) is not int for v in values):
-                raise ValueError("policy values must be integers or null")
-            if any(v < 0 for v in values):
-                raise ValueError("policy bounds must be non-negative")
-        return job
+    def add_to(self, parser, name: str, required: bool) -> None:
+        if self.kind == _POLICY:
+            for key in _POLICY_KEYS:
+                parser.add_argument("--" + key.replace("_", "-"), type=int)
+            return
+        is_list, item = _TYPES[self.kind]
+        convert = _splitter(self.sep, item) if is_list else item
+        if self.flags:
+            parser.add_argument(*self.flags, dest=name, type=convert,
+                                required=required, help=self.help)
+        else:
+            parser.add_argument(name, type=convert, help=self.help)
 
 
-def _job_policy(job: Job, f: Polynomial, spec: StrandSpec):
-    if not job.policy:
+def _splitter(sep: str, item: type):
+    def split(text: str) -> list:
+        return [item(part.strip()) for part in text.split(sep)]
+    split.__name__ = f"{item.__name__} list"  # named in argparse errors
+    return split
+
+
+FIELDS = {
+    "polynomial": Field("string",
+                        help="polynomial text over the declared variables"),
+    "polynomials": Field("list of strings", sep=";",
+                         help="semicolon-separated defining polynomials"),
+    "variables": Field("list of strings", ("--variables", "-v"), ",",
+                       "comma-separated variable names, e.g. x0,x1,x2"),
+    "weights": Field("list of integers", ("--weights",), ",",
+                     "comma-separated positive weights"),
+    "strand": Field("integer", ("--strand",),
+                    help="report a single residue instead of all"),
+    "perturbation": Field("string", ("--perturbation", "-g"),
+                          help="G in the family F + t*G"),
+    "basis": Field("list of strings", ("--basis",), ";",
+                   "semicolon-separated basis polynomials"),
+    "samples": Field("list of strings", ("--samples",), ",",
+                     "comma-separated rational t samples to verify"),
+    "bound": Field("integer", ("--bound",), help="truncation bound"),
+    "r": Field("integer", ("--r",), help="number of operator pairs"),
+    "policy": Field(_POLICY),
+    "output": Field("string", ("--output", "-o"),
+                    help="write the JSON report here"),
+}
+
+
+class Command(NamedTuple):
+    """A pipeline command: a help line, the job fields it requires and
+    accepts, and a handler (job, report) -> exit code that fills in the
+    report.  Every command also takes ``output``."""
+
+    help: str
+    handler: Callable
+    required: tuple
+    optional: tuple = ()
+
+    @property
+    def fields(self) -> tuple:
+        return self.required + self.optional + ("output",)
+
+
+def _poly(job: "Job") -> Polynomial:
+    return parse_polynomial(job.polynomial, job.variables)
+
+
+def _job_policy(job: "Job", f: Polynomial, spec: StrandSpec):
+    given = {k: v for k, v in (job.policy or {}).items() if v is not None}
+    if not given:
         return None
     base = default_policy(f, spec)
-    return StabilizationPolicy(
-        int(job.policy.get("initial_bound", base.initial_bound)),
-        int(job.policy.get("step", base.step)),
-        int(job.policy.get("max_bound", job.policy.get(
-            "initial_bound", base.initial_bound) + 4 * int(
-            job.policy.get("step", base.step)))))
+    initial = given.get("initial_bound", base.initial_bound)
+    step = given.get("step", base.step)
+    return StabilizationPolicy(initial, step,
+                               given.get("max_bound", initial + 4 * step))
 
 
 def _jsonable(value):
@@ -276,25 +312,6 @@ def _jsonable(value):
     return str(value)
 
 
-def _need_poly(job: Job) -> Polynomial:
-    if not job.polynomial:
-        raise ValueError("this command needs a polynomial")
-    if not job.variables:
-        raise ValueError("this command needs a variable list")
-    return parse_polynomial(job.polynomial, job.variables)
-
-
-def _weights(job: Job):
-    return tuple(int(w) for w in job.weights) if job.weights else None
-
-
-def _report_base(job: Job) -> dict:
-    echo = {k: v for k, v in vars(job).items()
-            if v is not None and k != "output"}
-    return {"engine_version": __version__, "command": job.command,
-            "input": _jsonable(echo)}
-
-
 def _attach_report(out: dict, rep) -> int:
     out["path"] = rep.path
     out["dims"] = rep.dims_list()
@@ -307,117 +324,162 @@ def _attach_report(out: dict, rep) -> int:
     return 0 if rep.stabilized else 2
 
 
-def _attach_verdict(out: dict, verdict, code_when_ok=0) -> int:
+def _attach_verdict(out: dict, verdict) -> int:
     out["checks"] = [_jsonable(c.to_json_dict()) for c in verdict.checks]
     stabilized = all(r.stabilized for r in verdict.reports)
-    return code_when_ok if (verdict.ok and stabilized) else 2
+    return 0 if verdict.ok and stabilized else 2
 
 
-def _dispatch(job: Job) -> tuple:
-    out = _report_base(job)
-    if job.command == "hodge":
-        f = _need_poly(job)
-        profile = jacobian_hilbert(f)
-        out["m"] = profile.modulus
-        out["nvars"] = profile.nvars
-        out["hilbert"] = list(profile.hilbert)
-        out["smooth"] = profile.smooth
-        if not profile.smooth:
-            out["error"] = "hypersurface is singular; Hodge numbers need smoothness"
-            return 3, out
-        n = f.nvars - 1
-        out["milnor"] = profile.milnor
-        out["path"] = "jacobian"
-        out["dims"] = [{"degree": q, "label": f"h^({n - q},{q - 1})_prim",
-                        "dim": h} for q, h in primitive_hodge_numbers(f)]
-        out["certificate"] = None
-        return 0, out
-    if job.command == "dwork":
-        f = _need_poly(job)
-        policy = _job_policy(job, f, StrandSpec(
-            f.nvars, max(f.homogeneous_degree() or 1, 1), 0))
-        return _attach_report(out, primitive_dwork_cohomology(f, policy)), out
-    if job.command == "affine":
-        f = _need_poly(job)
-        w = _weights(job)
-        policy = _job_policy(job, f, full_complex_spec(f.nvars, w))
-        return _attach_report(
-            out, affine_twisted_cohomology(f, weights=w, policy=policy)), out
-    if job.command == "strands":
-        f = _need_poly(job)
-        w = _weights(job)
-        m = f.homogeneous_degree(w)
-        if m is None:
-            raise NonHomogeneousError("strand decomposition needs homogeneous input")
-        policy = _job_policy(job, f, StrandSpec(f.nvars, max(m, 1), 0, w))
-        if job.strand is not None:
-            rep = strand_cohomology(f, int(job.strand), policy, w)
-            return _attach_report(out, rep), out
-        reports = strand_decomposition(f, policy, w)
-        full = affine_twisted_cohomology(f, weights=w, policy=policy)
-        code = _attach_report(out, full)
-        out["strands"] = [r.to_json_dict() for r in reports]
-        checks = []
-        for k in range(f.nvars + 1):
-            checks.append({"name": f"strand sum equals full complex in degree {k}",
-                           "lhs": sum(r.dim(k) for r in reports),
-                           "rhs": full.dim(k),
-                           "pass": sum(r.dim(k) for r in reports) == full.dim(k)})
-        out["checks"] = checks
-        if any(not r.stabilized for r in reports):
-            code = 2
-        return code, out
-    if job.command == "koszul":
-        if not job.polynomials or not job.variables:
-            raise ValueError("koszul needs polynomials and variables")
-        if job.bound is None:
-            raise ValueError("koszul needs an explicit truncation bound")
-        fs = [parse_polynomial(p, job.variables) for p in job.polynomials]
-        return _attach_report(
-            out, ci_dwork_koszul(fs, int(job.bound))), out
-    if job.command == "fourier":
-        if job.r is None or job.bound is None:
-            raise ValueError("fourier needs r and a truncation bound")
-        verdict = fourier_lemma_check(int(job.r), int(job.bound))
-        code = _attach_verdict(out, verdict)
-        _attach_report(out, verdict.reports[0])
-        return code, out
-    if job.command == "ts":
-        f = _need_poly(job)
-        verdict = thom_sebastiani_check(f)
-        return _attach_verdict(out, verdict), out
-    if job.command == "suspension":
-        f = _need_poly(job)
-        verdict = suspension_check(f)
-        return _attach_verdict(out, verdict), out
-    if job.command == "gm":
-        f0 = _need_poly(job)
-        if job.perturbation is None:
-            raise ValueError("gm needs a perturbation polynomial")
-        g = parse_polynomial(job.perturbation, job.variables)
-        fam = Family(f0, g)
-        basis = None
-        if job.basis:
-            basis = [parse_polynomial(b, job.variables) for b in job.basis]
-        mat = family_connection_matrix(fam, basis)
-        out["matrix"] = connection_matrix_strings(mat)
-        code = 0
-        if job.samples:
-            verdict = connection_properties_check(
-                fam, [Fraction(str(s)) for s in job.samples], basis)
-            code = _attach_verdict(out, verdict)
-        return code, out
-    raise ValueError(f"command {job.command!r} is not a pipeline")
+def _hodge(job, out) -> int:
+    f = _poly(job)
+    profile = jacobian_hilbert(f)
+    out["m"] = profile.modulus
+    out["nvars"] = profile.nvars
+    out["hilbert"] = list(profile.hilbert)
+    out["smooth"] = profile.smooth
+    if not profile.smooth:
+        out["error"] = "hypersurface is singular; Hodge numbers need smoothness"
+        return 3
+    n = f.nvars - 1
+    out["milnor"] = profile.milnor
+    out["path"] = "jacobian"
+    out["dims"] = [{"degree": q, "label": f"h^({n - q},{q - 1})_prim",
+                    "dim": h} for q, h in primitive_hodge_numbers(f)]
+    out["certificate"] = None
+    return 0
+
+
+def _dwork(job, out) -> int:
+    f = _poly(job)
+    policy = _job_policy(job, f, StrandSpec(
+        f.nvars, max(f.homogeneous_degree() or 1, 1), 0))
+    return _attach_report(out, primitive_dwork_cohomology(f, policy))
+
+
+def _affine(job, out) -> int:
+    f = _poly(job)
+    w = tuple(job.weights or ()) or None
+    policy = _job_policy(job, f, full_complex_spec(f.nvars, w))
+    return _attach_report(
+        out, affine_twisted_cohomology(f, weights=w, policy=policy))
+
+
+def _strands(job, out) -> int:
+    f = _poly(job)
+    w = tuple(job.weights or ()) or None
+    m = f.homogeneous_degree(w)
+    if m is None:
+        raise NonHomogeneousError("strand decomposition needs homogeneous input")
+    policy = _job_policy(job, f, StrandSpec(f.nvars, max(m, 1), 0, w))
+    if job.strand is not None:
+        return _attach_report(out, strand_cohomology(f, job.strand, policy, w))
+    reports = strand_decomposition(f, policy, w)
+    full = affine_twisted_cohomology(f, weights=w, policy=policy)
+    code = _attach_report(out, full)
+    out["strands"] = [r.to_json_dict() for r in reports]
+    sums = [sum(r.dim(k) for r in reports) for k in range(f.nvars + 1)]
+    out["checks"] = [{"name": f"strand sum equals full complex in degree {k}",
+                      "lhs": s, "rhs": full.dim(k), "pass": s == full.dim(k)}
+                     for k, s in enumerate(sums)]
+    return 2 if any(not r.stabilized for r in reports) else code
+
+
+def _koszul(job, out) -> int:
+    fs = [parse_polynomial(p, job.variables) for p in job.polynomials]
+    return _attach_report(out, ci_dwork_koszul(fs, job.bound))
+
+
+def _fourier(job, out) -> int:
+    verdict = fourier_lemma_check(job.r, job.bound)
+    _attach_report(out, verdict.reports[0])
+    return _attach_verdict(out, verdict)
+
+
+def _gm(job, out) -> int:
+    fam = Family(_poly(job), parse_polynomial(job.perturbation, job.variables))
+    basis = [parse_polynomial(b, job.variables)
+             for b in job.basis or ()] or None
+    out["matrix"] = connection_matrix_strings(
+        family_connection_matrix(fam, basis))
+    if not job.samples:
+        return 0
+    verdict = connection_properties_check(
+        fam, [Fraction(s) for s in job.samples], basis)
+    return _attach_verdict(out, verdict)
+
+
+_POLY = ("polynomial", "variables")
+
+COMMANDS = {
+    "hodge": Command("primitive Hodge numbers via the Jacobian ring",
+                     _hodge, _POLY),
+    "dwork": Command("strand-0 twisted cohomology (primitive local cohomology)",
+                     _dwork, _POLY, ("policy",)),
+    "affine": Command("full twisted cohomology (affine fiber Betti numbers)",
+                      _affine, _POLY, ("weights", "policy")),
+    "strands": Command("per-strand decomposition with the sum identity",
+                       _strands, _POLY, ("weights", "strand", "policy")),
+    "koszul": Command("complete-intersection Koszul complex on scalars[x, y]",
+                      _koszul, ("polynomials", "variables", "bound")),
+    "fourier": Command("the 2r-operator Koszul complex concentration check",
+                       _fourier, ("r", "bound")),
+    "ts": Command("Thom-Sebastiani / Kunneth dimension identities",
+                  lambda job, out: _attach_verdict(
+                      out, thom_sebastiani_check(_poly(job))), _POLY),
+    "suspension": Command("suspension additivity of the three in-engine sides",
+                          lambda job, out: _attach_verdict(
+                              out, suspension_check(_poly(job))), _POLY),
+    "gm": Command("Gauss-Manin connection matrix of a one-parameter family",
+                  _gm, _POLY + ("perturbation",), ("basis", "samples")),
+}
+
+
+# ---- jobs --------------------------------------------------------------
+
+
+class Job:
+    """One pipeline invocation, as carried by a JSON job file or written as
+    command-line flags.  The keyword constructor checks ``command`` and the
+    fields against COMMANDS and FIELDS, raising ValueError; a null field
+    counts as absent and reads as None."""
+
+    def __init__(self, /, **fields):
+        given = {k: v for k, v in fields.items() if v is not None}
+        command = given.pop("command", None)
+        if not isinstance(command, str) or command not in COMMANDS:
+            raise ValueError(f"command must be one of {', '.join(COMMANDS)}, "
+                             f"got {command!r}")
+        spec = COMMANDS[command]
+        unknown = sorted(set(given) - set(spec.fields))
+        if unknown:
+            raise ValueError(f"{command} does not take the fields {unknown}")
+        missing = [name for name in spec.required if name not in given]
+        if missing:
+            raise ValueError(f"{command} needs the fields {missing}")
+        for name, value in given.items():
+            FIELDS[name].check(name, value)
+        names = given.get("variables", [])
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        for name in ("command", *FIELDS):
+            setattr(self, name, fields.get(name))
+
+    @staticmethod
+    def from_dict(data: dict) -> "Job":
+        if not isinstance(data, dict):
+            raise ValueError("a job must be a JSON object")
+        return Job(**data)
 
 
 def run_job(job: Job) -> tuple:
     """Run one job; returns (exit code, JSON-ready report)."""
     started = time.perf_counter()
+    echo = {k: v for k, v in vars(job).items()
+            if v is not None and k != "output"}
+    out = {"engine_version": __version__, "command": job.command,
+           "input": echo}
     try:
-        code, out = _dispatch(job)
-    except UnknownVariableError as exc:
-        return 1, {"error": str(exc), "position": exc.position,
-                   "engine_version": __version__}
+        code = COMMANDS[job.command].handler(job, out)
     except ParseError as exc:
         return 1, {"error": str(exc), "position": exc.position,
                    "engine_version": __version__}
@@ -427,7 +489,11 @@ def run_job(job: Job) -> tuple:
         return 1, {"error": str(exc), "engine_version": __version__}
     out["timing_ms"] = int((time.perf_counter() - started) * 1000)
     if job.output:
-        write_report(out, job.output)
+        try:
+            write_report(out, job.output)
+        except (OSError, ValueError) as exc:
+            return 1, {"error": f"cannot write the report: {exc}",
+                       "engine_version": __version__}
     return code, out
 
 
@@ -474,16 +540,25 @@ def bundled_corpus_dir() -> Path:
 
 
 def _run_job_dict(data: dict) -> tuple:
-    return run_job(Job.from_dict(data))
+    """Run one job behind its own error boundary, in this process or in a
+    corpus worker: an exception run_job does not map to an exit code
+    becomes (None, report) with the error and its traceback."""
+    try:
+        return run_job(Job.from_dict(data))
+    except Exception as exc:
+        from traceback import format_exc
+        return None, {"error": f"{type(exc).__name__}: {exc}",
+                      "traceback": format_exc()}
 
 
 def corpus_runner(directory=None) -> tuple:
     """Run every <name>.job.json against <name>.expect.json in a directory.
 
     Returns (exit code, summary).  Missing or unreadable expectation files
-    are infrastructure failures, kept distinct from dimension mismatches.
-    Set DWORKCOHOM_WORKERS > 1 to run independent jobs in parallel worker
-    processes; results are deterministic either way.
+    are infrastructure failures, and a job that raises is an error; both
+    are kept distinct from dimension mismatches.  Set DWORKCOHOM_WORKERS > 1
+    to run independent jobs in parallel worker processes; results are
+    deterministic either way.
     """
     directory = Path(directory) if directory else bundled_corpus_dir()
     rows = []
@@ -518,8 +593,10 @@ def corpus_runner(directory=None) -> tuple:
     else:
         results = [_run_job_dict(data) for _, data, _ in runnable]
     for (row, _, expected), (code, report) in zip(runnable, results):
-        diffs = _diff_fields(expected, {"exit_code": code, **report})
-        if diffs:
+        if code is None:
+            row.update(status="error", detail=report["error"],
+                       traceback=report["traceback"])
+        elif diffs := _diff_fields(expected, {"exit_code": code, **report}):
             row.update(status="fail", detail="; ".join(diffs))
         else:
             row.update(status="pass", detail="")
@@ -528,147 +605,81 @@ def corpus_runner(directory=None) -> tuple:
         "passed": sum(r["status"] == "pass" for r in rows),
         "failed": sum(r["status"] == "fail" for r in rows),
         "infrastructure": sum(r["status"] == "infrastructure" for r in rows),
+        "errors": sum(r["status"] == "error" for r in rows),
         "rows": rows,
     }
-    if summary["infrastructure"]:
+    if summary["infrastructure"] or summary["errors"]:
         return 1, summary
     if summary["failed"]:
         return 2, summary
     return 0, summary
 
 
-# ---- argument parsing -----------------------------------------------------
+# ---- command line ---------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("polynomial", help="polynomial text over the declared variables")
-    sub.add_argument("--variables", "-v", required=True,
-                     help="comma-separated variable names, e.g. x0,x1,x2")
-    sub.add_argument("--output", "-o", help="write the JSON report here")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, for main to report as JSON with exit
+    code 1; argparse's own exit code 2 means "unstabilized" here."""
 
-
-def _add_policy(sub):
-    sub.add_argument("--initial-bound", type=int)
-    sub.add_argument("--step", type=int)
-    sub.add_argument("--max-bound", type=int)
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dworkcohom",
         description="Exact twisted de Rham (Dwork) cohomology of polynomials")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, blurb in [
-            ("hodge", "primitive Hodge numbers via the Jacobian ring"),
-            ("dwork", "strand-0 twisted cohomology (primitive local cohomology)"),
-            ("affine", "full twisted cohomology (affine fiber Betti numbers)"),
-            ("strands", "per-strand decomposition"),
-            ("ts", "Thom-Sebastiani dimension identities"),
-            ("suspension", "suspension additivity check")]:
-        s = sub.add_parser(name, help=blurb)
-        _add_common(s)
-        if name != "hodge":
-            _add_policy(s)
-        if name in ("affine", "strands"):
-            s.add_argument("--weights", help="comma-separated positive weights")
-        if name == "strands":
-            s.add_argument("--strand", type=int,
-                           help="report a single residue instead of all")
-
-    s = sub.add_parser("koszul", help="complete-intersection Koszul complex")
-    s.add_argument("polynomials", help="semicolon-separated defining polynomials")
-    s.add_argument("--variables", "-v", required=True)
-    s.add_argument("--bound", type=int, required=True)
-    s.add_argument("--output", "-o")
-
-    s = sub.add_parser("fourier", help="2r-operator Koszul concentration check")
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--bound", type=int, required=True)
-    s.add_argument("--output", "-o")
-
-    s = sub.add_parser("gm", help="Gauss-Manin connection matrix")
-    _add_common(s)
-    s.add_argument("--perturbation", "-g", required=True)
-    s.add_argument("--basis", help="semicolon-separated basis polynomials")
-    s.add_argument("--samples", help="comma-separated rational t samples to verify")
-
+    for name, command in COMMANDS.items():
+        s = sub.add_parser(name, help=command.help)
+        for field in command.fields:
+            FIELDS[field].add_to(s, field, field in command.required)
     s = sub.add_parser("run", help="execute a JSON job file")
     s.add_argument("job", help="path to a .job.json file")
-
     s = sub.add_parser("verify", help="run a regression corpus")
     s.add_argument("directory", nargs="?",
                    help="corpus directory (default: the bundled corpus)")
     return parser
 
 
-def _job_from_args(args) -> Job:
-    data = {"command": args.command}
-    if getattr(args, "polynomial", None):
-        data["polynomial"] = args.polynomial
-    if getattr(args, "polynomials", None):
-        data["polynomials"] = [p.strip() for p in args.polynomials.split(";")]
-    if getattr(args, "variables", None):
-        data["variables"] = [v.strip() for v in args.variables.split(",")]
-    if getattr(args, "weights", None):
-        data["weights"] = [int(w) for w in args.weights.split(",")]
-    if getattr(args, "strand", None) is not None:
-        data["strand"] = args.strand
-    if getattr(args, "perturbation", None):
-        data["perturbation"] = args.perturbation
-    if getattr(args, "basis", None):
-        data["basis"] = [b.strip() for b in args.basis.split(";")]
-    if getattr(args, "samples", None):
-        data["samples"] = [s.strip() for s in args.samples.split(",")]
-    if getattr(args, "bound", None) is not None:
-        data["bound"] = args.bound
-    if getattr(args, "r", None) is not None:
-        data["r"] = args.r
-    if getattr(args, "output", None):
-        data["output"] = args.output
-    policy = {}
-    for key, field in [("initial_bound", "initial_bound"),
-                       ("step", "step"), ("max_bound", "max_bound")]:
-        val = getattr(args, field, None)
-        if val is not None:
-            policy[key] = val
-    if policy:
-        data["policy"] = policy
-    return Job.from_dict(data)
+def _print_json(report: dict, code: int) -> int:
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return code
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        code, summary = corpus_runner(args.directory)
+    try:
+        args = vars(build_parser().parse_args(argv))
+    except ValueError as exc:
+        return _print_json({"error": str(exc)}, 1)
+    command = args["command"]
+    if command == "verify":
+        code, summary = corpus_runner(args["directory"])
         width = max([len(r["name"]) for r in summary["rows"]], default=4)
         for row in summary["rows"]:
             line = f"{row['name']:<{width}}  {row['status']}"
             if row["detail"]:
                 line += f"  {row['detail']}"
             print(line)
-        print(f"{summary['passed']}/{summary['total']} passed"
-              + (f", {summary['infrastructure']} infrastructure"
-                 if summary["infrastructure"] else ""))
-        return code
-    if args.command == "run":
-        try:
-            job = Job.from_dict(json.loads(Path(args.job).read_text()))
-        except (ValueError, OSError) as exc:
-            print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
-            return 1
-        code, report = run_job(job)
-        print(json.dumps(report, sort_keys=True, indent=2))
+        counts = [f"{summary[k]} {k}" for k in ("infrastructure", "errors")
+                  if summary[k]]
+        print(", ".join([f"{summary['passed']}/{summary['total']} passed",
+                         *counts]))
         return code
     try:
-        job = _job_from_args(args)
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, indent=2))
-        return 1
+        if command == "run":
+            data = json.loads(Path(args["job"]).read_text())
+        else:  # every parsed argument is a field, or a key of the policy
+            data = {k: v for k, v in args.items() if k not in _POLICY_KEYS}
+            data["policy"] = {k: args[k] for k in _POLICY_KEYS
+                              if args.get(k) is not None} or None
+        job = Job.from_dict(data)
+    except (ValueError, OSError) as exc:
+        return _print_json({"error": str(exc)}, 1)
     code, report = run_job(job)
-    print(json.dumps(report, sort_keys=True, indent=2))
-    return code
+    return _print_json(report, code)
 
 
 if __name__ == "__main__":

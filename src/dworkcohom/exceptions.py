@@ -31,7 +31,3 @@ class UnknownVariableError(ParseError):
 
 class BasisError(ValueError):
     """A proposed set of cohomology classes is not a basis."""
-
-
-class ReductionError(RuntimeError):
-    """Griffiths-Dwork reduction could not be completed in the degree window."""

@@ -277,9 +277,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at t = {t0}")
         return poly_eval(self.num, t0) / d
 
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) <= 1
-
     def __str__(self):
         if not self.num:
             return "0"

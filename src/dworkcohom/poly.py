@@ -16,11 +16,9 @@ sum(w_i * nu_i) throughout (quasi-homogeneous grading).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .exceptions import VariableCountMismatch
-from .fields import QQ
 
 Monomial = tuple
 
@@ -307,8 +305,3 @@ def partial_derivative(f: Polynomial, k: int) -> Polynomial:
 
 def homogeneous_degree(f: Polynomial, weights=None):
     return f.homogeneous_degree(weights)
-
-
-def poly_from_exponents(nvars: int, data, field=QQ) -> Polynomial:
-    """Convenience builder: data maps exponent tuples to ints/Fractions."""
-    return Polynomial(field, nvars, {tuple(k): Fraction(v) for k, v in data.items()})

@@ -2,13 +2,15 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworkcohom import Job, Polynomial, QQ, corpus_runner, format_polynomial, \
     parse_polynomial, run_job
-from dworkcohom.cli import bundled_corpus_dir, main
+from dworkcohom import cli
+from dworkcohom.cli import COMMANDS, bundled_corpus_dir, main
 from dworkcohom.exceptions import ParseError, UnknownVariableError
 
 from _helpers import fermat
@@ -71,9 +73,42 @@ def test_job_validation():
         Job.from_dict({})
     with pytest.raises(ValueError):
         Job.from_dict(["dwork"])
+    with pytest.raises(ValueError):
+        Job.from_dict({"command": "verify"})
+    with pytest.raises(ValueError):  # missing required field
+        Job.from_dict({"command": "koszul", "polynomials": ["x^2 - 1"],
+                       "variables": ["x"]})
 
 
-@pytest.mark.parametrize("policy", [5, {"step": [1]}, {"step": True}])
+CUBIC = {"polynomial": "x0^3 + x1^3 + x2^3", "variables": ["x0", "x1", "x2"]}
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "ts", **CUBIC, "policy": {"initial_bound": 2}},
+    {"command": "suspension", **CUBIC, "policy": {"step": 2}},
+    {"command": "dwork", **CUBIC, "weights": [1, 1, 1]},
+    {"command": "affine", "polynomial": "x^2 + y^3", "variables": ["x", "y"],
+     "weights": "32"},
+    {"command": "affine", "polynomial": "x^2 + y^3", "variables": ["x", "y"],
+     "weights": [3.7, 2.2]},
+    {"command": "strands", **CUBIC, "strand": 1.9},
+    {"command": "fourier", "r": 1.5, "bound": 8},
+    {"command": "fourier", "r": True, "bound": 8},
+    {"command": "dwork", "polynomial": "x0^3 + x0^2",
+     "variables": ["x0", "x0"]},
+    {"command": "hodge", **CUBIC, "policy": {"step": 2}},
+    {"command": "hodge", **CUBIC, "strand": 0},
+    {"command": "koszul", "polynomials": ["x^2 - 1"], "variables": ["x"],
+     "bound": "10"},
+])
+def test_job_rejects_misread_fields(job):
+    # each of these used to run, ignoring or coercing the field
+    with pytest.raises(ValueError):
+        Job.from_dict(job)
+
+
+@pytest.mark.parametrize("policy", [5, {"step": [1]}, {"step": True},
+                                    {"step": -1}, {"steps": 2}])
 def test_bad_policy_ends_in_exit_code(tmp_path, capsys, policy):
     # a malformed policy is a bad job file: `run` reports it as JSON with
     # exit 1, and `verify` records an infrastructure row
@@ -88,6 +123,17 @@ def test_bad_policy_ends_in_exit_code(tmp_path, capsys, policy):
     out = capsys.readouterr().out
     assert code == 1 and "a  infrastructure  bad job file: policy" in out
     assert "0/1 passed, 1 infrastructure" in out
+
+
+def test_null_policy_values_mean_default():
+    job = {"command": "dwork", "polynomial": "x0*x1*x2",
+           "variables": ["x0", "x1", "x2"]}
+    _, nulls = run_job(Job.from_dict(
+        {**job, "policy": {"initial_bound": None, "step": 2}}))
+    _, given = run_job(Job.from_dict({**job, "policy": {"step": 2}}))
+    assert nulls["dims"] == given["dims"]
+    assert nulls["certificate"] == given["certificate"]
+    assert nulls["certificate"]["agreed"]
 
 
 def test_run_job_dwork_report_fields():
@@ -170,6 +216,61 @@ def test_output_written_atomically(tmp_path):
     assert not (tmp_path / "report.json.tmp").exists()
 
 
+def test_output_failures_end_in_exit_code(tmp_path, capsys):
+    job = {"command": "hodge", **CUBIC,
+           "output": str(tmp_path / "missing" / "r.json")}
+    (tmp_path / "j.job.json").write_text(json.dumps(job))
+    code = main(["run", str(tmp_path / "j.job.json")])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and "cannot write the report" in out["error"]
+    (tmp_path / "j.job.json").write_text(json.dumps({**job, "output": 5}))
+    code = main(["run", str(tmp_path / "j.job.json")])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and "output must be of type string" in out["error"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_corpus_reports_every_row_past_a_bad_output(tmp_path, monkeypatch,
+                                                    workers):
+    monkeypatch.setenv("DWORKCOHOM_WORKERS", workers)
+    jobs = {"good": {},
+            "missing-dir": {"output": str(tmp_path / "missing" / "r.json")},
+            "not-a-path": {"output": 5}}
+    for name, extra in jobs.items():
+        (tmp_path / f"{name}.job.json").write_text(
+            json.dumps({"command": "hodge", **CUBIC, **extra}))
+        (tmp_path / f"{name}.expect.json").write_text(
+            json.dumps({"exit_code": 0}))
+    code, summary = corpus_runner(tmp_path)
+    status = {r["name"]: r["status"] for r in summary["rows"]}
+    assert status == {"good": "pass", "missing-dir": "fail",
+                      "not-a-path": "infrastructure"}
+    assert code == 1
+
+
+def test_corpus_job_that_raises_is_an_error_row(tmp_path, monkeypatch,
+                                                capsys):
+    run = cli.run_job
+
+    def flaky(job):
+        if job.polynomial == CUBIC["polynomial"]:
+            raise RuntimeError("boom")
+        return run(job)
+
+    monkeypatch.setattr(cli, "run_job", flaky)
+    for name, poly in [("a", CUBIC["polynomial"]),
+                       ("b", "x0^2 + x1^2 + x2^2")]:
+        (tmp_path / f"{name}.job.json").write_text(json.dumps(
+            {**CUBIC, "command": "hodge", "polynomial": poly}))
+        (tmp_path / f"{name}.expect.json").write_text(
+            json.dumps({"exit_code": 0}))
+    code = main(["verify", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "a  error  RuntimeError: boom" in out
+    assert "b  pass" in out and "1/2 passed, 1 errors" in out
+
+
 def test_bundled_corpus_passes():
     code, summary = corpus_runner(bundled_corpus_dir())
     assert code == 0
@@ -223,6 +324,74 @@ def test_main_smoke(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["koszul", "x^2 - 1", "-v", "x"],
+    ["fourier", "--r", "2"],
+    ["hodge", "x0^2", "-v", "x0", "--bogus"],
+    ["ts", "x0^3 + x1^3", "-v", "x0,x1", "--initial-bound", "2"],
+    ["affine", "x^2 + y^3", "-v", "x,y", "--weights", "3,two"],
+])
+def test_usage_errors_exit_1_with_json(capsys, argv):
+    # exit code 2 means "unstabilized", never a usage error
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["error"].startswith("dworkcohom")
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--help"], ["--version"], ["gm", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--perturbation" in capsys.readouterr().out
+
+
+FLAG_JOBS = [
+    (["hodge", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2"], {}),
+    (["dwork", "x0*x1*x2", "-v", "x0,x1,x2", "--initial-bound", "2",
+      "--step", "3", "--max-bound", "4"],
+     {"policy": {"initial_bound": 2, "step": 3, "max_bound": 4}}),
+    (["affine", "x^2 + y^3", "-v", "x,y", "--weights", "3,2"],
+     {"weights": [3, 2]}),
+    (["strands", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2", "--strand", "1"],
+     {"strand": 1}),
+    (["koszul", "x^2 - 1; y", "-v", "x,y", "--bound", "6"],
+     {"polynomials": ["x^2 - 1", "y"], "bound": 6}),
+    (["fourier", "--r", "1", "--bound", "8"], {"r": 1, "bound": 8}),
+    (["ts", "x0^2 + x1^2", "-v", "x0,x1"], {}),
+    (["suspension", "x0^2 + x1^2", "-v", "x0,x1"], {}),
+    (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
+      "--perturbation=-3*x0*x1*x2", "--basis", "1;x0*x1*x2",
+      "--samples", "0,2"],
+     {"perturbation": "-3*x0*x1*x2", "basis": ["1", "x0*x1*x2"],
+      "samples": ["0", "2"]}),
+]
+
+
+def test_flags_cover_every_command():
+    assert sorted(argv[0] for argv, _ in FLAG_JOBS) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("argv,fields", FLAG_JOBS,
+                         ids=[argv[0] for argv, _ in FLAG_JOBS])
+def test_flags_match_job_file(tmp_path, capsys, argv, fields):
+    # a command line is exactly a job file written as flags
+    job = {"command": argv[0], **fields}
+    if "-v" in argv:
+        job["variables"] = argv[argv.index("-v") + 1].split(",")
+    if argv[0] not in ("koszul", "fourier"):
+        job["polynomial"] = argv[1]
+    (tmp_path / "j.job.json").write_text(json.dumps(job))
+    reports = []
+    for args in (argv, ["run", str(tmp_path / "j.job.json")]):
+        code = main(args)
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timing_ms")
+        reports.append((code, report))
+    assert reports[0] == reports[1]
+    assert reports[0][1]["input"] == job
+
+
 def test_main_gm(capsys):
     # values starting with '-' need the '=' form, per argparse convention
     code = main(["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
@@ -232,6 +401,15 @@ def test_main_gm(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["matrix"]["entries"][1][0] == "-3"
+
+
+def test_readme_lists_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, command in COMMANDS.items():
+        optional = command.fields[len(command.required):]
+        required, optional = (", ".join(f"`{f}`" for f in fields)
+                              for fields in (command.required, optional))
+        assert f"| `{name}` | {required} | {optional} |" in readme
 
 
 def test_main_run_job_file(tmp_path, capsys):
