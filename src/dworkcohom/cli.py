@@ -395,16 +395,23 @@ def _fourier(job, out) -> int:
     return _attach_verdict(out, verdict)
 
 
+def _sample(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"sample {text!r} is not a rational number") from None
+
+
 def _gm(job, out) -> int:
     fam = Family(_poly(job), parse_polynomial(job.perturbation, job.variables))
     basis = [parse_polynomial(b, job.variables)
              for b in job.basis or ()] or None
+    samples = [_sample(s) for s in job.samples or ()]
     out["matrix"] = connection_matrix_strings(
         family_connection_matrix(fam, basis))
-    if not job.samples:
+    if not samples:
         return 0
-    verdict = connection_properties_check(
-        fam, [Fraction(s) for s in job.samples], basis)
+    verdict = connection_properties_check(fam, samples, basis)
     return _attach_verdict(out, verdict)
 
 

@@ -97,12 +97,13 @@ def _strand_report(f: Polynomial, residue: int, policy=None,
     m = f.homogeneous_degree(weights)
     if m is None:
         raise NonHomogeneousError("strand dimensions need a homogeneous input")
+    residue %= max(m, 1)
     profile = _smooth_profile(f, weights)
     if profile is not None and policy is None:
         return _concentrated_report(
             f, f.nvars, m, strand_top_dims(profile, residue), residue, weights,
             f"strand {residue} mod {m} twisted cohomology of F = {f}")
-    spec = StrandSpec(f.nvars, max(m, 1), residue % max(m, 1), weights)
+    spec = StrandSpec(f.nvars, max(m, 1), residue, weights)
     return stabilized_cohomology(f, spec, policy)
 
 
@@ -256,6 +257,8 @@ def ci_dwork_koszul(fs, bound: int, step: int = None) -> CohomologyReport:
     fs = list(fs)
     if not fs:
         raise ValueError("need at least one defining polynomial")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     n = fs[0].nvars
     if any(p.nvars != n for p in fs):
         raise ValueError("defining polynomials must share one variable count")
@@ -280,6 +283,8 @@ def fourier_lemma_check(r: int, bound: int) -> Verdict:
     has one-dimensional cohomology concentrated in degree 2r."""
     if r < 1:
         raise ValueError("r must be >= 1")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     field = QQ
     total = Polynomial.zero(field, 2 * r)
     for i in range(r):

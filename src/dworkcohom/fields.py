@@ -54,12 +54,6 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
-def poly_scale(a: IntPoly, k: int) -> IntPoly:
-    if k == 0:
-        return ()
-    return tuple(x * k for x in a)
-
-
 def poly_content(a: IntPoly) -> int:
     g = 0
     for x in a:

@@ -265,11 +265,6 @@ class DifferentialForm:
             raise VariableCountMismatch("twist polynomial over wrong variable count")
         return self.exterior_derivative() + gradient_form(f).wedge(self)
 
-    def total_degrees(self, weights=None) -> set:
-        deg_I = (lambda I: len(I)) if weights is None else \
-            (lambda I: sum(weights[k] for k in I))
-        return {mono_degree(nu, weights) + deg_I(I) for nu, I in self.terms}
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -25,8 +25,8 @@ from fractions import Fraction
 from .dwork import Check, Verdict
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
-                     poly_gcd, poly_mul, poly_str)
-from .griffiths import jacobian_hilbert
+                     poly_gcd, poly_mul, poly_primitive, poly_str)
+from .griffiths import jacobian_hilbert, macaulay_columns
 from .poly import Polynomial, monomial_basis
 
 
@@ -83,22 +83,9 @@ class _DegreeSolver:
         self.monomials = monomial_basis(nvars, d)
         self.index = {nu: k for k, nu in enumerate(self.monomials)}
         self.pivots = {}
-        src = d - gen_degree
-        if src >= 0:
-            for i, p in enumerate(partials):
-                if not p:
-                    continue
-                for g in monomial_basis(nvars, src):
-                    col = {}
-                    for mu, c in p.terms.items():
-                        r = self.index[tuple(a + b for a, b in zip(g, mu))]
-                        acc = col.get(r)
-                        s = c if acc is None else acc + c
-                        if s:
-                            col[r] = s
-                        elif acc is not None:
-                            del col[r]
-                    self._insert(col, {(i, g): field.one})
+        for key, col in macaulay_columns(partials, self.index, nvars,
+                                         d - gen_degree):
+            self._insert(col, {key: field.one})
 
     def _reduce(self, col, combo):
         while col:
@@ -258,7 +245,7 @@ class ConnectionMatrix:
         return all(not e for row in self.entries for e in row)
 
 
-def _solve_square(u_cols, r_cols, field, k):
+def _solve_square(u_cols, r_cols, k):
     """Solve U M = R for M, given U and R as lists of dense length-k columns."""
     ncols_r = len(r_cols)
     rows = [[u_cols[j][i] for j in range(k)]
@@ -282,11 +269,15 @@ def _solve_square(u_cols, r_cols, field, k):
 
 
 def _rational_roots(p: IntPoly):
-    """All rational roots of an integer polynomial (for discriminant reports)."""
+    """All rational roots of an integer polynomial (for discriminant reports).
+
+    Candidates come from the primitive part, whose roots are the same, so a
+    large content never reaches the trial division.
+    """
     roots = set()
     if not p or len(p) == 1:
         return ()
-    coeffs = list(p)
+    coeffs = list(poly_primitive(p))
     while coeffs[0] == 0:
         roots.add(Fraction(0))
         coeffs.pop(0)
@@ -361,7 +352,7 @@ def _connection_matrix(reducer, perturbation, basis):
         entries = tuple(tuple(field.zero for _ in range(k)) for _ in range(k))
     else:
         r_cols = [reducer.reduce(g_lift * p) for p in lifted]
-        entries = _solve_square(u_cols, r_cols, field, k)
+        entries = _solve_square(u_cols, r_cols, k)
     den = (1,)
     if field is QQ_T:
         for row in entries:
@@ -423,7 +414,9 @@ def connection_properties_check(fam: Family, samples, basis=None,
                 acc = acc + sym.basis[i].scale(s[i][j])
         new_forms.append(acc)
     conj = family_connection_matrix(fam, basis=new_forms)
-    sinv = _invert_rational(s)
+    identity = [[QQ.one if i == j else QQ.zero for i in range(k)]
+                for j in range(k)]
+    sinv = _solve_square(list(zip(*s)), identity, k)
     expected = _triple_product(sinv, sym.entries, s)
     checks.append(Check("basis change conjugates the matrix",
                         conj.entries, expected))
@@ -443,23 +436,6 @@ def _test_invertible_matrix(k, seed):
               for j in range(k)] for i in range(k)]
     return [[sum(lower[i][l] * upper[l][j] for l in range(k))
              for j in range(k)] for i in range(k)]
-
-
-def _invert_rational(s):
-    k = len(s)
-    aug = [[Fraction(x) for x in row]
-           + [Fraction(1 if i == j else 0) for j in range(k)]
-           for i, row in enumerate(s)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [[aug[i][k + j] for j in range(k)] for i in range(k)]
 
 
 def _triple_product(a, m, b):

@@ -55,6 +55,22 @@ class JacobianProfile:
             f"Hilbert value at degree {d} not computed for a non-smooth input")
 
 
+def macaulay_columns(partials, index, nvars: int, src: int):
+    """Columns of (g_0..g_n) -> sum g_i * partials[i], the g_i of degree src.
+
+    index maps each monomial of the target degree to its row.  Yields
+    ((i, g), column) for every nonzero partial i and every monomial g of
+    degree src, in monomial_basis order; no column cancels, because
+    mu -> g * mu is injective.
+    """
+    sources = monomial_basis(nvars, src)
+    for i, p in enumerate(partials):
+        if p:
+            for g in sources:
+                yield (i, g), {index[mono_mul(g, mu)]: c
+                               for mu, c in p.terms.items()}
+
+
 def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
     """Rank of (g_0..g_n) -> sum g_i * dF/dx_i landing in degree d.
 
@@ -64,24 +80,9 @@ def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
     src = d - gen_degree
     if src < 0:
         return 0
-    rows = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
-    columns = []
-    for p in partials:
-        if not p:
-            continue
-        for g in monomial_basis(nvars, src):
-            col = {}
-            for mu, c in p.terms.items():
-                r = rows[mono_mul(g, mu)]
-                acc = col.get(r)
-                s = c if acc is None else acc + c
-                if s:
-                    col[r] = s
-                elif acc is not None:
-                    del col[r]
-            if col:
-                columns.append(col)
-    return rank_of_columns(columns)
+    index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
+    return rank_of_columns(
+        col for _, col in macaulay_columns(partials, index, nvars, src))
 
 
 def jacobian_hilbert(f: Polynomial) -> JacobianProfile:

@@ -1,11 +1,14 @@
 """Exact sparse matrices and rank computation over the engine's scalar fields.
 
-Ranks are computed by left-looking sparse elimination.  Rational matrices are
-reduced column by column with integer cross-multiplication and gcd
-normalization (fraction-free, no rounding); matrices over other exact fields
-(rational functions in t) use field division.  Pivots are chosen to keep
-columns sparse and entries small, and the result is deterministic for a fixed
-column order.
+Ranks are computed by one left-looking sparse elimination loop with two
+steps.  The loop reduces each incoming column against the oldest stored pivot
+it touches and stores a nonzero remainder under the pivot row with the
+smallest entry, least-used row first, so columns stay sparse and entries
+small; the result is deterministic for a fixed column order.  The step is
+what differs: ``IntRankAccumulator`` clears an entry of an integer column by
+cross-multiplication and gcd normalization (fraction-free, no rounding), and
+``FieldRankAccumulator`` by field division, for any other exact field
+(rational functions in t).
 
 ``rank_mod_p`` is an independent dense elimination over a prime field, kept
 separate on purpose: it serves as a probabilistic cross-check of the exact
@@ -55,9 +58,6 @@ class SparseMatrix:
             for r, v in col.items():
                 entries[(r, c)] = v
         return SparseMatrix(nrows, len(columns), entries)
-
-    def triplets(self):
-        return sorted((r, c, v) for (r, c), v in self.entries.items())
 
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
@@ -126,12 +126,17 @@ def integerize_column(col: dict) -> dict:
     return primitive_column(out)
 
 
-class IntRankAccumulator:
-    """Incremental exact rank over Q for integer-valued sparse columns."""
+class _RankAccumulator:
+    """Incremental exact rank by left-looking sparse elimination.
+
+    An incoming column is reduced against the oldest stored pivot among its
+    rows until no pivot row remains; a nonzero remainder is stored with the
+    pivot row of smallest (entry size, row use, row).  Subclasses give the
+    elimination step and the entry size.
+    """
 
     def __init__(self):
-        self.pivcol = {}    # pivot row -> reduced column (dict row -> int)
-        self.pivval = {}    # pivot row -> value at the pivot row
+        self.pivcol = {}    # pivot row -> reduced column (dict row -> value)
         self.birth = {}     # pivot row -> insertion counter
         self.row_use = {}   # row -> number of stored pivot columns touching it
         self.rank = 0
@@ -139,7 +144,7 @@ class IntRankAccumulator:
     def add_column(self, col: dict) -> bool:
         """Reduce col against current pivots; returns True if rank grew."""
         col = {r: v for r, v in col.items() if v}
-        pivcol, pivval, birth = self.pivcol, self.pivval, self.birth
+        pivcol, birth, step = self.pivcol, self.birth, self._step
         while col:
             hit = None
             for r in col:
@@ -148,94 +153,65 @@ class IntRankAccumulator:
                     hit = (b, r)
             if hit is None:
                 break
-            r = hit[1]
-            pcol, pval = pivcol[r], pivval[r]
-            cval = col[r]
-            if pval < 0:
-                pval, pcol = -pval, {s: -w for s, w in pcol.items()}
-            new = {s: v * pval for s, v in col.items()}
-            for s, w in pcol.items():
-                u = new.get(s, 0) - cval * w
-                if u:
-                    new[s] = u
-                else:
-                    new.pop(s, None)
-            col = primitive_column(new)
+            col = step(col, pivcol[hit[1]], hit[1])
         if not col:
             return False
-        row = self._pick_pivot_row(col)
-        self.pivcol[row] = col
-        self.pivval[row] = col[row]
-        self.birth[row] = self.rank
+        size, use = self._size, self.row_use
+        best = None
+        for r, v in col.items():
+            key = (size(v), use.get(r, 0), r)
+            if best is None or key < best:
+                best = key
+        row = best[2]
+        pivcol[row] = col
+        birth[row] = self.rank
         for s in col:
-            self.row_use[s] = self.row_use.get(s, 0) + 1
+            use[s] = use.get(s, 0) + 1
         self.rank += 1
         return True
 
-    def _pick_pivot_row(self, col: dict):
-        use = self.row_use
-        best, best_key = None, None
-        for r, v in col.items():
-            key = (0 if v in (1, -1) else abs(v).bit_length(), use.get(r, 0), r)
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-        return best
 
+class IntRankAccumulator(_RankAccumulator):
+    """Rank over Q of integer columns, by fraction-free elimination."""
 
-class FieldRankAccumulator:
-    """Incremental exact rank for columns over an arbitrary exact field."""
-
-    def __init__(self):
-        self.pivcol = {}
-        self.birth = {}
-        self.row_use = {}
-        self.rank = 0
-
-    def add_column(self, col: dict) -> bool:
-        col = {r: v for r, v in col.items() if v}
-        pivcol, birth = self.pivcol, self.birth
-        while col:
-            hit = None
-            for r in col:
-                b = birth.get(r)
-                if b is not None and (hit is None or b < hit[0]):
-                    hit = (b, r)
-            if hit is None:
-                break
-            r = hit[1]
-            pcol = pivcol[r]
-            factor = col[r] / pcol[r]
-            new = dict(col)
-            for s, w in pcol.items():
-                u = new.get(s)
-                u = -factor * w if u is None else u - factor * w
-                if u:
-                    new[s] = u
-                else:
-                    new.pop(s, None)
-            col = new
-        if not col:
-            return False
-        row = self._pick_pivot_row(col)
-        self.pivcol[row] = col
-        self.birth[row] = self.rank
-        for s in col:
-            self.row_use[s] = self.row_use.get(s, 0) + 1
-        self.rank += 1
-        return True
-
-    def _pick_pivot_row(self, col: dict):
-        use = self.row_use
-        best, best_key = None, None
-        for r, v in col.items():
-            if isinstance(v, RatFunc):
-                size = len(v.num) + len(v.den)
+    @staticmethod
+    def _step(col, pcol, r):
+        """Clear row r of col with pivot column pcol; the result is primitive."""
+        pval, cval = pcol[r], col[r]
+        if pval < 0:
+            pval, cval = -pval, -cval
+        new = {s: v * pval for s, v in col.items()}
+        for s, w in pcol.items():
+            u = new.get(s, 0) - cval * w
+            if u:
+                new[s] = u
             else:
-                size = 0
-            key = (size, use.get(r, 0), r)
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-        return best
+                new.pop(s, None)
+        return primitive_column(new)
+
+    _size = staticmethod(int.bit_length)    # of |v|; +-1 is the smallest
+
+
+class FieldRankAccumulator(_RankAccumulator):
+    """Rank of columns over an arbitrary exact field, by field division."""
+
+    @staticmethod
+    def _step(col, pcol, r):
+        """Clear row r of col with pivot column pcol."""
+        factor = col[r] / pcol[r]
+        new = dict(col)
+        for s, w in pcol.items():
+            u = new.get(s)
+            u = -factor * w if u is None else u - factor * w
+            if u:
+                new[s] = u
+            else:
+                new.pop(s, None)
+        return new
+
+    @staticmethod
+    def _size(v):
+        return len(v.num) + len(v.den) if isinstance(v, RatFunc) else 0
 
 
 def _is_rational_valued(columns) -> bool:

@@ -52,10 +52,6 @@ class CohomologyReport:
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
 
-    @property
-    def top_degree(self) -> int:
-        return max((k for k, v in self.dims.items() if v), default=0)
-
     def total(self) -> int:
         return sum(self.dims.values())
 

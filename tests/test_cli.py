@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworkcohom import Job, Polynomial, QQ, corpus_runner, format_polynomial, \
-    parse_polynomial, run_job
+    parse_polynomial, run_job, strand_cohomology
 from dworkcohom import cli
 from dworkcohom.cli import COMMANDS, bundled_corpus_dir, main
 from dworkcohom.exceptions import ParseError, UnknownVariableError
@@ -336,6 +336,34 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
     code = main(argv)
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["error"].startswith("dworkcohom")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
+      "--perturbation=-3*x0*x1*x2", "--samples", "0,1/0"],
+     "sample '1/0' is not a rational number"),
+    (["koszul", "x^2 - 1", "-v", "x", "--bound=-3"], "bound must be >= 0"),
+    (["fourier", "--r", "1", "--bound=-3"], "bound must be >= 0"),
+], ids=["gm-sample", "koszul-bound", "fourier-bound"])
+def test_bad_values_exit_1_with_json(capsys, argv, error):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["error"] == error
+
+
+def test_strand_label_is_reduced_mod_m(capsys):
+    reports = []
+    for k in (1, 4, 7, -2):
+        code = main(["strands", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
+                     f"--strand={k}"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report.pop("input")["strand"] == k
+        report.pop("timing_ms")
+        reports.append(report)
+    assert reports[0]["strand"] == 1 and reports[0]["dims"][3]["dim"] == 3
+    assert all(r == reports[0] for r in reports)
+    description = strand_cohomology(fermat(3, 3), -2).description
+    assert description.startswith("strand 1 mod 3 ")
 
 
 def test_help_and_version_exit_0(capsys):

@@ -8,6 +8,7 @@ from dworkcohom import (Family, Polynomial, QQ,
                         connection_properties_check, family_connection_matrix,
                         rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
+from dworkcohom.gaussmanin import _rational_roots
 
 from _helpers import fermat, triangle, var
 
@@ -131,3 +132,10 @@ def test_quartic_family_constant_and_shape():
     mat = family_connection_matrix(fam)
     assert mat.size == 21
     assert not mat.is_zero()
+
+
+def test_rational_roots_of_a_large_content():
+    # 2^64 (t^2 - 1): the trial division sees only the primitive part
+    p = tuple(c * 2 ** 64 for c in (-1, 0, 1))
+    assert _rational_roots(p) == (Fraction(-1), Fraction(1))
+    assert _rational_roots((0, -3, 0, 0, 3)) == (Fraction(0), Fraction(1))

@@ -10,6 +10,8 @@ from dworkcohom import (ComplexDims, Polynomial, QQ, QQ_T, SparseMatrix,
                         cohomology_dims, complex_dims, default_policy, exact_rank,
                         full_complex_spec, rank_mod_p, stabilized_cohomology)
 from dworkcohom.exceptions import NilpotenceError
+from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
+                                 integerize_column)
 from dworkcohom.poly import monomial_basis
 
 from _helpers import (PRIMES_62, dense_rank_fractions, fermat,
@@ -38,10 +40,48 @@ def test_rank_trivial_cases():
 
 
 def test_rank_against_dense_oracle():
+    # the shared elimination loop with each step: fraction-free on
+    # integerized columns, field division on the Fraction columns
     rng = random.Random(11)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12))
-        assert exact_rank(m) == dense_rank_fractions(sparse_to_dense(m))
+        field, whole = FieldRankAccumulator(), IntRankAccumulator()
+        for col in m.columns():
+            field.add_column(col)
+            whole.add_column(integerize_column(col))
+        want = dense_rank_fractions(sparse_to_dense(m))
+        assert exact_rank(m) == field.rank == whole.rank == want
+
+
+def test_function_field_rank_is_largest_specialized_rank():
+    # over QQ(t) the rank is the generic rank: the largest rank among
+    # specializations t = t0, attained at all but finitely many t0
+    rng = random.Random(23)
+    t = QQ_T.gen
+
+    def entry():
+        num = rng.randint(-3, 3) + rng.randint(-2, 2) * t + rng.randint(0, 1) * t * t
+        return num / (1 + rng.randint(0, 2) * t) if rng.random() < 0.3 else num
+
+    samples = [Fraction(2), Fraction(5, 3), Fraction(17, 4), Fraction(31, 9)]
+    ranks = set()
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        cols = [{r: entry() for r in range(nrows) if rng.random() < 0.6}
+                for _ in range(ncols)]
+        if len(cols) > 1 and rng.random() < 0.6:  # a dependent column
+            a, b = entry(), entry()
+            cols.append({r: a * cols[0].get(r, QQ_T.zero)
+                         + b * cols[1].get(r, QQ_T.zero) for r in range(nrows)})
+        acc = FieldRankAccumulator()
+        for col in cols:
+            acc.add_column(col)
+        specialized = max(dense_rank_fractions(
+            [[col[r].evaluate(t0) if r in col else Fraction(0) for col in cols]
+             for r in range(nrows)]) for t0 in samples)
+        assert acc.rank == specialized
+        ranks.add((acc.rank, len(cols)))
+    assert any(rank < ncols for rank, ncols in ranks)
 
 
 def test_rank_permutation_invariant():
