@@ -17,8 +17,8 @@ The engine computes, with no floating point anywhere:
 __version__ = "0.1.0"
 
 from .exceptions import (BasisError, NilpotenceError, NonHomogeneousError,
-                         NotSmoothError, ParseError, UnknownVariableError,
-                         VariableCountMismatch)
+                         NotSmoothError, ParseError, StrandSumError,
+                         UnknownVariableError, VariableCountMismatch)
 from .fields import QQ, QQ_T, RatFunc
 from .poly import (Monomial, Polynomial, homogeneous_degree, monomial_basis,
                    partial_derivative, poly_arith)
@@ -38,7 +38,8 @@ from .dwork import (Check, Verdict, affine_twisted_cohomology,
                     ci_dwork_koszul, compare_smooth_paths,
                     fourier_lemma_check, primitive_dwork_cohomology,
                     strand_cohomology, strand_decomposition,
-                    suspension_check, thom_sebastiani_check)
+                    strands_and_affine, suspension_check,
+                    thom_sebastiani_check)
 from .gaussmanin import (ConnectionMatrix, Family, connection_properties_check,
                          family_connection_matrix, rational_connection_matrix)
 from .cli import Job, corpus_runner, format_polynomial, parse_polynomial, run_job

@@ -28,14 +28,14 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
                     fourier_lemma_check, primitive_dwork_cohomology,
-                    strand_cohomology, strand_decomposition,
+                    strand_cohomology, strands_and_affine,
                     suspension_check, thom_sebastiani_check)
 from .exceptions import (NonHomogeneousError, NotSmoothError, ParseError,
-                         UnknownVariableError)
+                         StrandSumError, UnknownVariableError)
 from .fields import QQ
-from .gaussmanin import (Family, connection_matrix_strings,
-                         connection_properties_check, family_connection_matrix)
-from .griffiths import jacobian_hilbert, primitive_hodge_numbers
+from .gaussmanin import (Family, GriffithsDworkReducer, connection_matrix,
+                         connection_matrix_strings, connection_properties_check)
+from .griffiths import jacobian_hilbert
 from .linalg import StabilizationPolicy, default_policy
 from .forms import StrandSpec, full_complex_spec
 from .poly import Polynomial
@@ -344,7 +344,7 @@ def _hodge(job, out) -> int:
     out["milnor"] = profile.milnor
     out["path"] = "jacobian"
     out["dims"] = [{"degree": q, "label": f"h^({n - q},{q - 1})_prim",
-                    "dim": h} for q, h in primitive_hodge_numbers(f)]
+                    "dim": h} for q, h in profile.hodge_numbers()]
     out["certificate"] = None
     return 0
 
@@ -373,8 +373,7 @@ def _strands(job, out) -> int:
     policy = _job_policy(job, f, StrandSpec(f.nvars, max(m, 1), 0, w))
     if job.strand is not None:
         return _attach_report(out, strand_cohomology(f, job.strand, policy, w))
-    reports = strand_decomposition(f, policy, w)
-    full = affine_twisted_cohomology(f, weights=w, policy=policy)
+    reports, full = strands_and_affine(f, policy, w)
     code = _attach_report(out, full)
     out["strands"] = [r.to_json_dict() for r in reports]
     sums = [sum(r.dim(k) for r in reports) for k in range(f.nvars + 1)]
@@ -407,11 +406,12 @@ def _gm(job, out) -> int:
     basis = [parse_polynomial(b, job.variables)
              for b in job.basis or ()] or None
     samples = [_sample(s) for s in job.samples or ()]
+    reducer = GriffithsDworkReducer(fam.symbolic())
     out["matrix"] = connection_matrix_strings(
-        family_connection_matrix(fam, basis))
+        connection_matrix(reducer, fam.perturbation, basis))
     if not samples:
         return 0
-    verdict = connection_properties_check(fam, samples, basis)
+    verdict = connection_properties_check(fam, samples, basis, reducer=reducer)
     return _attach_verdict(out, verdict)
 
 
@@ -492,7 +492,9 @@ def run_job(job: Job) -> tuple:
                    "engine_version": __version__}
     except NotSmoothError as exc:
         return 3, {"error": str(exc), "engine_version": __version__}
-    except (ValueError, TypeError, NonHomogeneousError) as exc:
+    except StrandSumError as exc:
+        return 2, {"error": str(exc), "engine_version": __version__}
+    except (ValueError, TypeError, ArithmeticError) as exc:
         return 1, {"error": str(exc), "engine_version": __version__}
     out["timing_ms"] = int((time.perf_counter() - started) * 1000)
     if job.output:

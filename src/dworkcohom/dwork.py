@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import NonHomogeneousError, NotSmoothError
+from .exceptions import NonHomogeneousError, NotSmoothError, StrandSumError
 from .fields import QQ
 from .forms import StrandSpec, full_complex_spec
-from .griffiths import jacobian_hilbert, primitive_hodge_numbers, strand_top_dims
+from .griffiths import jacobian_hilbert, strand_top_dims
 from .linalg import StabilizationPolicy, stabilized_cohomology
 from .poly import Polynomial
 from .reports import CohomologyReport
@@ -71,9 +71,13 @@ def _affine_labels(nvars: int) -> dict:
     return {k: f"H~^{k - 1}(U)" for k in range(nvars + 1)}
 
 
-def _smooth_profile(f: Polynomial, weights):
-    """Jacobian profile when the fast path applies, else None."""
-    if weights is not None or f.field is not QQ or not f:
+def _smooth_profile(f: Polynomial, weights, policy):
+    """Jacobian profile when the fast path applies, else None.
+
+    A pipeline computes this once per polynomial and hands it to every
+    _strand_report and _full_report of that polynomial.
+    """
+    if policy is not None or weights is not None or f.field is not QQ or not f:
         return None
     m = f.homogeneous_degree()
     if m is None or m < 2:
@@ -91,15 +95,15 @@ def _concentrated_report(f, nvars, m, dims_top, strand, weights, description):
         certificate=None, weights=weights)
 
 
-def _strand_report(f: Polynomial, residue: int, policy=None,
-                   weights=None) -> CohomologyReport:
-    """Dimensions of one strand, by the fastest valid route."""
+def _strand_report(f: Polynomial, residue: int, policy, weights,
+                   profile) -> CohomologyReport:
+    """Dimensions of one strand, by the fastest valid route; profile is
+    _smooth_profile(f, weights, policy)."""
     m = f.homogeneous_degree(weights)
     if m is None:
         raise NonHomogeneousError("strand dimensions need a homogeneous input")
     residue %= max(m, 1)
-    profile = _smooth_profile(f, weights)
-    if profile is not None and policy is None:
+    if profile is not None:
         return _concentrated_report(
             f, f.nvars, m, strand_top_dims(profile, residue), residue, weights,
             f"strand {residue} mod {m} twisted cohomology of F = {f}")
@@ -107,10 +111,10 @@ def _strand_report(f: Polynomial, residue: int, policy=None,
     return stabilized_cohomology(f, spec, policy)
 
 
-def _full_report(f: Polynomial, policy=None, weights=None) -> CohomologyReport:
-    """Dimensions of the full twisted complex, by the fastest valid route."""
-    profile = _smooth_profile(f, weights)
-    if profile is not None and policy is None:
+def _full_report(f: Polynomial, policy, weights, profile) -> CohomologyReport:
+    """Dimensions of the full twisted complex, by the fastest valid route;
+    profile is _smooth_profile(f, weights, policy)."""
+    if profile is not None:
         return _concentrated_report(
             f, f.nvars, profile.modulus, profile.milnor, None, weights,
             f"full twisted cohomology of F = {f}")
@@ -132,7 +136,8 @@ def strand_cohomology(f: Polynomial, residue: int,
                       policy: StabilizationPolicy = None,
                       weights=None) -> CohomologyReport:
     """Dimensions of a single strand (residue mod m) of the twisted complex."""
-    return _strand_report(f, residue, policy, weights)
+    return _strand_report(f, residue, policy, weights,
+                          _smooth_profile(f, weights, policy))
 
 
 def primitive_dwork_cohomology(f: Polynomial,
@@ -148,7 +153,7 @@ def primitive_dwork_cohomology(f: Polynomial,
         raise ValueError("need at least 2 variables (a hypersurface in P^n, n >= 1)")
     if f.homogeneous_degree() is None:
         raise NonHomogeneousError("the projective pipeline needs homogeneous input")
-    rep = _strand_report(f, 0, policy)
+    rep = _strand_report(f, 0, policy, None, _smooth_profile(f, None, policy))
     return _relabel(rep, _prim_labels(f.nvars),
                     f"primitive local cohomology along Y = V({f}) in P^{f.nvars - 1}")
 
@@ -156,10 +161,18 @@ def primitive_dwork_cohomology(f: Polynomial,
 def affine_twisted_cohomology(g: Polynomial, weights=None,
                               policy: StabilizationPolicy = None) -> CohomologyReport:
     """Full-complex dims: H^k(d + dG^) = reduced H^(k-1) of U = G^{-1}(1)."""
+    _need_nonconstant(g)
+    return _affine_report(
+        g, _full_report(g, policy, weights, _smooth_profile(g, weights, policy)))
+
+
+def _need_nonconstant(g: Polynomial) -> None:
     if not g or g.homogeneous_degree() == 0:
         raise ValueError("affine twisted cohomology needs a nonconstant polynomial")
-    rep = _full_report(g, policy, weights)
-    return _relabel(rep, _affine_labels(g.nvars),
+
+
+def _affine_report(g: Polynomial, full: CohomologyReport) -> CohomologyReport:
+    return _relabel(full, _affine_labels(g.nvars),
                     f"reduced cohomology of U = ({g} = 1), shifted by one")
 
 
@@ -167,19 +180,34 @@ def strand_decomposition(f: Polynomial, policy: StabilizationPolicy = None,
                          weights=None):
     """Per-strand dimension reports, j = 0..m-1; their degreewise sum is
     verified against an independently computed full-complex report."""
+    return _decompose(f, policy, weights)[0]
+
+
+def strands_and_affine(f: Polynomial, policy: StabilizationPolicy = None,
+                       weights=None):
+    """(strand_decomposition(f), affine_twisted_cohomology(f)), with the
+    full-complex report of the strand-sum check serving as the second."""
+    reports, full = _decompose(f, policy, weights)
+    _need_nonconstant(f)
+    return reports, _affine_report(f, full)
+
+
+def _decompose(f: Polynomial, policy, weights):
+    """Strand reports and the full-complex report, from one profile."""
     m = f.homogeneous_degree(weights) if f else None
     if m is None:
         raise NonHomogeneousError("strand decomposition needs a homogeneous input")
     m = max(m, 1)
-    reports = [_strand_report(f, j, policy, weights) for j in range(m)]
-    full = _full_report(f, policy, weights)
+    profile = _smooth_profile(f, weights, policy)
+    reports = [_strand_report(f, j, policy, weights, profile) for j in range(m)]
+    full = _full_report(f, policy, weights, profile)
     for k in range(f.nvars + 1):
         total = sum(rep.dim(k) for rep in reports)
         if total != full.dim(k):
-            raise RuntimeError(
+            raise StrandSumError(
                 f"strand sum {total} != full-complex dimension {full.dim(k)} "
                 f"in degree {k}; this indicates an assembly bug")
-    return reports
+    return reports, full
 
 
 def _suspend(f: Polynomial) -> Polynomial:
@@ -202,17 +230,21 @@ def thom_sebastiani_check(f: Polynomial,
     if m is None or m < 2:
         raise NonHomogeneousError("need a homogeneous input of degree >= 2")
     ftilde = _suspend(f)
-    full_f = _full_report(f, policy)
-    one_var = _full_report(Polynomial.variable(f.field, 1, 0) ** m)
-    full_ft = _full_report(ftilde, policy)
+    profile_f = _smooth_profile(f, None, policy)
+    profile_ft = _smooth_profile(ftilde, None, policy)
+    x_m = Polynomial.variable(f.field, 1, 0) ** m
+    full_f = _full_report(f, policy, None, profile_f)
+    one_var = _full_report(x_m, None, None, _smooth_profile(x_m, None, None))
+    full_ft = _full_report(ftilde, policy, None, profile_ft)
     checks = []
     for a in range(f.nvars + 2):
         rhs = sum(full_f.dim(b) * one_var.dim(a - b) for b in range(a + 1))
         checks.append(Check(f"Kunneth: dim H^{a}(F + x^{m}) = "
                             f"sum dim H^b(F) * dim H^c(x^{m})",
                             full_ft.dim(a), rhs))
-    strand_ft0 = _strand_report(ftilde, 0, policy)
-    strands_f = [_strand_report(f, j, policy) for j in range(1, m)]
+    strand_ft0 = _strand_report(ftilde, 0, policy, None, profile_ft)
+    strands_f = [_strand_report(f, j, policy, None, profile_f)
+                 for j in range(1, m)]
     for k in range(f.nvars + 2):
         rhs = sum(rep.dim(k - 1) for rep in strands_f)
         checks.append(Check(
@@ -235,9 +267,11 @@ def suspension_check(f: Polynomial,
     if m is None or m < 2:
         raise NonHomogeneousError("need a homogeneous input of degree >= 2")
     ftilde = _suspend(f)
-    u_side = _full_report(f, policy)
-    prim_f = _strand_report(f, 0, policy)
-    prim_ft = _strand_report(ftilde, 0, policy)
+    profile_f = _smooth_profile(f, None, policy)
+    u_side = _full_report(f, policy, None, profile_f)
+    prim_f = _strand_report(f, 0, policy, None, profile_f)
+    prim_ft = _strand_report(ftilde, 0, policy, None,
+                             _smooth_profile(ftilde, None, policy))
     checks = []
     for i in range(-1, f.nvars + 1):
         checks.append(Check(
@@ -311,8 +345,7 @@ def compare_smooth_paths(f: Polynomial,
     profile = jacobian_hilbert(f)
     if not profile.smooth:
         raise NotSmoothError("two-path comparison is for smooth hypersurfaces")
-    hodge = primitive_hodge_numbers(f)
-    total = sum(h for _, h in hodge)
+    total = sum(h for _, h in profile.hodge_numbers())
     spec = StrandSpec(f.nvars, profile.modulus, 0)
     trunc = stabilized_cohomology(f, spec, policy)
     checks = [Check("stabilization certificate", trunc.stabilized, True),

@@ -31,3 +31,8 @@ class UnknownVariableError(ParseError):
 
 class BasisError(ValueError):
     """A proposed set of cohomology classes is not a basis."""
+
+
+class StrandSumError(RuntimeError):
+    """Strand dimensions do not sum to the full complex's: an identity the
+    engine failed to verify, which indicates an assembly bug."""

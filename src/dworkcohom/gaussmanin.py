@@ -15,6 +15,13 @@ degree drops by m at every step, so the loop terminates.
 Everything runs over the rational-function field for the symbolic matrix and
 over plain rationals for specializations; the two must agree at every
 non-discriminant parameter value, which connection_properties_check verifies.
+
+Each Macaulay system is eliminated on augmented columns, which carry their
+transform (the combination of Macaulay columns, and the multiple of the
+polynomial being solved) as extra rows.  One elimination step of the rank
+accumulators then updates both: over QQ the fraction-free integer step, so
+no Fraction arithmetic runs inside the elimination, and a solve divides by
+its scale once at the end; over QQ(t) the field step.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_primitive, poly_str)
 from .griffiths import jacobian_hilbert, macaulay_columns
+from .matrices import FieldRankAccumulator, IntRankAccumulator, integerize_column
 from .poly import Polynomial, monomial_basis
 
 
@@ -76,45 +84,51 @@ class _DegreeSolver:
     Rows are degree-d monomials in graded-lex order (largest first); pivots
     prefer the largest available monomial, so the non-pivot rows are the
     standard monomials of the Jacobian ideal in this degree.
+
+    Every column is augmented: rows 0..len(monomials)-1 are its monomial
+    rows, the next rows (one per Macaulay column, in ``keys`` order) hold
+    the combination of Macaulay columns it equals, and in ``solve`` one
+    last row holds the multiple of the polynomial being solved.  Over QQ
+    the step is ``IntRankAccumulator._step`` on columns lifted to integers,
+    the lifting scale carried in the augmentation rows; over QQ(t) it is
+    ``FieldRankAccumulator._step``.
     """
 
     def __init__(self, partials, field, nvars, gen_degree, d):
         self.field = field
         self.monomials = monomial_basis(nvars, d)
         self.index = {nu: k for k, nu in enumerate(self.monomials)}
+        if field is QQ:
+            self._lift, self._step = integerize_column, IntRankAccumulator._step
+        else:
+            self._lift, self._step = dict, FieldRankAccumulator._step
+        self.keys = []
         self.pivots = {}
+        row = len(self.monomials)
         for key, col in macaulay_columns(partials, self.index, nvars,
                                          d - gen_degree):
-            self._insert(col, {key: field.one})
+            col[row + len(self.keys)] = field.one
+            self.keys.append(key)
+            r, col = self._reduce(self._lift(col))
+            if r is not None:
+                self.pivots[r] = col
 
-    def _reduce(self, col, combo):
-        while col:
+    def _reduce(self, col):
+        """Head-reduce an augmented column with the stored pivots.
+
+        Stops at the first non-pivot row, returned with the column, or when
+        only augmentation rows remain (returns None as the row).  The
+        augmentation rows keep every column nonzero.
+        """
+        n, pivots, step = len(self.monomials), self.pivots, self._step
+        while True:
             r = min(col)
-            piv = self.pivots.get(r)
-            if piv is None:
-                return r, col, combo
-            pcol, pcombo = piv
-            factor = col[r] / pcol[r]
-            for s, w in pcol.items():
-                u = col.get(s)
-                u = -factor * w if u is None else u - factor * w
-                if u:
-                    col[s] = u
-                else:
-                    col.pop(s, None)
-            for key, w in pcombo.items():
-                u = combo.get(key)
-                u = -factor * w if u is None else u - factor * w
-                if u:
-                    combo[key] = u
-                else:
-                    combo.pop(key, None)
-        return None, col, combo
-
-    def _insert(self, col, combo):
-        r, col, combo = self._reduce(col, combo)
-        if r is not None:
-            self.pivots[r] = (col, combo)
+            if r >= n:
+                return None, col
+            pcol = pivots.get(r)
+            if pcol is None:
+                return r, col
+            col = step(col, pcol, r)
 
     @property
     def standard_monomials(self):
@@ -124,13 +138,22 @@ class _DegreeSolver:
         """part = (standard-monomial combination) + sum lambda * g * dF_i.
 
         Returns (std coords keyed by monomial, combo keyed by (i, g)).
-        The non-pivot rows span the cokernel, so this always succeeds.
+        The non-pivot rows span the cokernel, so this always succeeds.  The
+        reduction stops at the first non-pivot row, so pivot rows below it
+        can stay in the residue.
         """
+        n, scale = len(self.monomials), len(self.monomials) + len(self.keys)
         col = {self.index[nu]: c for nu, c in part.terms.items()}
-        combo = {}
-        _, col, combo = self._reduce(col, combo)
-        std = {self.monomials[r]: c for r, c in col.items()}
-        return std, {k: -v for k, v in combo.items()}
+        col[scale] = self.field.one
+        _, col = self._reduce(self._lift(col))
+        inv = self.field.one / col.pop(scale)
+        std, combo = {}, {}
+        for r, c in col.items():
+            if r < n:
+                std[self.monomials[r]] = c * inv
+            else:
+                combo[self.keys[r - n]] = -c * inv
+        return std, combo
 
 
 class GriffithsDworkReducer:
@@ -311,9 +334,8 @@ def family_connection_matrix(fam: Family, basis=None) -> ConnectionMatrix:
     on a t-free representative has no d/dt term, so it reduces to
     multiplication by the perturbation followed by Griffiths-Dwork reduction.
     """
-    f_t = fam.symbolic()
-    reducer = GriffithsDworkReducer(f_t)
-    return _connection_matrix(reducer, fam.perturbation, basis)
+    return connection_matrix(GriffithsDworkReducer(fam.symbolic()),
+                             fam.perturbation, basis)
 
 
 def rational_connection_matrix(f0: Polynomial, g: Polynomial,
@@ -324,11 +346,13 @@ def rational_connection_matrix(f0: Polynomial, g: Polynomial,
     Used to verify that specializing the symbolic matrix commutes with
     computing at the specialized member.
     """
-    reducer = GriffithsDworkReducer(f0)
-    return _connection_matrix(reducer, g, basis)
+    return connection_matrix(GriffithsDworkReducer(f0), g, basis)
 
 
-def _connection_matrix(reducer, perturbation, basis):
+def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
+                      basis=None) -> ConnectionMatrix:
+    """Matrix of  omega -> [perturbation * omega]  on a basis, reduced by a
+    given reducer (of F_t over QQ(t), or of one member over QQ)."""
     field = reducer.field
     if basis is None:
         forms = reducer.standard_forms()
@@ -362,7 +386,7 @@ def _connection_matrix(reducer, perturbation, basis):
 
 
 def connection_properties_check(fam: Family, samples, basis=None,
-                                shuffle_seed=2) -> Verdict:
+                                shuffle_seed=2, reducer=None) -> Verdict:
     """Consistency harness for the connection action.
 
     (a) specializing the symbolic matrix at each sample t equals the matrix
@@ -372,8 +396,13 @@ def connection_properties_check(fam: Family, samples, basis=None,
         change of basis.
     Samples on the discriminant (poles, non-smooth members, degenerate
     bases) are reported as failed checks, never skipped silently.
+    reducer, when given, is the GriffithsDworkReducer of fam.symbolic();
+    it serves both symbolic matrices, so a caller that already has one
+    does not build another.
     """
-    sym = family_connection_matrix(fam, basis)
+    if reducer is None:
+        reducer = GriffithsDworkReducer(fam.symbolic())
+    sym = connection_matrix(reducer, fam.perturbation, basis)
     checks = []
     for t0 in samples:
         t0 = Fraction(t0)
@@ -413,7 +442,7 @@ def connection_properties_check(fam: Family, samples, basis=None,
             if s[i][j]:
                 acc = acc + sym.basis[i].scale(s[i][j])
         new_forms.append(acc)
-    conj = family_connection_matrix(fam, basis=new_forms)
+    conj = connection_matrix(reducer, fam.perturbation, new_forms)
     identity = [[QQ.one if i == j else QQ.zero for i in range(k)]
                 for j in range(k)]
     sinv = _solve_square(list(zip(*s)), identity, k)

@@ -54,6 +54,18 @@ class JacobianProfile:
         raise NotSmoothError(
             f"Hilbert value at degree {d} not computed for a non-smooth input")
 
+    def hodge_numbers(self):
+        """Graded dimensions h_q = h_{qm-(n+1)} of primitive middle cohomology.
+
+        Returns [(q, h_q) for q = 1..n]; entries with qm-(n+1) outside the
+        Hilbert range are 0.
+        """
+        if not self.smooth:
+            raise NotSmoothError(
+                "primitive Hodge numbers need a smooth hypersurface")
+        n, m = self.nvars - 1, self.modulus
+        return [(q, self.h(q * m - (n + 1))) for q in range(1, n + 1)]
+
 
 def macaulay_columns(partials, index, nvars: int, src: int):
     """Columns of (g_0..g_n) -> sum g_i * partials[i], the g_i of degree src.
@@ -120,17 +132,8 @@ def milnor_number(f: Polynomial) -> int:
 
 
 def primitive_hodge_numbers(f: Polynomial):
-    """Graded dimensions h_q = h_{qm-(n+1)} of primitive middle cohomology.
-
-    Returns [(q, h_q) for q = 1..n]; entries with qm-(n+1) outside the
-    Hilbert range are 0.
-    """
-    profile = jacobian_hilbert(f)
-    if not profile.smooth:
-        raise NotSmoothError("primitive Hodge numbers need a smooth hypersurface")
-    n = profile.nvars - 1
-    m = profile.modulus
-    return [(q, profile.h(q * m - (n + 1))) for q in range(1, n + 1)]
+    """jacobian_hilbert(f).hodge_numbers(): [(q, h_q) for q = 1..n]."""
+    return jacobian_hilbert(f).hodge_numbers()
 
 
 def strand_top_dims(profile: JacobianProfile, residue: int) -> int:

@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkcohom import Job, Polynomial, QQ, corpus_runner, format_polynomial, \
-    parse_polynomial, run_job, strand_cohomology
-from dworkcohom import cli
+from dworkcohom import Family, Job, Polynomial, QQ, compare_smooth_paths, \
+    corpus_runner, format_polynomial, parse_polynomial, run_job, \
+    strand_cohomology
+from dworkcohom import cli, dwork, gaussmanin, griffiths
 from dworkcohom.cli import COMMANDS, bundled_corpus_dir, main
-from dworkcohom.exceptions import ParseError, UnknownVariableError
+from dworkcohom.exceptions import (ParseError, StrandSumError,
+                                   UnknownVariableError)
 
 from _helpers import fermat
 
@@ -448,3 +450,85 @@ def test_main_run_job_file(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert {d["degree"]: d["dim"] for d in out["dims"]}[2] == 1
+
+
+# ---- error boundary ------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc, code", [
+    (StrandSumError("strand sum 7 != full-complex dimension 8 in degree 3"), 2),
+    (ZeroDivisionError("division by zero rational function"), 1),
+    (ArithmeticError("overflow in an exact step"), 1),
+])
+def test_engine_errors_end_in_exit_code(monkeypatch, capsys, exc, code):
+    def raising(job, out):
+        raise exc
+
+    monkeypatch.setitem(COMMANDS, "strands",
+                        COMMANDS["strands"]._replace(handler=raising))
+    got, report = run_job(Job(command="strands", **CUBIC))
+    assert (got, report["error"]) == (code, str(exc))
+    assert main(["strands", CUBIC["polynomial"], "-v", "x0,x1,x2"]) == code
+    assert json.loads(capsys.readouterr().out)["error"] == str(exc)
+
+
+def test_strand_sum_mismatch_is_exit_2(monkeypatch):
+    # a wrong strand dimension trips the strand-sum identity itself
+    top = dwork.strand_top_dims
+    monkeypatch.setattr(dwork, "strand_top_dims",
+                        lambda profile, residue: top(profile, residue) + 1)
+    code, report = run_job(Job(command="strands", **CUBIC))
+    assert code == 2
+    assert report["error"].startswith("strand sum 11 != full-complex "
+                                      "dimension 8 in degree 3")
+
+
+# ---- one Jacobian profile and one symbolic reducer per pipeline ----------
+
+
+@pytest.fixture
+def profiled(monkeypatch):
+    """Every polynomial jacobian_hilbert is called on, once per call."""
+    calls = []
+    original = griffiths.jacobian_hilbert
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (griffiths, dwork, cli, gaussmanin):
+        monkeypatch.setattr(module, "jacobian_hilbert", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run, distinct", [
+    (lambda: run_job(Job(command="hodge", **CUBIC)), 1),
+    (lambda: run_job(Job(command="strands", **CUBIC)), 1),
+    (lambda: compare_smooth_paths(fermat(3, 3)), 1),
+    (lambda: dwork.thom_sebastiani_check(fermat(3, 3)), 3),
+    (lambda: dwork.suspension_check(fermat(3, 3)), 2),
+], ids=["hodge", "strands", "compare_smooth_paths", "ts", "suspension"])
+def test_one_profile_per_polynomial(profiled, run, distinct):
+    run()
+    assert len(profiled) == len(set(profiled)) == distinct
+
+
+def test_gm_job_builds_one_symbolic_reducer(monkeypatch):
+    built = []
+    init = gaussmanin.GriffithsDworkReducer.__init__
+
+    def counted(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(gaussmanin.GriffithsDworkReducer, "__init__", counted)
+    job = Job(command="gm", polynomial="x^3 + y^3 + z^3",
+              variables=["x", "y", "z"], perturbation="-3*x*y*z",
+              samples=["2", "-1", "1/2"])
+    code, report = run_job(job)
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    f_t = Family(parse_polynomial("x^3 + y^3 + z^3", "xyz"),
+                 parse_polynomial("-3*x*y*z", "xyz")).symbolic()
+    assert built.count(f_t) == 1
+    # the other reducers: one per sample over QQ, and the constant family
+    assert len(built) == 5

@@ -1,14 +1,17 @@
 """Gauss-Manin connection matrices for the Dwork cubic family."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from dworkcohom import (Family, Polynomial, QQ,
+from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         connection_properties_check, family_connection_matrix,
+                        jacobian_hilbert, monomial_basis,
                         rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
-from dworkcohom.gaussmanin import _rational_roots
+from dworkcohom.gaussmanin import GriffithsDworkReducer, _rational_roots
+from dworkcohom.griffiths import macaulay_columns
 
 from _helpers import fermat, triangle, var
 
@@ -139,3 +142,96 @@ def test_rational_roots_of_a_large_content():
     p = tuple(c * 2 ** 64 for c in (-1, 0, 1))
     assert _rational_roots(p) == (Fraction(-1), Fraction(1))
     assert _rational_roots((0, -3, 0, 0, 3)) == (Fraction(0), Fraction(1))
+
+
+# ---- the fraction-free Griffiths-Dwork solver ---------------------------
+
+
+def k3_family():
+    return Family(fermat(4, 4), (var(4, 0) * var(4, 1) * var(4, 2)
+                                 * var(4, 3)).scale(-4))
+
+
+def random_part(rng, field, nvars, d):
+    """A random polynomial of degree d; over QQ(t) its coefficients are
+    random linear polynomials in t."""
+    terms = {}
+    for nu in monomial_basis(nvars, d):
+        if rng.random() < 0.6:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            if field is QQ_T:
+                c = RatFunc.from_fraction(c) + QQ_T.gen * rng.randint(-3, 3)
+            terms[nu] = c
+    return Polynomial(field, nvars, terms)
+
+
+@pytest.mark.parametrize("family, symbolic, degrees", [
+    (dwork_family()[0], False, (3, 4, 6, 9)),
+    (k3_family(), False, (4, 5, 8, 12)),
+    (dwork_family()[0], True, (3, 6, 9)),
+    (k3_family(), True, (4, 8)),
+], ids=["cubic-QQ", "k3-QQ", "cubic-QQ(t)", "k3-QQ(t)"])
+def test_degree_solver_identity(family, symbolic, degrees):
+    # part == sum of std terms + sum lambda * g * dF/dx_i, exactly
+    f = family.symbolic() if symbolic else family.at(2)
+    reducer = GriffithsDworkReducer(f)
+    rng = random.Random(7)
+    for d in degrees:
+        solver = reducer._solver(d)
+        for _ in range(3):
+            part = random_part(rng, f.field, f.nvars, d)
+            std, combo = solver.solve(part)
+            total = Polynomial.zero(f.field, f.nvars)
+            for nu, c in std.items():
+                total = total + Polynomial.monomial(f.field, f.nvars, nu).scale(c)
+            for (i, g), lam in combo.items():
+                total = total + (Polynomial.monomial(f.field, f.nvars, g)
+                                 * reducer.partials[i]).scale(lam)
+            assert total == part
+
+
+@pytest.mark.parametrize("family", [dwork_family()[0], k3_family()],
+                         ids=["cubic", "k3"])
+def test_rational_matrix_is_the_specialized_symbolic_matrix(family):
+    # the integer (fraction-free) path against the QQ(t) field path
+    sym = family_connection_matrix(family)
+    for t0 in (2, Fraction(1, 3), Fraction(-5, 2)):
+        direct = rational_connection_matrix(family.at(t0), family.perturbation,
+                                            basis=list(sym.basis))
+        assert direct.entries == sym.specialize(t0)
+
+
+def leading_rows_oracle(solver, partials, nvars, gen_degree):
+    """Standard monomials of one degree by dense row reduction: row r leads
+    some vector of the Macaulay column space exactly when it is not in the
+    span of the rows above it."""
+    d = sum(solver.monomials[0])
+    cols = [col for _, col in macaulay_columns(
+        partials, solver.index, nvars, d - gen_degree)]
+    basis = {}   # leading column -> reduced row, leading entry 1
+    std = []
+    for r, nu in enumerate(solver.monomials):
+        row = [Fraction(col.get(r, 0)) for col in cols]
+        for c, b in basis.items():
+            if row[c]:
+                row = [x - row[c] * y for x, y in zip(row, b)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            std.append(nu)
+        else:
+            basis[lead] = [x / row[lead] for x in row]
+    return std
+
+
+@pytest.mark.parametrize("family", [dwork_family()[0], k3_family()],
+                         ids=["cubic", "k3"])
+def test_standard_monomials_per_degree(family):
+    at2 = GriffithsDworkReducer(family.at(2))
+    sym = GriffithsDworkReducer(family.symbolic())
+    assert at2.std_basis == sym.std_basis
+    profile = jacobian_hilbert(family.at(2))
+    for d in at2.std_degrees:
+        solver = at2._solver(d)
+        assert len(solver.standard_monomials) == profile.h(d)
+        assert solver.standard_monomials == leading_rows_oracle(
+            solver, at2.partials, at2.nvars, at2.m - 1)
