@@ -28,7 +28,8 @@ from .forms import (DifferentialForm, StrandSpec, TruncatedComplex,
                     twisted_differential, wedge)
 from .matrices import SparseMatrix
 from .linalg import (ComplexDims, StabilizationPolicy, cohomology_dims,
-                     complex_dims, default_policy, exact_rank, rank_mod_p,
+                     complex_dims, default_policy, exact_rank,
+                     proved_window_cohomology, rank_mod_p,
                      stabilized_cohomology)
 from .griffiths import (JacobianProfile, dF_only_cohomology, jacobian_hilbert,
                         milnor_number, primitive_hodge_numbers,

@@ -407,11 +407,12 @@ def _gm(job, out) -> int:
              for b in job.basis or ()] or None
     samples = [_sample(s) for s in job.samples or ()]
     reducer = GriffithsDworkReducer(fam.symbolic())
-    out["matrix"] = connection_matrix_strings(
-        connection_matrix(reducer, fam.perturbation, basis))
+    matrix = connection_matrix(reducer, fam.perturbation, basis)
+    out["matrix"] = connection_matrix_strings(matrix)
     if not samples:
         return 0
-    verdict = connection_properties_check(fam, samples, basis, reducer=reducer)
+    verdict = connection_properties_check(fam, samples, basis, reducer=reducer,
+                                          matrix=matrix)
     return _attach_verdict(out, verdict)
 
 

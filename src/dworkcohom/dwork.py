@@ -14,7 +14,8 @@ computes, e.g.
 Smooth plain-homogeneous inputs are answered through the Jacobian ring
 (path "jacobian", exact); everything else goes through windowed truncation
 with a stabilization certificate (path "truncation").
-compare_smooth_paths runs both routes and demands exact agreement.
+compare_smooth_paths runs both routes and demands exact agreement; its
+truncation side is one proved window unless a policy is given.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .exceptions import NonHomogeneousError, NotSmoothError, StrandSumError
 from .fields import QQ
 from .forms import StrandSpec, full_complex_spec
 from .griffiths import jacobian_hilbert, strand_top_dims
-from .linalg import StabilizationPolicy, stabilized_cohomology
+from .linalg import (StabilizationPolicy, proved_window_cohomology,
+                     stabilized_cohomology)
 from .poly import Polynomial
 from .reports import CohomologyReport
 
@@ -339,15 +341,21 @@ def compare_smooth_paths(f: Polynomial,
                          policy: StabilizationPolicy = None) -> Verdict:
     """Jacobian-path dimensions vs truncation-path dimensions, degreewise.
 
-    The summed primitive Hodge numbers must equal the stabilized strand-0
-    top dimension exactly, and every lower degree must vanish on both paths.
+    The summed primitive Hodge numbers must equal the strand-0 top dimension
+    of the window engine exactly, and every lower degree must vanish on both
+    paths.  With no policy the truncation side is the proved window at
+    N0 = socle + nvars, which takes only the finiteness of the Jacobian ring
+    from the other path; an explicit policy runs the escalating windows.
     """
     profile = jacobian_hilbert(f)
     if not profile.smooth:
         raise NotSmoothError("two-path comparison is for smooth hypersurfaces")
     total = sum(h for _, h in profile.hodge_numbers())
     spec = StrandSpec(f.nvars, profile.modulus, 0)
-    trunc = stabilized_cohomology(f, spec, policy)
+    if policy is None:
+        trunc = proved_window_cohomology(f, spec, profile)
+    else:
+        trunc = stabilized_cohomology(f, spec, policy)
     checks = [Check("stabilization certificate", trunc.stabilized, True),
               Check(f"top degree {f.nvars}: sum of primitive Hodge numbers "
                     f"= truncated strand-0 dimension",

@@ -386,7 +386,8 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
 
 
 def connection_properties_check(fam: Family, samples, basis=None,
-                                shuffle_seed=2, reducer=None) -> Verdict:
+                                shuffle_seed=2, reducer=None,
+                                matrix=None) -> Verdict:
     """Consistency harness for the connection action.
 
     (a) specializing the symbolic matrix at each sample t equals the matrix
@@ -398,11 +399,14 @@ def connection_properties_check(fam: Family, samples, basis=None,
     bases) are reported as failed checks, never skipped silently.
     reducer, when given, is the GriffithsDworkReducer of fam.symbolic();
     it serves both symbolic matrices, so a caller that already has one
-    does not build another.
+    does not build another.  matrix, when given, is the symbolic matrix
+    under check, connection_matrix(reducer, fam.perturbation, basis), as a
+    caller that reports it has already computed it.
     """
     if reducer is None:
         reducer = GriffithsDworkReducer(fam.symbolic())
-    sym = connection_matrix(reducer, fam.perturbation, basis)
+    sym = (matrix if matrix is not None
+           else connection_matrix(reducer, fam.perturbation, basis))
     checks = []
     for t0 in samples:
         t0 = Fraction(t0)

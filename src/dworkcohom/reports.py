@@ -2,26 +2,53 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+
+@dataclass(frozen=True)
+class Proof:
+    """Why a certificate's dimensions are exact: the argument and the
+    hypotheses it used.
+
+    kind "koszul-window": the Jacobian ring of F is finite (smooth, as
+    jacobian_hilbert checks exactly), so windowed dimensions are exact at
+    every bound >= socle + nvars, and window is such a bound (the argument
+    is in the linalg module docstring).
+    """
+
+    kind: str
+    smooth: bool
+    socle: int
+    window: int
+
+    def to_json_dict(self):
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Evidence that truncated dimensions have stopped moving.
+    """How far windowed dimensions are to be trusted: evidence or proof.
 
+    An evidence certificate (proof None) comes from escalating windows:
     bounds are the three consecutive truncation bounds whose dimension maps
     agree (empty and agreed=False when the escalation hit max_bound first).
-    history records every (bound, dims) pair that was computed.  Agreement is
-    evidence, not proof: the reported dimensions are exact for each bound,
-    but stability across three bounds does not certify the untruncated limit.
+    Agreement is evidence, not proof: the reported dimensions are exact for
+    each bound, but stability across three bounds does not certify the
+    untruncated limit.  A proved certificate carries the Proof that makes
+    its single window bound exact; agreed is then True.  history records
+    every (bound, dims) pair that was computed.
     """
 
     bounds: tuple
     agreed: bool
     history: tuple = ()
+    proof: Proof = None
 
     def to_json_dict(self):
-        return {"bounds": list(self.bounds), "agreed": self.agreed}
+        out = {"bounds": list(self.bounds), "agreed": self.agreed}
+        if self.proof is not None:
+            out["proof"] = self.proof.to_json_dict()
+        return out
 
 
 @dataclass(frozen=True)
@@ -29,10 +56,10 @@ class CohomologyReport:
     """Per-degree cohomology dimensions plus provenance of the computation.
 
     path is "jacobian" (exact, via the Hilbert function of the Jacobian
-    ring) or "truncation" (windowed dimensions with a stabilization
-    certificate).  dims maps raw complex degree k to the dimension; labels
-    give the normalized name of each degree (local-cohomology or reduced
-    Betti indexing) alongside the raw one.
+    ring) or "truncation" (windowed dimensions with a certificate of
+    evidence or of proof).  dims maps raw complex degree k to the
+    dimension; labels give the normalized name of each degree
+    (local-cohomology or reduced Betti indexing) alongside the raw one.
     """
 
     description: str

@@ -532,3 +532,23 @@ def test_gm_job_builds_one_symbolic_reducer(monkeypatch):
     assert built.count(f_t) == 1
     # the other reducers: one per sample over QQ, and the constant family
     assert len(built) == 5
+
+
+def test_gm_job_reduces_each_form_once(monkeypatch):
+    # the check verifies the matrix the job reports instead of reducing
+    # every basis form on the symbolic reducer a second time
+    seen = []
+    reduce = gaussmanin.GriffithsDworkReducer.reduce
+
+    def spied(self, p):
+        seen.append((id(self), p))
+        return reduce(self, p)
+
+    monkeypatch.setattr(gaussmanin.GriffithsDworkReducer, "reduce", spied)
+    job = Job(command="gm", polynomial="x^3 + y^3 + z^3",
+              variables=["x", "y", "z"], perturbation="-3*x*y*z",
+              basis=["1", "x*y*z"], samples=["2", "-1"])
+    code, report = run_job(job)
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    repeated = [p for p in set(seen) if seen.count(p) > 1]
+    assert seen and repeated == []

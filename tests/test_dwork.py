@@ -4,8 +4,9 @@ import pytest
 
 from dworkcohom import (Polynomial, QQ, StrandSpec,
                         affine_twisted_cohomology, ci_dwork_koszul,
-                        compare_smooth_paths, fourier_lemma_check,
-                        full_complex_spec, primitive_dwork_cohomology,
+                        compare_smooth_paths, default_policy,
+                        fourier_lemma_check, full_complex_spec,
+                        primitive_dwork_cohomology,
                         stabilized_cohomology, strand_cohomology,
                         strand_decomposition, suspension_check,
                         thom_sebastiani_check)
@@ -201,6 +202,35 @@ def test_compare_smooth_paths_corpus():
         assert compare_smooth_paths(f).ok
     with pytest.raises(NotSmoothError):
         compare_smooth_paths(triangle())
+
+
+def _is_evidence(rep):
+    cert = rep.certificate
+    return (rep.path == "truncation" and cert.agreed
+            and len(cert.bounds) == 3 and cert.proof is None
+            and "proof" not in cert.to_json_dict())
+
+
+def test_compare_smooth_paths_proves_its_window():
+    f = fermat(4, 3)
+    proved = compare_smooth_paths(f)
+    cert = proved.reports[0].certificate
+    assert proved.ok and cert.agreed and cert.bounds == (9,)
+    assert (cert.proof.kind, cert.proof.smooth, cert.proof.socle,
+            cert.proof.window) == ("koszul-window", True, 6, 9)
+    policy = default_policy(f, StrandSpec(3, 4, 0))
+    evidence = compare_smooth_paths(f, policy)
+    assert evidence.ok and _is_evidence(evidence.reports[0])
+    assert evidence.reports[0].dims == proved.reports[0].dims
+
+
+def test_evidence_path_keeps_three_windows():
+    assert _is_evidence(primitive_dwork_cohomology(triangle()))
+    assert _is_evidence(fourier_lemma_check(2, 8).reports[0])
+    cusp = var(2, 0) ** 2 + var(2, 1) ** 3
+    assert _is_evidence(affine_twisted_cohomology(cusp, weights=(3, 2)))
+    weighted = var(3, 0) ** 2 + var(3, 1) ** 4 + var(3, 2) ** 4
+    assert _is_evidence(strand_cohomology(weighted, 0, weights=(2, 1, 1)))
 
 
 def test_betti_relation_on_smooth_corpus():

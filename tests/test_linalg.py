@@ -8,8 +8,10 @@ import pytest
 from dworkcohom import (ComplexDims, Polynomial, QQ, QQ_T, SparseMatrix,
                         StabilizationPolicy, StrandSpec, assemble_truncated_complex,
                         cohomology_dims, complex_dims, default_policy, exact_rank,
-                        full_complex_spec, rank_mod_p, stabilized_cohomology)
-from dworkcohom.exceptions import NilpotenceError
+                        full_complex_spec, jacobian_hilbert,
+                        proved_window_cohomology, rank_mod_p,
+                        stabilized_cohomology, strand_top_dims)
+from dworkcohom.exceptions import NilpotenceError, NotSmoothError
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  integerize_column)
 from dworkcohom.poly import monomial_basis
@@ -321,3 +323,115 @@ def test_weighted_cusp_milnor():
     rep = stabilized_cohomology(f, spec)
     assert rep.dims == {0: 0, 1: 0, 2: 2}
     assert rep.stabilized
+
+
+# ---- the proved window at N0 = socle + nvars -------------------------------
+
+
+def _all_specs(f):
+    m = f.homogeneous_degree()
+    return ([StrandSpec(f.nvars, m, j) for j in range(m)]
+            + [full_complex_spec(f.nvars)])
+
+
+@pytest.mark.parametrize("m,nvars", [(2, 3), (3, 3), (4, 3)])
+def test_proved_window_equals_three_windows(m, nvars):
+    f = fermat(m, nvars)
+    profile = jacobian_hilbert(f)
+    for spec in _all_specs(f):
+        proved = proved_window_cohomology(f, spec, profile)
+        evidence = stabilized_cohomology(f, spec)
+        assert proved.dims == evidence.dims
+        assert evidence.certificate.proof is None
+        cert = proved.certificate
+        assert cert.agreed and cert.bounds == (profile.socle + nvars,)
+        assert cert.proof.smooth and cert.proof.window == cert.bounds[0]
+
+
+def test_proved_window_on_the_k3_strand_and_its_sharp_bound():
+    # x0^4 + .. + x3^4: N0 = 8 + 4 = 12, and one window lower misses a class
+    from dworkcohom.linalg import _WindowEngine
+    f = fermat(4, 4)
+    spec = StrandSpec(4, 4, 0)
+    proved = proved_window_cohomology(f, spec, jacobian_hilbert(f))
+    assert proved.dims == stabilized_cohomology(f, spec).dims
+    assert proved.dims == {0: 0, 1: 0, 2: 0, 3: 0, 4: 21}
+    assert proved.certificate.bounds == (12,)
+    assert _WindowEngine(f, spec).dims_at(11)[4] == 20
+
+
+def _random_smooth_plane_curves(rng, degree, count):
+    monos = monomial_basis(3, degree)
+    found = []
+    while len(found) < count:
+        support = rng.sample(monos, rng.randint(4, len(monos)))
+        f = Polynomial(QQ, 3, {nu: rng.choice((-2, -1, 1, 2))
+                               for nu in support})
+        profile = jacobian_hilbert(f)
+        if profile.smooth:
+            found.append((f, profile))
+    return found
+
+
+def test_proved_window_matches_jacobian_path_on_random_curves():
+    # the default schedule costs up to tens of seconds on some random
+    # cubics, so the Jacobian ring is the oracle here
+    rng = random.Random(20)
+    curves = (_random_smooth_plane_curves(rng, 3, 12)
+              + _random_smooth_plane_curves(rng, 4, 8))
+    for f, profile in curves:
+        m = profile.modulus
+        for j in range(m):
+            rep = proved_window_cohomology(f, StrandSpec(3, m, j), profile)
+            assert rep.dims == {0: 0, 1: 0, 2: 0,
+                                3: strand_top_dims(profile, j)}, (f, j)
+
+
+def test_windowed_dims_grow_to_the_proved_window():
+    # below the top degree every window reads 0; the top degree never
+    # decreases and has reached its final value at N0
+    from dworkcohom.linalg import _WindowEngine
+    f = fermat(3, 3)
+    profile = jacobian_hilbert(f)
+    n0 = profile.socle + f.nvars
+    for j in range(3):
+        engine = _WindowEngine(f, StrandSpec(3, 3, j))
+        tops = []
+        for bound in range(n0 + 2 * 3 + 1):
+            dims = engine.dims_at(bound)
+            assert [dims[k] for k in range(3)] == [0, 0, 0]
+            tops.append(dims[3])
+        assert tops == sorted(tops)
+        assert tops[n0] == tops[-1] == strand_top_dims(profile, j)
+
+
+def test_proved_window_needs_its_hypotheses():
+    from dworkcohom import linalg
+    triangle = var(3, 0) * var(3, 1) * var(3, 2)
+    with pytest.raises(NotSmoothError):
+        proved_window_cohomology(triangle, StrandSpec(3, 3, 0),
+                                 jacobian_hilbert(triangle))
+    f = fermat(3, 3)
+    with pytest.raises(ValueError):
+        proved_window_cohomology(f, StrandSpec(3, 3, 0, (1, 1, 1)),
+                                 jacobian_hilbert(f))
+    with pytest.raises(ValueError):
+        proved_window_cohomology(f, StrandSpec(3, 3, 0),
+                                 jacobian_hilbert(fermat(4, 3)))
+    # the engine of a proved window is not kept
+    linalg._ENGINES.clear()
+    linalg._REPORTS.clear()
+    proved_window_cohomology(f, StrandSpec(3, 3, 0), jacobian_hilbert(f))
+    assert not linalg._ENGINES and not linalg._REPORTS
+
+
+def test_certificate_json_names_a_proof_only_when_proved():
+    f = fermat(3, 3)
+    spec = StrandSpec(3, 3, 0)
+    proved = proved_window_cohomology(f, spec, jacobian_hilbert(f))
+    assert proved.certificate.to_json_dict() == {
+        "bounds": [6], "agreed": True,
+        "proof": {"kind": "koszul-window", "smooth": True, "socle": 3,
+                  "window": 6}}
+    evidence = stabilized_cohomology(f, spec).certificate.to_json_dict()
+    assert set(evidence) == {"bounds", "agreed"}
