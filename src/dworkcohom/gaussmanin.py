@@ -283,7 +283,8 @@ def _solve_square(u_cols, r_cols, k):
             raise BasisError("proposed classes are not a cohomology basis")
         rows[col], rows[piv] = rows[piv], rows[col]
         pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
+        if pv != 1:
+            rows[col] = [x / pv for x in rows[col]]
         for i in range(k):
             if i != col and rows[i][col]:
                 f = rows[i][col]
@@ -352,7 +353,8 @@ def rational_connection_matrix(f0: Polynomial, g: Polynomial,
 def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
                       basis=None) -> ConnectionMatrix:
     """Matrix of  omega -> [perturbation * omega]  on a basis, reduced by a
-    given reducer (of F_t over QQ(t), or of one member over QQ)."""
+    given reducer (of F_t over QQ(t), or of one member over QQ).  A zero
+    perturbation gives the zero matrix without reducing the basis."""
     field = reducer.field
     if basis is None:
         forms = reducer.standard_forms()
@@ -370,11 +372,11 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
     lift = (lambda c: RatFunc.from_fraction(c)) if field is QQ_T else (lambda c: c)
     lifted = [p.map_coefficients(lift, field) for p in forms]
     g_lift = perturbation.map_coefficients(lift, field) if perturbation else None
-    u_cols = [reducer.reduce(p) for p in lifted]
     k = len(forms)
     if g_lift is None:
         entries = tuple(tuple(field.zero for _ in range(k)) for _ in range(k))
     else:
+        u_cols = [reducer.reduce(p) for p in lifted]
         r_cols = [reducer.reduce(g_lift * p) for p in lifted]
         entries = _solve_square(u_cols, r_cols, k)
     den = (1,)
@@ -392,7 +394,8 @@ def connection_properties_check(fam: Family, samples, basis=None,
 
     (a) specializing the symbolic matrix at each sample t equals the matrix
         computed from scratch over QQ at F_t with the same basis;
-    (b) a constant family gives the zero matrix;
+    (b) a constant family gives the zero matrix (on the given reducer, so a
+        singular base F_0 does not stop the check);
     (c) the matrix transforms by conjugation under an invertible t-free
         change of basis.
     Samples on the discriminant (poles, non-smooth members, degenerate
@@ -433,8 +436,7 @@ def connection_properties_check(fam: Family, samples, basis=None,
         checks.append(Check(
             f"specialize-then-evaluate equals evaluate-then-compute at t = {t0}",
             specialized, direct.entries))
-    constant = family_connection_matrix(
-        Family(fam.base, Polynomial.zero(QQ, fam.nvars)), basis)
+    constant = connection_matrix(reducer, Polynomial.zero(QQ, fam.nvars), basis)
     checks.append(Check("constant family gives the zero matrix",
                         constant.is_zero(), True))
     k = sym.size

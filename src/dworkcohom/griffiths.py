@@ -11,10 +11,18 @@ sigma = (n+1)(m-2), its Hilbert function is Gorenstein-symmetric, and
 * the top cohomology of the strand-j twisted complex has dimension
   sum of h_d over d = j - (n+1) (mod m), with nothing below the top.
 
-Everything is computed from exact ranks of Macaulay multiplication matrices,
-degree by degree.  Smoothness itself is certified by the vanishing of the
-Hilbert function at sigma+1 and sigma+2: for an ideal generated in degree
-m-1 < sigma+1 this forces vanishing in all higher degrees.
+The profile costs one exact Macaulay rank.  R is generated in degree 1, so
+R_{d+1} = R_1 R_d: once R vanishes in one degree it vanishes in every higher
+one.  The rank at sigma+1 therefore decides everything.  If h_{sigma+1} = 0,
+R is finite, so the n+1 partials generate an ideal primary to the
+irrelevant ideal; in a polynomial ring they are then a regular sequence, the
+Koszul complex resolves R, and the Hilbert function is exactly the
+complete-intersection series (1 + s + ... + s^(m-2))^(n+1) -- no further
+rank is needed, and F is smooth (by Euler's relation F lies in the Jacobian
+ideal, so a singular point of V(F) would be a common zero of the partials).
+If h_{sigma+1} > 0, F is singular and every degree 0..sigma+2 is ranked.
+Over the rational-function field the same argument holds for the generic
+member of the family.
 """
 
 from __future__ import annotations
@@ -34,9 +42,11 @@ from .poly import Polynomial, mono_mul, monomial_basis
 class JacobianProfile:
     """Hilbert data of the Jacobian ring of a homogeneous polynomial.
 
-    hilbert[d] is dim R_d for d = 0..socle+2 (the two trailing entries are
-    the smoothness check); milnor is the total dimension when smooth, else
-    None.
+    hilbert[d] is dim R_d for d = 0..socle+2.  smooth records that R
+    vanishes at socle+1, hence in every higher degree; the smooth profile is
+    the complete-intersection series (so hilbert[socle+1] and
+    hilbert[socle+2] are 0), a singular one is ranked degree by degree.
+    milnor is the total dimension when smooth, else None.
     """
 
     modulus: int
@@ -97,11 +107,27 @@ def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
         col for _, col in macaulay_columns(partials, index, nvars, src))
 
 
+def _koszul_hilbert(m: int, nvars: int, d: int) -> int:
+    """dim R_d when the nvars partials of a degree-m form are a regular sequence.
+
+    The Koszul complex of a regular sequence of nvars forms of degree m-1 is
+    a free resolution of R, so dim R_d is the alternating sum
+    sum_k (-1)^k C(nvars, k) dim S_{d-k(m-1)}: the coefficient of s^d in
+    ((1 - s^(m-1)) / (1 - s))^nvars = (1 + s + ... + s^(m-2))^nvars.
+    """
+    return sum((-1) ** k * comb(nvars, k)
+               * comb(d - k * (m - 1) + nvars - 1, nvars - 1)
+               for k in range(min(nvars, d // (m - 1)) + 1))
+
+
 def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     """Hilbert function of R = scalars[x]/J(F), with the smooth flag.
 
-    Works over both scalar fields; ranks over the rational-function field
-    certify smoothness at generic parameter values.
+    One Macaulay rank, at socle+1, decides smoothness; a smooth profile is
+    then the complete-intersection series (_koszul_hilbert) with no further
+    rank, and a singular one is ranked degree by degree.  Works over both
+    scalar fields; ranks over the rational-function field certify
+    smoothness at generic parameter values.
     """
     if not f:
         raise ValueError("zero polynomial has no Jacobian ring")
@@ -113,11 +139,17 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     nvars = f.nvars
     partials = [f.partial_derivative(k) for k in range(nvars)]
     socle = nvars * (m - 2)
-    hilbert = []
-    for d in range(socle + 3):
-        hilbert.append(comb(d + nvars - 1, nvars - 1)
-                       - macaulay_rank(partials, nvars, m - 1, d))
-    smooth = hilbert[socle + 1] == 0 and hilbert[socle + 2] == 0
+
+    def h(d):
+        return (comb(d + nvars - 1, nvars - 1)
+                - macaulay_rank(partials, nvars, m - 1, d))
+
+    beyond = h(socle + 1)
+    smooth = beyond == 0
+    if smooth:
+        hilbert = [_koszul_hilbert(m, nvars, d) for d in range(socle + 3)]
+    else:
+        hilbert = [beyond if d == socle + 1 else h(d) for d in range(socle + 3)]
     milnor = sum(hilbert) if smooth else None
     return JacobianProfile(m, nvars, tuple(hilbert), socle, smooth, milnor)
 

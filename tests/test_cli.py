@@ -433,6 +433,18 @@ def test_main_gm(capsys):
     assert rep["matrix"]["entries"][1][0] == "-3"
 
 
+def test_main_gm_singular_base_member(capsys):
+    # F_0 = x0*x1*x2 is singular, the generic member is smooth: the
+    # constant-family check must not build a reducer of F_0
+    code = main(["gm", "x0*x1*x2", "-v", "x0,x1,x2",
+                 "--perturbation", "x0^3+x1^3+x2^3", "--samples", "1,2"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and "error" not in rep
+    assert [c["pass"] for c in rep["checks"]] == [True] * 4
+    assert rep["checks"][2]["name"] == "constant family gives the zero matrix"
+    assert rep["matrix"]["discriminant_roots"] == ["-1/3", "0"]
+
+
 def test_readme_lists_the_command_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for name, command in COMMANDS.items():
@@ -530,8 +542,9 @@ def test_gm_job_builds_one_symbolic_reducer(monkeypatch):
     f_t = Family(parse_polynomial("x^3 + y^3 + z^3", "xyz"),
                  parse_polynomial("-3*x*y*z", "xyz")).symbolic()
     assert built.count(f_t) == 1
-    # the other reducers: one per sample over QQ, and the constant family
-    assert len(built) == 5
+    # the other reducers: one per sample over QQ; the constant-family check
+    # runs on the symbolic reducer
+    assert len(built) == 1 + 3
 
 
 def test_gm_job_reduces_each_form_once(monkeypatch):

@@ -1,14 +1,112 @@
 """Jacobian-ring pipeline against independent series oracles."""
 
+import random
+from fractions import Fraction
+from math import comb
+
 import pytest
 
-from dworkcohom import (QQ, QQ_T, RatFunc, StrandSpec, dF_only_cohomology,
-                        full_complex_spec, jacobian_hilbert, milnor_number,
-                        primitive_hodge_numbers, strand_top_dims)
+from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomology,
+                        full_complex_spec, griffiths, jacobian_hilbert,
+                        milnor_number, primitive_hodge_numbers, strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
-from dworkcohom.poly import Polynomial
+from dworkcohom.poly import Polynomial, monomial_basis
 
 from _helpers import fermat, series_hilbert, triangle, var
+
+
+def ranked_hilbert(f):
+    """The rank path, which jacobian_hilbert keeps for singular inputs:
+    dim S_d - rank of the degree-d Macaulay matrix, for d = 0..socle+2."""
+    m, nvars = f.homogeneous_degree(), f.nvars
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    return [comb(d + nvars - 1, nvars - 1)
+            - griffiths.macaulay_rank(partials, nvars, m - 1, d)
+            for d in range(nvars * (m - 2) + 3)]
+
+
+def random_form(m, nvars, seed):
+    rng = random.Random(seed)
+    terms = {nu: Fraction(rng.randint(-3, 3)) for nu in monomial_basis(nvars, m)}
+    return Polynomial(QQ, nvars, {nu: c for nu, c in terms.items() if c})
+
+
+def dwork_member(m, t0, field=QQ):
+    """x_0^m + ... + x_{m-1}^m - m*t0*x_0...x_{m-1}."""
+    prod = Polynomial.monomial(field, m, (1,) * m)
+    return fermat(m, m, field) + prod.scale(field.one * (-m) * t0)
+
+
+T = QQ_T.gen
+SMOOTH = {
+    **{f"random-cubic-{n}-{seed}": random_form(3, n, seed)
+       for n in (3, 4) for seed in (1, 2, 3)},
+    **{f"random-quartic-3-{seed}": random_form(4, 3, seed) for seed in (1, 2, 3)},
+    "dwork-quintic-t2": dwork_member(5, 2),
+    "cubic-over-QQ(t)": dwork_member(3, T, QQ_T),
+    "k3-over-QQ(t)": dwork_member(4, T, QQ_T),
+    "quadric-3": random_form(2, 3, 4),
+    "quadric-4": fermat(2, 4) + var(4, 0) * var(4, 1),
+    "binary-cubic": fermat(3, 2),
+    "binary-quintic": random_form(5, 2, 1),
+}
+SINGULAR = {
+    "triangle": triangle(),
+    "cusp": var(3, 0) ** 3 - var(3, 1) ** 2 * var(3, 2),
+    "x0^2*x1": var(2, 0) ** 2 * var(2, 1),
+    "k3-at-t1": dwork_member(4, 1),
+    "cone-quadric": var(3, 0) ** 2 + var(3, 1) ** 2,
+    "generic-member-singular-over-QQ(t)":
+        Family(triangle(), var(3, 0) ** 3).symbolic(),
+}
+
+
+@pytest.mark.parametrize("f", SMOOTH.values(), ids=SMOOTH.keys())
+def test_smooth_profile_equals_the_rank_path(f):
+    p = jacobian_hilbert(f)
+    assert p.smooth
+    assert list(p.hilbert) == ranked_hilbert(f)
+    assert p.hilbert[p.socle + 1:] == (0, 0)
+    assert p.milnor == (p.modulus - 1) ** p.nvars
+
+
+@pytest.mark.parametrize("f", SINGULAR.values(), ids=SINGULAR.keys())
+def test_singular_profile_equals_the_rank_path(f):
+    p = jacobian_hilbert(f)
+    assert not p.smooth and p.milnor is None
+    assert list(p.hilbert) == ranked_hilbert(f)
+    assert len(p.hilbert) == p.socle + 3 and p.hilbert[p.socle + 1] > 0
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The degrees jacobian_hilbert asks macaulay_rank for, in order."""
+    degrees = []
+    original = griffiths.macaulay_rank
+
+    def spy(partials, nvars, gen_degree, d):
+        degrees.append(d)
+        return original(partials, nvars, gen_degree, d)
+
+    monkeypatch.setattr(griffiths, "macaulay_rank", spy)
+    return degrees
+
+
+@pytest.mark.parametrize("name", ["dwork-quintic-t2", "cubic-over-QQ(t)",
+                                  "quadric-4", "binary-cubic"])
+def test_smooth_profile_costs_one_rank(ranked, name):
+    f = SMOOTH[name]
+    p = jacobian_hilbert(f)
+    assert p.smooth and ranked == [p.socle + 1]
+
+
+@pytest.mark.parametrize("name", SINGULAR)
+def test_singular_profile_ranks_each_degree_once(ranked, name):
+    f = SINGULAR[name]
+    p = jacobian_hilbert(f)
+    assert not p.smooth
+    assert sorted(ranked) == list(range(p.socle + 3))
+    assert ranked[0] == p.socle + 1
 
 
 def test_fermat_cubic_profile():
