@@ -567,10 +567,20 @@ def corpus_runner(directory=None) -> tuple:
     Returns (exit code, summary).  Missing or unreadable expectation files
     are infrastructure failures, and a job that raises is an error; both
     are kept distinct from dimension mismatches.  Set DWORKCOHOM_WORKERS > 1
-    to run independent jobs in parallel worker processes; results are
-    deterministic either way.
+    to run independent jobs in parallel worker processes, at most one per
+    job; results are deterministic either way.  A path that is not a
+    directory, or a DWORKCOHOM_WORKERS that is not an integer, raises
+    ValueError before any job runs.
     """
     directory = Path(directory) if directory else bundled_corpus_dir()
+    if not directory.is_dir():
+        raise ValueError(f"not a corpus directory: {directory}")
+    workers = os.environ.get("DWORKCOHOM_WORKERS", "1") or "1"
+    try:
+        workers = int(workers)
+    except ValueError:
+        raise ValueError("DWORKCOHOM_WORKERS must be an integer, "
+                         f"not {workers!r}") from None
     rows = []
     runnable = []
     for job_path in sorted(directory.glob("*.job.json")):
@@ -594,9 +604,9 @@ def corpus_runner(directory=None) -> tuple:
                        detail=f"corrupted expectation: {exc}")
             continue
         runnable.append((row, job_data, expected))
-    workers = int(os.environ.get("DWORKCOHOM_WORKERS", "1") or "1")
     if workers > 1 and len(runnable) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        workers = min(workers, len(runnable))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job_dict,
                                     [data for _, data, _ in runnable]))
@@ -666,7 +676,10 @@ def main(argv=None) -> int:
         return _print_json({"error": str(exc)}, 1)
     command = args["command"]
     if command == "verify":
-        code, summary = corpus_runner(args["directory"])
+        try:
+            code, summary = corpus_runner(args["directory"])
+        except ValueError as exc:
+            return _print_json({"error": str(exc)}, 1)
         width = max([len(r["name"]) for r in summary["rows"]], default=4)
         for row in summary["rows"]:
             line = f"{row['name']:<{width}}  {row['status']}"

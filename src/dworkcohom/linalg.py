@@ -198,6 +198,9 @@ class _WindowEngine:
     feeds its entries of degree > bound to the band rank of that window.
     Only band sources that an earlier sweep already passed are assembled a
     second time.
+
+    Bounds must be asked in non-decreasing order: an engine lives for one
+    escalation and keeps only the ranks up to the last bound swept.
     """
 
     def __init__(self, f: Polynomial, spec: StrandSpec):
@@ -211,10 +214,8 @@ class _WindowEngine:
         self.acc = [IntRankAccumulator() for _ in range(n)]
         self.rows = [dict() for _ in range(n + 1)]
         self.next_deg = [spec.residue] * n
-        self.rank_at = [dict() for _ in range(n)]
-        self.dims_at_deg = [dict() for _ in range(n)]
         self.dim_cum = [0] * n
-        self.band_rank = {}
+        self.bound = None
 
     def _add_degree(self, i: int, e: int, acc, band, cut: int) -> int:
         """Feed the D^i columns of source degree e; return how many sources.
@@ -241,8 +242,8 @@ class _WindowEngine:
                 band.add_column(primitive_column(above))
         return len(basis)
 
-    def _process(self, i: int, bound: int):
-        """Sweep D^i up to bound and fix the band rank of window (i, bound).
+    def _process(self, i: int, bound: int) -> int:
+        """Sweep D^i up to bound; return the band rank of window (i, bound).
 
         The band rank is the rank of the D^i columns of degree <= bound on
         rows of degree > bound.  Only sources of degree > bound - max_rise
@@ -253,7 +254,7 @@ class _WindowEngine:
         step = spec.modulus
         e = self.next_deg[i]
         band = None
-        if i < self.top and (i, bound) not in self.band_rank:
+        if i < self.top:
             band = IntRankAccumulator()
             # lowest strand degree above bound - max_rise
             low = bound - self.stencil.max_rise + 1
@@ -263,46 +264,23 @@ class _WindowEngine:
         acc = self.acc[i]
         while e <= bound:
             self.dim_cum[i] += self._add_degree(i, e, acc, band, bound - e)
-            self.rank_at[i][e] = acc.rank
-            self.dims_at_deg[i][e] = self.dim_cum[i]
             e += step
         self.next_deg[i] = e
-        if band is not None:
-            self.band_rank[(i, bound)] = band.rank
-
-    def _checkpoint(self, table: dict, bound: int) -> int:
-        spec = self.spec
-        if bound < spec.residue:
-            return 0
-        e = bound - (bound - spec.residue) % spec.modulus
-        return table.get(e, 0)
+        return band.rank if band is not None else 0
 
     def dims_at(self, bound: int) -> dict:
-        for i in range(self.top + 1):
-            self._process(i, bound)
+        """Windowed dims at bound; raises ValueError below the last bound."""
+        if self.bound is not None and bound < self.bound:
+            raise ValueError(f"window {bound} is below the last window "
+                             f"{self.bound} of this engine")
+        self.bound = bound
+        band = [self._process(i, bound) for i in range(self.top + 1)]
         dims = {}
         for i in range(self.top + 1):
-            kernel = (self._checkpoint(self.dims_at_deg[i], bound)
-                      - self._checkpoint(self.rank_at[i], bound))
-            if i == 0:
-                witnessed = 0
-            else:
-                witnessed = (self._checkpoint(self.rank_at[i - 1], bound)
-                             - self.band_rank[(i - 1, bound)])
+            kernel = self.dim_cum[i] - self.acc[i].rank
+            witnessed = self.acc[i - 1].rank - band[i - 1] if i else 0
             dims[i] = kernel - witnessed
         return dims
-
-
-_ENGINES = {}
-_REPORTS = {}
-
-
-def _engine(f: Polynomial, spec: StrandSpec) -> _WindowEngine:
-    key = (f, spec)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = _ENGINES[key] = _WindowEngine(f, spec)
-    return eng
 
 
 def stabilized_cohomology(f: Polynomial, spec: StrandSpec,
@@ -312,15 +290,12 @@ def stabilized_cohomology(f: Polynomial, spec: StrandSpec,
     Dimension maps are computed at policy.initial_bound and escalated by
     policy.step until three consecutive windows agree in every degree, or
     max_bound is hit (reported as an unstabilized certificate, never
-    silently accepted).
+    silently accepted).  One engine serves the escalation and is dropped
+    on return, so a repeated call recomputes.
     """
     if policy is None:
         policy = default_policy(f, spec)
-    cache_key = (f, spec, policy)
-    cached = _REPORTS.get(cache_key)
-    if cached is not None:
-        return cached
-    engine = _engine(f, spec)
+    engine = _WindowEngine(f, spec)
     history = []
     bound = policy.initial_bound
     while True:
@@ -334,9 +309,7 @@ def stabilized_cohomology(f: Polynomial, spec: StrandSpec,
             cert = Certificate((), False, tuple(history))
             break
         bound += policy.step
-    report = _window_report(f, spec, dict(history[-1][1]), cert)
-    _REPORTS[cache_key] = report
-    return report
+    return _window_report(f, spec, dict(history[-1][1]), cert)
 
 
 def proved_window_cohomology(f: Polynomial, spec: StrandSpec,
@@ -346,8 +319,9 @@ def proved_window_cohomology(f: Polynomial, spec: StrandSpec,
     f is homogeneous over QQ and unweighted, spec is one of its strands or
     its full complex, and profile is jacobian_hilbert(f), which must be
     smooth; the module docstring proves the dims exact under these
-    hypotheses, and the certificate records them.  The engine is built for
-    this call only and not cached.
+    hypotheses, and the certificate records them.  A fresh engine is asked
+    for the one bound N0, which trivially keeps its non-decreasing-bounds
+    contract, and is dropped on return.
     """
     if not profile.smooth:
         raise NotSmoothError("a proved window needs a finite Jacobian ring")

@@ -290,6 +290,49 @@ def test_corpus_empty_directory(tmp_path):
     assert code == 0 and summary["total"] == 0
 
 
+def test_verify_needs_a_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "a.job.json").write_text(json.dumps(
+        {"command": "hodge", **CUBIC}))
+    for path in (tmp_path / "missing", tmp_path / "a.job.json"):
+        code = main(["verify", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and "not a corpus directory" in out["error"]
+    monkeypatch.setenv("DWORKCOHOM_WORKERS", "abc")
+    code = main(["verify", str(tmp_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and "DWORKCOHOM_WORKERS" in out["error"]
+
+
+def test_corpus_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
+    # a spy stands in for the pool, so no worker process is started
+    import concurrent.futures
+    seen = []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setenv("DWORKCOHOM_WORKERS", "64")
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.job.json").write_text(json.dumps(
+            {"command": "hodge", **CUBIC}))
+        (tmp_path / f"{name}.expect.json").write_text(
+            json.dumps({"exit_code": 0}))
+    code, summary = corpus_runner(tmp_path)
+    assert code == 0 and summary["passed"] == 2
+    assert seen == [2]
+
+
 def test_corpus_missing_and_corrupted_expectations(tmp_path):
     (tmp_path / "a.job.json").write_text(json.dumps(
         {"command": "hodge", "polynomial": "x0^2 + x1^2 + x2^2",

@@ -1,15 +1,17 @@
 """Exact ranks, finite-complex dimensions, and stabilized dimensions."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from dworkcohom import (ComplexDims, Polynomial, QQ, QQ_T, SparseMatrix,
+from dworkcohom import (ComplexDims, Job, Polynomial, QQ, QQ_T, SparseMatrix,
                         StabilizationPolicy, StrandSpec, assemble_truncated_complex,
                         cohomology_dims, complex_dims, default_policy, exact_rank,
                         full_complex_spec, jacobian_hilbert,
-                        proved_window_cohomology, rank_mod_p,
+                        proved_window_cohomology, rank_mod_p, run_job,
                         stabilized_cohomology, strand_top_dims)
 from dworkcohom.exceptions import NilpotenceError, NotSmoothError
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
@@ -278,25 +280,34 @@ def test_windowed_dims_match_independent_formula():
         == {0: 0, 1: 1}
 
 
-def test_band_completion_matches_oracle_and_fresh_engine():
-    # step 1 < the twist's top degree 3, so each window's band spans source
-    # degrees an earlier window already swept; the second call reuses the
-    # cached engine at lower bounds, so its bands are rebuilt in full
-    from dworkcohom import linalg
+def _step_one_twist():
+    # inhomogeneous, with top degree 3 > step 1, so each window's band spans
+    # source degrees an earlier window of the same engine already swept
     x0, x1 = var(2, 0), var(2, 1)
-    f = x0 ** 3 + x0 * x1 + Fraction(1, 3) * x1 ** 2
-    spec = full_complex_spec(2)
-    policies = (StabilizationPolicy(4, 1, 8), StabilizationPolicy(2, 1, 7))
-    cached = [stabilized_cohomology(f, spec, pol) for pol in policies]
-    for rep in cached:
-        for bound, dims in rep.certificate.history:
+    return x0 ** 3 + x0 * x1 + Fraction(1, 3) * x1 ** 2, full_complex_spec(2)
+
+
+def test_band_completion_matches_oracle_and_fresh_engine():
+    # every call builds a fresh engine, whose bands past its first window
+    # are completed from sources it already swept
+    f, spec = _step_one_twist()
+    for pol in (StabilizationPolicy(4, 1, 8), StabilizationPolicy(2, 1, 7)):
+        history = stabilized_cohomology(f, spec, pol).certificate.history
+        assert len(history) >= 3
+        for bound, dims in history:
             assert dict(dims) == dense_windowed_dims(f, spec, bound)
-    for pol, rep in zip(policies, cached):
-        linalg._ENGINES.clear()
-        linalg._REPORTS.clear()
-        fresh = stabilized_cohomology(f, spec, pol)
-        assert fresh.dims == rep.dims
-        assert fresh.certificate.history == rep.certificate.history
+
+
+def test_engine_bounds_never_decrease():
+    from dworkcohom.linalg import _WindowEngine
+    f, spec = _step_one_twist()
+    engine = _WindowEngine(f, spec)
+    first = engine.dims_at(5)
+    assert first == dense_windowed_dims(f, spec, 5)
+    assert engine.dims_at(5) == first
+    with pytest.raises(ValueError):
+        engine.dims_at(4)
+    assert engine.dims_at(6) == dense_windowed_dims(f, spec, 6)
 
 
 def test_milnor_numbers_by_truncation():
@@ -406,7 +417,6 @@ def test_windowed_dims_grow_to_the_proved_window():
 
 
 def test_proved_window_needs_its_hypotheses():
-    from dworkcohom import linalg
     triangle = var(3, 0) * var(3, 1) * var(3, 2)
     with pytest.raises(NotSmoothError):
         proved_window_cohomology(triangle, StrandSpec(3, 3, 0),
@@ -418,11 +428,27 @@ def test_proved_window_needs_its_hypotheses():
     with pytest.raises(ValueError):
         proved_window_cohomology(f, StrandSpec(3, 3, 0),
                                  jacobian_hilbert(fermat(4, 3)))
-    # the engine of a proved window is not kept
-    linalg._ENGINES.clear()
-    linalg._REPORTS.clear()
+
+
+def test_no_engine_outlives_its_call(monkeypatch):
+    from dworkcohom import linalg
+    made = []
+
+    class Tracked(linalg._WindowEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(linalg, "_WindowEngine", Tracked)
+    code, report = run_job(Job.from_dict(
+        {"command": "dwork", "polynomial": "x0*x1*x2",
+         "variables": ["x0", "x1", "x2"]}))
+    assert code == 0 and "proof" not in report["certificate"]
+    f = fermat(3, 3)
     proved_window_cohomology(f, StrandSpec(3, 3, 0), jacobian_hilbert(f))
-    assert not linalg._ENGINES and not linalg._REPORTS
+    gc.collect()
+    assert len(made) == 2
+    assert all(ref() is None for ref in made)
 
 
 def test_certificate_json_names_a_proof_only_when_proved():
