@@ -20,8 +20,9 @@ from .exceptions import (BasisError, NilpotenceError, NonHomogeneousError,
                          NotSmoothError, ParseError, StrandSumError,
                          UnknownVariableError, VariableCountMismatch)
 from .fields import QQ, QQ_T, RatFunc
-from .poly import (Monomial, Polynomial, homogeneous_degree, monomial_basis,
-                   partial_derivative, poly_arith)
+from .poly import (Monomial, Polynomial, format_polynomial,
+                   homogeneous_degree, monomial_basis, partial_derivative,
+                   poly_arith)
 from .forms import (DifferentialForm, StrandSpec, TruncatedComplex,
                     assemble_truncated_complex, exterior_derivative,
                     full_complex_spec, gradient_form, strand_basis,
@@ -34,13 +35,12 @@ from .linalg import (ComplexDims, StabilizationPolicy, cohomology_dims,
 from .griffiths import (JacobianProfile, dF_only_cohomology, jacobian_hilbert,
                         milnor_number, primitive_hodge_numbers,
                         strand_top_dims)
-from .reports import Certificate, CohomologyReport
-from .dwork import (Check, Verdict, affine_twisted_cohomology,
-                    ci_dwork_koszul, compare_smooth_paths,
-                    fourier_lemma_check, primitive_dwork_cohomology,
-                    strand_cohomology, strand_decomposition,
-                    strands_and_affine, suspension_check,
-                    thom_sebastiani_check)
+from .reports import Certificate, Check, CohomologyReport, Verdict
+from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
+                    compare_smooth_paths, fourier_lemma_check,
+                    primitive_dwork_cohomology, strand_cohomology,
+                    strand_decomposition, strands_and_affine,
+                    suspension_check, thom_sebastiani_check)
 from .gaussmanin import (ConnectionMatrix, Family, connection_properties_check,
                          family_connection_matrix, rational_connection_matrix)
-from .cli import Job, corpus_runner, format_polynomial, parse_polynomial, run_job
+from .cli import Job, corpus_runner, parse_polynomial, run_job

@@ -7,8 +7,17 @@ Job validation are both derived from that table, so a command line is
 exactly a job file written as flags.  ``run`` executes a JSON job file and
 ``verify`` runs a corpus of job files against frozen expectations.
 
+This layer only translates: a handler maps a job to one engine call and
+the engine's reports and checks to JSON through their own to_json_dict.
+The engine decides everything else: the defaults of policy keys a job
+leaves unset (linalg.default_policy, for the complex each report runs
+on), the identities that are checked, and the text of polynomials
+(poly.format_polynomial, which parse_polynomial inverts).
+
 Exit codes: 0 success, 1 input error, 2 unstabilized or unverified
-dimension identity, 3 smoothness required but absent.
+dimension identity, 3 smoothness required but absent.  A report with
+checks exits 0 if every check passes and every report behind it is
+stabilized, and 2 otherwise.
 
 Reports are deterministic JSON (sorted keys); only timing_ms varies between
 runs, and the corpus runner ignores it when diffing.
@@ -30,15 +39,15 @@ from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
                     fourier_lemma_check, primitive_dwork_cohomology,
                     strand_cohomology, strands_and_affine,
                     suspension_check, thom_sebastiani_check)
-from .exceptions import (NonHomogeneousError, NotSmoothError, ParseError,
-                         StrandSumError, UnknownVariableError)
+from .exceptions import (NotSmoothError, ParseError, StrandSumError,
+                         UnknownVariableError)
 from .fields import QQ
 from .gaussmanin import (Family, GriffithsDworkReducer, connection_matrix,
                          connection_matrix_strings, connection_properties_check)
 from .griffiths import jacobian_hilbert
-from .linalg import StabilizationPolicy, default_policy
-from .forms import StrandSpec, full_complex_spec
+from .linalg import StabilizationPolicy
 from .poly import Polynomial
+from .reports import Verdict
 
 
 # ---- polynomial grammar ----------------------------------------------
@@ -77,7 +86,8 @@ def _tokenize(text: str):
 
 def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse the CLI grammar: rational coefficients, declared variables,
-    '^' powers, explicit '*' between factors, '+'/'-'; whitespace-free."""
+    '^' powers, explicit '*' between factors, '+'/'-'; whitespace-free.
+    It inverts poly.format_polynomial exactly."""
     variables = list(variables)
     if not variables:
         raise ParseError("no variables declared", 0)
@@ -159,35 +169,6 @@ def parse_polynomial(text: str, variables) -> Polynomial:
         raise ParseError(f"expected '+', '-' or end of input, got {value!r}",
                          at)
     return Polynomial(QQ, nvars, terms)
-
-
-def format_polynomial(p: Polynomial, variables) -> str:
-    """Canonical text form; parse_polynomial inverts it exactly."""
-    variables = list(variables)
-    if len(variables) != p.nvars:
-        raise ValueError("variable list does not match the polynomial")
-    if not p.terms:
-        return "0"
-    parts = []
-    for nu, c in p.sorted_terms():
-        factors = []
-        for k, e in enumerate(nu):
-            if e == 1:
-                factors.append(variables[k])
-            elif e > 1:
-                factors.append(f"{variables[k]}^{e}")
-        body = str(abs(c))
-        if factors and abs(c) == 1:
-            text = "*".join(factors)
-        elif factors:
-            text = "*".join([body] + factors)
-        else:
-            text = body
-        if not parts:
-            parts.append(f"-{text}" if c < 0 else text)
-        else:
-            parts.append(f" - {text}" if c < 0 else f" + {text}")
-    return "".join(parts)
 
 
 # ---- the command table ----------------------------------------------------
@@ -289,44 +270,29 @@ def _poly(job: "Job") -> Polynomial:
     return parse_polynomial(job.polynomial, job.variables)
 
 
-def _job_policy(job: "Job", f: Polynomial, spec: StrandSpec):
+def _weights(job: "Job"):
+    return tuple(job.weights) if job.weights else None
+
+
+def _policy(job: "Job"):
+    """The policy keys the job sets, or None when it sets none; the engine
+    fills the others for the complex it runs on."""
     given = {k: v for k, v in (job.policy or {}).items() if v is not None}
-    if not given:
-        return None
-    base = default_policy(f, spec)
-    initial = given.get("initial_bound", base.initial_bound)
-    step = given.get("step", base.step)
-    return StabilizationPolicy(initial, step,
-                               given.get("max_bound", initial + 4 * step))
+    return StabilizationPolicy(**given) if given else None
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+def _answer(out: dict, report=None, verdict: Verdict = Verdict()) -> int:
+    """Write the report's fields and the verdict's checks into out.
 
-
-def _attach_report(out: dict, rep) -> int:
-    out["path"] = rep.path
-    out["dims"] = rep.dims_list()
-    out["certificate"] = (rep.certificate.to_json_dict()
-                          if rep.certificate else None)
-    out["m"] = rep.modulus
-    out["nvars"] = rep.nvars
-    out["strand"] = rep.strand
-    out["weights"] = list(rep.weights) if rep.weights else None
-    return 0 if rep.stabilized else 2
-
-
-def _attach_verdict(out: dict, verdict) -> int:
-    out["checks"] = [_jsonable(c.to_json_dict()) for c in verdict.checks]
-    stabilized = all(r.stabilized for r in verdict.reports)
+    The exit code: 0 if every check passes and every report (this one and
+    the verdict's) is stabilized, else 2.
+    """
+    if report is not None:
+        out.update((k, v) for k, v in report.to_json_dict().items()
+                   if k not in ("description", "stabilized"))
+    if verdict.checks:
+        out["checks"] = [c.to_json_dict() for c in verdict.checks]
+    stabilized = verdict.stabilized and (report is None or report.stabilized)
     return 0 if verdict.ok and stabilized else 2
 
 
@@ -350,48 +316,32 @@ def _hodge(job, out) -> int:
 
 
 def _dwork(job, out) -> int:
-    f = _poly(job)
-    policy = _job_policy(job, f, StrandSpec(
-        f.nvars, max(f.homogeneous_degree() or 1, 1), 0))
-    return _attach_report(out, primitive_dwork_cohomology(f, policy))
+    return _answer(out, primitive_dwork_cohomology(_poly(job), _policy(job)))
 
 
 def _affine(job, out) -> int:
-    f = _poly(job)
-    w = tuple(job.weights or ()) or None
-    policy = _job_policy(job, f, full_complex_spec(f.nvars, w))
-    return _attach_report(
-        out, affine_twisted_cohomology(f, weights=w, policy=policy))
+    return _answer(out, affine_twisted_cohomology(
+        _poly(job), weights=_weights(job), policy=_policy(job)))
 
 
 def _strands(job, out) -> int:
-    f = _poly(job)
-    w = tuple(job.weights or ()) or None
-    m = f.homogeneous_degree(w)
-    if m is None:
-        raise NonHomogeneousError("strand decomposition needs homogeneous input")
-    policy = _job_policy(job, f, StrandSpec(f.nvars, max(m, 1), 0, w))
+    f, policy, w = _poly(job), _policy(job), _weights(job)
     if job.strand is not None:
-        return _attach_report(out, strand_cohomology(f, job.strand, policy, w))
-    reports, full = strands_and_affine(f, policy, w)
-    code = _attach_report(out, full)
-    out["strands"] = [r.to_json_dict() for r in reports]
-    sums = [sum(r.dim(k) for r in reports) for k in range(f.nvars + 1)]
-    out["checks"] = [{"name": f"strand sum equals full complex in degree {k}",
-                      "lhs": s, "rhs": full.dim(k), "pass": s == full.dim(k)}
-                     for k, s in enumerate(sums)]
-    return 2 if any(not r.stabilized for r in reports) else code
+        return _answer(out, strand_cohomology(f, job.strand, policy, w))
+    verdict = strands_and_affine(f, policy, w)
+    *strands, full = verdict.reports
+    out["strands"] = [r.to_json_dict() for r in strands]
+    return _answer(out, full, verdict)
 
 
 def _koszul(job, out) -> int:
     fs = [parse_polynomial(p, job.variables) for p in job.polynomials]
-    return _attach_report(out, ci_dwork_koszul(fs, job.bound))
+    return _answer(out, ci_dwork_koszul(fs, job.bound))
 
 
 def _fourier(job, out) -> int:
     verdict = fourier_lemma_check(job.r, job.bound)
-    _attach_report(out, verdict.reports[0])
-    return _attach_verdict(out, verdict)
+    return _answer(out, verdict.reports[0], verdict)
 
 
 def _sample(text: str) -> Fraction:
@@ -410,10 +360,9 @@ def _gm(job, out) -> int:
     matrix = connection_matrix(reducer, fam.perturbation, basis)
     out["matrix"] = connection_matrix_strings(matrix)
     if not samples:
-        return 0
-    verdict = connection_properties_check(fam, samples, basis, reducer=reducer,
-                                          matrix=matrix)
-    return _attach_verdict(out, verdict)
+        return _answer(out)
+    return _answer(out, verdict=connection_properties_check(
+        fam, samples, basis, reducer=reducer, matrix=matrix))
 
 
 _POLY = ("polynomial", "variables")
@@ -432,11 +381,12 @@ COMMANDS = {
     "fourier": Command("the 2r-operator Koszul complex concentration check",
                        _fourier, ("r", "bound")),
     "ts": Command("Thom-Sebastiani / Kunneth dimension identities",
-                  lambda job, out: _attach_verdict(
-                      out, thom_sebastiani_check(_poly(job))), _POLY),
+                  lambda job, out: _answer(
+                      out, verdict=thom_sebastiani_check(_poly(job))), _POLY),
     "suspension": Command("suspension additivity of the three in-engine sides",
-                          lambda job, out: _attach_verdict(
-                              out, suspension_check(_poly(job))), _POLY),
+                          lambda job, out: _answer(
+                              out, verdict=suspension_check(_poly(job))),
+                          _POLY),
     "gm": Command("Gauss-Manin connection matrix of a one-parameter family",
                   _gm, _POLY + ("perturbation",), ("basis", "samples")),
 }

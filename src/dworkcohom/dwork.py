@@ -20,7 +20,7 @@ truncation side is one proved window unless a policy is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .exceptions import NonHomogeneousError, NotSmoothError, StrandSumError
 from .fields import QQ
@@ -29,39 +29,7 @@ from .griffiths import jacobian_hilbert, strand_top_dims
 from .linalg import (StabilizationPolicy, proved_window_cohomology,
                      stabilized_cohomology)
 from .poly import Polynomial
-from .reports import CohomologyReport
-
-
-@dataclass(frozen=True)
-class Check:
-    """One verified dimension identity: lhs and rhs computed independently."""
-
-    name: str
-    lhs: object
-    rhs: object
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json_dict(self):
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "pass": self.passed}
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a multi-sided identity check, with supporting reports."""
-
-    checks: tuple
-    reports: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self):
-        return [c for c in self.checks if not c.passed]
+from .reports import Check, CohomologyReport, Verdict
 
 
 def _prim_labels(nvars: int) -> dict:
@@ -126,14 +94,6 @@ def _full_report(f: Polynomial, policy, weights, profile) -> CohomologyReport:
     return stabilized_cohomology(f, full_complex_spec(f.nvars, weights), policy)
 
 
-def _relabel(report: CohomologyReport, labels: dict, description: str):
-    return CohomologyReport(
-        description=description, nvars=report.nvars, modulus=report.modulus,
-        dims=report.dims, labels=labels, strand=report.strand,
-        path=report.path, certificate=report.certificate,
-        weights=report.weights)
-
-
 def strand_cohomology(f: Polynomial, residue: int,
                       policy: StabilizationPolicy = None,
                       weights=None) -> CohomologyReport:
@@ -156,8 +116,8 @@ def primitive_dwork_cohomology(f: Polynomial,
     if f.homogeneous_degree() is None:
         raise NonHomogeneousError("the projective pipeline needs homogeneous input")
     rep = _strand_report(f, 0, policy, None, _smooth_profile(f, None, policy))
-    return _relabel(rep, _prim_labels(f.nvars),
-                    f"primitive local cohomology along Y = V({f}) in P^{f.nvars - 1}")
+    return replace(rep, labels=_prim_labels(f.nvars), description=(
+        f"primitive local cohomology along Y = V({f}) in P^{f.nvars - 1}"))
 
 
 def affine_twisted_cohomology(g: Polynomial, weights=None,
@@ -174,28 +134,32 @@ def _need_nonconstant(g: Polynomial) -> None:
 
 
 def _affine_report(g: Polynomial, full: CohomologyReport) -> CohomologyReport:
-    return _relabel(full, _affine_labels(g.nvars),
-                    f"reduced cohomology of U = ({g} = 1), shifted by one")
+    return replace(full, labels=_affine_labels(g.nvars), description=(
+        f"reduced cohomology of U = ({g} = 1), shifted by one"))
 
 
 def strand_decomposition(f: Polynomial, policy: StabilizationPolicy = None,
                          weights=None):
     """Per-strand dimension reports, j = 0..m-1; their degreewise sum is
     verified against an independently computed full-complex report."""
-    return _decompose(f, policy, weights)[0]
+    return list(_decompose(f, policy, weights).reports[:-1])
 
 
 def strands_and_affine(f: Polynomial, policy: StabilizationPolicy = None,
-                       weights=None):
-    """(strand_decomposition(f), affine_twisted_cohomology(f)), with the
-    full-complex report of the strand-sum check serving as the second."""
-    reports, full = _decompose(f, policy, weights)
+                       weights=None) -> Verdict:
+    """The strand-sum identities, with the reports of
+    strand_decomposition(f) followed by affine_twisted_cohomology(f): the
+    full-complex report of the identities serves as the last."""
+    verdict = _decompose(f, policy, weights)
     _need_nonconstant(f)
-    return reports, _affine_report(f, full)
+    *strands, full = verdict.reports
+    return replace(verdict, reports=(*strands, _affine_report(f, full)))
 
 
-def _decompose(f: Polynomial, policy, weights):
-    """Strand reports and the full-complex report, from one profile."""
+def _decompose(f: Polynomial, policy, weights) -> Verdict:
+    """The strand-sum identity in every degree, with the strand reports and
+    then the full-complex report as its reports, from one profile.  A
+    failed identity raises StrandSumError."""
     m = f.homogeneous_degree(weights) if f else None
     if m is None:
         raise NonHomogeneousError("strand decomposition needs a homogeneous input")
@@ -203,13 +167,15 @@ def _decompose(f: Polynomial, policy, weights):
     profile = _smooth_profile(f, weights, policy)
     reports = [_strand_report(f, j, policy, weights, profile) for j in range(m)]
     full = _full_report(f, policy, weights, profile)
-    for k in range(f.nvars + 1):
-        total = sum(rep.dim(k) for rep in reports)
-        if total != full.dim(k):
+    checks = [Check(f"strand sum equals full complex in degree {k}",
+                    sum(rep.dim(k) for rep in reports), full.dim(k))
+              for k in range(f.nvars + 1)]
+    for k, check in enumerate(checks):
+        if not check.passed:
             raise StrandSumError(
-                f"strand sum {total} != full-complex dimension {full.dim(k)} "
+                f"strand sum {check.lhs} != full-complex dimension {check.rhs} "
                 f"in degree {k}; this indicates an assembly bug")
-    return reports, full
+    return Verdict(tuple(checks), (*reports, full))
 
 
 def _suspend(f: Polynomial) -> Polynomial:
@@ -282,13 +248,13 @@ def suspension_check(f: Polynomial,
     return Verdict(tuple(checks), (u_side, prim_ft, prim_f))
 
 
-def ci_dwork_koszul(fs, bound: int, step: int = None) -> CohomologyReport:
+def ci_dwork_koszul(fs, bound: int) -> CohomologyReport:
     """Koszul complex K(scalars[x,y]; d/dx_j + sum_i y_i df_i/dx_j, d/dy_i + f_i).
 
     This is the full twisted complex on A^(n+r) with F = sum y_i f_i; for a
     smooth complete intersection Y = V(f_1..f_r) of codimension r the
     dimension at degree j + 2r equals the de Rham Betti number of Y in
-    degree j.
+    degree j.  The windows start at bound, with the default step.
     """
     fs = list(fs)
     if not fs:
@@ -303,20 +269,19 @@ def ci_dwork_koszul(fs, bound: int, step: int = None) -> CohomologyReport:
     total = Polynomial.zero(field, n + r)
     for i, p in enumerate(fs):
         total = total + Polynomial.variable(field, n + r, n + i) * p.extend(n + r)
-    if step is None:
-        step = max(total.total_degree(), 1) if total else 1
-    policy = StabilizationPolicy(bound, step, bound + 4 * step)
-    rep = stabilized_cohomology(total, full_complex_spec(n + r), policy)
+    rep = stabilized_cohomology(total, full_complex_spec(n + r),
+                                StabilizationPolicy(bound))
     labels = {k: (f"H^{k - 2 * r}_dR(Y)" if k >= 2 * r else f"H^{k}")
               for k in rep.dims}
-    return _relabel(rep, labels,
-                    f"Koszul complex of ({', '.join(str(p) for p in fs)}) "
-                    f"with {r} dual variables; degrees shift by 2r = {2 * r}")
+    return replace(rep, labels=labels, description=(
+        f"Koszul complex of ({', '.join(str(p) for p in fs)}) "
+        f"with {r} dual variables; degrees shift by 2r = {2 * r}"))
 
 
 def fourier_lemma_check(r: int, bound: int) -> Verdict:
     """The 2r-operator Koszul complex K(scalars[y, y*]; d/dy_i + y*_i, d/dy*_i + y_i)
-    has one-dimensional cohomology concentrated in degree 2r."""
+    has one-dimensional cohomology concentrated in degree 2r.  The windows
+    start at bound, with the default step."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if bound < 0:
@@ -326,8 +291,8 @@ def fourier_lemma_check(r: int, bound: int) -> Verdict:
     for i in range(r):
         total = total + (Polynomial.variable(field, 2 * r, i)
                          * Polynomial.variable(field, 2 * r, r + i))
-    policy = StabilizationPolicy(bound, 2, bound + 8)
-    rep = stabilized_cohomology(total, full_complex_spec(2 * r), policy)
+    rep = stabilized_cohomology(total, full_complex_spec(2 * r),
+                                StabilizationPolicy(bound))
     checks = (
         Check(f"dim H^{2 * r} = 1", rep.dim(2 * r), 1),
         Check("all other degrees vanish",

@@ -131,7 +131,8 @@ def poly_eval(a: IntPoly, x: Fraction) -> Fraction:
     return acc
 
 
-def poly_str(a: IntPoly, var: str = "t") -> str:
+def poly_str(a: IntPoly) -> str:
+    """Text of a polynomial in t, highest degree first."""
     if not a:
         return "0"
     parts = []
@@ -142,9 +143,9 @@ def poly_str(a: IntPoly, var: str = "t") -> str:
         if k == 0:
             term = str(abs(c))
         elif k == 1:
-            term = f"{abs(c)}*{var}" if abs(c) != 1 else var
+            term = f"{abs(c)}*t" if abs(c) != 1 else "t"
         else:
-            term = f"{abs(c)}*{var}^{k}" if abs(c) != 1 else f"{var}^{k}"
+            term = f"{abs(c)}*t^{k}" if abs(c) != 1 else f"t^{k}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dwork import Check, Verdict
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_primitive, poly_str)
 from .griffiths import jacobian_hilbert, macaulay_columns
 from .matrices import FieldRankAccumulator, IntRankAccumulator, integerize_column
 from .poly import Polynomial, monomial_basis
+from .reports import Check, Verdict
 
 
 @dataclass(frozen=True)
@@ -353,8 +353,7 @@ def rational_connection_matrix(f0: Polynomial, g: Polynomial,
 def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
                       basis=None) -> ConnectionMatrix:
     """Matrix of  omega -> [perturbation * omega]  on a basis, reduced by a
-    given reducer (of F_t over QQ(t), or of one member over QQ).  A zero
-    perturbation gives the zero matrix without reducing the basis."""
+    given reducer (of F_t over QQ(t), or of one member over QQ)."""
     field = reducer.field
     if basis is None:
         forms = reducer.standard_forms()
@@ -371,14 +370,10 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
             f"{len(reducer.std_basis)}")
     lift = (lambda c: RatFunc.from_fraction(c)) if field is QQ_T else (lambda c: c)
     lifted = [p.map_coefficients(lift, field) for p in forms]
-    g_lift = perturbation.map_coefficients(lift, field) if perturbation else None
-    k = len(forms)
-    if g_lift is None:
-        entries = tuple(tuple(field.zero for _ in range(k)) for _ in range(k))
-    else:
-        u_cols = [reducer.reduce(p) for p in lifted]
-        r_cols = [reducer.reduce(g_lift * p) for p in lifted]
-        entries = _solve_square(u_cols, r_cols, k)
+    g_lift = perturbation.map_coefficients(lift, field)
+    u_cols = [reducer.reduce(p) for p in lifted]
+    r_cols = [reducer.reduce(g_lift * p) for p in lifted]
+    entries = _solve_square(u_cols, r_cols, len(forms))
     den = (1,)
     if field is QQ_T:
         for row in entries:
@@ -388,16 +383,13 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
 
 
 def connection_properties_check(fam: Family, samples, basis=None,
-                                shuffle_seed=2, reducer=None,
-                                matrix=None) -> Verdict:
+                                reducer=None, matrix=None) -> Verdict:
     """Consistency harness for the connection action.
 
     (a) specializing the symbolic matrix at each sample t equals the matrix
         computed from scratch over QQ at F_t with the same basis;
-    (b) a constant family gives the zero matrix (on the given reducer, so a
-        singular base F_0 does not stop the check);
-    (c) the matrix transforms by conjugation under an invertible t-free
-        change of basis.
+    (b) the matrix transforms by conjugation under an invertible t-free
+        change of basis (a fixed one, from _test_invertible_matrix).
     Samples on the discriminant (poles, non-smooth members, degenerate
     bases) are reported as failed checks, never skipped silently.
     reducer, when given, is the GriffithsDworkReducer of fam.symbolic();
@@ -436,11 +428,8 @@ def connection_properties_check(fam: Family, samples, basis=None,
         checks.append(Check(
             f"specialize-then-evaluate equals evaluate-then-compute at t = {t0}",
             specialized, direct.entries))
-    constant = connection_matrix(reducer, Polynomial.zero(QQ, fam.nvars), basis)
-    checks.append(Check("constant family gives the zero matrix",
-                        constant.is_zero(), True))
     k = sym.size
-    s = _test_invertible_matrix(k, shuffle_seed)
+    s = _test_invertible_matrix(k)
     new_forms = []
     for j in range(k):
         acc = Polynomial.zero(QQ, fam.nvars)
@@ -458,10 +447,10 @@ def connection_properties_check(fam: Family, samples, basis=None,
     return Verdict(tuple(checks))
 
 
-def _test_invertible_matrix(k, seed):
+def _test_invertible_matrix(k):
     """Deterministic invertible rational matrix (unit lower x unit upper)."""
     vals = []
-    state = seed * 2654435761 % 2 ** 32 or 1
+    state = 2 * 2654435761 % 2 ** 32  # fixed seed: one matrix per size
     for _ in range(2 * k * k):
         state = (1103515245 * state + 12345) % 2 ** 31
         vals.append(Fraction(state % 7 - 3, 1 + state % 3))

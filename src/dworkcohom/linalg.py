@@ -151,29 +151,39 @@ def cohomology_dims(c: TruncatedComplex) -> ComplexDims:
 
 @dataclass(frozen=True)
 class StabilizationPolicy:
-    """Escalation schedule for windowed cohomology dimensions."""
+    """Escalation schedule for windowed cohomology dimensions.
 
-    initial_bound: int
-    step: int
-    max_bound: int
+    A key left None is unset: default_policy fills it from the complex the
+    policy runs on, so a caller that does not know the complex can still
+    fix some keys.
+    """
+
+    initial_bound: int = None
+    step: int = None
+    max_bound: int = None
 
     def __post_init__(self):
-        if self.initial_bound < 0:
+        if self.initial_bound is not None and self.initial_bound < 0:
             raise ValueError("initial_bound must be >= 0")
-        if self.step < 1:
+        if self.step is not None and self.step < 1:
             raise ValueError("step must be >= 1")
-        if self.max_bound < self.initial_bound:
+        if (None not in (self.initial_bound, self.max_bound)
+                and self.max_bound < self.initial_bound):
             raise ValueError("max_bound must be >= initial_bound")
 
 
-def default_policy(f: Polynomial, spec: StrandSpec) -> StabilizationPolicy:
-    """Default window: socle degree of the Jacobian ring plus two escalations.
+def default_policy(f: Polynomial, spec: StrandSpec,
+                   policy: StabilizationPolicy = None) -> StabilizationPolicy:
+    """policy with its unset keys filled in for the complex of (f, spec).
 
-    For trivial weights and degree-m twist this is
-    (n+1)(m-2) + (n+1) + 2m.  Smooth top-degree classes have
+    The default window is the socle degree of the Jacobian ring plus two
+    escalations: for trivial weights and degree-m twist the initial bound
+    is (n+1)(m-2) + (n+1) + 2m.  Smooth top-degree classes have
     representatives of form degree <= socle + (n+1) = (n+1)(m-1), so the
-    initial window, 2m above that, already sees them.
+    initial window, 2m above that, already sees them.  The step defaults
+    to m, and max_bound to initial_bound + 4 * step.
     """
+    policy = policy or StabilizationPolicy()
     weights = spec.weights or (1,) * spec.nvars
     if spec.modulus > 1:
         m_eff = spec.modulus
@@ -182,9 +192,15 @@ def default_policy(f: Polynomial, spec: StrandSpec) -> StabilizationPolicy:
     else:
         m_eff = 1
     m_eff = max(m_eff, 1)
-    socle = max(sum(m_eff - 2 * w for w in weights), 0)
-    initial = socle + sum(weights) + 2 * m_eff
-    return StabilizationPolicy(initial, m_eff, initial + 4 * m_eff)
+    initial = policy.initial_bound
+    if initial is None:
+        socle = max(sum(m_eff - 2 * w for w in weights), 0)
+        initial = socle + sum(weights) + 2 * m_eff
+    step = policy.step or m_eff
+    max_bound = policy.max_bound
+    if max_bound is None:
+        max_bound = initial + 4 * step
+    return StabilizationPolicy(initial, step, max_bound)
 
 
 class _WindowEngine:
@@ -290,11 +306,11 @@ def stabilized_cohomology(f: Polynomial, spec: StrandSpec,
     Dimension maps are computed at policy.initial_bound and escalated by
     policy.step until three consecutive windows agree in every degree, or
     max_bound is hit (reported as an unstabilized certificate, never
-    silently accepted).  One engine serves the escalation and is dropped
-    on return, so a repeated call recomputes.
+    silently accepted).  Unset policy keys take the defaults of
+    default_policy.  One engine serves the escalation and is dropped on
+    return, so a repeated call recomputes.
     """
-    if policy is None:
-        policy = default_policy(f, spec)
+    policy = default_policy(f, spec, policy)
     engine = _WindowEngine(f, spec)
     history = []
     bound = policy.initial_bound

@@ -256,33 +256,39 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for nu, c in self.sorted_terms():
-            factors = []
-            for k, e in enumerate(nu):
-                if e == 1:
-                    factors.append(f"x{k}")
-                elif e > 1:
-                    factors.append(f"x{k}^{e}")
-            cs = str(c)
-            neg = cs.startswith("-")
-            body = cs[1:] if neg else cs
-            if factors and body == "1":
-                text = "*".join(factors)
-            elif factors:
-                text = "*".join([body] + factors)
-            else:
-                text = body
-            if not parts:
-                parts.append(f"-{text}" if neg else text)
-            else:
-                parts.append(f" - {text}" if neg else f" + {text}")
-        return "".join(parts)
+        return format_polynomial(self)
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def format_polynomial(p: Polynomial, variables=None) -> str:
+    """Canonical text of p, terms in descending graded-lex order.
+
+    Variables are named by the list ``variables`` (x0, x1, ... by default),
+    and coefficients print as str(c) with a leading '-' moved into the
+    sign, so QQ(t) coefficients print too; over QQ, cli.parse_polynomial
+    inverts the text exactly.
+    """
+    variables = ([f"x{k}" for k in range(p.nvars)] if variables is None
+                 else list(variables))
+    if len(variables) != p.nvars:
+        raise ValueError("variable list does not match the polynomial")
+    if not p.terms:
+        return "0"
+    parts = []
+    for nu, c in p.sorted_terms():
+        factors = [variables[k] if e == 1 else f"{variables[k]}^{e}"
+                   for k, e in enumerate(nu) if e]
+        cs = str(c)
+        neg = cs.startswith("-")
+        body = cs[1:] if neg else cs
+        text = "*".join(factors if body == "1" else [body] + factors) or body
+        if not parts:
+            parts.append(f"-{text}" if neg else text)
+        else:
+            parts.append(f" - {text}" if neg else f" + {text}")
+    return "".join(parts)
 
 
 # ---- spec-level operation surface -------------------------------------

@@ -1,4 +1,4 @@
-"""Result containers shared by the cohomology pipelines."""
+"""Result containers shared by the cohomology pipelines, and their JSON."""
 
 from __future__ import annotations
 
@@ -100,3 +100,48 @@ class CohomologyReport:
             "stabilized": self.stabilized,
         }
         return out
+
+
+def _jsonable(value):
+    """value with rationals and field elements as strings, tuples as lists."""
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return str(value)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verified dimension identity: lhs and rhs computed independently."""
+
+    name: str
+    lhs: object
+    rhs: object
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
+
+    def to_json_dict(self):
+        return {"name": self.name, "lhs": _jsonable(self.lhs),
+                "rhs": _jsonable(self.rhs), "pass": self.passed}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a multi-sided identity check, with supporting reports."""
+
+    checks: tuple = ()
+    reports: tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def stabilized(self) -> bool:
+        return all(r.stabilized for r in self.reports)
+
+    def failed(self):
+        return [c for c in self.checks if not c.passed]

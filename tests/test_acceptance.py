@@ -162,7 +162,7 @@ def test_criterion_9_gauss_manin():
     mat = family_connection_matrix(fam, basis=[one, xyz])
     assert [[str(e) for e in row] for row in mat.entries] == \
         [["0", "(t)/(3*t^3 - 3)"], ["-3", "(-3*t^2)/(t^3 - 1)"]]
-    # constant family, three specializations, and a random conjugation
+    # three specializations and a fixed conjugation
     verdict = connection_properties_check(fam, [0, 2, -1], basis=[one, xyz])
     assert verdict.ok, verdict.failed()
     assert len([c for c in verdict.checks if "specialize" in c.name]) == 3

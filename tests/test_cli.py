@@ -1,15 +1,17 @@
 """CLI grammar, job dispatch, exit codes, determinism, corpus runner."""
 
+import itertools
 import json
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkcohom import Family, Job, Polynomial, QQ, compare_smooth_paths, \
-    corpus_runner, format_polynomial, parse_polynomial, run_job, \
-    strand_cohomology
+from dworkcohom import Family, Job, Polynomial, QQ, QQ_T, RatFunc, \
+    compare_smooth_paths, corpus_runner, format_polynomial, \
+    parse_polynomial, run_job, strand_cohomology
 from dworkcohom import cli, dwork, gaussmanin, griffiths
 from dworkcohom.cli import COMMANDS, bundled_corpus_dir, main
 from dworkcohom.exceptions import (ParseError, StrandSumError,
@@ -64,6 +66,24 @@ def random_polys(draw):
 def test_parse_print_round_trip(p):
     names = ["a", "b", "c"]
     assert parse_polynomial(format_polynomial(p, names), names) == p
+    assert str(p) == format_polynomial(p, ["x0", "x1", "x2"])
+
+
+def test_format_function_field_coefficients():
+    # str(c) carries the sign of a QQ(t) coefficient, or none when the
+    # coefficient prints as a parenthesized quotient
+    f_t = Family(parse_polynomial("x^3 + y^3 + z^3", "xyz"),
+                 parse_polynomial("-3*x*y*z", "xyz")).symbolic()
+    assert format_polynomial(f_t, "xyz") == "x^3 - 3*t*x*y*z + y^3 + z^3"
+    assert str(f_t) == "x0^3 - 3*t*x0*x1*x2 + x1^3 + x2^3"
+    t = QQ_T.gen
+    g = Polynomial(QQ_T, 2, {(2, 0): t / (t + 1), (1, 1): RatFunc((-2,)) / (3 * t),
+                             (0, 0): -t})
+    assert format_polynomial(g, ["u", "v"]) == \
+        "(t)/(t + 1)*u^2 + (-2)/(3*t)*u*v - t"
+    assert str(g) == "(t)/(t + 1)*x0^2 + (-2)/(3*t)*x0*x1 - t"
+    with pytest.raises(ValueError):
+        format_polynomial(g, ["u"])
 
 
 def test_job_validation():
@@ -127,15 +147,56 @@ def test_bad_policy_ends_in_exit_code(tmp_path, capsys, policy):
     assert "0/1 passed, 1 infrastructure" in out
 
 
+# Three jobs on the evidence path: their fields, the value of each policy
+# key, and the pinned certificate bounds with no key given, with
+# initial_bound, with step, and with both.  Every strand of the strands job
+# carries the certificate of its full complex.
+POLICY_JOBS = {
+    "dwork": ({"polynomial": "x0*x1*x2", "variables": ["x0", "x1", "x2"]},
+              {"initial_bound": 6, "step": 2, "max_bound": 16},
+              (12, 15, 18), (6, 9, 12), (12, 14, 16), (6, 8, 10)),
+    "affine": ({"polynomial": "x^2 + y^3", "variables": ["x", "y"],
+                "weights": [3, 2]},
+               {"initial_bound": 10, "step": 4, "max_bound": 30},
+               (19, 25, 31), (10, 16, 22), (19, 23, 27), (10, 14, 18)),
+    "strands": ({"polynomial": "x1^2*x2 - x0^3",
+                 "variables": ["x0", "x1", "x2"]},
+                {"initial_bound": 6, "step": 2, "max_bound": 16},
+                (12, 15, 18), (6, 9, 12), (12, 14, 16), (6, 8, 10)),
+}
+
+
+def _expected_bounds(keys, default, initial, step, both):
+    """Pinned bounds for the given keys, or None for an unstabilized run:
+    max_bound alone stops the default schedule before three windows agree,
+    and is slack whenever another key is set."""
+    given = set(keys) - {"max_bound"}
+    if not given and keys:
+        return None
+    return {frozenset(): default, frozenset({"initial_bound"}): initial,
+            frozenset({"step"}): step,
+            frozenset({"initial_bound", "step"}): both}[frozenset(given)]
+
+
 def test_null_policy_values_mean_default():
-    job = {"command": "dwork", "polynomial": "x0*x1*x2",
-           "variables": ["x0", "x1", "x2"]}
-    _, nulls = run_job(Job.from_dict(
-        {**job, "policy": {"initial_bound": None, "step": 2}}))
-    _, given = run_job(Job.from_dict({**job, "policy": {"step": 2}}))
-    assert nulls["dims"] == given["dims"]
-    assert nulls["certificate"] == given["certificate"]
-    assert nulls["certificate"]["agreed"]
+    # every subset of the policy keys, the others absent or null: the engine
+    # fills the unset keys for the complex each report runs on
+    for command, (fields, values, *bounds) in POLICY_JOBS.items():
+        for r, nulls in itertools.product(range(len(values) + 1),
+                                          (False, True)):
+            for keys in itertools.combinations(values, r):
+                policy = {k: values[k] for k in keys}
+                if nulls:
+                    policy = {k: policy.get(k) for k in values}
+                code, rep = run_job(Job(command=command, policy=policy,
+                                        **fields))
+                want = _expected_bounds(keys, *bounds)
+                cert = ({"agreed": True, "bounds": list(want)} if want
+                        else {"agreed": False, "bounds": []})
+                assert (code, rep["certificate"]) == (0 if want else 2, cert), \
+                    (command, policy)
+                for strand in rep.get("strands", ()):
+                    assert strand["certificate"] == cert
 
 
 def test_run_job_dwork_report_fields():
@@ -389,7 +450,9 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
      "sample '1/0' is not a rational number"),
     (["koszul", "x^2 - 1", "-v", "x", "--bound=-3"], "bound must be >= 0"),
     (["fourier", "--r", "1", "--bound=-3"], "bound must be >= 0"),
-], ids=["gm-sample", "koszul-bound", "fourier-bound"])
+    (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2", "--perturbation", "0",
+      "--basis", "1;2"], "proposed classes are not a cohomology basis"),
+], ids=["gm-sample", "koszul-bound", "fourier-bound", "gm-zero-perturbation"])
 def test_bad_values_exit_1_with_json(capsys, argv, error):
     code = main(argv)
     out = json.loads(capsys.readouterr().out)
@@ -477,15 +540,44 @@ def test_main_gm(capsys):
 
 
 def test_main_gm_singular_base_member(capsys):
-    # F_0 = x0*x1*x2 is singular, the generic member is smooth: the
-    # constant-family check must not build a reducer of F_0
+    # F_0 = x0*x1*x2 is singular, the generic member is smooth: no check
+    # may build a reducer of F_0
     code = main(["gm", "x0*x1*x2", "-v", "x0,x1,x2",
                  "--perturbation", "x0^3+x1^3+x2^3", "--samples", "1,2"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 0 and "error" not in rep
-    assert [c["pass"] for c in rep["checks"]] == [True] * 4
-    assert rep["checks"][2]["name"] == "constant family gives the zero matrix"
+    assert [c["pass"] for c in rep["checks"]] == [True] * 3
+    assert rep["checks"][2]["name"] == "basis change conjugates the matrix"
     assert rep["matrix"]["discriminant_roots"] == ["-1/3", "0"]
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n")[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#")[0])[1:] for line in lines
+            if line.startswith("dworkcohom ")]
+
+
+# `run job.json` and `verify corpus/` name files the reader supplies
+README_EXAMPLES = [argv for argv in _readme_cli_examples()
+                   if argv not in (["run", "job.json"], ["verify", "corpus/"])]
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[0] for argv in README_EXAMPLES} == {*COMMANDS, "verify"}
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES,
+                         ids=[argv[0] for argv in README_EXAMPLES])
+def test_readme_cli_examples_run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    if argv == ["verify"]:  # the bundled corpus prints a text summary
+        assert out.endswith("5/5 passed\n")
+    else:
+        assert json.loads(out)["command"] == argv[0]
 
 
 def test_readme_lists_the_command_table():
@@ -585,18 +677,18 @@ def test_gm_job_builds_one_symbolic_reducer(monkeypatch):
     f_t = Family(parse_polynomial("x^3 + y^3 + z^3", "xyz"),
                  parse_polynomial("-3*x*y*z", "xyz")).symbolic()
     assert built.count(f_t) == 1
-    # the other reducers: one per sample over QQ; the constant-family check
-    # runs on the symbolic reducer
+    # the other reducers: one per sample over QQ
     assert len(built) == 1 + 3
 
 
 def test_gm_job_reduces_each_form_once(monkeypatch):
     # the check verifies the matrix the job reports instead of reducing
     # every basis form on the symbolic reducer a second time
-    seen = []
+    seen, alive = [], []
     reduce = gaussmanin.GriffithsDworkReducer.reduce
 
     def spied(self, p):
+        alive.append(self)  # a freed reducer's id could be reused
         seen.append((id(self), p))
         return reduce(self, p)
 

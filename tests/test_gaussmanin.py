@@ -101,7 +101,6 @@ def test_properties_check_full():
     verdict = connection_properties_check(fam, [0, 2, -1], basis=[one, xyz])
     assert verdict.ok
     names = [c.name for c in verdict.checks]
-    assert any("constant family" in n for n in names)
     assert any("conjugates" in n for n in names)
 
 

@@ -236,6 +236,21 @@ def test_policy_validation():
         StabilizationPolicy(5, 1, 4)
     pol = default_policy(fermat(4, 4), StrandSpec(4, 4, 0))
     assert (pol.initial_bound, pol.step) == (4 * 2 + 4 + 8, 4)
+    assert pol.max_bound == pol.initial_bound + 4 * pol.step
+
+
+def test_unset_policy_keys_take_the_default():
+    f, spec = fermat(4, 4), StrandSpec(4, 4, 0)
+    fill = lambda **keys: default_policy(f, spec, StabilizationPolicy(**keys))
+    assert fill() == default_policy(f, spec) == StabilizationPolicy(20, 4, 36)
+    assert fill(step=1) == StabilizationPolicy(20, 1, 24)
+    assert fill(initial_bound=3) == StabilizationPolicy(3, 4, 19)
+    assert fill(initial_bound=3, step=2) == StabilizationPolicy(3, 2, 11)
+    assert fill(max_bound=21) == StabilizationPolicy(20, 4, 21)
+    assert fill(initial_bound=0, max_bound=0) == StabilizationPolicy(0, 4, 0)
+    with pytest.raises(ValueError, match="max_bound must be >= initial_bound"):
+        fill(max_bound=19)  # below the default initial bound
+    assert StabilizationPolicy(max_bound=0).initial_bound is None
 
 
 def test_square_one_variable_strands():
