@@ -614,8 +614,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_lines(lines) -> None:
+    """Print lines to stdout.  If the reader has closed it, stdout is sent
+    to os.devnull, so neither this write nor the flush at shutdown raises."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_json(report: dict, code: int) -> int:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _print_lines([json.dumps(report, sort_keys=True, indent=2)])
     return code
 
 
@@ -631,15 +642,17 @@ def main(argv=None) -> int:
         except ValueError as exc:
             return _print_json({"error": str(exc)}, 1)
         width = max([len(r["name"]) for r in summary["rows"]], default=4)
+        lines = []
         for row in summary["rows"]:
             line = f"{row['name']:<{width}}  {row['status']}"
             if row["detail"]:
                 line += f"  {row['detail']}"
-            print(line)
+            lines.append(line)
         counts = [f"{summary[k]} {k}" for k in ("infrastructure", "errors")
                   if summary[k]]
-        print(", ".join([f"{summary['passed']}/{summary['total']} passed",
-                         *counts]))
+        lines.append(", ".join([f"{summary['passed']}/{summary['total']} passed",
+                                *counts]))
+        _print_lines(lines)
         return code
     try:
         if command == "run":

@@ -22,17 +22,28 @@ polynomial being solved) as extra rows.  One elimination step of the rank
 accumulators then updates both: over QQ the fraction-free integer step, so
 no Fraction arithmetic runs inside the elimination, and a solve divides by
 its scale once at the end; over QQ(t) the field step.
+
+A degree's echelon is built on demand, one connected block of its Macaulay
+matrix at a time.  A solve eliminates only the blocks its residue meets: on
+the Dwork quintic the socle class x4^15 times the perturbation x0x1x2x3x4
+lands in degree 20, whose matrix has 10,626 rows and 24,225 columns, yet it
+meets one block of 126 rows and 285 columns.  The standard monomials need
+every block, so they close the rest.  The blocks share no rows, so
+eliminating them separately in Macaulay order stores the same pivot columns
+as eliminating the whole matrix (see _DegreeSolver).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_primitive, poly_str)
-from .griffiths import jacobian_hilbert, macaulay_columns
+from .griffiths import jacobian_hilbert, macaulay_column, macaulay_columns
 from .matrices import FieldRankAccumulator, IntRankAccumulator, integerize_column
 from .poly import Polynomial, monomial_basis
 from .reports import Check, Verdict
@@ -86,32 +97,93 @@ class _DegreeSolver:
     standard monomials of the Jacobian ideal in this degree.
 
     Every column is augmented: rows 0..len(monomials)-1 are its monomial
-    rows, the next rows (one per Macaulay column, in ``keys`` order) hold
-    the combination of Macaulay columns it equals, and in ``solve`` one
-    last row holds the multiple of the polynomial being solved.  Over QQ
-    the step is ``IntRankAccumulator._step`` on columns lifted to integers,
-    the lifting scale carried in the augmentation rows; over QQ(t) it is
+    rows, row len(monomials) + k holds the coefficient of the k-th Macaulay
+    column (in macaulay_columns order, named in ``keys``) in the
+    combination it equals, and in ``solve`` one last row holds the multiple
+    of the polynomial being solved.  Over QQ the step is
+    ``IntRankAccumulator._step`` on columns lifted to integers, the lifting
+    scale carried in the augmentation rows; over QQ(t) it is
     ``FieldRankAccumulator._step``.
+
+    The echelon is built on demand, one connected block at a time.  Column
+    (i, g) meets row nu exactly when nu = g * mu for a monomial mu of
+    dF/dx_i; the blocks are the connected components of this incidence.
+    ``solve`` eliminates the blocks its part meets (``_close``), and
+    ``standard_monomials`` the rest, in one pass in Macaulay order.  Blocks
+    share no rows, and a step combines two columns only through a shared
+    row, so a column is only ever reduced against pivots of its own block:
+    eliminating one block alone, in Macaulay order, stores exactly the
+    pivot columns that eliminating the whole matrix stores, whichever order
+    the blocks are closed in.
     """
 
     def __init__(self, partials, field, nvars, gen_degree, d):
         self.field = field
+        self.partials = partials
+        self.nvars = nvars
+        self.src = d - gen_degree
         self.monomials = monomial_basis(nvars, d)
         self.index = {nu: k for k, nu in enumerate(self.monomials)}
         if field is QQ:
             self._lift, self._step = integerize_column, IntRankAccumulator._step
         else:
             self._lift, self._step = dict, FieldRankAccumulator._step
-        self.keys = []
+        sources = comb(self.src + nvars - 1, nvars - 1) if self.src >= 0 else 0
+        self._first = {}    # nonzero partial i -> position of its first column
+        for i, p in enumerate(partials):
+            if p:
+                self._first[i] = len(self._first) * sources
+        self._scale_row = len(self.monomials) + len(self._first) * sources
+        self.keys = {}      # augmentation row -> (i, g), eliminated columns
         self.pivots = {}
-        row = len(self.monomials)
-        for key, col in macaulay_columns(partials, self.index, nvars,
-                                         d - gen_degree):
-            col[row + len(self.keys)] = field.one
-            self.keys.append(key)
-            r, col = self._reduce(self._lift(col))
-            if r is not None:
-                self.pivots[r] = col
+        self._closed_rows = set()
+
+    @cached_property
+    def _source_position(self):
+        sources = monomial_basis(self.nvars, self.src)
+        return {g: k for k, g in enumerate(sources)}
+
+    def _eliminate(self, k, key, col):
+        """Reduce the k-th Macaulay column, key (i, g), and store its pivot."""
+        row = len(self.monomials) + k
+        col[row] = self.field.one
+        self.keys[row] = key
+        r, col = self._reduce(self._lift(col))
+        if r is not None:
+            self.pivots[r] = col
+
+    def _close(self, rows):
+        """Eliminate every column of the blocks that meet rows and are open.
+
+        Walks rows and columns from the given rows, then eliminates the
+        columns found in Macaulay order.  Closed rows stay closed: every
+        column meeting them is already eliminated.
+        """
+        closed, stack = self._closed_rows, []
+        for r in rows:
+            if r not in closed:
+                closed.add(r)
+                stack.append(r)
+        found = {}
+        while stack:
+            nu = self.monomials[stack.pop()]
+            for i, first in self._first.items():
+                p = self.partials[i]
+                for mu in p.terms:
+                    g = tuple(a - b for a, b in zip(nu, mu))
+                    if min(g) < 0:
+                        continue
+                    k = first + self._source_position[g]
+                    if k in found:
+                        continue
+                    col = macaulay_column(p, self.index, g)
+                    found[k] = (i, g), col
+                    for r in col:
+                        if r not in closed:
+                            closed.add(r)
+                            stack.append(r)
+        for k in sorted(found):
+            self._eliminate(k, *found[k])
 
     def _reduce(self, col):
         """Head-reduce an augmented column with the stored pivots.
@@ -132,18 +204,28 @@ class _DegreeSolver:
 
     @property
     def standard_monomials(self):
+        """The non-pivot rows; the first read closes every open block."""
+        n = len(self.monomials)
+        if len(self._closed_rows) < n:
+            columns = macaulay_columns(self.partials, self.index, self.nvars,
+                                       self.src)
+            for k, (key, col) in enumerate(columns):
+                if n + k not in self.keys:
+                    self._eliminate(k, key, col)
+            self._closed_rows.update(range(n))
         return [nu for k, nu in enumerate(self.monomials) if k not in self.pivots]
 
     def solve(self, part: Polynomial):
         """part = (standard-monomial combination) + sum lambda * g * dF_i.
 
         Returns (std coords keyed by monomial, combo keyed by (i, g)).
-        The non-pivot rows span the cokernel, so this always succeeds.  The
-        reduction stops at the first non-pivot row, so pivot rows below it
-        can stay in the residue.
+        Closes the blocks the part meets first.  The non-pivot rows span
+        the cokernel, so this always succeeds.  The reduction stops at the
+        first non-pivot row, so pivot rows below it can stay in the residue.
         """
-        n, scale = len(self.monomials), len(self.monomials) + len(self.keys)
+        n, scale = len(self.monomials), self._scale_row
         col = {self.index[nu]: c for nu, c in part.terms.items()}
+        self._close(col)
         col[scale] = self.field.one
         _, col = self._reduce(self._lift(col))
         inv = self.field.one / col.pop(scale)
@@ -152,7 +234,7 @@ class _DegreeSolver:
             if r < n:
                 std[self.monomials[r]] = c * inv
             else:
-                combo[self.keys[r - n]] = -c * inv
+                combo[self.keys[r]] = -c * inv
         return std, combo
 
 

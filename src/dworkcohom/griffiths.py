@@ -77,20 +77,26 @@ class JacobianProfile:
         return [(q, self.h(q * m - (n + 1))) for q in range(1, n + 1)]
 
 
+def macaulay_column(partial, index, g) -> dict:
+    """The Macaulay column g * partial, its rows numbered by index.
+
+    No entry cancels, because mu -> g * mu is injective.
+    """
+    return {index[mono_mul(g, mu)]: c for mu, c in partial.terms.items()}
+
+
 def macaulay_columns(partials, index, nvars: int, src: int):
     """Columns of (g_0..g_n) -> sum g_i * partials[i], the g_i of degree src.
 
     index maps each monomial of the target degree to its row.  Yields
-    ((i, g), column) for every nonzero partial i and every monomial g of
-    degree src, in monomial_basis order; no column cancels, because
-    mu -> g * mu is injective.
+    ((i, g), macaulay_column(partials[i], index, g)) for every nonzero
+    partial i and every monomial g of degree src, in monomial_basis order.
     """
     sources = monomial_basis(nvars, src)
     for i, p in enumerate(partials):
         if p:
             for g in sources:
-                yield (i, g), {index[mono_mul(g, mu)]: c
-                               for mu, c in p.terms.items()}
+                yield (i, g), macaulay_column(p, index, g)
 
 
 def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -480,6 +483,31 @@ def test_help_and_version_exit_0(capsys):
             main(argv)
         assert exc.value.code == 0
     assert "--perturbation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2", "--perturbation", "0",
+      "--basis", "1;2"], 1),
+    (["hodge", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2"], 0),
+    (["verify"], 0),
+    (["--version"], 0),
+], ids=["gm-error", "hodge", "verify", "version"])
+def test_closed_stdout_ends_in_the_exit_code(argv, code):
+    # the read end is closed before the CLI starts, so every write to
+    # stdout meets a broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, DWORKCOHOM_WORKERS="1")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dworkcohom", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr.decode()
+    assert "Exception ignored" not in proc.stderr.decode()
 
 
 FLAG_JOBS = [

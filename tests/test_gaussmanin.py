@@ -1,5 +1,7 @@
 """Gauss-Manin connection matrices for the Dwork cubic family."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +12,8 @@ from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         jacobian_hilbert, monomial_basis,
                         rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
-from dworkcohom.gaussmanin import GriffithsDworkReducer, _rational_roots
+from dworkcohom.gaussmanin import (GriffithsDworkReducer, _DegreeSolver,
+                                   _rational_roots)
 from dworkcohom.griffiths import macaulay_columns
 
 from _helpers import fermat, triangle, var
@@ -234,3 +237,76 @@ def test_standard_monomials_per_degree(family):
         assert len(solver.standard_monomials) == profile.h(d)
         assert solver.standard_monomials == leading_rows_oracle(
             solver, at2.partials, at2.nvars, at2.m - 1)
+
+
+# ---- block closure: a solve eliminates only the blocks it meets ---------
+
+
+QUINTIC_T2_DIGEST = ("1241d2d1de8703ecd68bb4fee422cb73"
+                     "f5a0f8af18aff98c05d996b9b2c57020")
+
+
+def dwork_quintic():
+    """F_2 = sum x_i^5 - 10 x0x1x2x3x4 and the perturbation -5 x0x1x2x3x4."""
+    prod = var(5, 0) * var(5, 1) * var(5, 2) * var(5, 3) * var(5, 4)
+    return fermat(5, 5) + prod.scale(-10), prod.scale(-5)
+
+
+def test_quintic_connection_matrix_digest():
+    f, g = dwork_quintic()
+    mat = rational_connection_matrix(f, g)
+    assert mat.size == 204
+    text = json.dumps(mat.entry_strings())
+    assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_T2_DIGEST
+
+
+def test_solve_eliminates_only_its_block():
+    # the socle class times the perturbation lands in degree 20, in one block
+    # of 126 of the 10,626 rows and 285 of the 24,225 Macaulay columns (1.2 %)
+    f, _ = dwork_quintic()
+    reducer = GriffithsDworkReducer(f)
+    solver = reducer._solver(20)
+    columns = 5 * len(monomial_basis(5, 16))
+    assert columns == 24225
+    part = Polynomial.monomial(QQ, 5, (4, 4, 4, 4, 4))
+    std, combo = solver.solve(part)
+    assert not std
+    assert len(solver.keys) == 285
+    assert len(solver._closed_rows) == 126
+    total = Polynomial.zero(QQ, 5)
+    for (i, g), lam in combo.items():
+        total = total + (Polynomial.monomial(QQ, 5, g)
+                         * reducer.partials[i]).scale(lam)
+    assert total == part
+
+
+@pytest.mark.parametrize("family, symbolic, degrees", [
+    (dwork_family()[0], False, (3, 4, 6, 9)),
+    (k3_family(), False, (4, 5, 8, 12)),
+    (dwork_family()[0], True, (3, 6)),
+    (k3_family(), True, (4, 8)),
+], ids=["cubic-QQ", "k3-QQ", "cubic-QQ(t)", "k3-QQ(t)"])
+def test_block_closure_order_gives_one_echelon(family, symbolic, degrees):
+    # solving first and reading the standard monomials first end with the
+    # same echelon; the oracle is dense row reduction at t = 2, where the
+    # standard monomials are the generic ones (test above)
+    f = family.symbolic() if symbolic else family.at(2)
+    at2 = GriffithsDworkReducer(family.at(2))
+    reducer = GriffithsDworkReducer(f)
+    rng = random.Random(11)
+    for d in degrees:
+        monomials = monomial_basis(f.nvars, d)
+        parts = [Polynomial.monomial(f.field, f.nvars, rng.choice(monomials))
+                 for _ in range(4)]
+        first, late = (_DegreeSolver(reducer.partials, f.field, f.nvars,
+                                     reducer.m - 1, d) for _ in range(2))
+        solved = [first.solve(p) for p in parts]
+        std = late.standard_monomials
+        assert [late.solve(p) for p in parts] == solved
+        assert first.standard_monomials == std
+        assert first.pivots == late.pivots and first.keys == late.keys
+        if d <= at2.std_degrees[-1]:
+            assert std == leading_rows_oracle(
+                at2._solver(d), at2.partials, at2.nvars, at2.m - 1)
+        else:
+            assert std == []
