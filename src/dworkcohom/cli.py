@@ -43,7 +43,7 @@ from .exceptions import (NotSmoothError, ParseError, StrandSumError,
                          UnknownVariableError)
 from .fields import QQ
 from .gaussmanin import (Family, GriffithsDworkReducer, connection_matrix,
-                         connection_matrix_strings, connection_properties_check)
+                         connection_properties_check)
 from .griffiths import jacobian_hilbert
 from .linalg import StabilizationPolicy
 from .poly import Polynomial
@@ -358,7 +358,7 @@ def _gm(job, out) -> int:
     samples = [_sample(s) for s in job.samples or ()]
     reducer = GriffithsDworkReducer(fam.symbolic())
     matrix = connection_matrix(reducer, fam.perturbation, basis)
-    out["matrix"] = connection_matrix_strings(matrix)
+    out["matrix"] = matrix.to_json_dict()
     if not samples:
         return _answer(out)
     return _answer(out, verdict=connection_properties_check(

@@ -22,6 +22,7 @@ is tested against: rational columns assembled straight from the definition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -76,21 +77,15 @@ def full_complex_spec(nvars: int, weights=None) -> StrandSpec:
 
 
 def insert_sign(k: int, I: tuple):
-    """Sign and index set of dx_k ^ dx_I; (None, None) when k collides."""
-    cnt = 0
-    pos = len(I)
-    for idx, l in enumerate(I):
-        if l == k:
-            return None, None
-        if l < k:
-            cnt += 1
-        else:
-            pos = idx
-            break
-    else:
-        pos = len(I)
-    newI = I[:pos] + (k,) + I[pos:]
-    return (-1 if cnt & 1 else 1), newI
+    """Sign and index set of dx_k ^ dx_I; (None, None) when k collides.
+
+    I is sorted, so its insertion point for k is also the count of its
+    indices below k, which dx_k moves past.
+    """
+    if k in I:
+        return None, None
+    pos = bisect_left(I, k)
+    return (-1 if pos & 1 else 1), I[:pos] + (k,) + I[pos:]
 
 
 def merge_index_sets(I: tuple, J: tuple):
@@ -418,12 +413,6 @@ def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:
     return out
 
 
-def strand_degrees(spec: StrandSpec, bound: int):
-    """Total degrees <= bound lying on the strand, ascending."""
-    first = spec.residue
-    return range(first, bound + 1, spec.modulus)
-
-
 def strand_basis(spec: StrandSpec, i: int, bound: int) -> list:
     """Ordered basis of the strand in form degree i, total degree <= bound.
 
@@ -433,7 +422,7 @@ def strand_basis(spec: StrandSpec, i: int, bound: int) -> list:
     if not 0 <= i <= spec.nvars:
         raise ValueError(f"form degree {i} outside 0..{spec.nvars}")
     out = []
-    for e in strand_degrees(spec, bound):
+    for e in range(spec.residue, bound + 1, spec.modulus):
         out.extend(strand_basis_at_degree(spec, i, e))
     return out
 

@@ -38,14 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_primitive, poly_str)
 from .griffiths import jacobian_hilbert, macaulay_column, macaulay_columns
 from .matrices import FieldRankAccumulator, IntRankAccumulator, integerize_column
-from .poly import Polynomial, monomial_basis
+from .poly import Polynomial, count_monomials, monomial_basis
 from .reports import Check, Verdict
 
 
@@ -78,9 +77,8 @@ class Family:
 
     def symbolic(self) -> Polynomial:
         """F_t over the rational-function field."""
-        lift = lambda c: RatFunc.from_fraction(c)
-        f0 = self.base.map_coefficients(lift, QQ_T)
-        g = self.perturbation.map_coefficients(lift, QQ_T)
+        f0 = self.base.map_coefficients(QQ_T.coerce, QQ_T)
+        g = self.perturbation.map_coefficients(QQ_T.coerce, QQ_T)
         return f0 + g.scale(QQ_T.gen)
 
     def at(self, t0) -> Polynomial:
@@ -128,7 +126,7 @@ class _DegreeSolver:
             self._lift, self._step = integerize_column, IntRankAccumulator._step
         else:
             self._lift, self._step = dict, FieldRankAccumulator._step
-        sources = comb(self.src + nvars - 1, nvars - 1) if self.src >= 0 else 0
+        sources = count_monomials(nvars, self.src)
         self._first = {}    # nonzero partial i -> position of its first column
         for i, p in enumerate(partials):
             if p:
@@ -285,8 +283,6 @@ class GriffithsDworkReducer:
         while parts:
             d = max(parts)
             part = Polynomial(self.field, self.nvars, parts.pop(d))
-            if not part:
-                continue
             std, combo = self._solver(d).solve(part)
             for nu, c in std.items():
                 key = (d, nu)
@@ -337,6 +333,15 @@ class ConnectionMatrix:
     def entry_strings(self):
         return [[str(e) for e in row] for row in self.entries]
 
+    def to_json_dict(self):
+        """Human-readable entries plus the discriminant denominator."""
+        return {
+            "basis": [str(p) for p in self.basis],
+            "entries": self.entry_strings(),
+            "denominator": poly_str(self.denominator),
+            "discriminant_roots": [str(r) for r in self.discriminant_roots],
+        }
+
     def specialize(self, t0) -> tuple:
         """Evaluate all entries at t = t0 (raises ZeroDivisionError on a pole)."""
         t0 = Fraction(t0)
@@ -351,7 +356,13 @@ class ConnectionMatrix:
 
 
 def _solve_square(u_cols, r_cols, k):
-    """Solve U M = R for M, given U and R as lists of dense length-k columns."""
+    """Solve U X = R for X, given U and R as lists of dense length-k columns.
+
+    Returns the rows of X = U^-1 R, by Gauss-Jordan elimination on [U | R];
+    a singular U raises BasisError.  connection_matrix solves with the
+    reduced basis forms as U; connection_properties_check solves S X = M S,
+    so X is S^-1 M S with no inverse of S formed.
+    """
     ncols_r = len(r_cols)
     rows = [[u_cols[j][i] for j in range(k)]
             + [r_cols[j][i] for j in range(ncols_r)] for i in range(k)]
@@ -450,9 +461,8 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
         raise BasisError(
             f"basis size {len(forms)} != cohomology dimension "
             f"{len(reducer.std_basis)}")
-    lift = (lambda c: RatFunc.from_fraction(c)) if field is QQ_T else (lambda c: c)
-    lifted = [p.map_coefficients(lift, field) for p in forms]
-    g_lift = perturbation.map_coefficients(lift, field)
+    lifted = [p.map_coefficients(field.coerce, field) for p in forms]
+    g_lift = perturbation.map_coefficients(field.coerce, field)
     u_cols = [reducer.reduce(p) for p in lifted]
     r_cols = [reducer.reduce(g_lift * p) for p in lifted]
     entries = _solve_square(u_cols, r_cols, len(forms))
@@ -471,9 +481,13 @@ def connection_properties_check(fam: Family, samples, basis=None,
     (a) specializing the symbolic matrix at each sample t equals the matrix
         computed from scratch over QQ at F_t with the same basis;
     (b) the matrix transforms by conjugation under an invertible t-free
-        change of basis (a fixed one, from _test_invertible_matrix).
+        change of basis S (a fixed one, from _test_invertible_matrix): the
+        matrix M' on the new basis equals the solution X of S X = M S.
     Samples on the discriminant (poles, non-smooth members, degenerate
-    bases) are reported as failed checks, never skipped silently.
+    bases) are reported as failed checks, never skipped silently.  A
+    sample is a pole exactly when specializing raises ZeroDivisionError:
+    the discriminant roots are the rational roots of the lcm of the
+    reduced entry denominators, so some entry has a pole at each of them.
     reducer, when given, is the GriffithsDworkReducer of fam.symbolic();
     it serves both symbolic matrices, so a caller that already has one
     does not build another.  matrix, when given, is the symbolic matrix
@@ -487,12 +501,9 @@ def connection_properties_check(fam: Family, samples, basis=None,
     checks = []
     for t0 in samples:
         t0 = Fraction(t0)
-        bad = [r for r in sym.discriminant_roots if r == t0]
         try:
             specialized = sym.specialize(t0)
         except ZeroDivisionError:
-            specialized = None
-        if specialized is None or bad:
             checks.append(Check(f"t = {t0} avoids the discriminant set",
                                 str(t0), "discriminant sample"))
             continue
@@ -520,10 +531,8 @@ def connection_properties_check(fam: Family, samples, basis=None,
                 acc = acc + sym.basis[i].scale(s[i][j])
         new_forms.append(acc)
     conj = connection_matrix(reducer, fam.perturbation, new_forms)
-    identity = [[QQ.one if i == j else QQ.zero for i in range(k)]
-                for j in range(k)]
-    sinv = _solve_square(list(zip(*s)), identity, k)
-    expected = _triple_product(sinv, sym.entries, s)
+    expected = _solve_square(list(zip(*s)),
+                             list(zip(*_matmul(sym.entries, s))), k)
     checks.append(Check("basis change conjugates the matrix",
                         conj.entries, expected))
     return Verdict(tuple(checks))
@@ -540,24 +549,11 @@ def _test_invertible_matrix(k):
               for j in range(k)] for i in range(k)]
     upper = [[Fraction(1) if i == j else (vals.pop() if i < j else Fraction(0))
               for j in range(k)] for i in range(k)]
-    return [[sum(lower[i][l] * upper[l][j] for l in range(k))
-             for j in range(k)] for i in range(k)]
+    return _matmul(lower, upper)
 
 
-def _triple_product(a, m, b):
-    """a @ m @ b with rational a, b and field entries m."""
-    k = len(m)
-    mb = [[sum(m[i][l] * b[l][j] for l in range(k)) for j in range(k)]
-          for i in range(k)]
-    return tuple(tuple(sum(mb[l][j] * a[i][l] for l in range(k))
-                       for j in range(k)) for i in range(k))
-
-
-def connection_matrix_strings(mat: ConnectionMatrix):
-    """Human-readable entries plus the discriminant denominator."""
-    return {
-        "basis": [str(p) for p in mat.basis],
-        "entries": mat.entry_strings(),
-        "denominator": poly_str(mat.denominator),
-        "discriminant_roots": [str(r) for r in mat.discriminant_roots],
-    }
+def _matmul(a, b):
+    """a @ b for matrices given as sequences of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]

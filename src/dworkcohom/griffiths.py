@@ -35,7 +35,7 @@ from .forms import (ColumnStencil, StrandSpec, strand_basis, strand_basis_at_deg
                     validate_twist_input)
 from .linalg import ComplexDims
 from .matrices import IntRankAccumulator, primitive_column, rank_of_columns
-from .poly import Polynomial, mono_mul, monomial_basis
+from .poly import Polynomial, count_monomials, mono_mul, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def _koszul_hilbert(m: int, nvars: int, d: int) -> int:
     sum_k (-1)^k C(nvars, k) dim S_{d-k(m-1)}: the coefficient of s^d in
     ((1 - s^(m-1)) / (1 - s))^nvars = (1 + s + ... + s^(m-2))^nvars.
     """
-    return sum((-1) ** k * comb(nvars, k)
-               * comb(d - k * (m - 1) + nvars - 1, nvars - 1)
+    return sum((-1) ** k * comb(nvars, k) * count_monomials(nvars, d - k * (m - 1))
                for k in range(min(nvars, d // (m - 1)) + 1))
 
 
@@ -147,8 +146,7 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     socle = nvars * (m - 2)
 
     def h(d):
-        return (comb(d + nvars - 1, nvars - 1)
-                - macaulay_rank(partials, nvars, m - 1, d))
+        return count_monomials(nvars, d) - macaulay_rank(partials, nvars, m - 1, d)
 
     beyond = h(socle + 1)
     smooth = beyond == 0
@@ -200,11 +198,8 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     validate_twist_input(f, spec)
     nvars = spec.nvars
     if not f:
-        data = []
-        for i in range(nvars + 1):
-            space = len(strand_basis(spec, i, bound))
-            data.append((i, space, 0, space))
-        return ComplexDims(tuple(data))
+        return ComplexDims.from_ranks(
+            [len(strand_basis(spec, i, bound)) for i in range(nvars + 1)], [])
     m = f.homogeneous_degree(spec.weights)
     if m is None:
         raise NonHomogeneousError("dF-only grading needs a homogeneous input")
@@ -239,9 +234,4 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
                 if col:
                     acc.add_column(primitive_column(col))
             out[i] += acc.rank
-    data = []
-    prev = 0
-    for i in range(nvars + 1):
-        data.append((i, space[i], out[i], space[i] - out[i] - prev))
-        prev = out[i]
-    return ComplexDims(tuple(data))
+    return ComplexDims.from_ranks(space, out)

@@ -77,10 +77,23 @@ class ComplexDims:
 
     rank_in at degree i is rank_out at degree i-1.  The stored data always
     satisfies coh = space - rank_out - rank_in >= 0 and the Euler identity
-    sum (-1)^i coh_i = sum (-1)^i space_i.
+    sum (-1)^i coh_i = sum (-1)^i space_i.  from_ranks builds it from the
+    space dims and the ranks of the differentials.
     """
 
     data: tuple  # ((degree, space, rank_out, coh), ...) ascending
+
+    @classmethod
+    def from_ranks(cls, spaces, ranks) -> "ComplexDims":
+        """Dims of the complex with spaces[i] in degree i, where ranks[i]
+        is the rank of the differential out of degree i; a degree past the
+        end of ranks has none."""
+        data, prev = [], 0
+        for i, space in enumerate(spaces):
+            out = ranks[i] if i < len(ranks) else 0
+            data.append((i, space, out, space - out - prev))
+            prev = out
+        return cls(tuple(data))
 
     def __post_init__(self):
         prev_out = 0
@@ -134,14 +147,7 @@ def complex_dims(space_dims, matrices) -> ComplexDims:
     for a, b in zip(matrices[1:], matrices[:-1]):
         if not a.compose(b).is_zero():
             raise NilpotenceError("consecutive differentials do not compose to zero")
-    ranks = [exact_rank(m) for m in matrices] + [0]
-    data = []
-    prev = 0
-    for i, space in enumerate(space_dims):
-        out = ranks[i]
-        data.append((i, space, out, space - out - prev))
-        prev = out
-    return ComplexDims(tuple(data))
+    return ComplexDims.from_ranks(space_dims, [exact_rank(m) for m in matrices])
 
 
 def cohomology_dims(c: TruncatedComplex) -> ComplexDims:
