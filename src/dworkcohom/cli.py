@@ -297,21 +297,11 @@ def _answer(out: dict, report=None, verdict: Verdict = Verdict()) -> int:
 
 
 def _hodge(job, out) -> int:
-    f = _poly(job)
-    profile = jacobian_hilbert(f)
-    out["m"] = profile.modulus
-    out["nvars"] = profile.nvars
-    out["hilbert"] = list(profile.hilbert)
-    out["smooth"] = profile.smooth
+    profile = jacobian_hilbert(_poly(job))
+    out.update(profile.to_json_dict())
     if not profile.smooth:
         out["error"] = "hypersurface is singular; Hodge numbers need smoothness"
         return 3
-    n = f.nvars - 1
-    out["milnor"] = profile.milnor
-    out["path"] = "jacobian"
-    out["dims"] = [{"degree": q, "label": f"h^({n - q},{q - 1})_prim",
-                    "dim": h} for q, h in profile.hodge_numbers()]
-    out["certificate"] = None
     return 0
 
 

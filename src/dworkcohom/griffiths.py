@@ -23,6 +23,23 @@ ideal, so a singular point of V(F) would be a common zero of the partials).
 If h_{sigma+1} > 0, F is singular and every degree 0..sigma+2 is ranked.
 Over the rational-function field the same argument holds for the generic
 member of the family.
+
+Macaulay matrices skip the columns that the Koszul syzygies
+dF_i * dF_j - dF_j * dF_i = 0 make redundant (the simplest form of the F5
+criterion, Faugere 2002).  Column (i, g) is g * dF_i; it is dropped when g
+is divisible by LT(dF_j), the leading (largest) monomial of an earlier
+nonzero partial j < i.  Write g = h * LT(dF_j) and let c_j be the
+coefficient of LT(dF_j).  Then
+
+    c_j g dF_i = (h dF_i) dF_j - sum_{t in tail(dF_j)} c_t (h t) dF_i,
+
+a sum of columns of partial j < i and of columns (i, h * t) with
+h * t < g.  By induction on (i, g) the kept columns span every column, so
+the column space is unchanged: ranks, the pivot rows of an echelon (which
+depend only on the span), the standard monomials and every reduced class
+stay the same.  This needs nothing of F: it holds over both scalar fields,
+for smooth and singular inputs alike.  For Fermat inputs every kept column
+raises the rank.
 """
 
 from __future__ import annotations
@@ -76,6 +93,20 @@ class JacobianProfile:
         n, m = self.nvars - 1, self.modulus
         return [(q, self.h(q * m - (n + 1))) for q in range(1, n + 1)]
 
+    def to_json_dict(self):
+        """The hodge report: the profile, and for a smooth input the Milnor
+        number and the primitive Hodge numbers h^(n-q, q-1)_prim."""
+        out = {"m": self.modulus, "nvars": self.nvars,
+               "hilbert": list(self.hilbert), "smooth": self.smooth}
+        if self.smooth:
+            n = self.nvars - 1
+            out["milnor"] = self.milnor
+            out["path"] = "jacobian"
+            out["dims"] = [{"degree": q, "label": f"h^({n - q},{q - 1})_prim",
+                            "dim": h} for q, h in self.hodge_numbers()]
+            out["certificate"] = None
+        return out
+
 
 def macaulay_column(partial, index, g) -> dict:
     """The Macaulay column g * partial, its rows numbered by index.
@@ -85,17 +116,39 @@ def macaulay_column(partial, index, g) -> dict:
     return {index[mono_mul(g, mu)]: c for mu, c in partial.terms.items()}
 
 
+def earlier_leads(partials) -> dict:
+    """Leading monomials before each nonzero partial: i -> (LT(dF_j), j < i).
+
+    Only nonzero partials have columns, so only they appear, as keys and as
+    leads; LT is the largest monomial in graded-lex order.
+    """
+    out, leads = {}, ()
+    for i, p in enumerate(partials):
+        if p:
+            out[i] = leads
+            leads += (max(p.terms),)
+    return out
+
+
+def koszul_redundant(g, leads) -> bool:
+    """Column g * dF_i is redundant: g is divisible by one of leads, the
+    leading monomials of the partials before i (module docstring)."""
+    return any(all(a >= b for a, b in zip(g, lt)) for lt in leads)
+
+
 def macaulay_columns(partials, index, nvars: int, src: int):
-    """Columns of (g_0..g_n) -> sum g_i * partials[i], the g_i of degree src.
+    """Kept columns of (g_0..g_n) -> sum g_i * partials[i], g_i of degree src.
 
     index maps each monomial of the target degree to its row.  Yields
     ((i, g), macaulay_column(partials[i], index, g)) for every nonzero
-    partial i and every monomial g of degree src, in monomial_basis order.
+    partial i and every monomial g of degree src that koszul_redundant
+    keeps, in monomial_basis order.  They span every column.
     """
     sources = monomial_basis(nvars, src)
-    for i, p in enumerate(partials):
-        if p:
-            for g in sources:
+    for i, leads in earlier_leads(partials).items():
+        p = partials[i]
+        for g in sources:
+            if not koszul_redundant(g, leads):
                 yield (i, g), macaulay_column(p, index, g)
 
 
@@ -103,7 +156,8 @@ def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
     """Rank of (g_0..g_n) -> sum g_i * dF/dx_i landing in degree d.
 
     partials are the generators (each homogeneous of gen_degree or zero);
-    the g_i run over all monomials of degree d - gen_degree.
+    the g_i run over the monomials of degree d - gen_degree, less the
+    redundant ones (macaulay_columns), which leave the rank unchanged.
     """
     src = d - gen_degree
     if src < 0:

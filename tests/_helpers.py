@@ -76,3 +76,16 @@ def sparse_to_dense(m):
     for (r, c), v in m.entries.items():
         rows[r][c] = Fraction(v)
     return rows
+
+
+def all_macaulay_columns(partials, index, sources):
+    """Every Macaulay column g * p, for each nonzero partial p and each g in
+    sources, rows numbered by index.  No column is skipped, so this is the
+    oracle for the engine's pruned macaulay_columns."""
+    cols = []
+    for p in partials:
+        if p:
+            for g in sources:
+                cols.append({index[tuple(a + b for a, b in zip(g, mu))]: c
+                             for mu, c in p.terms.items()})
+    return cols

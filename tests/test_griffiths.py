@@ -10,9 +10,11 @@ from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomolog
                         full_complex_spec, griffiths, jacobian_hilbert,
                         milnor_number, primitive_hodge_numbers, strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
+from dworkcohom.matrices import rank_of_columns
 from dworkcohom.poly import Polynomial, monomial_basis
 
-from _helpers import fermat, series_hilbert, triangle, var
+from _helpers import (all_macaulay_columns, fermat, series_hilbert, triangle,
+                      var)
 
 
 def ranked_hilbert(f):
@@ -107,6 +109,75 @@ def test_singular_profile_ranks_each_degree_once(ranked, name):
     assert not p.smooth
     assert sorted(ranked) == list(range(p.socle + 3))
     assert ranked[0] == p.socle + 1
+
+
+# ---- Koszul-redundant columns: the pruned Macaulay matrix ---------------
+
+
+def random_pruning_form(m, nvars, seed, field=QQ, singular=False):
+    """A seeded random form; over QQ(t) its coefficients are a + b*t.  With
+    singular, no monomial has x0-degree >= m - 1, so all partials vanish at
+    [1:0:...:0]."""
+    rng = random.Random(seed)
+    terms = {}
+    for nu in monomial_basis(nvars, m):
+        if singular and nu[0] >= m - 1:
+            continue
+        c = Fraction(rng.randint(-3, 3))
+        if field is QQ_T:
+            c = RatFunc.from_fraction(c) + T * rng.randint(-2, 2)
+        if c:
+            terms[nu] = c
+    return Polynomial(field, nvars, terms)
+
+
+PRUNING = {
+    "random-cubic-3": (random_pruning_form(3, 3, 5), True),
+    "random-cubic-4": (random_pruning_form(3, 4, 6), True),
+    "random-quartic-3": (random_pruning_form(4, 3, 7), True),
+    "singular-cubic-4": (random_pruning_form(3, 4, 8, singular=True), False),
+    "singular-quartic-3": (random_pruning_form(4, 3, 9, singular=True), False),
+    "cubic-3-over-QQ(t)": (random_pruning_form(3, 3, 10, QQ_T), True),
+    "singular-cubic-3-over-QQ(t)":
+        (random_pruning_form(3, 3, 11, QQ_T, singular=True), False),
+    "cone-quadric (a zero partial)": (SINGULAR["cone-quadric"], False),
+    "cusp": (SINGULAR["cusp"], False),
+    "k3-over-QQ(t)": (SMOOTH["k3-over-QQ(t)"], True),
+}
+
+
+@pytest.mark.parametrize("f, smooth", PRUNING.values(), ids=PRUNING.keys())
+def test_pruned_rank_is_the_full_rank(f, smooth):
+    # every degree 0..socle+2: the kept columns span all of them
+    m, nvars = f.homogeneous_degree(), f.nvars
+    assert jacobian_hilbert(f).smooth == smooth
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    skipped = 0
+    for d in range(nvars * (m - 2) + 3):
+        index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
+        sources = monomial_basis(nvars, d - (m - 1))
+        full = all_macaulay_columns(partials, index, sources)
+        kept = [col for _, col in griffiths.macaulay_columns(
+            partials, index, nvars, d - (m - 1))]
+        skipped += len(full) - len(kept)
+        assert griffiths.macaulay_rank(partials, nvars, m - 1, d) \
+            == rank_of_columns(kept) == rank_of_columns(full)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("m,nvars", [(2, 3), (3, 3), (4, 3), (3, 4), (5, 2)])
+def test_fermat_kept_columns_are_independent(m, nvars):
+    # the leading monomials x_i^(m-1) are the partials up to scale, so each
+    # kept column is one monomial, and no two kept columns share it
+    f = fermat(m, nvars)
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    series = series_hilbert(m, nvars, nvars * (m - 2) + 2)
+    for d, h in enumerate(series):
+        index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
+        kept = list(griffiths.macaulay_columns(partials, index, nvars,
+                                               d - (m - 1)))
+        assert len(kept) == len(index) - h
+        assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d)
 
 
 def test_fermat_cubic_profile():
