@@ -27,13 +27,15 @@ A degree's echelon is built on demand, one connected block of its Macaulay
 matrix at a time.  A solve eliminates only the blocks its residue meets: on
 the Dwork quintic the socle class x4^15 times the perturbation x0x1x2x3x4
 lands in degree 20, whose matrix has 10,626 rows and 24,225 columns, yet it
-meets one block of 126 rows and 152 columns.  The standard monomials need
-every block, so they close the rest.  The blocks share no rows, so
-eliminating them separately in Macaulay order stores the same pivot columns
-as eliminating the whole matrix (see _DegreeSolver).  Columns that Koszul
-syzygies make redundant are never built (griffiths.koszul_redundant): they
-are 11,300 of the 24,225 in that degree, and the 152 are the block's kept
-columns.
+meets one block of 126 rows.  The standard monomials need every block, so
+they close the rest.  The blocks share no rows, so eliminating them
+separately in Macaulay order stores the same pivot columns as eliminating
+the whole matrix (see _DegreeSolver).  Columns that Koszul syzygies make
+redundant are never built (griffiths.koszul_redundant): they are 13,599 of
+the 24,225 in that degree, which leaves 10,626 columns, one per row, and the
+block eliminates 126 columns on its 126 rows.  With grevlex leads every
+kept column of the Dwork pencils is independent (griffiths module
+docstring).
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_primitive, poly_str)
-from .griffiths import (earlier_leads, jacobian_hilbert, koszul_redundant,
-                        macaulay_column, macaulay_columns)
-from .matrices import FieldRankAccumulator, IntRankAccumulator, integerize_column
-from .poly import Polynomial, count_monomials, monomial_basis
+from .griffiths import MacaulayColumns, jacobian_hilbert, koszul_redundant
+from .matrices import integerize_column
+from .poly import Polynomial, monomial_basis
 from .reports import Check, Verdict
 
 
@@ -106,7 +108,10 @@ class _DegreeSolver:
     one last row holds the multiple of the polynomial being solved.  Over
     QQ the step is ``IntRankAccumulator._step`` on columns lifted to
     integers, the lifting scale carried in the augmentation rows; over
-    QQ(t) it is ``FieldRankAccumulator._step``.
+    QQ(t) it is ``FieldRankAccumulator._step``.  The columns come from
+    griffiths.MacaulayColumns, which lifts each partial once, together
+    with its augmentation entry, so no Macaulay column is lifted on its
+    own; only the part a solve starts from is.
 
     Only the columns that griffiths.koszul_redundant keeps are eliminated.
     They span the same space as all the columns (the griffiths module
@@ -128,35 +133,32 @@ class _DegreeSolver:
 
     def __init__(self, partials, field, nvars, gen_degree, d):
         self.field = field
-        self.partials = partials
-        self.nvars = nvars
-        self.src = d - gen_degree
         self.monomials = monomial_basis(nvars, d)
         self.index = {nu: k for k, nu in enumerate(self.monomials)}
-        if field is QQ:
-            self._lift, self._step = integerize_column, IntRankAccumulator._step
-        else:
-            self._lift, self._step = dict, FieldRankAccumulator._step
-        sources = count_monomials(nvars, self.src)
-        self._leads = earlier_leads(partials)
-        # nonzero partial i -> position of its first column
-        self._first = {i: k * sources for k, i in enumerate(self._leads)}
-        self._scale_row = len(self.monomials) + len(self._first) * sources
+        self.columns = MacaulayColumns(partials, nvars, d - gen_degree,
+                                       self.index)
+        self._lift = integerize_column if field is QQ else dict
+        self._step = self.columns.accumulator._step
+        self._scale_row = (len(self.monomials)
+                           + len(self.columns.first) * self.columns.count)
         self.keys = {}      # augmentation row -> (i, g), eliminated columns
         self.pivots = {}
         self._closed_rows = set()
 
     @cached_property
     def _source_position(self):
-        sources = monomial_basis(self.nvars, self.src)
-        return {g: k for k, g in enumerate(sources)}
+        return {g: k for k, g in enumerate(self.columns.sources)}
 
     def _eliminate(self, k, key, col):
-        """Reduce the k-th Macaulay column, key (i, g), and store its pivot."""
+        """Reduce the k-th Macaulay column, key (i, g), and store its pivot.
+
+        col is MacaulayColumns.column(i, g); the augmentation entry makes it
+        the column that integerize_column would give the augmented one.
+        """
         row = len(self.monomials) + k
-        col[row] = self.field.one
+        col[row] = self.columns.scale[key[0]]
         self.keys[row] = key
-        r, col = self._reduce(self._lift(col))
+        r, col = self._reduce(col)
         if r is not None:
             self.pivots[r] = col
 
@@ -173,18 +175,19 @@ class _DegreeSolver:
                 closed.add(r)
                 stack.append(r)
         found = {}
+        columns = self.columns
         while stack:
             nu = self.monomials[stack.pop()]
-            for i, first in self._first.items():
-                p, leads = self.partials[i], self._leads[i]
-                for mu in p.terms:
-                    g = tuple(a - b for a, b in zip(nu, mu))
+            for i, first in columns.first.items():
+                leads = columns.leads[i]
+                for mu, _ in columns.templates[i]:
+                    g = tuple(map(sub, nu, mu))
                     if min(g) < 0 or koszul_redundant(g, leads):
                         continue
                     k = first + self._source_position[g]
                     if k in found:
                         continue
-                    col = macaulay_column(p, self.index, g)
+                    col = columns.column(i, g)
                     found[k] = (i, g), col
                     for r in col:
                         if r not in closed:
@@ -215,12 +218,10 @@ class _DegreeSolver:
         """The non-pivot rows; the first read closes every open block."""
         n = len(self.monomials)
         if len(self._closed_rows) < n:
-            columns = macaulay_columns(self.partials, self.index, self.nvars,
-                                       self.src)
-            for (i, g), col in columns:
-                k = self._first[i] + self._source_position[g]
+            columns = self.columns
+            for k, key in columns.kept():
                 if n + k not in self.keys:
-                    self._eliminate(k, (i, g), col)
+                    self._eliminate(k, key, columns.column(*key))
             self._closed_rows.update(range(n))
         return [nu for k, nu in enumerate(self.monomials) if k not in self.pivots]
 

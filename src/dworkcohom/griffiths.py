@@ -27,9 +27,10 @@ member of the family.
 Macaulay matrices skip the columns that the Koszul syzygies
 dF_i * dF_j - dF_j * dF_i = 0 make redundant (the simplest form of the F5
 criterion, Faugere 2002).  Column (i, g) is g * dF_i; it is dropped when g
-is divisible by LT(dF_j), the leading (largest) monomial of an earlier
-nonzero partial j < i.  Write g = h * LT(dF_j) and let c_j be the
-coefficient of LT(dF_j).  Then
+is divisible by LT(dF_j), the grevlex lead (the largest monomial in graded
+reverse lexicographic order, x_n smallest) of an earlier nonzero partial
+j < i.  Write g = h * LT(dF_j) and let c_j be the coefficient of LT(dF_j).
+Then
 
     c_j g dF_i = (h dF_i) dF_j - sum_{t in tail(dF_j)} c_t (h t) dF_i,
 
@@ -37,21 +38,39 @@ a sum of columns of partial j < i and of columns (i, h * t) with
 h * t < g.  By induction on (i, g) the kept columns span every column, so
 the column space is unchanged: ranks, the pivot rows of an echelon (which
 depend only on the span), the standard monomials and every reduced class
-stay the same.  This needs nothing of F: it holds over both scalar fields,
-for smooth and singular inputs alike.  For Fermat inputs every kept column
-raises the rank.
+stay the same.  This needs nothing of F and holds for any monomial order
+used throughout: over both scalar fields, for smooth and singular inputs
+alike.  Only the leads of the partials before the last prune anything,
+since no partial comes after the last.
+
+The order decides how much is pruned.  Let F be smooth, so the partials
+are a regular sequence, and let the grevlex leads of dF_0..dF_(n-1) be one
+too.  Then (LT(dF_0), .., LT(dF_(i-1))) and (dF_0, .., dF_(i-1)) are
+complete intersections of the same degrees, with the same Hilbert
+function.  So partial i keeps dim S_src - dim (dF_0, .., dF_(i-1))_src
+columns, which is exactly the rank it adds, and every kept column is
+independent.  Grevlex leads meet this on the Fermat and Dwork pencils:
+dF_j = m x_j^(m-1) - m t prod(x)/x_j has lead x_j^(m-1) for every j < n
+(reverse lex with x_n smallest, as in Bayer-Stillman 1987), whereas graded
+lex leads dF_1..dF_n by the deformation monomials prod(x)/x_j.
+
+A column (i, g) repeats the coefficients of dF_i on the rows g * mu, so
+MacaulayColumns lifts each partial once and a column only renumbers rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .exceptions import NonHomogeneousError, NotSmoothError
+from .fields import QQ
 from .forms import (ColumnStencil, StrandSpec, strand_basis, strand_basis_at_degree,
                     validate_twist_input)
 from .linalg import ComplexDims
-from .matrices import IntRankAccumulator, primitive_column, rank_of_columns
+from .matrices import (FieldRankAccumulator, IntRankAccumulator, integerize_column,
+                       primitive_column)
 from .poly import Polynomial, count_monomials, mono_mul, monomial_basis
 
 
@@ -108,48 +127,107 @@ class JacobianProfile:
         return out
 
 
-def macaulay_column(partial, index, g) -> dict:
-    """The Macaulay column g * partial, its rows numbered by index.
-
-    No entry cancels, because mu -> g * mu is injective.
-    """
-    return {index[mono_mul(g, mu)]: c for mu, c in partial.terms.items()}
+def _grevlex(nu):
+    """Sort key of graded reverse lexicographic order, x_n smallest."""
+    return sum(nu), tuple(-e for e in reversed(nu))
 
 
 def earlier_leads(partials) -> dict:
-    """Leading monomials before each nonzero partial: i -> (LT(dF_j), j < i).
+    """Grevlex leads before each nonzero partial: i -> (LT(dF_j), j < i).
 
     Only nonzero partials have columns, so only they appear, as keys and as
-    leads; LT is the largest monomial in graded-lex order.
+    leads.  The last partial's lead is never used: it would prune only the
+    columns of later partials, and there are none.
     """
     out, leads = {}, ()
     for i, p in enumerate(partials):
         if p:
             out[i] = leads
-            leads += (max(p.terms),)
+            leads += (max(p.terms, key=_grevlex),)
     return out
 
 
 def koszul_redundant(g, leads) -> bool:
     """Column g * dF_i is redundant: g is divisible by one of leads, the
-    leading monomials of the partials before i (module docstring)."""
+    grevlex leads of the partials before i (module docstring)."""
     return any(all(a >= b for a, b in zip(g, lt)) for lt in leads)
+
+
+class MacaulayColumns:
+    """The Macaulay matrix (g_0..g_n) -> sum g_i * partials[i], g_i of
+    degree src, with rows numbered by index (the monomials of the target
+    degree).
+
+    Column (i, g) is the k-th of the full matrix, k = first[i] + the
+    position of g in monomial_basis(nvars, src), i running over the nonzero
+    partials.  ``kept`` lists the columns that koszul_redundant keeps; they
+    span every column.  Each nonzero partial is lifted once into a template:
+    over QQ, integerize_column of its coefficients together with the
+    augmentation entry 1 that _DegreeSolver appends to a column, which
+    leaves ``scale[i]`` as that entry; over QQ(t) the coefficients
+    themselves, with scale one.  A column then renumbers the template's rows
+    mu -> index[g * mu]; no entry cancels, because mu -> g * mu is
+    injective.  ``accumulator`` is the rank accumulator for the columns.
+    """
+
+    def __init__(self, partials, nvars: int, src: int, index):
+        self.nvars, self.src, self.index = nvars, src, index
+        self.leads = earlier_leads(partials)
+        self.count = count_monomials(nvars, src)
+        self.first = {i: k * self.count for k, i in enumerate(self.leads)}
+        self.templates, self.scale = {}, {}
+        lifted = partials[0].field is QQ
+        self.accumulator = IntRankAccumulator if lifted else FieldRankAccumulator
+        for i in self.leads:
+            terms = partials[i].terms
+            if lifted:
+                terms = integerize_column({**terms, None: 1})
+                self.scale[i] = terms.pop(None)
+            else:
+                self.scale[i] = partials[i].field.one
+            self.templates[i] = tuple(terms.items())
+
+    @cached_property
+    def sources(self):
+        """monomial_basis(nvars, src): g of column (i, g) by position."""
+        return monomial_basis(self.nvars, self.src)
+
+    def column(self, i, g) -> dict:
+        """Column (i, g): the template of partial i on the rows g * mu."""
+        index = self.index
+        return {index[mono_mul(g, mu)]: c for mu, c in self.templates[i]}
+
+    def kept(self):
+        """(k, (i, g)) for every kept column, in Macaulay order.
+
+        A partial's kept sources are monomial_basis(nvars, src) less the
+        multiples of the leads before it; the cofactors of one lead degree
+        are enumerated once.
+        """
+        redundant, done, cofactors = set(), 0, {}
+        for i, leads in self.leads.items():
+            for lt in leads[done:]:
+                e = self.src - sum(lt)
+                if e not in cofactors:
+                    cofactors[e] = monomial_basis(self.nvars, e)
+                redundant.update(mono_mul(lt, h) for h in cofactors[e])
+            done = len(leads)
+            first = self.first[i]
+            for k, g in enumerate(self.sources):
+                if g not in redundant:
+                    yield first + k, (i, g)
 
 
 def macaulay_columns(partials, index, nvars: int, src: int):
     """Kept columns of (g_0..g_n) -> sum g_i * partials[i], g_i of degree src.
 
     index maps each monomial of the target degree to its row.  Yields
-    ((i, g), macaulay_column(partials[i], index, g)) for every nonzero
-    partial i and every monomial g of degree src that koszul_redundant
-    keeps, in monomial_basis order.  They span every column.
+    ((i, g), column) for every kept column (MacaulayColumns.kept), in
+    Macaulay order.  They span every column.
     """
-    sources = monomial_basis(nvars, src)
-    for i, leads in earlier_leads(partials).items():
-        p = partials[i]
-        for g in sources:
-            if not koszul_redundant(g, leads):
-                yield (i, g), macaulay_column(p, index, g)
+    columns = MacaulayColumns(partials, nvars, src, index)
+    for _, key in columns.kept():
+        yield key, columns.column(*key)
 
 
 def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
@@ -157,14 +235,17 @@ def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
 
     partials are the generators (each homogeneous of gen_degree or zero);
     the g_i run over the monomials of degree d - gen_degree, less the
-    redundant ones (macaulay_columns), which leave the rank unchanged.
+    redundant ones (MacaulayColumns.kept), which leave the rank unchanged.
     """
     src = d - gen_degree
     if src < 0:
         return 0
     index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
-    return rank_of_columns(
-        col for _, col in macaulay_columns(partials, index, nvars, src))
+    columns = MacaulayColumns(partials, nvars, src, index)
+    acc = columns.accumulator()
+    for _, key in columns.kept():
+        acc.add_column(columns.column(*key))
+    return acc.rank
 
 
 def _koszul_hilbert(m: int, nvars: int, d: int) -> int:

@@ -8,7 +8,10 @@ after construction and hashable.
 The global monomial order is graded lexicographic with x0 > x1 > ...:
 degrees ascend, and within one degree exponent tuples are listed in
 descending lexicographic order.  Every basis and matrix in the engine
-inherits this order, so results are reproducible byte for byte.
+inherits this order, so results are reproducible byte for byte.  The
+Koszul leads that prune Macaulay columns (griffiths.earlier_leads) use
+their own order, graded reverse lex; it picks which columns are built,
+never how rows or bases are ordered.
 
 Optional positive integer weights replace the total degree by
 sum(w_i * nu_i) throughout (quasi-homogeneous grading).
@@ -17,6 +20,7 @@ sum(w_i * nu_i) throughout (quasi-homogeneous grading).
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .exceptions import VariableCountMismatch
 
@@ -30,7 +34,7 @@ def mono_degree(nu: Monomial, weights=None) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_basis(nvars: int, d: int, weights=None) -> list:

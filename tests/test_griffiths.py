@@ -10,7 +10,7 @@ from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomolog
                         full_complex_spec, griffiths, jacobian_hilbert,
                         milnor_number, primitive_hodge_numbers, strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
-from dworkcohom.matrices import rank_of_columns
+from dworkcohom.matrices import integerize_column, rank_of_columns
 from dworkcohom.poly import Polynomial, monomial_basis
 
 from _helpers import (all_macaulay_columns, fermat, series_hilbert, triangle,
@@ -178,6 +178,71 @@ def test_fermat_kept_columns_are_independent(m, nvars):
                                                d - (m - 1)))
         assert len(kept) == len(index) - h
         assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d)
+
+
+DWORK_PENCILS = {
+    "cubic-t2": dwork_member(3, 2),
+    "k3-t2": dwork_member(4, 2),
+    "quintic-t2": dwork_member(5, 2),
+    "cubic-over-QQ(t)": dwork_member(3, T, QQ_T),
+}
+
+
+@pytest.mark.parametrize("f", DWORK_PENCILS.values(), ids=DWORK_PENCILS.keys())
+def test_dwork_kept_columns_are_independent(f):
+    # the grevlex leads of dF_0..dF_(n-1) are x_j^(m-1), a regular sequence,
+    # so the kept columns number the rank of all the columns
+    m, nvars = f.homogeneous_degree(), f.nvars
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    powers = tuple(tuple(m - 1 if k == j else 0 for k in range(nvars))
+                   for j in range(nvars - 1))
+    assert griffiths.earlier_leads(partials)[nvars - 1] == powers
+    socle, skipped = nvars * (m - 2), 0
+    for d in (socle, socle + 1):
+        index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
+        sources = monomial_basis(nvars, d - (m - 1))
+        kept = list(griffiths.macaulay_columns(partials, index, nvars,
+                                               d - (m - 1)))
+        full = all_macaulay_columns(partials, index, sources)
+        skipped += len(full) - len(kept)
+        assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d) \
+            == rank_of_columns(full)
+    assert skipped > 0
+
+
+def test_template_columns_are_the_lifted_columns():
+    # each partial is lifted once, with the augmentation entry; a column
+    # (i, g), that entry included, is integerize_column of its field column
+    x0, x1, x2 = (var(3, k) for k in range(3))
+    f = ((x0 ** 3).scale(Fraction(1, 2)) + (x1 ** 3).scale(Fraction(2, 3))
+         + (x2 ** 3).scale(6) - (x0 * x1 * x2).scale(4))
+    partials = [f.partial_derivative(k) for k in range(3)]
+    for d in range(2, 6):
+        index = {nu: k for k, nu in enumerate(monomial_basis(3, d))}
+        n = len(index)
+        columns = griffiths.MacaulayColumns(partials, 3, d - 2, index)
+        for i, p in enumerate(partials):
+            for pos, g in enumerate(monomial_basis(3, d - 2)):
+                row = n + columns.first[i] + pos
+                col = columns.column(i, g)
+                col[row] = columns.scale[i]
+                field_col = {index[tuple(a + b for a, b in zip(g, mu))]: c
+                             for mu, c in p.terms.items()}
+                field_col[row] = QQ.one
+                assert col == integerize_column(field_col)
+                assert all(type(v) is int for v in col.values())
+    # over QQ(t) a column keeps the field entries, with augmentation one
+    ft = f.map_coefficients(QQ_T.coerce, QQ_T) + (x0 * x1 * x2).map_coefficients(
+        QQ_T.coerce, QQ_T).scale(T)
+    partials = [ft.partial_derivative(k) for k in range(3)]
+    index = {nu: k for k, nu in enumerate(monomial_basis(3, 3))}
+    columns = griffiths.MacaulayColumns(partials, 3, 1, index)
+    for i, p in enumerate(partials):
+        assert columns.scale[i] == QQ_T.one
+        for g in monomial_basis(3, 1):
+            assert columns.column(i, g) == {
+                index[tuple(a + b for a, b in zip(g, mu))]: c
+                for mu, c in p.terms.items()}
 
 
 def test_fermat_cubic_profile():
