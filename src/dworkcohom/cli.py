@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -448,11 +449,17 @@ def run_job(job: Job) -> tuple:
 
 
 def write_report(report: dict, path) -> None:
-    """Atomic JSON write (temp file + rename)."""
+    """Atomic JSON write (temp file + rename); a failed write leaves no
+    temp file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---- corpus runner -------------------------------------------------------

@@ -56,7 +56,7 @@ def _smooth_profile(f: Polynomial, weights, policy):
     return profile if profile.smooth else None
 
 
-def _concentrated_report(f, nvars, m, dims_top, strand, weights, description):
+def _concentrated_report(nvars, m, dims_top, strand, weights, description):
     dims = {k: 0 for k in range(nvars + 1)}
     dims[nvars] = dims_top
     return CohomologyReport(
@@ -75,7 +75,7 @@ def _strand_report(f: Polynomial, residue: int, policy, weights,
     residue %= max(m, 1)
     if profile is not None:
         return _concentrated_report(
-            f, f.nvars, m, strand_top_dims(profile, residue), residue, weights,
+            f.nvars, m, strand_top_dims(profile, residue), residue, weights,
             f"strand {residue} mod {m} twisted cohomology of F = {f}")
     spec = StrandSpec(f.nvars, max(m, 1), residue, weights)
     return stabilized_cohomology(f, spec, policy)
@@ -86,7 +86,7 @@ def _full_report(f: Polynomial, policy, weights, profile) -> CohomologyReport:
     profile is _smooth_profile(f, weights, policy)."""
     if profile is not None:
         return _concentrated_report(
-            f, f.nvars, profile.modulus, profile.milnor, None, weights,
+            f.nvars, profile.modulus, profile.milnor, None, weights,
             f"full twisted cohomology of F = {f}")
     if f and f.homogeneous_degree(weights) is None and policy is None:
         raise NonHomogeneousError(

@@ -68,7 +68,7 @@ def poly_primitive(a: IntPoly) -> IntPoly:
     return tuple(x // g for x in a)
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+def poly_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder of a by b (b nonzero), up to powers of lc(b)."""
     db = len(b) - 1
     lcb = b[-1]
@@ -92,7 +92,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, poly_primitive(_pseudo_rem(a, b))
+        a, b = b, poly_primitive(poly_pseudo_rem(a, b))
     if not a:
         return ()
     if a[-1] < 0:
@@ -132,25 +132,11 @@ def poly_eval(a: IntPoly, x: Fraction) -> Fraction:
 
 
 def poly_str(a: IntPoly) -> str:
-    """Text of a polynomial in t, highest degree first."""
-    if not a:
-        return "0"
-    parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        if k == 0:
-            term = str(abs(c))
-        elif k == 1:
-            term = f"{abs(c)}*t" if abs(c) != 1 else "t"
-        else:
-            term = f"{abs(c)}*t^{k}" if abs(c) != 1 else f"t^{k}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f" + {term}" if c > 0 else f" - {term}")
-    return "".join(parts)
+    """Text of a polynomial in t, highest degree first: the one-variable
+    case of poly.format_polynomial."""
+    from .poly import Polynomial, format_polynomial
+    terms = {(k,): c for k, c in enumerate(a) if c}
+    return format_polynomial(Polynomial(QQ, 1, terms), ["t"])
 
 
 class RatFunc:

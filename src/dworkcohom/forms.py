@@ -31,7 +31,7 @@ from operator import add
 
 from .exceptions import NonHomogeneousError, VariableCountMismatch
 from .matrices import SparseMatrix
-from .poly import Polynomial, mono_degree, monomial_basis
+from .poly import Polynomial, add_term, mono_degree, mono_mul, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,21 @@ class DifferentialForm:
             if len(I) != degree or list(I) != sorted(set(I)) \
                     or (I and not 0 <= I[0] <= I[-1] < nvars):
                 raise ValueError(f"bad index set {I} for degree {degree}")
-            c = field.coerce(c)
-            if c:
-                key = (nu, I)
-                acc = clean.get(key)
-                clean[key] = c if acc is None else acc + c
-                if not clean[key]:
-                    del clean[key]
+            add_term(clean, (nu, I), field.coerce(c))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, field, nvars: int, degree: int, terms: dict) -> "DifferentialForm":
+        """A form on a term map built here, already without zeros."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("DifferentialForm is immutable")
@@ -164,20 +168,12 @@ class DifferentialForm:
             raise ValueError("cannot add forms of different degrees")
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc = terms.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                terms[key] = s
-            elif acc is not None:
-                del terms[key]
-        out = DifferentialForm.zero(self.field, self.nvars, self.degree)
-        object.__setattr__(out, "terms", terms)
-        return out
+            add_term(terms, key, c)
+        return DifferentialForm._of(self.field, self.nvars, self.degree, terms)
 
     def __neg__(self):
-        out = DifferentialForm.zero(self.field, self.nvars, self.degree)
-        object.__setattr__(out, "terms", {k: -c for k, c in self.terms.items()})
-        return out
+        return DifferentialForm._of(self.field, self.nvars, self.degree,
+                                    {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,9 +182,8 @@ class DifferentialForm:
         c = self.field.coerce(c)
         if not c:
             return DifferentialForm.zero(self.field, self.nvars, self.degree)
-        out = DifferentialForm.zero(self.field, self.nvars, self.degree)
-        object.__setattr__(out, "terms", {k: v * c for k, v in self.terms.items()})
-        return out
+        return DifferentialForm._of(self.field, self.nvars, self.degree,
+                                    {k: v * c for k, v in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -218,18 +213,9 @@ class DifferentialForm:
                 sign, K = merge_index_sets(I1, I2)
                 if sign is None:
                     continue
-                nu = tuple(a + b for a, b in zip(nu1, nu2))
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                key = (nu, K)
-                acc = out.get(key)
-                s = c if acc is None else acc + c
-                if s:
-                    out[key] = s
-                elif acc is not None:
-                    del out[key]
-        form = DifferentialForm.zero(self.field, self.nvars, deg)
-        object.__setattr__(form, "terms", out)
-        return form
+                add_term(out, (mono_mul(nu1, nu2), K),
+                         c1 * c2 if sign > 0 else -(c1 * c2))
+        return DifferentialForm._of(self.field, self.nvars, deg, out)
 
     def exterior_derivative(self) -> "DifferentialForm":
         if self.degree == self.nvars:
@@ -241,18 +227,9 @@ class DifferentialForm:
                 if not e or k in I:
                     continue
                 sign, K = insert_sign(k, I)
-                dnu = nu[:k] + (e - 1,) + nu[k + 1:]
-                v = c * e if sign > 0 else -(c * e)
-                key = (dnu, K)
-                acc = out.get(key)
-                s = v if acc is None else acc + v
-                if s:
-                    out[key] = s
-                elif acc is not None:
-                    del out[key]
-        form = DifferentialForm.zero(self.field, self.nvars, self.degree + 1)
-        object.__setattr__(form, "terms", out)
-        return form
+                add_term(out, (nu[:k] + (e - 1,) + nu[k + 1:], K),
+                         c * e if sign > 0 else -(c * e))
+        return DifferentialForm._of(self.field, self.nvars, self.degree + 1, out)
 
     def twisted_differential(self, f: Polynomial) -> "DifferentialForm":
         """D(omega) = d(omega) + dF ^ omega."""
@@ -280,17 +257,8 @@ def gradient_form(f: Polynomial) -> DifferentialForm:
     for nu, c in f.terms.items():
         for k, e in enumerate(nu):
             if e:
-                dnu = nu[:k] + (e - 1,) + nu[k + 1:]
-                key = (dnu, (k,))
-                acc = terms.get(key)
-                s = c * e if acc is None else acc + c * e
-                if s:
-                    terms[key] = s
-                elif acc is not None:
-                    del terms[key]
-    form = DifferentialForm.zero(f.field, f.nvars, 1)
-    object.__setattr__(form, "terms", terms)
-    return form
+                add_term(terms, (nu[:k] + (e - 1,) + nu[k + 1:], (k,)), c * e)
+    return DifferentialForm._of(f.field, f.nvars, 1, terms)
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -320,25 +288,17 @@ def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
         if not e or k in I:
             continue
         sign, K = insert_sign(k, I)
-        key = (nu[:k] + (e - 1,) + nu[k + 1:], K)
-        col[key] = col.get(key, 0) + (e if sign > 0 else -e)
+        add_term(col, (nu[:k] + (e - 1,) + nu[k + 1:], K), e if sign > 0 else -e)
     # dF part: multiplies by each monomial's partial and wedges dx_k
     for mu, c in f.terms.items():
         for k, ek in enumerate(mu):
             if not ek or k in I:
                 continue
             sign, K = insert_sign(k, I)
-            tnu = tuple(a + b for a, b in zip(nu, mu))
+            tnu = mono_mul(nu, mu)
             tnu = tnu[:k] + (tnu[k] - 1,) + tnu[k + 1:]
-            v = c * ek if sign > 0 else -(c * ek)
-            key = (tnu, K)
-            acc = col.get(key, 0)
-            s = acc + v
-            if s:
-                col[key] = s
-            else:
-                col.pop(key, None)
-    return {k: v for k, v in col.items() if v}
+            add_term(col, (tnu, K), c * ek if sign > 0 else -(c * ek))
+    return col
 
 
 class ColumnStencil:

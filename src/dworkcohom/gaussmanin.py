@@ -47,10 +47,11 @@ from operator import sub
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
-                     poly_gcd, poly_mul, poly_primitive, poly_str)
+                     poly_gcd, poly_mul, poly_neg, poly_primitive,
+                     poly_pseudo_rem, poly_str)
 from .griffiths import MacaulayColumns, jacobian_hilbert, koszul_redundant
 from .matrices import integerize_column
-from .poly import Polynomial, monomial_basis
+from .poly import Polynomial, add_term, monomial_basis
 from .reports import Check, Verdict
 
 
@@ -304,6 +305,9 @@ class GriffithsDworkReducer:
                         f"in degree {d} lies outside the standard basis")
                 coords[self.std_index[key]] = coords[self.std_index[key]] + c
             if d >= self.m:
+                # Summed without dropping zeros, then merged: a monomial
+                # whose partial sum passes through zero keeps its place, so
+                # the residue order (and a BasisError's text) is fixed.
                 correction = {}
                 for (i, g), lam in combo.items():
                     if g[i]:
@@ -312,12 +316,7 @@ class GriffithsDworkReducer:
                         correction[dmono] = acc - lam * g[i]
                 lower = parts.setdefault(d - self.m, {})
                 for nu, c in correction.items():
-                    acc = lower.get(nu, self.field.zero)
-                    s = acc + c
-                    if s:
-                        lower[nu] = s
-                    else:
-                        lower.pop(nu, None)
+                    add_term(lower, nu, c)
                 if not parts[d - self.m]:
                     del parts[d - self.m]
         return coords
@@ -397,37 +396,54 @@ def _solve_square(u_cols, r_cols, k):
     return tuple(tuple(rows[i][k + j] for j in range(ncols_r)) for i in range(k))
 
 
+def _derivative(a: IntPoly) -> IntPoly:
+    return tuple(k * c for k, c in enumerate(a))[1:]
+
+
 def _rational_roots(p: IntPoly):
     """All rational roots of an integer polynomial (for discriminant reports).
 
-    Candidates come from the primitive part, whose roots are the same, so a
-    large content never reaches the trial division.
+    No coefficient is factored.  The roots are those of the square-free
+    primitive part q, and a rational root of q is k/L for an integer k, with
+    L = |lc(q)|.  A Sturm sequence of q counts its real roots in any
+    interval (lo, hi]; bisection from the Cauchy bound isolates each root in
+    an interval shorter than 1/L, which holds at most one k/L, and that one
+    candidate is tested exactly.
     """
-    roots = set()
-    if not p or len(p) == 1:
+    if len(p) < 2:
         return ()
-    coeffs = list(poly_primitive(p))
-    while coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs.pop(0)
-    lead, const = coeffs[-1], coeffs[0]
+    q = poly_primitive(poly_div_exact(p, poly_gcd(p, _derivative(p))))
+    roots = []
+    if not q[0]:
+        roots.append(Fraction(0))
+        q = q[1:]
+    if len(q) < 2:
+        return tuple(roots)
+    # Sturm sequence: each remainder up to a positive factor, so signs hold
+    seq = [q, _derivative(q)]
+    while len(seq[-1]) > 1:
+        b = seq[-1] if seq[-1][-1] > 0 else poly_neg(seq[-1])
+        seq.append(poly_primitive(poly_neg(poly_pseudo_rem(seq[-2], b))))
 
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(a, x) for a in seq) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    for num in divisors(const):
-        for den in divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if poly_eval(tuple(coeffs), cand) == 0:
-                    roots.add(cand)
+    lead = abs(q[-1])
+    bound = Fraction(2 + max(abs(c) for c in q[:-1]) // lead)
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi == 1 and (hi - lo) * lead < 1:
+            cand = Fraction(hi.numerator * lead // hi.denominator, lead)
+            if cand > lo and not poly_eval(q, cand):
+                roots.append(cand)
+            continue
+        mid = (lo + hi) / 2
+        vmid = variations(mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
     return tuple(sorted(roots))
 
 

@@ -218,18 +218,6 @@ class MacaulayColumns:
                     yield first + k, (i, g)
 
 
-def macaulay_columns(partials, index, nvars: int, src: int):
-    """Kept columns of (g_0..g_n) -> sum g_i * partials[i], g_i of degree src.
-
-    index maps each monomial of the target degree to its row.  Yields
-    ((i, g), column) for every kept column (MacaulayColumns.kept), in
-    Macaulay order.  They span every column.
-    """
-    columns = MacaulayColumns(partials, nvars, src, index)
-    for _, key in columns.kept():
-        yield key, columns.column(*key)
-
-
 def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
     """Rank of (g_0..g_n) -> sum g_i * dF/dx_i landing in degree d.
 

@@ -106,14 +106,8 @@ class ComplexDims:
         if prev_out != 0:
             raise ValueError("outgoing rank of the top degree must be zero")
 
-    def degrees(self):
-        return [d for d, *_ in self.data]
-
     def space(self, i):
         return dict((d, s) for d, s, _, _ in self.data).get(i, 0)
-
-    def rank_out(self, i):
-        return dict((d, r) for d, _, r, _ in self.data).get(i, 0)
 
     def coh(self, i):
         return dict((d, c) for d, _, _, c in self.data).get(i, 0)

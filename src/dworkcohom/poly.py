@@ -5,6 +5,17 @@ variable.  A polynomial is a finite map from monomials to nonzero field
 elements; the zero polynomial stores no terms.  All values are immutable
 after construction and hashable.
 
+Every sparse term map of the engine keeps that invariant: polynomials,
+differential forms (forms), sparse matrices and column maps (matrices),
+and the parts a Griffiths-Dwork reduction carries (gaussmanin) store no
+zero value.  ``add_term`` is their one update: a sum that cancels drops its
+key, and any other sum keeps the key where it was.  Two loops keep their
+own update on purpose.  The elimination steps of the rank accumulators
+(matrices) are the engine's inner loop, so they stay inline.
+GriffithsDworkReducer.reduce sums one degree's corrections without dropping
+zeros before it merges them, so a key whose partial sum passes through
+zero keeps its place and the residue order stays fixed.
+
 The global monomial order is graded lexicographic with x0 > x1 > ...:
 degrees ascend, and within one degree exponent tuples are listed in
 descending lexicographic order.  Every basis and matrix in the engine
@@ -68,6 +79,20 @@ def monomial_basis(nvars: int, d: int, weights=None) -> list:
     return out
 
 
+def add_term(terms: dict, key, c) -> None:
+    """terms[key] += c, dropping the key when the sum is zero.
+
+    A new nonzero key goes last; an existing key that stays nonzero keeps
+    its position.
+    """
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def count_monomials(nvars: int, d: int) -> int:
     """Number of monomials of total degree d in nvars variables."""
     return comb(d + nvars - 1, nvars - 1) if d >= 0 else 0
@@ -84,16 +109,21 @@ class Polynomial:
             nu = tuple(nu)
             if len(nu) != nvars or any(e < 0 for e in nu):
                 raise ValueError(f"bad exponent tuple {nu} for nvars={nvars}")
-            c = field.coerce(c)
-            if c:
-                acc = clean.get(nu)
-                clean[nu] = c if acc is None else acc + c
-                if not clean[nu]:
-                    del clean[nu]
+            add_term(clean, nu, field.coerce(c))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, field, nvars: int, terms: dict) -> "Polynomial":
+        """A polynomial on a term map built here, already without zeros."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
@@ -135,22 +165,14 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for nu, c in other.terms.items():
-            acc = terms.get(nu)
-            s = c if acc is None else acc + c
-            if s:
-                terms[nu] = s
-            elif acc is not None:
-                del terms[nu]
-        out = Polynomial.zero(self.field, self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
+            add_term(terms, nu, c)
+        return Polynomial._of(self.field, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.zero(self.field, self.nvars)
-        object.__setattr__(out, "terms", {nu: -c for nu, c in self.terms.items()})
-        return out
+        return Polynomial._of(self.field, self.nvars,
+                              {nu: -c for nu, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -167,17 +189,8 @@ class Polynomial:
         terms = {}
         for nu1, c1 in self.terms.items():
             for nu2, c2 in other.terms.items():
-                nu = mono_mul(nu1, nu2)
-                c = c1 * c2
-                acc = terms.get(nu)
-                s = c if acc is None else acc + c
-                if s:
-                    terms[nu] = s
-                elif acc is not None:
-                    del terms[nu]
-        out = Polynomial.zero(self.field, self.nvars)
-        object.__setattr__(out, "terms", terms)
-        return out
+                add_term(terms, mono_mul(nu1, nu2), c1 * c2)
+        return Polynomial._of(self.field, self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -185,9 +198,8 @@ class Polynomial:
         c = self.field.coerce(c)
         if not c:
             return Polynomial.zero(self.field, self.nvars)
-        out = Polynomial.zero(self.field, self.nvars)
-        object.__setattr__(out, "terms", {nu: v * c for nu, v in self.terms.items()})
-        return out
+        return Polynomial._of(self.field, self.nvars,
+                              {nu: v * c for nu, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:

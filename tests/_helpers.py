@@ -81,7 +81,7 @@ def sparse_to_dense(m):
 def all_macaulay_columns(partials, index, sources):
     """Every Macaulay column g * p, for each nonzero partial p and each g in
     sources, rows numbered by index.  No column is skipped, so this is the
-    oracle for the engine's pruned macaulay_columns."""
+    oracle for the kept columns of griffiths.MacaulayColumns."""
     cols = []
     for p in partials:
         if p:
@@ -89,3 +89,23 @@ def all_macaulay_columns(partials, index, sources):
                 cols.append({index[tuple(a + b for a, b in zip(g, mu))]: c
                              for mu, c in p.terms.items()})
     return cols
+
+
+def trial_division_roots(p):
+    """Rational roots of an integer polynomial (coefficients lowest degree
+    first) by the rational root theorem: every +-u/v with u dividing the
+    lowest nonzero coefficient and v the leading one.  Only for small
+    coefficients: the divisors are found by trial division."""
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    roots = {Fraction(0)} if p[0] == 0 else set()
+    coeffs = list(p)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    for u in divisors(coeffs[0]):
+        for v in divisors(coeffs[-1]):
+            for x in (Fraction(u, v), Fraction(-u, v)):
+                if sum(c * x ** k for k, c in enumerate(coeffs)) == 0:
+                    roots.add(x)
+    return tuple(sorted(roots))

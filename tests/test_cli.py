@@ -295,6 +295,25 @@ def test_output_failures_end_in_exit_code(tmp_path, capsys):
     assert code == 1 and "output must be of type string" in out["error"]
 
 
+def test_failed_output_leaves_no_temp_file(tmp_path, capsys):
+    # the rename onto a directory fails after the temp file is written
+    (tmp_path / "out.json").mkdir()
+    code = main(["hodge", CUBIC["polynomial"], "-v", "x0,x1,x2",
+                 "-o", str(tmp_path / "out.json")])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and "cannot write the report" in out["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_gm_with_a_large_coefficient_finds_its_roots():
+    # the lead coefficient 1000003^3 of the denominator is never factored
+    code, report = run_job(Job.from_dict({
+        "command": "gm", **CUBIC, "perturbation": "-1000003*x0*x1*x2"}))
+    assert code == 0
+    assert report["matrix"]["denominator"] == "1000009000027000027*t^4 - 27*t"
+    assert report["matrix"]["discriminant_roots"] == ["0", "3/1000003"]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_corpus_reports_every_row_past_a_bad_output(tmp_path, monkeypatch,
                                                     workers):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         connection_properties_check, family_connection_matrix,
@@ -14,7 +15,9 @@ from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from dworkcohom.gaussmanin import (GriffithsDworkReducer, _DegreeSolver,
                                    _rational_roots)
-from _helpers import all_macaulay_columns, fermat, triangle, var
+from dworkcohom.fields import poly_mul
+from _helpers import (all_macaulay_columns, fermat, triangle,
+                      trial_division_roots, var)
 
 
 def dwork_family():
@@ -142,6 +145,23 @@ def test_rational_roots_of_a_large_content():
     p = tuple(c * 2 ** 64 for c in (-1, 0, 1))
     assert _rational_roots(p) == (Fraction(-1), Fraction(1))
     assert _rational_roots((0, -3, 0, 0, 3)) == (Fraction(0), Fraction(1))
+
+
+small_factors = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda f: f[1]),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_factors, st.sampled_from([(1,), (1, 0, 1), (-2, 0, 1),
+                                       (1, 1, 1), (-3,)]))
+def test_rational_roots_agree_with_trial_division(factors, rest):
+    # products of linear factors a + b*t, repeats included, times a factor
+    # with no rational root
+    p = rest
+    for f in factors:
+        p = poly_mul(p, f)
+    assert _rational_roots(p) == trial_division_roots(p)
 
 
 # ---- the fraction-free Griffiths-Dwork solver ---------------------------

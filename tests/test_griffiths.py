@@ -157,8 +157,8 @@ def test_pruned_rank_is_the_full_rank(f, smooth):
         index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
         sources = monomial_basis(nvars, d - (m - 1))
         full = all_macaulay_columns(partials, index, sources)
-        kept = [col for _, col in griffiths.macaulay_columns(
-            partials, index, nvars, d - (m - 1))]
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1), index)
+        kept = [columns.column(*key) for _, key in columns.kept()]
         skipped += len(full) - len(kept)
         assert griffiths.macaulay_rank(partials, nvars, m - 1, d) \
             == rank_of_columns(kept) == rank_of_columns(full)
@@ -174,8 +174,8 @@ def test_fermat_kept_columns_are_independent(m, nvars):
     series = series_hilbert(m, nvars, nvars * (m - 2) + 2)
     for d, h in enumerate(series):
         index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
-        kept = list(griffiths.macaulay_columns(partials, index, nvars,
-                                               d - (m - 1)))
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1), index)
+        kept = list(columns.kept())
         assert len(kept) == len(index) - h
         assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d)
 
@@ -201,8 +201,8 @@ def test_dwork_kept_columns_are_independent(f):
     for d in (socle, socle + 1):
         index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
         sources = monomial_basis(nvars, d - (m - 1))
-        kept = list(griffiths.macaulay_columns(partials, index, nvars,
-                                               d - (m - 1)))
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1), index)
+        kept = list(columns.kept())
         full = all_macaulay_columns(partials, index, sources)
         skipped += len(full) - len(kept)
         assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d) \

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dworkcohom import QQ, QQ_T, Polynomial, RatFunc, monomial_basis, poly_arith
 from dworkcohom.exceptions import VariableCountMismatch
 from dworkcohom.fields import poly_gcd, poly_mul
+from dworkcohom.gaussmanin import ConnectionMatrix
+from dworkcohom.poly import add_term
 
 from _helpers import fermat, var
 
@@ -165,3 +167,74 @@ def test_poly_hash_and_str_round():
     f = fermat(3, 3)
     assert hash(f) == hash(fermat(3, 3))
     assert str(f) == "x0^3 + x1^3 + x2^3"
+
+
+# ---- the one cancelling update and the one printer --------------------
+
+
+def values():
+    ints = st.integers(-3, 3)
+    fracs = st.builds(Fraction, ints, st.integers(1, 3))
+    ratfuncs = st.builds(lambda a, b: RatFunc((a, b)) / RatFunc((1, 1)),
+                         ints, ints)
+    return st.one_of(ints, fracs, ratfuncs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), values()), max_size=30))
+def test_add_term_is_the_dense_sum_without_zeros(updates):
+    terms, dense, first = {}, {}, {}
+    for key, c in updates:
+        add_term(terms, key, c)
+        dense[key] = dense.get(key, 0) + c
+        first.setdefault(key, len(first))
+    assert terms == {k: v for k, v in dense.items() if v}
+    assert all(terms.values())
+    # a key whose running sum never returned to zero keeps its first place
+    steady, sums = set(first), {}
+    for key, c in updates:
+        sums[key] = sums.get(key, 0) + c
+        if not sums[key]:
+            steady.discard(key)
+    kept = [k for k in terms if k in steady]
+    assert kept == sorted(steady, key=first.get)
+
+
+RATFUNC_TEXT = [
+    ((5,), (1,), "5"),
+    ((-7,), (1,), "-7"),
+    ((0, 1), (1,), "t"),
+    ((0, -1), (1,), "-t"),
+    ((1,), (0, 1), "1/(t)"),
+    ((-1,), (0, 1), "(-1)/(t)"),
+    ((3,), (2,), "3/2"),
+    ((1, 0, -1), (1,), "-t^2 + 1"),
+    ((0, 0, 0, -1, 0, 2), (1,), "2*t^5 - t^3"),
+    ((-2, 0, 1), (3, 0, 0, 1), "(t^2 - 2)/(t^3 + 3)"),
+    ((0, 1), (-1, 0, 1), "(t)/(t^2 - 1)"),
+    ((12345678901234567890,), (0, 1), "12345678901234567890/(t)"),
+    ((0, 0, 1), (2,), "(t^2)/2"),
+]
+
+
+@pytest.mark.parametrize("num, den, text", RATFUNC_TEXT)
+def test_ratfunc_text(num, den, text):
+    assert str(RatFunc(num, den)) == text
+
+
+DENOMINATOR_TEXT = [
+    ((1,), "1"),
+    ((-27,), "-27"),
+    ((0, 1), "t"),
+    ((0, -1), "-t"),
+    ((0, -32, 0, 0, 0, 32), "32*t^5 - 32*t"),
+    ((-27, 0, 0, 1), "t^3 - 27"),
+    ((0, -27, 0, 0, 1002101470343), "1002101470343*t^4 - 27*t"),
+    ((1, 0, 0, -1), "-t^3 + 1"),
+    ((12345678901234567890, 0, -1), "-t^2 + 12345678901234567890"),
+]
+
+
+@pytest.mark.parametrize("den, text", DENOMINATOR_TEXT)
+def test_connection_denominator_text(den, text):
+    assert ConnectionMatrix((), (), den).to_json_dict()["denominator"] == text
