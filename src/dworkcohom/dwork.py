@@ -13,9 +13,10 @@ computes, e.g.
 
 Smooth plain-homogeneous inputs are answered through the Jacobian ring
 (path "jacobian", exact); everything else goes through windowed truncation
-with a stabilization certificate (path "truncation").
+with a stabilization certificate (path "truncation").  Each pipeline
+makes that choice once per polynomial, in one _Complexes.
 compare_smooth_paths runs both routes and demands exact agreement; its
-truncation side is one proved window unless a policy is given.
+truncation side is one proved window.
 """
 
 from __future__ import annotations
@@ -41,65 +42,73 @@ def _affine_labels(nvars: int) -> dict:
     return {k: f"H~^{k - 1}(U)" for k in range(nvars + 1)}
 
 
-def _smooth_profile(f: Polynomial, weights, policy):
-    """Jacobian profile when the fast path applies, else None.
+class _Complexes:
+    """The twisted complexes of one polynomial, each answered by one route.
 
-    A pipeline computes this once per polynomial and hands it to every
-    _strand_report and _full_report of that polynomial.
+    The route is chosen once: smooth plain-homogeneous F over QQ, with no
+    weights and no policy, goes through its Jacobian profile (computed here
+    once, path "jacobian"); everything else through windowed truncation.
+    Weights are checked first, by the rules of StrandSpec.
     """
-    if policy is not None or weights is not None or f.field is not QQ or not f:
-        return None
-    m = f.homogeneous_degree()
-    if m is None or m < 2:
-        return None
-    profile = jacobian_hilbert(f)
-    return profile if profile.smooth else None
 
+    def __init__(self, f: Polynomial, weights=None,
+                 policy: StabilizationPolicy = None):
+        if weights is not None:
+            full_complex_spec(f.nvars, weights)
+        self.f, self.weights, self.policy = f, weights, policy
+        self.profile = None
+        if policy is None and weights is None and f.field is QQ and f:
+            m = f.homogeneous_degree()
+            if m is not None and m >= 2:
+                profile = jacobian_hilbert(f)
+                if profile.smooth:
+                    self.profile = profile
 
-def _concentrated_report(nvars, m, dims_top, strand, weights, description):
-    dims = {k: 0 for k in range(nvars + 1)}
-    dims[nvars] = dims_top
-    return CohomologyReport(
-        description=description, nvars=nvars, modulus=m, dims=dims,
-        labels={k: f"H^{k}" for k in dims}, strand=strand, path="jacobian",
-        certificate=None, weights=weights)
+    def _concentrated(self, dims_top, strand, description):
+        nvars = self.f.nvars
+        dims = {k: 0 for k in range(nvars + 1)}
+        dims[nvars] = dims_top
+        return CohomologyReport(
+            description=description, nvars=nvars,
+            modulus=self.profile.modulus, dims=dims,
+            labels={k: f"H^{k}" for k in dims}, strand=strand,
+            path="jacobian")
 
+    def strand(self, residue: int) -> CohomologyReport:
+        """Dimensions of one strand, residue taken mod m."""
+        f = self.f
+        m = f.homogeneous_degree(self.weights)
+        if m is None:
+            raise NonHomogeneousError(
+                "strand dimensions need a homogeneous input")
+        m = max(m, 1)
+        residue %= m
+        if self.profile is not None:
+            return self._concentrated(
+                strand_top_dims(self.profile, residue), residue,
+                f"strand {residue} mod {m} twisted cohomology of F = {f}")
+        return stabilized_cohomology(
+            f, StrandSpec(f.nvars, m, residue, self.weights), self.policy)
 
-def _strand_report(f: Polynomial, residue: int, policy, weights,
-                   profile) -> CohomologyReport:
-    """Dimensions of one strand, by the fastest valid route; profile is
-    _smooth_profile(f, weights, policy)."""
-    m = f.homogeneous_degree(weights)
-    if m is None:
-        raise NonHomogeneousError("strand dimensions need a homogeneous input")
-    residue %= max(m, 1)
-    if profile is not None:
-        return _concentrated_report(
-            f.nvars, m, strand_top_dims(profile, residue), residue, weights,
-            f"strand {residue} mod {m} twisted cohomology of F = {f}")
-    spec = StrandSpec(f.nvars, max(m, 1), residue, weights)
-    return stabilized_cohomology(f, spec, policy)
-
-
-def _full_report(f: Polynomial, policy, weights, profile) -> CohomologyReport:
-    """Dimensions of the full twisted complex, by the fastest valid route;
-    profile is _smooth_profile(f, weights, policy)."""
-    if profile is not None:
-        return _concentrated_report(
-            f.nvars, profile.modulus, profile.milnor, None, weights,
-            f"full twisted cohomology of F = {f}")
-    if f and f.homogeneous_degree(weights) is None and policy is None:
-        raise NonHomogeneousError(
-            "inhomogeneous input: supply an explicit truncation policy")
-    return stabilized_cohomology(f, full_complex_spec(f.nvars, weights), policy)
+    def full(self) -> CohomologyReport:
+        """Dimensions of the full twisted complex."""
+        f, profile = self.f, self.profile
+        if profile is not None:
+            return self._concentrated(profile.milnor, None,
+                                      f"full twisted cohomology of F = {f}")
+        if f and f.homogeneous_degree(self.weights) is None \
+                and self.policy is None:
+            raise NonHomogeneousError(
+                "inhomogeneous input: supply an explicit truncation policy")
+        return stabilized_cohomology(
+            f, full_complex_spec(f.nvars, self.weights), self.policy)
 
 
 def strand_cohomology(f: Polynomial, residue: int,
                       policy: StabilizationPolicy = None,
                       weights=None) -> CohomologyReport:
     """Dimensions of a single strand (residue mod m) of the twisted complex."""
-    return _strand_report(f, residue, policy, weights,
-                          _smooth_profile(f, weights, policy))
+    return _Complexes(f, weights, policy).strand(residue)
 
 
 def primitive_dwork_cohomology(f: Polynomial,
@@ -115,7 +124,7 @@ def primitive_dwork_cohomology(f: Polynomial,
         raise ValueError("need at least 2 variables (a hypersurface in P^n, n >= 1)")
     if f.homogeneous_degree() is None:
         raise NonHomogeneousError("the projective pipeline needs homogeneous input")
-    rep = _strand_report(f, 0, policy, None, _smooth_profile(f, None, policy))
+    rep = _Complexes(f, policy=policy).strand(0)
     return replace(rep, labels=_prim_labels(f.nvars), description=(
         f"primitive local cohomology along Y = V({f}) in P^{f.nvars - 1}"))
 
@@ -124,8 +133,7 @@ def affine_twisted_cohomology(g: Polynomial, weights=None,
                               policy: StabilizationPolicy = None) -> CohomologyReport:
     """Full-complex dims: H^k(d + dG^) = reduced H^(k-1) of U = G^{-1}(1)."""
     _need_nonconstant(g)
-    return _affine_report(
-        g, _full_report(g, policy, weights, _smooth_profile(g, weights, policy)))
+    return _affine_report(g, _Complexes(g, weights, policy).full())
 
 
 def _need_nonconstant(g: Polynomial) -> None:
@@ -158,15 +166,14 @@ def strands_and_affine(f: Polynomial, policy: StabilizationPolicy = None,
 
 def _decompose(f: Polynomial, policy, weights) -> Verdict:
     """The strand-sum identity in every degree, with the strand reports and
-    then the full-complex report as its reports, from one profile.  A
+    then the full-complex report as its reports, all on one route.  A
     failed identity raises StrandSumError."""
+    complexes = _Complexes(f, weights, policy)
     m = f.homogeneous_degree(weights) if f else None
     if m is None:
         raise NonHomogeneousError("strand decomposition needs a homogeneous input")
-    m = max(m, 1)
-    profile = _smooth_profile(f, weights, policy)
-    reports = [_strand_report(f, j, policy, weights, profile) for j in range(m)]
-    full = _full_report(f, policy, weights, profile)
+    reports = [complexes.strand(j) for j in range(max(m, 1))]
+    full = complexes.full()
     checks = [Check(f"strand sum equals full complex in degree {k}",
                     sum(rep.dim(k) for rep in reports), full.dim(k))
               for k in range(f.nvars + 1)]
@@ -185,8 +192,7 @@ def _suspend(f: Polynomial) -> Polynomial:
     return ext + Polynomial.variable(f.field, f.nvars + 1, f.nvars) ** m
 
 
-def thom_sebastiani_check(f: Polynomial,
-                          policy: StabilizationPolicy = None) -> Verdict:
+def thom_sebastiani_check(f: Polynomial) -> Verdict:
     """Kunneth factorization under F -> F + x_new^m, as dimension identities.
 
     Checks (a) degreewise: dim H^a(F~) = sum_{b+c=a} dim H^b(F) dim H^c of
@@ -197,22 +203,18 @@ def thom_sebastiani_check(f: Polynomial,
     m = f.homogeneous_degree()
     if m is None or m < 2:
         raise NonHomogeneousError("need a homogeneous input of degree >= 2")
-    ftilde = _suspend(f)
-    profile_f = _smooth_profile(f, None, policy)
-    profile_ft = _smooth_profile(ftilde, None, policy)
-    x_m = Polynomial.variable(f.field, 1, 0) ** m
-    full_f = _full_report(f, policy, None, profile_f)
-    one_var = _full_report(x_m, None, None, _smooth_profile(x_m, None, None))
-    full_ft = _full_report(ftilde, policy, None, profile_ft)
+    of_f, of_ft = _Complexes(f), _Complexes(_suspend(f))
+    full_f = of_f.full()
+    one_var = _Complexes(Polynomial.variable(f.field, 1, 0) ** m).full()
+    full_ft = of_ft.full()
     checks = []
     for a in range(f.nvars + 2):
         rhs = sum(full_f.dim(b) * one_var.dim(a - b) for b in range(a + 1))
         checks.append(Check(f"Kunneth: dim H^{a}(F + x^{m}) = "
                             f"sum dim H^b(F) * dim H^c(x^{m})",
                             full_ft.dim(a), rhs))
-    strand_ft0 = _strand_report(ftilde, 0, policy, None, profile_ft)
-    strands_f = [_strand_report(f, j, policy, None, profile_f)
-                 for j in range(1, m)]
+    strand_ft0 = of_ft.strand(0)
+    strands_f = [of_f.strand(j) for j in range(1, m)]
     for k in range(f.nvars + 2):
         rhs = sum(rep.dim(k - 1) for rep in strands_f)
         checks.append(Check(
@@ -223,8 +225,7 @@ def thom_sebastiani_check(f: Polynomial,
                    (full_f, one_var, full_ft, strand_ft0, *strands_f))
 
 
-def suspension_check(f: Polynomial,
-                     policy: StabilizationPolicy = None) -> Verdict:
+def suspension_check(f: Polynomial) -> Verdict:
     """Additivity dim H~^i(U) = prim^(i+2)(Y~) + prim^(i+1)(Y), all in-engine.
 
     U is the affine fiber of F, Y~ and Y the projective hypersurfaces of
@@ -234,12 +235,10 @@ def suspension_check(f: Polynomial,
     m = f.homogeneous_degree()
     if m is None or m < 2:
         raise NonHomogeneousError("need a homogeneous input of degree >= 2")
-    ftilde = _suspend(f)
-    profile_f = _smooth_profile(f, None, policy)
-    u_side = _full_report(f, policy, None, profile_f)
-    prim_f = _strand_report(f, 0, policy, None, profile_f)
-    prim_ft = _strand_report(ftilde, 0, policy, None,
-                             _smooth_profile(ftilde, None, policy))
+    of_f = _Complexes(f)
+    u_side = of_f.full()
+    prim_f = of_f.strand(0)
+    prim_ft = _Complexes(_suspend(f)).strand(0)
     checks = []
     for i in range(-1, f.nvars + 1):
         checks.append(Check(
@@ -302,27 +301,22 @@ def fourier_lemma_check(r: int, bound: int) -> Verdict:
     return Verdict(checks, (rep,))
 
 
-def compare_smooth_paths(f: Polynomial,
-                         policy: StabilizationPolicy = None) -> Verdict:
+def compare_smooth_paths(f: Polynomial) -> Verdict:
     """Jacobian-path dimensions vs truncation-path dimensions, degreewise.
 
     The summed primitive Hodge numbers must equal the strand-0 top dimension
     of the window engine exactly, and every lower degree must vanish on both
-    paths.  With no policy the truncation side is the proved window at
-    N0 = socle + nvars, which takes only the finiteness of the Jacobian ring
-    from the other path; an explicit policy runs the escalating windows.
+    paths.  The truncation side is the proved window at N0 = socle + nvars,
+    which takes only the finiteness of the Jacobian ring from the other
+    path.
     """
     profile = jacobian_hilbert(f)
     if not profile.smooth:
         raise NotSmoothError("two-path comparison is for smooth hypersurfaces")
     total = sum(h for _, h in profile.hodge_numbers())
-    spec = StrandSpec(f.nvars, profile.modulus, 0)
-    if policy is None:
-        trunc = proved_window_cohomology(f, spec, profile)
-    else:
-        trunc = stabilized_cohomology(f, spec, policy)
-    checks = [Check("stabilization certificate", trunc.stabilized, True),
-              Check(f"top degree {f.nvars}: sum of primitive Hodge numbers "
+    trunc = proved_window_cohomology(
+        f, StrandSpec(f.nvars, profile.modulus, 0), profile)
+    checks = [Check(f"top degree {f.nvars}: sum of primitive Hodge numbers "
                     f"= truncated strand-0 dimension",
                     total, trunc.dim(f.nvars))]
     for k in range(f.nvars):

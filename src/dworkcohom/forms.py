@@ -14,10 +14,10 @@ Degree truncation keeps total degree |nu| + |I| <= N.  Since d preserves the
 total degree and dF^ raises it, the span of degrees > N is a subcomplex and
 the retained part is a quotient complex, on which D o D = 0 holds exactly.
 
-Columns of D on monomial forms come from two builders.  ``ColumnStencil`` is
-the one the engine uses: built once per F, it yields integer columns tagged
-with the degree each entry rises by.  ``twisted_column`` is the reference it
-is tested against: rational columns assembled straight from the definition.
+D has one definition, ``DifferentialForm.twisted_differential``;
+``twisted_column`` is its monomial case, the reference for the engine's
+column builder.  ``ColumnStencil`` is that builder: built once per F, it
+yields integer columns tagged with the degree each entry rises by.
 """
 
 from __future__ import annotations
@@ -274,31 +274,12 @@ def twisted_differential(f: Polynomial, a: DifferentialForm) -> DifferentialForm
 
 
 def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
-    """Column of d + dF^ on the monomial form x^nu dx_I, untruncated.
-
-    Returns a map (nu', I') -> coefficient.  This is the reference builder:
-    it agrees with twisted_differential on monomial forms, and
-    ColumnStencil.column is tested against it.
-    """
-    col = {}
-    nvars = len(nu)
-    # d part: moves one exponent onto a new index
-    for k in range(nvars):
-        e = nu[k]
-        if not e or k in I:
-            continue
-        sign, K = insert_sign(k, I)
-        add_term(col, (nu[:k] + (e - 1,) + nu[k + 1:], K), e if sign > 0 else -e)
-    # dF part: multiplies by each monomial's partial and wedges dx_k
-    for mu, c in f.terms.items():
-        for k, ek in enumerate(mu):
-            if not ek or k in I:
-                continue
-            sign, K = insert_sign(k, I)
-            tnu = mono_mul(nu, mu)
-            tnu = tnu[:k] + (tnu[k] - 1,) + tnu[k + 1:]
-            add_term(col, (tnu, K), c * ek if sign > 0 else -(c * ek))
-    return col
+    """Column of d + dF^ on the monomial form x^nu dx_I, untruncated: the
+    map (nu', I') -> coefficient of twisted_differential on that form, the
+    reference ColumnStencil.column is tested against."""
+    one = {(nu, I): f.field.one}
+    return DifferentialForm._of(f.field, f.nvars, len(I), one) \
+        .twisted_differential(f).terms
 
 
 class ColumnStencil:

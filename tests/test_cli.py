@@ -481,6 +481,23 @@ def test_bad_values_exit_1_with_json(capsys, argv, error):
     assert code == 1 and out["error"] == error
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["affine", "x^2 + y^3", "-v", "x,y", "--weights", "3"],
+     "weight list length != variable count"),
+    (["affine", "x^2 + y^3", "-v", "x,y", "--weights", "0,2"],
+     "weights must be positive integers"),
+    (["strands", "x^2 + y^2", "-v", "x,y", "--weights", "1"],
+     "weight list length != variable count"),
+    (["strands", "x^2 + y^4", "-v", "x,y", "--weights", "2", "--strand", "0"],
+     "weight list length != variable count"),
+], ids=["affine-short", "affine-zero", "strands-short", "strand-short"])
+def test_bad_weights_are_blamed_on_the_weights(capsys, argv, error):
+    # the weights are checked before any weighted degree of F is read
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["error"] == error
+
+
 def test_strand_label_is_reduced_mod_m(capsys):
     reports = []
     for k in (1, 4, 7, -2):
@@ -725,7 +742,11 @@ def profiled(monkeypatch):
     (lambda: compare_smooth_paths(fermat(3, 3)), 1),
     (lambda: dwork.thom_sebastiani_check(fermat(3, 3)), 3),
     (lambda: dwork.suspension_check(fermat(3, 3)), 2),
-], ids=["hodge", "strands", "compare_smooth_paths", "ts", "suspension"])
+    (lambda: run_job(Job(command="dwork", **CUBIC)), 1),
+    (lambda: run_job(Job(command="affine", **CUBIC)), 1),
+    (lambda: run_job(Job(command="strands", strand=1, **CUBIC)), 1),
+], ids=["hodge", "strands", "compare_smooth_paths", "ts", "suspension",
+        "dwork", "affine", "strand"])
 def test_one_profile_per_polynomial(profiled, run, distinct):
     run()
     assert len(profiled) == len(set(profiled)) == distinct

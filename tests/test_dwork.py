@@ -218,10 +218,10 @@ def test_compare_smooth_paths_proves_its_window():
     assert proved.ok and cert.agreed and cert.bounds == (9,)
     assert (cert.proof.kind, cert.proof.smooth, cert.proof.socle,
             cert.proof.window) == ("koszul-window", True, 6, 9)
-    policy = default_policy(f, StrandSpec(3, 4, 0))
-    evidence = compare_smooth_paths(f, policy)
-    assert evidence.ok and _is_evidence(evidence.reports[0])
-    assert evidence.reports[0].dims == proved.reports[0].dims
+    spec = StrandSpec(3, 4, 0)
+    evidence = stabilized_cohomology(f, spec, default_policy(f, spec))
+    assert _is_evidence(evidence)
+    assert evidence.dims == proved.reports[0].dims
 
 
 def test_evidence_path_keeps_three_windows():

@@ -141,7 +141,8 @@ def test_quartic_family_constant_and_shape():
 
 
 def test_rational_roots_of_a_large_content():
-    # 2^64 (t^2 - 1): the trial division sees only the primitive part
+    # 2^64 (t^2 - 1): the Sturm sequence and its root bound see only the
+    # primitive part t^2 - 1
     p = tuple(c * 2 ** 64 for c in (-1, 0, 1))
     assert _rational_roots(p) == (Fraction(-1), Fraction(1))
     assert _rational_roots((0, -3, 0, 0, 3)) == (Fraction(0), Fraction(1))
