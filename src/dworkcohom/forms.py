@@ -18,6 +18,9 @@ D has one definition, ``DifferentialForm.twisted_differential``;
 ``twisted_column`` is its monomial case, the reference for the engine's
 column builder.  ``ColumnStencil`` is that builder: built once per F, it
 yields integer columns tagged with the degree each entry rises by.
+``ExponentClasses`` names the class of a monomial form modulo the lattice
+of F's exponents, which D keeps, and the orbits of those classes under
+F's variable symmetries.
 """
 
 from __future__ import annotations
@@ -337,6 +340,99 @@ class ColumnStencil:
             if w is not None:
                 out.append(((tuple(map(add, nu, shift)), w[1]), rise, w[0] * c))
         return out
+
+
+class ExponentClasses:
+    """Classes of monomial forms in Z^nvars / L, and their orbits under symmetries.
+
+    The form x^nu dx_I has exponent vector nu + e_I, and L is the lattice
+    spanned by the exponents of F.  Every entry of D(x^nu dx_I) has the
+    vector nu + e_I (the d part) or nu + e_I + mu for a term x^mu of F,
+    so D keeps the class.  ``echelon`` is an integer echelon basis of L,
+    one (pivot column, pivot value > 0, nonzero (column, value) entries)
+    per row with pivot columns increasing; ``key`` reduces each pivot
+    coordinate into 0..pivot-1 in that order, which gives one key per
+    class.
+
+    ``gens`` are symmetries of F (as from poly.variable_symmetries); they
+    permute the classes.  ``representatives`` keeps the forms of one class
+    per orbit of the group they generate, the class of smallest key, and
+    weighs each by its orbit size.  ``sizes`` maps every class met to
+    its orbit size if it represents its orbit, else to 0; it is filled one
+    orbit at a time as classes are met and lives as long as the instance.
+    """
+
+    __slots__ = ("echelon", "inverses", "sizes")
+
+    def __init__(self, f: Polynomial, gens=()):
+        rows = [list(mu) for mu in f.terms if any(mu)]
+        echelon = []
+        for c in range(f.nvars):
+            hit = [r for r in rows if r[c]]
+            rows = [r for r in rows if not r[c]]
+            if not hit:
+                continue
+            piv = hit[0]
+            for r in hit[1:]:
+                while r[c]:     # Euclid on column c, applied to whole rows
+                    q = piv[c] // r[c]
+                    piv, r = r, [a - q * b for a, b in zip(piv, r)]
+                if any(r):
+                    rows.append(r)
+            if piv[c] < 0:
+                piv = [-a for a in piv]
+            echelon.append((c, piv[c], tuple((k, a) for k, a in enumerate(piv)
+                                             if a)))
+        self.echelon = tuple(echelon)
+        self.inverses = tuple(tuple(sorted(range(len(s)), key=s.__getitem__))
+                              for s in gens)
+        self.sizes = {}
+
+    def reduce(self, v) -> tuple:
+        """The key of the class of the integer vector v."""
+        v = list(v)
+        for c, a, row in self.echelon:
+            q = v[c] // a
+            if q:
+                for k, b in row:
+                    v[k] -= q * b
+        return tuple(v)
+
+    def key(self, nu: tuple, I: tuple) -> tuple:
+        """The key of the class of x^nu dx_I."""
+        v = list(nu)
+        for k in I:
+            v[k] += 1
+        return self.reduce(v)
+
+    def orbit(self, key: tuple) -> set:
+        """The keys of the classes that the symmetries reach from key."""
+        seen, todo = {key}, [key]
+        while todo:
+            v = todo.pop()
+            for inv in self.inverses:
+                u = self.reduce([v[t] for t in inv])
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    def representatives(self, basis) -> dict:
+        """{orbit size: the (nu, I) of basis whose class represents its
+        orbit}, in basis order."""
+        sizes = self.sizes
+        groups = {}
+        for nu, I in basis:
+            key = self.key(nu, I)
+            w = sizes.get(key)
+            if w is None:
+                orbit = self.orbit(key)
+                sizes.update(dict.fromkeys(orbit, 0))
+                sizes[min(orbit)] = len(orbit)
+                w = sizes[key]
+            if w:
+                groups.setdefault(w, []).append((nu, I))
+        return groups
 
 
 def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:

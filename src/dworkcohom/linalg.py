@@ -48,6 +48,41 @@ is dF^(eta_top):
 So one window at N0 gives the exact dimensions, on every strand and on the
 full complex.  N0 is sharp: strand 0 of x0^4 + .. + x3^4 reads 20 at
 N0 - 1 and 21 at N0.
+
+Every window rank splits into class blocks, and symmetric blocks share
+their ranks.  Give x^nu dx_I the exponent vector nu + e_I in Z^(n+1), and
+let L be the lattice spanned by the exponents of F.
+
+* Class invariance: the d part of D(x^nu dx_I) keeps nu + e_I, and the
+  dF^ part adds an exponent of F, so D keeps the class of nu + e_I in
+  Z^(n+1)/L.  A complex of the engine (a strand, or the full complex) is
+  the direct sum of its class subcomplexes, which share no basis element,
+  so no row either.  Windows and bands cut every block by the same degree,
+  so each main rank and band rank is the sum of the ranks of the blocks.
+* Orbits: let s be a permutation of the variables that fixes F's terms
+  and the weights.  It sends x^nu dx_I to +-x^(s.nu) dx_s(I), with the
+  sign of sorting s(I).  It commutes with d, and with dF^ because
+  s(dF) = dF.  It keeps every degree, and s(L) = L, so it maps the block
+  of a class onto the block of its image class.  Up to the sign of dx_I
+  on each basis element, which changes no rank, that map is an
+  isomorphism of complexes.  It also maps degrees <= N onto degrees
+  <= N, and the rows of degree > N onto such rows.  So the classes of one
+  orbit of the group G of such permutations have equal main ranks and
+  band ranks at every window.
+* Weighted accumulators: the engine assembles the sources of one
+  representative class per orbit (forms.ExponentClasses) and counts each
+  source with its orbit size w.  All representatives of orbit size w feed
+  one accumulator.  Their blocks share no row, so an incoming column is
+  reduced only by pivots of its own class, and the accumulator stores
+  exactly the pivots that per-class accumulators would store.  Its rank
+  is the sum of the per-class ranks, and a window rank is
+  sum_w w * rank(accumulator of weight w).
+
+The dims and certificates are therefore those of the unsplit engine, by
+construction.  When G is trivial there is one accumulator of weight 1 and
+no class key is computed.  On the nodal quartic x0^4 + .. + x3^4 -
+4 x0x1x2x3, L has index 64 and G is S4, so strand 0's 16 classes fall into
+3 orbits, of sizes 1, 3 and 12.
 """
 
 from __future__ import annotations
@@ -56,11 +91,12 @@ from dataclasses import dataclass
 
 from .exceptions import NilpotenceError, NotSmoothError
 from .fields import QQ
-from .forms import (ColumnStencil, StrandSpec, TruncatedComplex,
-                    strand_basis_at_degree, validate_twist_input)
+from .forms import (ColumnStencil, ExponentClasses, StrandSpec,
+                    TruncatedComplex, strand_basis_at_degree,
+                    validate_twist_input)
 from .matrices import (IntRankAccumulator, SparseMatrix, exact_rank,
                        primitive_column, rank_mod_p, rank_of_columns)
-from .poly import Polynomial
+from .poly import Polynomial, variable_symmetries
 from .reports import Certificate, CohomologyReport, Proof
 
 __all__ = [
@@ -215,6 +251,13 @@ class _WindowEngine:
     Only band sources that an earlier sweep already passed are assembled a
     second time.
 
+    When F has variable symmetries, only the classes that represent their
+    orbits are assembled (see the module docstring).  Every source counts
+    its orbit size w, and its column goes to the main and band accumulators
+    of weight w, so each rank is sum_w w * rank(accumulator of weight w).
+    With no symmetry there is one accumulator of weight 1, every source is
+    assembled and no class key is computed.
+
     Bounds must be asked in non-decreasing order: an engine lives for one
     escalation and keeps only the ranks up to the last bound swept.
     """
@@ -226,37 +269,54 @@ class _WindowEngine:
         self.spec = spec
         self.top = spec.nvars
         self.stencil = ColumnStencil(f, spec.weights)
+        gens = variable_symmetries(f, spec.weights)
+        self.classes = ExponentClasses(f, gens) if gens else None
         n = self.top + 1
-        self.acc = [IntRankAccumulator() for _ in range(n)]
+        self.acc = [dict() for _ in range(n)]   # orbit size -> accumulator
         self.rows = [dict() for _ in range(n + 1)]
         self.next_deg = [spec.residue] * n
         self.dim_cum = [0] * n
         self.bound = None
 
+    def _sources(self, i: int, e: int):
+        """(orbit size, sources) pairs covering the D^i sources of degree e.
+
+        With no symmetry that is the whole basis at size 1; otherwise the
+        orbit representatives, grouped by orbit size.
+        """
+        basis = strand_basis_at_degree(self.spec, i, e)
+        if self.classes is None:
+            return ((1, basis),)
+        return self.classes.representatives(basis).items()
+
     def _add_degree(self, i: int, e: int, acc, band, cut: int) -> int:
-        """Feed the D^i columns of source degree e; return how many sources.
+        """Feed the D^i columns of source degree e; return how many sources
+        they stand for.
 
         Whole columns go to acc and their entries rising by more than cut
-        to band; either accumulator may be None.
+        to band, each keyed by orbit size; either may be None.
         """
         reg = self.rows[i + 1]
         column = self.stencil.column
-        basis = strand_basis_at_degree(self.spec, i, e)
-        for nu, I in basis:
-            col = {}
-            above = {}
-            for key, rise, v in column(nu, I):
-                rid = reg.get(key)
-                if rid is None:
-                    rid = reg[key] = len(reg)
-                col[rid] = v
-                if rise > cut:
-                    above[rid] = v
-            if acc is not None and col:
-                acc.add_column(primitive_column(col))
-            if band is not None and above:
-                band.add_column(primitive_column(above))
-        return len(basis)
+        count = 0
+        for w, sources in self._sources(i, e):
+            main, above_acc = _weighted(acc, w), _weighted(band, w)
+            for nu, I in sources:
+                col = {}
+                above = {}
+                for key, rise, v in column(nu, I):
+                    rid = reg.get(key)
+                    if rid is None:
+                        rid = reg[key] = len(reg)
+                    col[rid] = v
+                    if rise > cut:
+                        above[rid] = v
+                if main is not None and col:
+                    main.add_column(primitive_column(col))
+                if above_acc is not None and above:
+                    above_acc.add_column(primitive_column(above))
+            count += w * len(sources)
+        return count
 
     def _process(self, i: int, bound: int) -> int:
         """Sweep D^i up to bound; return the band rank of window (i, bound).
@@ -271,7 +331,7 @@ class _WindowEngine:
         e = self.next_deg[i]
         band = None
         if i < self.top:
-            band = IntRankAccumulator()
+            band = {}
             # lowest strand degree above bound - max_rise
             low = bound - self.stencil.max_rise + 1
             first = max(spec.residue, low + (spec.residue - low) % step)
@@ -282,7 +342,7 @@ class _WindowEngine:
             self.dim_cum[i] += self._add_degree(i, e, acc, band, bound - e)
             e += step
         self.next_deg[i] = e
-        return band.rank if band is not None else 0
+        return _weighted_rank(band) if band is not None else 0
 
     def dims_at(self, bound: int) -> dict:
         """Windowed dims at bound; raises ValueError below the last bound."""
@@ -293,10 +353,26 @@ class _WindowEngine:
         band = [self._process(i, bound) for i in range(self.top + 1)]
         dims = {}
         for i in range(self.top + 1):
-            kernel = self.dim_cum[i] - self.acc[i].rank
-            witnessed = self.acc[i - 1].rank - band[i - 1] if i else 0
+            kernel = self.dim_cum[i] - _weighted_rank(self.acc[i])
+            witnessed = (_weighted_rank(self.acc[i - 1]) - band[i - 1]
+                         if i else 0)
             dims[i] = kernel - witnessed
         return dims
+
+
+def _weighted(accs, w: int):
+    """The accumulator of orbit size w in accs, made on first use; None
+    when accs is None."""
+    if accs is None:
+        return None
+    acc = accs.get(w)
+    if acc is None:
+        acc = accs[w] = IntRankAccumulator()
+    return acc
+
+
+def _weighted_rank(accs) -> int:
+    return sum(w * acc.rank for w, acc in accs.items())
 
 
 def stabilized_cohomology(f: Polynomial, spec: StrandSpec,

@@ -30,6 +30,7 @@ sum(w_i * nu_i) throughout (quasi-homogeneous grading).
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from operator import add
 
@@ -96,6 +97,59 @@ def add_term(terms: dict, key, c) -> None:
 def count_monomials(nvars: int, d: int) -> int:
     """Number of monomials of total degree d in nvars variables."""
     return comb(d + nvars - 1, nvars - 1) if d >= 0 else 0
+
+
+def variable_symmetries(f: "Polynomial", weights=None) -> tuple:
+    """Generators of the group G of variable permutations that fix f.
+
+    A permutation s, with s[k] the image of variable k, sends the term
+    c x^mu to c x^(s.mu), where (s.mu)[s[k]] = mu[k].  It lies in G when
+    it fixes f's term map exactly, not up to a sign, and maps every
+    variable to one of equal weight.  The generators are the transversals
+    of the stabilizer chain: for each k and each j > k, one element of G
+    that fixes 0..k-1 and sends k to j, where one exists.  Their union
+    generates G (Sims), and () means that G is trivial.
+
+    A search extends the images of 0, 1, .. one variable at a time and
+    backtracks as soon as the multiset of (c, mu restricted to the
+    variables placed) differs from the multiset of (c, the exponents at
+    their images): the two agree for every prefix of a symmetry, and for
+    the whole permutation only on one.  Images are drawn from variables of
+    equal signature (weight and multiset of (c, mu_k)), so an f whose
+    signatures are all distinct tries no permutation at all.
+    """
+    n = f.nvars
+    terms = list(f.terms.items())
+    sig = [(1 if weights is None else weights[k],
+            frozenset(Counter((c, mu[k]) for mu, c in terms).items()))
+           for k in range(n)]
+    alike = [[j for j in range(n) if sig[j] == sig[k]] for k in range(n)]
+    if all(len(a) == 1 for a in alike):
+        return ()
+
+    def agrees(images):
+        d = len(images)
+        return Counter((c, mu[:d]) for mu, c in terms) == \
+            Counter((c, tuple(mu[j] for j in images)) for mu, c in terms)
+
+    def extend(images):
+        if len(images) == n:
+            return tuple(images)
+        for j in alike[len(images)]:
+            if j not in images and agrees(images + [j]):
+                found = extend(images + [j])
+                if found is not None:
+                    return found
+        return None
+
+    gens = []
+    for k in range(n):
+        for j in alike[k]:
+            if j > k and agrees(list(range(k)) + [j]):
+                found = extend(list(range(k)) + [j])
+                if found is not None:
+                    gens.append(found)
+    return tuple(gens)
 
 
 class Polynomial:

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 from dworkcohom import QQ, Polynomial
+from dworkcohom.forms import (ColumnStencil, strand_basis,
+                              strand_basis_at_degree, twisted_column)
+from dworkcohom.matrices import IntRankAccumulator, primitive_column
 
 
 def var(nvars, k, field=QQ):
@@ -109,3 +112,105 @@ def trial_division_roots(p):
                 if sum(c * x ** k for k, c in enumerate(coeffs)) == 0:
                     roots.add(x)
     return tuple(sorted(roots))
+
+
+def dense_windowed_dims(f, spec, bound):
+    """Independent oracle for the windowed dimensions at one bound.
+
+    Dense ranks of the untruncated differential on sources of degree
+    <= bound, minus the witnessed image, per the definition; the columns
+    come from the reference builder twisted_column.
+    """
+    kernel, witnessed = {}, {0: 0}
+    for i in range(spec.nvars + 1):
+        basis = strand_basis(spec, i, bound)
+        rows = {}
+        cols = []
+        for nu, I in basis:
+            col = {}
+            for key, c in twisted_column(f, nu, I).items():
+                col[rows.setdefault(key, len(rows))] = c
+            cols.append(col)
+        full = [[Fraction(col.get(r, 0)) for col in cols]
+                for r in range(len(rows))]
+        band = [[Fraction(col.get(r, 0)) for col in cols]
+                for key, r in rows.items() if spec.form_degree(*key) > bound]
+        rank_full = dense_rank_fractions(full)
+        kernel[i] = len(basis) - rank_full
+        witnessed[i + 1] = rank_full - dense_rank_fractions(band)
+    return {i: kernel[i] - witnessed[i] for i in kernel}
+
+
+class UnsplitWindowEngine:
+    """The window engine without orbit sharing: every source is assembled.
+
+    This is linalg._WindowEngine as it was before it shared ranks between
+    symmetric classes, kept as the oracle for that sharing.  With ``key``, a
+    function of (nu, I) such as ExponentClasses.key, every class gets its
+    own main and band accumulators, and ``ranks(i, k)`` gives the sources,
+    main rank and band rank of class k in degree i at the last window:
+    the per-class ranks that orbit sharing assumes equal along an orbit.
+    """
+
+    def __init__(self, f, spec, key=None):
+        self.spec, self.top, self.key = spec, spec.nvars, key
+        self.stencil = ColumnStencil(f, spec.weights)
+        n = self.top + 1
+        self.acc = [dict() for _ in range(n)]      # class -> accumulator
+        self.band = [dict() for _ in range(n)]     # of the last window
+        self.sources = [dict() for _ in range(n)]  # class -> sources swept
+        self.rows = [dict() for _ in range(n + 1)]
+        self.next_deg = [spec.residue] * n
+        self.bound = None
+
+    def _add_degree(self, i, e, acc, band, cut):
+        reg = self.rows[i + 1]
+        for nu, I in strand_basis_at_degree(self.spec, i, e):
+            k = self.key(nu, I) if self.key else None
+            col, above = {}, {}
+            for key, rise, v in self.stencil.column(nu, I):
+                rid = reg.setdefault(key, len(reg))
+                col[rid] = v
+                if rise > cut:
+                    above[rid] = v
+            if acc is not None:
+                self.sources[i][k] = self.sources[i].get(k, 0) + 1
+                if col:
+                    acc.setdefault(k, IntRankAccumulator()).add_column(
+                        primitive_column(col))
+            if band is not None and above:
+                band.setdefault(k, IntRankAccumulator()).add_column(
+                    primitive_column(above))
+
+    def _process(self, i, bound):
+        spec, step = self.spec, self.spec.modulus
+        e = self.next_deg[i]
+        band = self.band[i] = {} if i < self.top else None
+        if band is not None:
+            low = bound - self.stencil.max_rise + 1
+            first = max(spec.residue, low + (spec.residue - low) % step)
+            for d in range(first, min(e, bound + 1), step):
+                self._add_degree(i, d, None, band, bound - d)
+        while e <= bound:
+            self._add_degree(i, e, self.acc[i], band, bound - e)
+            e += step
+        self.next_deg[i] = e
+
+    def ranks(self, i, k):
+        """(sources, main rank, band rank) of class k in degree i."""
+        rank = lambda accs: accs[k].rank if accs and k in accs else 0
+        return self.sources[i].get(k, 0), rank(self.acc[i]), rank(self.band[i])
+
+    def dims_at(self, bound):
+        assert self.bound is None or bound >= self.bound
+        self.bound = bound
+        for i in range(self.top + 1):
+            self._process(i, bound)
+        total = lambda accs: sum(a.rank for a in (accs or {}).values())
+        dims = {}
+        for i in range(self.top + 1):
+            kernel = sum(self.sources[i].values()) - total(self.acc[i])
+            witnessed = (total(self.acc[i - 1]) - total(self.band[i - 1])
+                         if i else 0)
+            dims[i] = kernel - witnessed
+        return dims

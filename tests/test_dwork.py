@@ -248,3 +248,34 @@ def test_betti_relation_on_smooth_corpus():
         b_middle = prim_classical + (1 if middle_even else 0)
         assert prim == prim_classical
         assert b_middle == prim + (1 if middle_even else 0)
+
+
+def euler(rep):
+    return sum((-1) ** k * d for k, d in rep.dims.items())
+
+
+@pytest.mark.parametrize("name", ["fermat cubic", "x0*x1*x2", "x0^3 + x1^2*x2",
+                                  "x0^2*x1 + x1^2*x2"])
+def test_strand_euler_characteristics_agree(name):
+    # F homogeneous of degree m, unweighted: mu_m acts freely on
+    # U = F^-1(1) by x -> zeta x, with quotient P^n \ V.  Its nontrivial
+    # elements have Lefschetz number 0, so every character of mu_m has
+    # Euler characteristic chi(P^n \ V) in H*(U).  Strand j carries the
+    # zeta^j part shifted up by one, and strand 0 the reduced trivial
+    # part, so chi_j = -chi(P^n \ V) for j != 0 and chi_0 = chi_j + 1.
+    x = [var(3, k) for k in range(3)]
+    f = {"fermat cubic": fermat(3, 3), "x0*x1*x2": triangle(),
+         "x0^3 + x1^2*x2": x[0] ** 3 + x[1] ** 2 * x[2],
+         "x0^2*x1 + x1^2*x2": x[0] ** 2 * x[1] + x[1] ** 2 * x[2]}[name]
+    chi = [euler(rep) for rep in strand_decomposition(f)]
+    assert len(set(chi[1:])) == 1
+    assert chi[0] == chi[1] + 1
+
+
+def test_strand_zero_euler_characteristic_of_the_coordinate_tetrahedron():
+    # P^3 minus the four coordinate planes is the torus (C*)^3, with Euler
+    # characteristic 0, so chi_0 = 1 - chi(P^3 \ V) = 1
+    f = var(4, 0) * var(4, 1) * var(4, 2) * var(4, 3)
+    rep = primitive_dwork_cohomology(f)
+    assert rep.dims == {0: 0, 1: 0, 2: 3, 3: 3, 4: 1} and rep.stabilized
+    assert euler(rep) == 1

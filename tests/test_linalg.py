@@ -18,8 +18,8 @@ from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  integerize_column)
 from dworkcohom.poly import monomial_basis
 
-from _helpers import (PRIMES_62, dense_rank_fractions, fermat,
-                      sparse_to_dense, var)
+from _helpers import (PRIMES_62, dense_rank_fractions, dense_windowed_dims,
+                      fermat, sparse_to_dense, var)
 
 
 def random_sparse(rng, nrows, ncols, fill=0.12, fractions=True):
@@ -260,34 +260,6 @@ def test_square_one_variable_strands():
     assert full.dims == {0: 0, 1: 1} and full.stabilized
     assert stabilized_cohomology(f, StrandSpec(1, 2, 0)).dims == {0: 0, 1: 0}
     assert stabilized_cohomology(f, StrandSpec(1, 2, 1)).dims == {0: 0, 1: 1}
-
-
-def dense_windowed_dims(f, spec, bound):
-    """Independent oracle for the windowed dimensions at one bound.
-
-    Dense ranks of the untruncated differential on sources of degree
-    <= bound, minus the witnessed image, per the definition; the columns
-    come from the reference builder twisted_column.
-    """
-    from dworkcohom.forms import strand_basis, twisted_column
-    kernel, witnessed = {}, {0: 0}
-    for i in range(spec.nvars + 1):
-        basis = strand_basis(spec, i, bound)
-        rows = {}
-        cols = []
-        for nu, I in basis:
-            col = {}
-            for key, c in twisted_column(f, nu, I).items():
-                col[rows.setdefault(key, len(rows))] = c
-            cols.append(col)
-        full = [[Fraction(col.get(r, 0)) for col in cols]
-                for r in range(len(rows))]
-        band = [[Fraction(col.get(r, 0)) for col in cols]
-                for key, r in rows.items() if spec.form_degree(*key) > bound]
-        rank_full = dense_rank_fractions(full)
-        kernel[i] = len(basis) - rank_full
-        witnessed[i + 1] = rank_full - dense_rank_fractions(band)
-    return {i: kernel[i] - witnessed[i] for i in kernel}
 
 
 def test_windowed_dims_match_independent_formula():

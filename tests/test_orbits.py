@@ -1,0 +1,216 @@
+"""Exponent-lattice classes, variable symmetries and orbit sharing in the
+window engine, each against an independent oracle."""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dworkcohom import (Polynomial, QQ, StabilizationPolicy, StrandSpec,
+                        full_complex_spec, stabilized_cohomology)
+from dworkcohom.forms import ColumnStencil, ExponentClasses
+from dworkcohom.linalg import _WindowEngine
+from dworkcohom.poly import variable_symmetries
+
+from _helpers import (UnsplitWindowEngine, dense_windowed_dims, fermat,
+                      triangle, var)
+
+
+def act(s, mu):
+    """s.mu, with (s.mu)[s[k]] = mu[k]."""
+    out = [0] * len(mu)
+    for k, e in enumerate(mu):
+        out[s[k]] = e
+    return tuple(out)
+
+
+def fixes(s, f, weights=None):
+    return ({act(s, mu): c for mu, c in f.terms.items()} == f.terms
+            and (weights is None
+                 or all(weights[s[k]] == weights[k] for k in range(len(s)))))
+
+
+def closure(gens, n):
+    """The group the permutations gens generate, by composition."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[g[k]] for k in range(n))
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+@st.composite
+def polys(draw, max_vars=4):
+    n = draw(st.integers(1, max_vars))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+    if draw(st.booleans()):  # close the support under a random permutation
+        s = draw(st.permutations(range(n)))
+        terms.update({act(s, mu): c for mu, c in list(terms.items())})
+    return Polynomial(QQ, n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.data())
+def test_class_key_is_canonical(f, data):
+    classes = ExponentClasses(f)
+    n = f.nvars
+    v = data.draw(st.tuples(*[st.integers(-9, 9)] * n))
+    key = classes.reduce(v)
+    assert classes.reduce(key) == key
+    shift = list(v)
+    for mu in f.terms:
+        c = data.draw(st.integers(-3, 3))
+        shift = [a + c * b for a, b in zip(shift, mu)]
+    assert classes.reduce(shift) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.data())
+def test_every_column_entry_lies_in_its_source_class(f, data):
+    classes, stencil = ExponentClasses(f), ColumnStencil(f)
+    n = f.nvars
+    nu = data.draw(st.tuples(*[st.integers(0, 4)] * n))
+    I = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    source = classes.key(nu, I)
+    for (target_nu, target_I), _, _ in stencil.column(nu, I):
+        assert classes.key(target_nu, target_I) == source
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.data())
+def test_symmetries_generate_every_permutation_that_fixes_f(f, data):
+    n = f.nvars
+    weights = data.draw(st.none() | st.tuples(*[st.integers(1, 2)] * n))
+    gens = variable_symmetries(f, weights)
+    assert all(fixes(s, f, weights) for s in gens)
+    brute = {s for s in permutations(range(n)) if fixes(s, f, weights)}
+    assert closure(gens, n) == brute
+    classes = ExponentClasses(f, gens)
+    v = data.draw(st.tuples(*[st.integers(0, 5)] * n))
+    key = classes.reduce(v)
+    assert classes.orbit(key) == {classes.reduce(act(s, key)) for s in brute}
+
+
+def test_a_symmetry_fixes_f_itself_not_up_to_sign():
+    x0, x1 = var(2, 0), var(2, 1)
+    assert variable_symmetries(x0 ** 3 - x1 ** 3) == ()
+    assert variable_symmetries(x0 ** 3 + x1 ** 3) == ((1, 0),)
+
+
+def test_unequal_weights_block_a_swap():
+    f = var(2, 0) * var(2, 1)
+    assert variable_symmetries(f) == ((1, 0),)
+    assert variable_symmetries(f, (1, 2)) == ()
+    assert variable_symmetries(f, (2, 2)) == ((1, 0),)
+
+
+def test_cyclic_group_is_found_without_transpositions():
+    x = [var(3, k) for k in range(3)]
+    gens = variable_symmetries(x[0] ** 2 * x[1] + x[1] ** 2 * x[2]
+                               + x[2] ** 2 * x[0])
+    assert closure(gens, 3) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+
+
+def cyclic():
+    x = [var(3, k) for k in range(3)]
+    return x[0] ** 2 * x[1] + x[1] ** 2 * x[2] + x[2] ** 2 * x[0]
+
+
+def fraction_cubic():
+    x = [var(3, k) for k in range(3)]
+    return (Fraction(1, 2) * (x[0] ** 3 + x[1] ** 3)
+            - Fraction(3, 2) * x[0] * x[1] * x[2])
+
+
+def inhomogeneous():
+    x, y = var(2, 0), var(2, 1)
+    return x ** 3 + y ** 3 + x * y
+
+
+def fourier_2():
+    y = [var(4, k) for k in range(4)]
+    return y[0] * y[2] + y[1] * y[3]
+
+
+# (name, F, spec, policy or None for the default, windows for the dense
+# oracle); the policies keep each case within a second or so
+CASES = [
+    *[(f"fermat(4,4) strand {j}", fermat(4, 4), StrandSpec(4, 4, j),
+       StabilizationPolicy(8, 2, 12), ()) for j in range(4)],
+    ("x0*x1*x2 strand 0", triangle(), StrandSpec(3, 3, 0), None, (5,)),
+    ("x0*x1*x2*x3 strand 0", var(4, 0) * var(4, 1) * var(4, 2) * var(4, 3),
+     StrandSpec(4, 4, 0), StabilizationPolicy(12, 4, 16), ()),
+    *[(f"cyclic cubic strand {j}", cyclic(), StrandSpec(3, 3, j), None, (5,))
+      for j in range(3)],
+    ("x^2 + y^3 weighted 3,2", var(2, 0) ** 2 + var(2, 1) ** 3,
+     full_complex_spec(2, (3, 2)), None, (7,)),
+    ("Fraction cubic strand 0", fraction_cubic(), StrandSpec(3, 3, 0), None,
+     ()),
+    ("inhomogeneous x^3 + y^3 + x*y", inhomogeneous(), full_complex_spec(2),
+     StabilizationPolicy(6, 1, 9), (6,)),
+    ("fourier r=2 full complex", fourier_2(), full_complex_spec(4),
+     StabilizationPolicy(8), ()),
+]
+
+
+@pytest.mark.parametrize("name, f, spec, policy, dense", CASES,
+                         ids=[c[0] for c in CASES])
+def test_orbit_sharing_matches_the_unsplit_engine(name, f, spec, policy,
+                                                  dense):
+    gens = variable_symmetries(f, spec.weights)
+    engine = _WindowEngine(f, spec)
+    assert (engine.classes is None) == (not gens)
+    classes = ExponentClasses(f, gens)
+    unsplit = UnsplitWindowEngine(f, spec, classes.key)
+    history = stabilized_cohomology(f, spec, policy).certificate.history
+    assert len(history) >= 2
+    for bound, dims in history:
+        want = unsplit.dims_at(bound)
+        assert engine.dims_at(bound) == dict(dims) == want, bound
+        # every class of an orbit has the same sources, main and band ranks
+        for i in range(spec.nvars + 1):
+            for key in unsplit.sources[i]:
+                ranks = {unsplit.ranks(i, k) for k in classes.orbit(key)}
+                assert len(ranks) == 1, (bound, i, key, ranks)
+    for bound in dense:
+        assert UnsplitWindowEngine(f, spec).dims_at(bound) == \
+            _WindowEngine(f, spec).dims_at(bound) == \
+            dense_windowed_dims(f, spec, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys(max_vars=3), st.data())
+def test_orbit_sharing_matches_the_unsplit_engine_on_random_input(f, data):
+    n = f.nvars
+    weights = data.draw(st.none() | st.tuples(*[st.integers(1, 2)] * n))
+    m = f.homogeneous_degree(weights)
+    spec = full_complex_spec(n, weights)
+    if m and data.draw(st.booleans()):
+        spec = StrandSpec(n, m, data.draw(st.integers(0, m - 1)), weights)
+    bounds = sorted(data.draw(st.sets(st.integers(0, 7), min_size=1,
+                                      max_size=3)))
+    engine, unsplit = _WindowEngine(f, spec), UnsplitWindowEngine(f, spec)
+    for bound in bounds:
+        assert engine.dims_at(bound) == unsplit.dims_at(bound), bound
+
+
+def test_symmetric_inputs_share_their_orbits():
+    # the Fermat quartic's 64 strand-0 classes are the vectors of (Z/4)^4
+    # with sum 0 mod 4, and their S4 orbits are the multisets of four
+    # residues with sum 0 mod 4
+    classes = ExponentClasses(fermat(4, 4), variable_symmetries(fermat(4, 4)))
+    keys = {classes.reduce(v) for v in
+            [(a, b, c, (-a - b - c) % 4) for a in range(4) for b in range(4)
+             for c in range(4)]}
+    assert len(keys) == 64
+    reps = {min(classes.orbit(k)) for k in keys}
+    assert len(reps) == sum(1 for t in combinations_with_replacement(range(4), 4)
+                            if sum(t) % 4 == 0)
+    assert sum(len(classes.orbit(r)) for r in reps) == 64
