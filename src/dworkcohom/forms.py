@@ -436,17 +436,22 @@ class ExponentClasses:
 
 
 def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:
-    """Monomial forms x^nu dx_I with |I| = i and total degree exactly e."""
+    """Monomial forms x^nu dx_I with |I| = i and total degree exactly e.
+
+    The coefficient monomials of one remaining degree e - deg(dx_I) are
+    enumerated once and shared by every I of that degree.
+    """
     if e < 0:
         return []
-    out = []
+    out, monomials = [], {}
     w = spec.weights
     for I in combinations(range(spec.nvars), i):
         rem = e - (i if w is None else sum(w[k] for k in I))
         if rem < 0:
             continue
-        for nu in monomial_basis(spec.nvars, rem, w):
-            out.append((nu, I))
+        if rem not in monomials:
+            monomials[rem] = monomial_basis(spec.nvars, rem, w)
+        out.extend((nu, I) for nu in monomials[rem])
     return out
 
 

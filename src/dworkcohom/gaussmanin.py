@@ -36,6 +36,14 @@ the 24,225 in that degree, which leaves 10,626 columns, one per row, and the
 block eliminates 126 columns on its 126 rows.  With grevlex leads every
 kept column of the Dwork pencils is independent (griffiths module
 docstring).
+
+The default basis needs no solve.  A connection matrix X solves U X = R,
+with the reduced basis forms as the columns of U.  A standard monomial
+x^nu of degree d is a non-pivot row of degree d's echelon, so its solve
+stops at once with x^nu itself as the residue and no Macaulay combination,
+and reduce returns the unit vector of (d, nu).  On the standard basis U is
+the identity, and connection_matrix reads X = R off the reduced
+perturbation products (see connection_matrix).
 """
 
 from __future__ import annotations
@@ -371,7 +379,8 @@ def _solve_square(u_cols, r_cols, k):
 
     Returns the rows of X = U^-1 R, by Gauss-Jordan elimination on [U | R];
     a singular U raises BasisError.  connection_matrix solves with the
-    reduced basis forms as U; connection_properties_check solves S X = M S,
+    reduced basis forms as U, unless they are the standard basis, where
+    U = I; connection_properties_check solves S X = M S,
     so X is S^-1 M S with no inverse of S formed.
     """
     ncols_r = len(r_cols)
@@ -474,10 +483,21 @@ def rational_connection_matrix(f0: Polynomial, g: Polynomial,
 def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
                       basis=None) -> ConnectionMatrix:
     """Matrix of  omega -> [perturbation * omega]  on a basis, reduced by a
-    given reducer (of F_t over QQ(t), or of one member over QQ)."""
+    given reducer (of F_t over QQ(t), or of one member over QQ).
+
+    The matrix X solves U X = R, where the columns of U are the reduced
+    basis forms and those of R the reduced perturbation * form.  A standard
+    monomial is a non-pivot row of its degree's echelon, so reduce returns
+    it as its own unit vector: on the reducer's own standard_forms(), the
+    default basis, U = I and X = R with no solve.  Any other basis takes
+    the general path: its forms are reduced first, then their perturbation
+    products, and U X = R is solved; forms that are not a basis raise
+    BasisError there.
+    """
     field = reducer.field
+    standard = reducer.standard_forms()
     if basis is None:
-        forms = reducer.standard_forms()
+        forms = standard
     else:
         forms = list(basis)
         for p in forms:
@@ -491,9 +511,13 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
             f"{len(reducer.std_basis)}")
     lifted = [p.map_coefficients(field.coerce, field) for p in forms]
     g_lift = perturbation.map_coefficients(field.coerce, field)
-    u_cols = [reducer.reduce(p) for p in lifted]
-    r_cols = [reducer.reduce(g_lift * p) for p in lifted]
-    entries = _solve_square(u_cols, r_cols, len(forms))
+    if forms == standard:
+        # U = I: the derivative coordinates are the columns of the matrix
+        entries = tuple(zip(*(reducer.reduce(g_lift * p) for p in lifted)))
+    else:
+        u_cols = [reducer.reduce(p) for p in lifted]
+        r_cols = [reducer.reduce(g_lift * p) for p in lifted]
+        entries = _solve_square(u_cols, r_cols, len(forms))
     den = (1,)
     if field is QQ_T:
         for row in entries:
@@ -567,17 +591,23 @@ def connection_properties_check(fam: Family, samples, basis=None,
 
 
 def _test_invertible_matrix(k):
-    """Deterministic invertible rational matrix (unit lower x unit upper)."""
+    """Deterministic invertible rational matrix (unit lower x unit upper).
+
+    The off-diagonal entries of the factors are (state % 7 - 3) /
+    (1 + state % 3), whose denominators divide 6, so both factors are
+    multiplied in integers scaled by 6 and each entry of the product is
+    divided by 36 once.
+    """
     vals = []
     state = 2 * 2654435761 % 2 ** 32  # fixed seed: one matrix per size
     for _ in range(2 * k * k):
         state = (1103515245 * state + 12345) % 2 ** 31
-        vals.append(Fraction(state % 7 - 3, 1 + state % 3))
-    lower = [[Fraction(1) if i == j else (vals.pop() if i > j else Fraction(0))
+        vals.append((state % 7 - 3) * (6 // (1 + state % 3)))
+    lower = [[6 if i == j else (vals.pop() if i > j else 0)
               for j in range(k)] for i in range(k)]
-    upper = [[Fraction(1) if i == j else (vals.pop() if i < j else Fraction(0))
+    upper = [[6 if i == j else (vals.pop() if i < j else 0)
               for j in range(k)] for i in range(k)]
-    return _matmul(lower, upper)
+    return [[Fraction(v, 36) for v in row] for row in _matmul(lower, upper)]
 
 
 def _matmul(a, b):

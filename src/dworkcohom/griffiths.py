@@ -11,7 +11,8 @@ sigma = (n+1)(m-2), its Hilbert function is Gorenstein-symmetric, and
 * the top cohomology of the strand-j twisted complex has dimension
   sum of h_d over d = j - (n+1) (mod m), with nothing below the top.
 
-The profile costs one exact Macaulay rank.  R is generated in degree 1, so
+The profile costs at most one exact Macaulay rank, and none when the
+leads are coprime (below).  R is generated in degree 1, so
 R_{d+1} = R_1 R_d: once R vanishes in one degree it vanishes in every higher
 one.  The rank at sigma+1 therefore decides everything.  If h_{sigma+1} = 0,
 R is finite, so the n+1 partials generate an ideal primary to the
@@ -23,6 +24,28 @@ ideal, so a singular point of V(F) would be a common zero of the partials).
 If h_{sigma+1} > 0, F is singular and every degree 0..sigma+2 is ranked.
 Over the rational-function field the same argument holds for the generic
 member of the family.
+
+No rank is needed when every partial is nonzero and their grevlex leads
+(defined below) are pairwise coprime (coprime_leads).  Buchberger's first
+criterion, the product criterion, then reduces every S-polynomial to
+zero, so the partials are a Groebner basis and the initial ideal in(J) is
+generated by their leads: n+1 pairwise coprime monomials of degree m-1 in
+n+1 variables.
+Coprime monomials have disjoint supports, and n+1 disjoint nonempty
+supports in n+1 variables are single variables, so the leads are the pure
+powers x_0^(m-1), .., x_n^(m-1) in some order.  By Macaulay's theorem
+dim R_d = dim (S/in J)_d, and S/(x_0^(m-1), .., x_n^(m-1)) has exactly the
+complete-intersection series, so R vanishes at socle+1: the rank would
+give this same profile.  The criterion holds over any field, so over the
+rational-function field it certifies the generic member, as the rank
+there does (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+ch. 2 sec. 9 and ch. 9 sec. 3).  It never fires on a singular input,
+since it proves R finite.  Nor does it fire on a member of a Dwork pencil
+with t != 0, where dF_j = m x_j^(m-1) - m t prod(x)/x_j in m variables:
+coprime leads would be the pure powers, so x_j^(m-1) > prod(x)/x_j for
+every j, and multiplying the m inequalities gives
+prod x_j^(m-1) > prod x_j^(m-1).  So the quintic at t = 2 keeps its one
+rank, while Fermat and other diagonal forms sum c_j x_j^m take none.
 
 Macaulay matrices skip the columns that the Koszul syzygies
 dF_i * dF_j - dF_j * dF_i = 0 make redundant (the simplest form of the F5
@@ -132,6 +155,11 @@ def _grevlex(nu):
     return sum(nu), tuple(-e for e in reversed(nu))
 
 
+def grevlex_leads(partials) -> dict:
+    """i -> LT(dF_i), the grevlex lead of each nonzero partial."""
+    return {i: max(p.terms, key=_grevlex) for i, p in enumerate(partials) if p}
+
+
 def earlier_leads(partials) -> dict:
     """Grevlex leads before each nonzero partial: i -> (LT(dF_j), j < i).
 
@@ -140,11 +168,19 @@ def earlier_leads(partials) -> dict:
     columns of later partials, and there are none.
     """
     out, leads = {}, ()
-    for i, p in enumerate(partials):
-        if p:
-            out[i] = leads
-            leads += (max(p.terms, key=_grevlex),)
+    for i, lt in grevlex_leads(partials).items():
+        out[i] = leads
+        leads += (lt,)
     return out
+
+
+def coprime_leads(partials) -> bool:
+    """Every partial is nonzero and their grevlex leads are pairwise coprime,
+    so the partials are a Groebner basis and F is smooth (module docstring)."""
+    leads = grevlex_leads(partials)
+    return (len(leads) == len(partials)
+            and all(sum(1 for lt in leads.values() if lt[k]) <= 1
+                    for k in range(len(partials))))
 
 
 def koszul_redundant(g, leads) -> bool:
@@ -251,11 +287,12 @@ def _koszul_hilbert(m: int, nvars: int, d: int) -> int:
 def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     """Hilbert function of R = scalars[x]/J(F), with the smooth flag.
 
-    One Macaulay rank, at socle+1, decides smoothness; a smooth profile is
-    then the complete-intersection series (_koszul_hilbert) with no further
-    rank, and a singular one is ranked degree by degree.  Works over both
-    scalar fields; ranks over the rational-function field certify
-    smoothness at generic parameter values.
+    Partials with pairwise coprime grevlex leads (coprime_leads) certify
+    smoothness with no rank; otherwise one Macaulay rank, at socle+1,
+    decides it.  A smooth profile is the complete-intersection series
+    (_koszul_hilbert) with no further rank, and a singular one is ranked
+    degree by degree.  Works over both scalar fields; over the
+    rational-function field the answer holds at generic parameter values.
     """
     if not f:
         raise ValueError("zero polynomial has no Jacobian ring")
@@ -271,7 +308,7 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     def h(d):
         return count_monomials(nvars, d) - macaulay_rank(partials, nvars, m - 1, d)
 
-    beyond = h(socle + 1)
+    beyond = 0 if coprime_leads(partials) else h(socle + 1)
     smooth = beyond == 0
     if smooth:
         hilbert = [_koszul_hilbert(m, nvars, d) for d in range(socle + 3)]

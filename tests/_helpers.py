@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
-from dworkcohom import QQ, Polynomial
+from dworkcohom import QQ, Polynomial, griffiths
 from dworkcohom.forms import (ColumnStencil, strand_basis,
                               strand_basis_at_degree, twisted_column)
+from dworkcohom.gaussmanin import _solve_square
 from dworkcohom.matrices import IntRankAccumulator, primitive_column
+from dworkcohom.poly import count_monomials
 
 
 def var(nvars, k, field=QQ):
@@ -44,6 +46,41 @@ def series_hilbert(m, nvars, upto):
                     out[i + j] += a * b
         series = out
     return series
+
+
+def ranked_profile(f):
+    """jacobian_hilbert(f) by ranks alone: the Macaulay rank at socle+1
+    decides smoothness, a smooth profile is the complete-intersection
+    series and a singular one is ranked degree by degree.  This is the
+    oracle for the coprime-lead certificate, which skips the first rank."""
+    m, nvars = f.homogeneous_degree(), f.nvars
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    socle = nvars * (m - 2)
+
+    def h(d):
+        return (count_monomials(nvars, d)
+                - griffiths.macaulay_rank(partials, nvars, m - 1, d))
+
+    beyond = h(socle + 1)
+    smooth = beyond == 0
+    if smooth:
+        hilbert = [griffiths._koszul_hilbert(m, nvars, d)
+                   for d in range(socle + 3)]
+    else:
+        hilbert = [beyond if d == socle + 1 else h(d) for d in range(socle + 3)]
+    return griffiths.JacobianProfile(m, nvars, tuple(hilbert), socle, smooth,
+                                     sum(hilbert) if smooth else None)
+
+
+def solved_connection_matrix(reducer, perturbation, forms):
+    """Entries of the connection matrix on forms by the general path:
+    reduce the forms and their perturbation products, then solve U X = R.
+    The oracle for connection_matrix's shortcut on the standard basis."""
+    field = reducer.field
+    lifted = [p.map_coefficients(field.coerce, field) for p in forms]
+    g = perturbation.map_coefficients(field.coerce, field)
+    return _solve_square([reducer.reduce(p) for p in lifted],
+                         [reducer.reduce(g * p) for p in lifted], len(forms))
 
 
 def dense_rank_fractions(rows):

@@ -1,5 +1,6 @@
 """CLI grammar, job dispatch, exit codes, determinism, corpus runner."""
 
+import importlib.util
 import itertools
 import json
 import os
@@ -625,6 +626,27 @@ def test_main_gm_residue_on_pivot_rows(capsys):
     assert code == 0
     assert [c["pass"] for c in rep["checks"]] == [True, True]
     assert rep["matrix"]["denominator"] == "9*t^2 - 9"
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path (its dataclass needs the
+    module registered while it runs)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_main_gm_k3_fails_as_the_benchmark_pins(capsys, monkeypatch):
+    # the benchmark accepts exactly this failure of its K3 gm job; an engine
+    # change that alters the error must change the pin with it
+    code = main(["gm", "x0^4 + x1^4 + x2^4 + x3^4", "-v", "x0,x1,x2,x3",
+                 "--perturbation=-4*x0*x1*x2*x3", "--samples", "0,2,-1"])
+    rep = json.loads(capsys.readouterr().out)
+    pin = load_workloads(monkeypatch).K3_GM_ERROR
+    assert f"exit {code}: {rep['error']}" == pin
 
 
 def test_main_gm_singular_base_member(capsys):

@@ -13,11 +13,13 @@ from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         jacobian_hilbert, monomial_basis,
                         rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
+from dworkcohom import gaussmanin
 from dworkcohom.gaussmanin import (GriffithsDworkReducer, _DegreeSolver,
-                                   _rational_roots)
+                                   _matmul, _rational_roots,
+                                   _test_invertible_matrix, connection_matrix)
 from dworkcohom.fields import poly_mul
-from _helpers import (all_macaulay_columns, fermat, triangle,
-                      trial_division_roots, var)
+from _helpers import (all_macaulay_columns, fermat, solved_connection_matrix,
+                      triangle, trial_division_roots, var)
 
 
 def dwork_family():
@@ -331,3 +333,92 @@ def test_block_closure_order_gives_one_echelon(family, symbolic, degrees):
                 at2._solver(d), at2.partials, at2.nvars, at2.m - 1)
         else:
             assert std == []
+
+
+# ---- the standard basis as its own coordinates --------------------------
+
+
+def quintic_reducer():
+    f, g = dwork_quintic()
+    return GriffithsDworkReducer(f), g
+
+
+def cubic_reducer(symbolic):
+    fam, _ = dwork_family()
+    return (GriffithsDworkReducer(fam.symbolic() if symbolic else fam.at(2)),
+            fam.perturbation)
+
+
+def k3_reducer():
+    fam = k3_family()
+    return GriffithsDworkReducer(fam.symbolic()), fam.perturbation
+
+
+@pytest.mark.parametrize("build", [
+    quintic_reducer, lambda: cubic_reducer(False), lambda: cubic_reducer(True),
+    k3_reducer,
+], ids=["quintic-t2", "cubic-QQ", "cubic-QQ(t)", "k3-QQ(t)"])
+def test_standard_basis_matrix_is_the_solved_matrix(build):
+    reducer, g = build()
+    forms = reducer.standard_forms()
+    assert [reducer.reduce(p.map_coefficients(reducer.field.coerce,
+                                              reducer.field))
+            for p in forms] == [
+        [reducer.field.one if k == j else reducer.field.zero
+         for k in range(len(forms))] for j in range(len(forms))]
+    mat = connection_matrix(reducer, g)
+    solved = solved_connection_matrix(reducer, g, forms)
+    assert mat.entries == solved
+    assert mat.entry_strings() == [[str(e) for e in row] for row in solved]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The sizes of the systems connection_matrix solves, in order."""
+    sizes = []
+    original = gaussmanin._solve_square
+
+    def spy(u_cols, r_cols, k):
+        sizes.append(k)
+        return original(u_cols, r_cols, k)
+
+    monkeypatch.setattr(gaussmanin, "_solve_square", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["QQ", "QQ(t)"])
+def test_only_other_bases_take_the_solve(solves, symbolic):
+    reducer, g = cubic_reducer(symbolic)
+    forms = reducer.standard_forms()
+    connection_matrix(reducer, g)
+    connection_matrix(reducer, g, list(forms))
+    assert solves == []
+    s = _test_invertible_matrix(len(forms))
+    conjugated = [sum((p.scale(s[i][j]) for i, p in enumerate(forms) if s[i][j]),
+                      Polynomial.zero(QQ, 3)) for j in range(len(forms))]
+    for basis in ([forms[0].scale(5), forms[1].scale(Fraction(-2, 3))],
+                  conjugated):
+        mat = connection_matrix(reducer, g, basis)
+        assert mat.entries == solved_connection_matrix(reducer, g, basis)
+    assert solves == [2, 2]
+
+
+def test_invertible_matrix_is_the_fraction_product():
+    # the integer product scaled by 6 * 6 is the product of the Fraction
+    # factors, entry for entry and type for type
+    for k in range(26):
+        vals = []
+        state = 2 * 2654435761 % 2 ** 32
+        for _ in range(2 * k * k):
+            state = (1103515245 * state + 12345) % 2 ** 31
+            vals.append(Fraction(state % 7 - 3, 1 + state % 3))
+        lower = [[Fraction(1) if i == j
+                  else (vals.pop() if i > j else Fraction(0))
+                  for j in range(k)] for i in range(k)]
+        upper = [[Fraction(1) if i == j
+                  else (vals.pop() if i < j else Fraction(0))
+                  for j in range(k)] for i in range(k)]
+        want = _matmul(lower, upper)
+        got = _test_invertible_matrix(k)
+        assert got == want
+        assert all(type(v) is Fraction for row in got for v in row)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomology,
                         full_complex_spec, griffiths, jacobian_hilbert,
@@ -13,8 +14,8 @@ from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
 from dworkcohom.matrices import integerize_column, rank_of_columns
 from dworkcohom.poly import Polynomial, monomial_basis
 
-from _helpers import (all_macaulay_columns, fermat, series_hilbert, triangle,
-                      var)
+from _helpers import (all_macaulay_columns, fermat, ranked_profile,
+                      series_hilbert, triangle, var)
 
 
 def ranked_hilbert(f):
@@ -58,6 +59,8 @@ SINGULAR = {
     "x0^2*x1": var(2, 0) ** 2 * var(2, 1),
     "k3-at-t1": dwork_member(4, 1),
     "cone-quadric": var(3, 0) ** 2 + var(3, 1) ** 2,
+    # leads x1^2 and x0*x1 share only the last variable
+    "x0*x1^2 + x1^3": var(2, 0) * var(2, 1) ** 2 + var(2, 1) ** 3,
     "generic-member-singular-over-QQ(t)":
         Family(triangle(), var(3, 0) ** 3).symbolic(),
 }
@@ -94,12 +97,17 @@ def ranked(monkeypatch):
     return degrees
 
 
-@pytest.mark.parametrize("name", ["dwork-quintic-t2", "cubic-over-QQ(t)",
-                                  "quadric-4", "binary-cubic"])
+# Coprime grevlex leads certify smoothness with no rank; every other smooth
+# input, the Dwork pencil members included, costs the one rank at socle+1.
+RANKS = {"dwork-quintic-t2": 1, "cubic-over-QQ(t)": 1, "quadric-4": 1,
+         "binary-cubic": 0, "fermat-quintic": 0}
+COSTED = {**SMOOTH, "fermat-quintic": fermat(5, 5)}
+
+
+@pytest.mark.parametrize("name", RANKS)
 def test_smooth_profile_costs_one_rank(ranked, name):
-    f = SMOOTH[name]
-    p = jacobian_hilbert(f)
-    assert p.smooth and ranked == [p.socle + 1]
+    p = jacobian_hilbert(COSTED[name])
+    assert p.smooth and ranked == [p.socle + 1][:RANKS[name]]
 
 
 @pytest.mark.parametrize("name", SINGULAR)
@@ -109,6 +117,74 @@ def test_singular_profile_ranks_each_degree_once(ranked, name):
     assert not p.smooth
     assert sorted(ranked) == list(range(p.socle + 3))
     assert ranked[0] == p.socle + 1
+
+
+# ---- the coprime-lead certificate against the rank path -----------------
+
+
+@pytest.mark.parametrize("f", [*SMOOTH.values(), *SINGULAR.values()],
+                         ids=[*SMOOTH, *SINGULAR])
+def test_profile_is_the_ranked_profile(f):
+    assert jacobian_hilbert(f) == ranked_profile(f)
+
+
+def scaled_fermat(m, nvars, coefficients, field=QQ):
+    return sum((var(nvars, k, field) ** m).scale(coefficients[k])
+               for k in range(nvars))
+
+
+FERMAT_COEFFICIENTS = {
+    "integer": (2, -3, 5, 7, -11),
+    "fraction": (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 3,
+                 Fraction(-9, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", FERMAT_COEFFICIENTS)
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_scaled_fermat_profile_takes_no_rank(ranked, m, nvars, kind):
+    f = scaled_fermat(m, nvars, FERMAT_COEFFICIENTS[kind])
+    assert griffiths.coprime_leads([f.partial_derivative(k)
+                                    for k in range(nvars)])
+    p = jacobian_hilbert(f)
+    assert ranked == [] and p.smooth
+    assert p == ranked_profile(f)
+
+
+def test_diagonal_family_over_function_field_takes_no_rank(ranked):
+    f = scaled_fermat(3, 3, (1, T, 1), QQ_T)
+    p = jacobian_hilbert(f)
+    assert ranked == [] and p.smooth
+    assert p == ranked_profile(f)
+
+
+@st.composite
+def small_forms(draw):
+    """A form of degree 2..4 in 2..4 variables with small coefficients:
+    either sparse random terms, or every pure power x_k^m plus at most two
+    other terms, so that the certificate fires on some draws and not on
+    others."""
+    m = draw(st.integers(2, 4))
+    nvars = draw(st.integers(2, 4 if m < 4 else 3))
+    monomials = monomial_basis(nvars, m)
+    nonzero = st.sampled_from([1, -1, 2, Fraction(-1, 2)])
+    values = st.one_of(st.just(0), nonzero)
+    if draw(st.booleans()):
+        terms = {nu: draw(nonzero) for nu in monomials if max(nu) == m}
+        for nu in draw(st.lists(st.sampled_from(monomials), max_size=2)):
+            terms[nu] = draw(values)
+    else:
+        terms = {nu: draw(values) for nu in monomials}
+    return Polynomial(QQ, nvars, {nu: Fraction(c) for nu, c in terms.items()
+                                  if c})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_random_profile_is_the_ranked_profile(f):
+    assume(f)
+    assert jacobian_hilbert(f) == ranked_profile(f)
 
 
 # ---- Koszul-redundant columns: the pruned Macaulay matrix ---------------
