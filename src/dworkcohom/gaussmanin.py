@@ -18,7 +18,8 @@ non-discriminant parameter value, which connection_properties_check verifies.
 
 Each Macaulay system is eliminated on augmented columns, which carry their
 transform (the combination of Macaulay columns, and the multiple of the
-polynomial being solved) as extra rows.  One elimination step of the rank
+polynomial being solved) as extra entries, whose keys sort below every
+monomial row (see _DegreeSolver).  One elimination step of the rank
 accumulators then updates both: over QQ the fraction-free integer step, so
 no Fraction arithmetic runs inside the elimination, and a solve divides by
 its scale once at the end; over QQ(t) the field step.
@@ -27,15 +28,17 @@ A degree's echelon is built on demand, one connected block of its Macaulay
 matrix at a time.  A solve eliminates only the blocks its residue meets: on
 the Dwork quintic the socle class x4^15 times the perturbation x0x1x2x3x4
 lands in degree 20, whose matrix has 10,626 rows and 24,225 columns, yet it
-meets one block of 126 rows.  The standard monomials need every block, so
-they close the rest.  The blocks share no rows, so eliminating them
-separately in Macaulay order stores the same pivot columns as eliminating
-the whole matrix (see _DegreeSolver).  Columns that Koszul syzygies make
-redundant are never built (griffiths.koszul_redundant): they are 13,599 of
-the 24,225 in that degree, which leaves 10,626 columns, one per row, and the
-block eliminates 126 columns on its 126 rows.  With grevlex leads every
-kept column of the Dwork pencils is independent (griffiths module
-docstring).
+meets one block of 126 rows.  A row is keyed by its monomial and a column
+by (i, g), so the solver lists none of the 10,626 rows: it walks from the
+part's monomials to the columns that meet them and back.  The standard
+monomials need every block, so they list the degree and close the rest.
+The blocks share no rows, so eliminating them separately in Macaulay order
+stores the same pivot columns as eliminating the whole matrix (see
+_DegreeSolver).  Columns that Koszul syzygies make redundant are never
+built (griffiths.koszul_redundant): they are 13,599 of the 24,225 in that
+degree, which leaves 10,626 columns, one per row, and the block eliminates
+126 columns on its 126 rows.  With grevlex leads every kept column of the
+Dwork pencils is independent (griffiths module docstring).
 
 The default basis needs no solve.  A connection matrix X solves U X = R,
 with the reduced basis forms as the columns of U.  A standard monomial
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import sub
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
@@ -102,21 +104,24 @@ class Family:
         return self.base + self.perturbation.scale(t0)
 
 
+_SCALE = (-1,)      # augmentation key of the multiple of the part solved
+
+
 class _DegreeSolver:
     """Column echelon of one Macaulay degree with transformation tracking.
 
-    Rows are degree-d monomials in graded-lex order (largest first); pivots
-    prefer the largest available monomial, so the non-pivot rows are the
-    standard monomials of the Jacobian ideal in this degree.
+    Rows are degree-d monomials, keyed by themselves; pivots prefer the
+    largest available monomial (lex, which is graded lex within a degree),
+    so the non-pivot rows are the standard monomials of the Jacobian ideal
+    in this degree.
 
-    Every column is augmented: rows 0..len(monomials)-1 are its monomial
-    rows, row len(monomials) + k holds the coefficient of the k-th Macaulay
-    column (i, g) in the combination it equals.  k counts every column,
-    redundant ones included, i over the nonzero partials and then g in
-    monomial_basis order; ``keys`` names the eliminated ones.  In ``solve``
-    one last row holds the multiple of the polynomial being solved.  Over
-    QQ the step is ``IntRankAccumulator._step`` on columns lifted to
-    integers, the lifting scale carried in the augmentation rows; over
+    Every column is augmented: the entry of key (-1, i, g) holds the
+    coefficient of Macaulay column (i, g) in the combination the column
+    equals, and in ``solve`` the entry of key (-1,) the multiple of the
+    part being solved.  Exponents are never negative, so every
+    augmentation key sorts below every monomial, and (-1,) below the rest.
+    Over QQ the step is ``IntRankAccumulator._step`` on columns lifted to
+    integers, the lifting scale carried in the augmentation entries; over
     QQ(t) it is ``FieldRankAccumulator._step``.  The columns come from
     griffiths.MacaulayColumns, which lifts each partial once, together
     with its augmentation entry, so no Macaulay column is lifted on its
@@ -131,42 +136,32 @@ class _DegreeSolver:
     The echelon is built on demand, one connected block at a time.  Kept
     column (i, g) meets row nu exactly when nu = g * mu for a monomial mu
     of dF/dx_i; the blocks are the connected components of this incidence.
-    ``solve`` eliminates the blocks its part meets (``_close``), and
-    ``standard_monomials`` the rest, in one pass in Macaulay order.  Blocks
-    share no rows, and a step combines two columns only through a shared
-    row, so a column is only ever reduced against pivots of its own block:
+    ``solve`` eliminates the blocks its part meets (``_close``), walking
+    from the part's own monomials, so no degree is listed; and
+    ``standard_monomials`` the rest, in one pass in Macaulay order.  A
+    block is eliminated exactly when its rows are closed.  Blocks share no
+    rows, and a step combines two columns only through a shared row, so a
+    column is only ever reduced against pivots of its own block:
     eliminating one block alone, in Macaulay order, stores exactly the
     pivot columns that eliminating the whole matrix stores, whichever order
     the blocks are closed in.
     """
 
     def __init__(self, partials, field, nvars, gen_degree, d):
-        self.field = field
-        self.monomials = monomial_basis(nvars, d)
-        self.index = {nu: k for k, nu in enumerate(self.monomials)}
-        self.columns = MacaulayColumns(partials, nvars, d - gen_degree,
-                                       self.index)
+        self.field, self.degree = field, d
+        self.columns = MacaulayColumns(partials, nvars, d - gen_degree)
         self._lift = integerize_column if field is QQ else dict
         self._step = self.columns.accumulator._step
-        self._scale_row = (len(self.monomials)
-                           + len(self.columns.first) * self.columns.count)
-        self.keys = {}      # augmentation row -> (i, g), eliminated columns
         self.pivots = {}
         self._closed_rows = set()
 
-    @cached_property
-    def _source_position(self):
-        return {g: k for k, g in enumerate(self.columns.sources)}
-
-    def _eliminate(self, k, key, col):
-        """Reduce the k-th Macaulay column, key (i, g), and store its pivot.
+    def _eliminate(self, i, g, col):
+        """Reduce Macaulay column (i, g) and store its pivot.
 
         col is MacaulayColumns.column(i, g); the augmentation entry makes it
         the column that integerize_column would give the augmented one.
         """
-        row = len(self.monomials) + k
-        col[row] = self.columns.scale[key[0]]
-        self.keys[row] = key
+        col[-1, i, g] = self.columns.scale[i]
         r, col = self._reduce(col)
         if r is not None:
             self.pivots[r] = col
@@ -175,8 +170,9 @@ class _DegreeSolver:
         """Eliminate every column of the blocks that meet rows and are open.
 
         Walks rows and columns from the given rows, then eliminates the
-        columns found in Macaulay order.  Closed rows stay closed: every
-        column meeting them is already eliminated.
+        columns found in Macaulay order, (i, g) with g lex-descending.
+        Closed rows stay closed: every column meeting them is already
+        eliminated.
         """
         closed, stack = self._closed_rows, []
         for r in rows:
@@ -186,36 +182,32 @@ class _DegreeSolver:
         found = {}
         columns = self.columns
         while stack:
-            nu = self.monomials[stack.pop()]
-            for i, first in columns.first.items():
-                leads = columns.leads[i]
+            nu = stack.pop()
+            for i, leads in columns.leads.items():
                 for mu, _ in columns.templates[i]:
                     g = tuple(map(sub, nu, mu))
-                    if min(g) < 0 or koszul_redundant(g, leads):
+                    if (min(g) < 0 or (i, g) in found
+                            or koszul_redundant(g, leads)):
                         continue
-                    k = first + self._source_position[g]
-                    if k in found:
-                        continue
-                    col = columns.column(i, g)
-                    found[k] = (i, g), col
+                    col = found[i, g] = columns.column(i, g)
                     for r in col:
                         if r not in closed:
                             closed.add(r)
                             stack.append(r)
-        for k in sorted(found):
-            self._eliminate(k, *found[k])
+        for i, g in sorted(found, key=lambda k: (k[0], [-e for e in k[1]])):
+            self._eliminate(i, g, found[i, g])
 
     def _reduce(self, col):
         """Head-reduce an augmented column with the stored pivots.
 
         Stops at the first non-pivot row, returned with the column, or when
-        only augmentation rows remain (returns None as the row).  The
-        augmentation rows keep every column nonzero.
+        only augmentation entries remain (returns None as the row).  The
+        augmentation entries keep every column nonzero.
         """
-        n, pivots, step = len(self.monomials), self.pivots, self._step
+        pivots, step = self.pivots, self._step
         while True:
-            r = min(col)
-            if r >= n:
+            r = max(col)
+            if r[0] < 0:
                 return None, col
             pcol = pivots.get(r)
             if pcol is None:
@@ -225,35 +217,35 @@ class _DegreeSolver:
     @property
     def standard_monomials(self):
         """The non-pivot rows; the first read closes every open block."""
-        n = len(self.monomials)
-        if len(self._closed_rows) < n:
+        monomials = monomial_basis(self.columns.nvars, self.degree)
+        closed = self._closed_rows
+        if len(closed) < len(monomials):
             columns = self.columns
-            for k, key in columns.kept():
-                if n + k not in self.keys:
-                    self._eliminate(k, key, columns.column(*key))
-            self._closed_rows.update(range(n))
-        return [nu for k, nu in enumerate(self.monomials) if k not in self.pivots]
+            for i, g in columns.kept():
+                col = columns.column(i, g)
+                if next(iter(col)) not in closed:   # its block is open
+                    self._eliminate(i, g, col)
+            closed.update(monomials)
+        return [nu for nu in monomials if nu not in self.pivots]
 
-    def solve(self, part: Polynomial):
+    def solve(self, part: dict):
         """part = (standard-monomial combination) + sum lambda * g * dF_i.
 
+        part is a term map, monomial -> nonzero coefficient, of degree d.
         Returns (std coords keyed by monomial, combo keyed by (i, g)).
         Closes the blocks the part meets first.  The non-pivot rows span
         the cokernel, so this always succeeds.  The reduction stops at the
         first non-pivot row, so pivot rows below it can stay in the residue.
         """
-        n, scale = len(self.monomials), self._scale_row
-        col = {self.index[nu]: c for nu, c in part.terms.items()}
-        self._close(col)
-        col[scale] = self.field.one
-        _, col = self._reduce(self._lift(col))
-        inv = self.field.one / col.pop(scale)
+        self._close(part)
+        _, col = self._reduce(self._lift({**part, _SCALE: self.field.one}))
+        inv = self.field.one / col.pop(_SCALE)
         std, combo = {}, {}
         for r, c in col.items():
-            if r < n:
-                std[self.monomials[r]] = c * inv
+            if r[0] < 0:
+                combo[r[1:]] = -c * inv
             else:
-                combo[self.keys[r]] = -c * inv
+                std[r] = c * inv
         return std, combo
 
 
@@ -303,8 +295,7 @@ class GriffithsDworkReducer:
         coords = [self.field.zero] * len(self.std_basis)
         while parts:
             d = max(parts)
-            part = Polynomial(self.field, self.nvars, parts.pop(d))
-            std, combo = self._solver(d).solve(part)
+            std, combo = self._solver(d).solve(parts.pop(d))
             for nu, c in std.items():
                 key = (d, nu)
                 if key not in self.std_index:

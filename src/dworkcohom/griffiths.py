@@ -78,13 +78,13 @@ dF_j = m x_j^(m-1) - m t prod(x)/x_j has lead x_j^(m-1) for every j < n
 lex leads dF_1..dF_n by the deformation monomials prod(x)/x_j.
 
 A column (i, g) repeats the coefficients of dF_i on the rows g * mu, so
-MacaulayColumns lifts each partial once and a column only renumbers rows.
+MacaulayColumns lifts each partial once, and column (i, g) only moves the
+lifted coefficients to the rows g * mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from .exceptions import NonHomogeneousError, NotSmoothError
@@ -191,26 +191,23 @@ def koszul_redundant(g, leads) -> bool:
 
 class MacaulayColumns:
     """The Macaulay matrix (g_0..g_n) -> sum g_i * partials[i], g_i of
-    degree src, with rows numbered by index (the monomials of the target
-    degree).
+    degree src.
 
-    Column (i, g) is the k-th of the full matrix, k = first[i] + the
-    position of g in monomial_basis(nvars, src), i running over the nonzero
-    partials.  ``kept`` lists the columns that koszul_redundant keeps; they
-    span every column.  Each nonzero partial is lifted once into a template:
-    over QQ, integerize_column of its coefficients together with the
-    augmentation entry 1 that _DegreeSolver appends to a column, which
-    leaves ``scale[i]`` as that entry; over QQ(t) the coefficients
-    themselves, with scale one.  A column then renumbers the template's rows
-    mu -> index[g * mu]; no entry cancels, because mu -> g * mu is
+    A row is its monomial, of degree src + deg partials[i], and a column is
+    its key (i, g), for i a nonzero partial; nothing numbers either.
+    ``kept`` lists the columns that koszul_redundant keeps, in Macaulay
+    order; they span every column.  Each nonzero partial is lifted once
+    into a template: over QQ, integerize_column of its coefficients
+    together with the augmentation entry 1 that _DegreeSolver appends to a
+    column, which leaves ``scale[i]`` as that entry; over QQ(t) the
+    coefficients themselves, with scale one.  Column (i, g) then moves the
+    template's rows mu to g * mu; no entry cancels, because mu -> g * mu is
     injective.  ``accumulator`` is the rank accumulator for the columns.
     """
 
-    def __init__(self, partials, nvars: int, src: int, index):
-        self.nvars, self.src, self.index = nvars, src, index
+    def __init__(self, partials, nvars: int, src: int):
+        self.nvars, self.src = nvars, src
         self.leads = earlier_leads(partials)
-        self.count = count_monomials(nvars, src)
-        self.first = {i: k * self.count for k, i in enumerate(self.leads)}
         self.templates, self.scale = {}, {}
         lifted = partials[0].field is QQ
         self.accumulator = IntRankAccumulator if lifted else FieldRankAccumulator
@@ -223,23 +220,18 @@ class MacaulayColumns:
                 self.scale[i] = partials[i].field.one
             self.templates[i] = tuple(terms.items())
 
-    @cached_property
-    def sources(self):
-        """monomial_basis(nvars, src): g of column (i, g) by position."""
-        return monomial_basis(self.nvars, self.src)
-
     def column(self, i, g) -> dict:
         """Column (i, g): the template of partial i on the rows g * mu."""
-        index = self.index
-        return {index[mono_mul(g, mu)]: c for mu, c in self.templates[i]}
+        return {mono_mul(g, mu): c for mu, c in self.templates[i]}
 
     def kept(self):
-        """(k, (i, g)) for every kept column, in Macaulay order.
+        """(i, g) for every kept column, in Macaulay order: i ascending, then
+        g in monomial_basis(nvars, src) order (lex-descending).
 
-        A partial's kept sources are monomial_basis(nvars, src) less the
-        multiples of the leads before it; the cofactors of one lead degree
-        are enumerated once.
+        A partial's kept sources are those less the multiples of the leads
+        before it; the cofactors of one lead degree are enumerated once.
         """
+        sources = monomial_basis(self.nvars, self.src)
         redundant, done, cofactors = set(), 0, {}
         for i, leads in self.leads.items():
             for lt in leads[done:]:
@@ -248,10 +240,9 @@ class MacaulayColumns:
                     cofactors[e] = monomial_basis(self.nvars, e)
                 redundant.update(mono_mul(lt, h) for h in cofactors[e])
             done = len(leads)
-            first = self.first[i]
-            for k, g in enumerate(self.sources):
+            for g in sources:
                 if g not in redundant:
-                    yield first + k, (i, g)
+                    yield i, g
 
 
 def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
@@ -264,10 +255,9 @@ def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
     src = d - gen_degree
     if src < 0:
         return 0
-    index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
-    columns = MacaulayColumns(partials, nvars, src, index)
+    columns = MacaulayColumns(partials, nvars, src)
     acc = columns.accumulator()
-    for _, key in columns.kept():
+    for key in columns.kept():
         acc.add_column(columns.column(*key))
     return acc.rank
 

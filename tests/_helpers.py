@@ -118,15 +118,15 @@ def sparse_to_dense(m):
     return rows
 
 
-def all_macaulay_columns(partials, index, sources):
+def all_macaulay_columns(partials, sources):
     """Every Macaulay column g * p, for each nonzero partial p and each g in
-    sources, rows numbered by index.  No column is skipped, so this is the
-    oracle for the kept columns of griffiths.MacaulayColumns."""
+    sources, rows keyed by their monomials.  No column is skipped, so this
+    is the oracle for the kept columns of griffiths.MacaulayColumns."""
     cols = []
     for p in partials:
         if p:
             for g in sources:
-                cols.append({index[tuple(a + b for a, b in zip(g, mu))]: c
+                cols.append({tuple(a + b for a, b in zip(g, mu)): c
                              for mu, c in p.terms.items()})
     return cols
 

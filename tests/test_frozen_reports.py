@@ -1,0 +1,28 @@
+"""Frozen CLI reports: each job's full JSON, apart from timing_ms.
+
+tests/frozen_reports.json holds the argv, the exit code and the report of
+jobs on the Jacobian and Griffiths-Dwork route (three gm families, one of
+them failing its discriminant samples), the window engine (dwork on a
+singular cubic) and the Jacobian profile (strands, hodge).  A change that
+claims to keep every report byte-identical must pass these unedited.  They
+are kept out of the bundled corpus, whose job count the benchmark checks.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from dworkcohom.cli import main
+
+FROZEN = json.loads(
+    (Path(__file__).resolve().parent / "frozen_reports.json").read_text())
+
+
+@pytest.mark.parametrize("job", FROZEN,
+                         ids=[" ".join(job["argv"][:2]) for job in FROZEN])
+def test_report_is_frozen(capsys, job):
+    code = main(job["argv"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timing_ms")
+    assert (code, report) == (job["exit"], job["report"])

@@ -13,7 +13,7 @@ from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         jacobian_hilbert, monomial_basis,
                         rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
-from dworkcohom import gaussmanin
+from dworkcohom import gaussmanin, griffiths
 from dworkcohom.gaussmanin import (GriffithsDworkReducer, _DegreeSolver,
                                    _matmul, _rational_roots,
                                    _test_invertible_matrix, connection_matrix)
@@ -203,7 +203,7 @@ def test_degree_solver_identity(family, symbolic, degrees):
         solver = reducer._solver(d)
         for _ in range(3):
             part = random_part(rng, f.field, f.nvars, d)
-            std, combo = solver.solve(part)
+            std, combo = solver.solve(part.terms)
             total = Polynomial.zero(f.field, f.nvars)
             for nu, c in std.items():
                 total = total + Polynomial.monomial(f.field, f.nvars, nu).scale(c)
@@ -228,13 +228,12 @@ def leading_rows_oracle(solver, partials, nvars, gen_degree):
     """Standard monomials of one degree by dense row reduction: row r leads
     some vector of the Macaulay column space exactly when it is not in the
     span of the rows above it."""
-    d = sum(solver.monomials[0])
-    cols = all_macaulay_columns(partials, solver.index,
-                                monomial_basis(nvars, d - gen_degree))
+    d = solver.degree
+    cols = all_macaulay_columns(partials, monomial_basis(nvars, d - gen_degree))
     basis = {}   # leading column -> reduced row, leading entry 1
     std = []
-    for r, nu in enumerate(solver.monomials):
-        row = [Fraction(col.get(r, 0)) for col in cols]
+    for nu in monomial_basis(nvars, d):
+        row = [Fraction(col.get(nu, 0)) for col in cols]
         for c, b in basis.items():
             if row[c]:
                 row = [x - row[c] * y for x, y in zip(row, b)]
@@ -292,15 +291,31 @@ def test_solve_eliminates_only_its_block():
     columns = 5 * len(monomial_basis(5, 16))
     assert columns == 24225
     part = Polynomial.monomial(QQ, 5, (4, 4, 4, 4, 4))
-    std, combo = solver.solve(part)
+    std, combo = solver.solve(part.terms)
     assert not std
-    assert len(solver.keys) == 126
+    assert len(solver.pivots) == 126
     assert len(solver._closed_rows) == 126
     total = Polynomial.zero(QQ, 5)
     for (i, g), lam in combo.items():
         total = total + (Polynomial.monomial(QQ, 5, g)
                          * reducer.partials[i]).scale(lam)
     assert total == part
+
+
+def test_solve_lists_no_degree(monkeypatch):
+    # rows are monomials and columns (i, g): neither the degree-20 solver nor
+    # the solve that meets one block of its 10,626 rows lists any monomials
+    f, _ = dwork_quintic()
+    reducer = GriffithsDworkReducer(f)
+    calls = []
+    original = gaussmanin.monomial_basis
+    for module in (gaussmanin, griffiths):
+        monkeypatch.setattr(module, "monomial_basis",
+                            lambda *args: calls.append(args) or original(*args))
+    solver = reducer._solver(20)
+    std, combo = solver.solve({(4, 4, 4, 4, 4): QQ.one})
+    assert not std and combo and len(solver.pivots) == 126
+    assert calls == []
 
 
 @pytest.mark.parametrize("family, symbolic, degrees", [
@@ -323,11 +338,12 @@ def test_block_closure_order_gives_one_echelon(family, symbolic, degrees):
                  for _ in range(4)]
         first, late = (_DegreeSolver(reducer.partials, f.field, f.nvars,
                                      reducer.m - 1, d) for _ in range(2))
-        solved = [first.solve(p) for p in parts]
+        solved = [first.solve(p.terms) for p in parts]
         std = late.standard_monomials
-        assert [late.solve(p) for p in parts] == solved
+        assert [late.solve(p.terms) for p in parts] == solved
         assert first.standard_monomials == std
-        assert first.pivots == late.pivots and first.keys == late.keys
+        assert first.pivots == late.pivots
+        assert first._closed_rows == late._closed_rows == set(monomials)
         if d <= at2.std_degrees[-1]:
             assert std == leading_rows_oracle(
                 at2._solver(d), at2.partials, at2.nvars, at2.m - 1)

@@ -230,15 +230,31 @@ def test_pruned_rank_is_the_full_rank(f, smooth):
     partials = [f.partial_derivative(k) for k in range(nvars)]
     skipped = 0
     for d in range(nvars * (m - 2) + 3):
-        index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
         sources = monomial_basis(nvars, d - (m - 1))
-        full = all_macaulay_columns(partials, index, sources)
-        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1), index)
-        kept = [columns.column(*key) for _, key in columns.kept()]
+        full = all_macaulay_columns(partials, sources)
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
+        kept = [columns.column(*key) for key in columns.kept()]
         skipped += len(full) - len(kept)
         assert griffiths.macaulay_rank(partials, nvars, m - 1, d) \
             == rank_of_columns(kept) == rank_of_columns(full)
     assert skipped > 0
+
+
+def test_macaulay_rank_lists_no_target_degree(monkeypatch):
+    # rows are monomials: a rank lists its sources (degree d - 2) and the
+    # cofactors of the leads (degree d - 4), never the degree d of its rows
+    f = triangle()
+    partials = [f.partial_derivative(k) for k in range(3)]
+    degrees = []
+    original = griffiths.monomial_basis
+    monkeypatch.setattr(griffiths, "monomial_basis",
+                        lambda nvars, d: degrees.append(d) or original(nvars, d))
+    assert not jacobian_hilbert(f).smooth
+    for d in range(6):
+        degrees.clear()
+        griffiths.macaulay_rank(partials, 3, 2, d)
+        assert set(degrees) <= {d - 2, d - 4}
+        assert (d - 2 in degrees) == (d >= 2)
 
 
 @pytest.mark.parametrize("m,nvars", [(2, 3), (3, 3), (4, 3), (3, 4), (5, 2)])
@@ -249,10 +265,9 @@ def test_fermat_kept_columns_are_independent(m, nvars):
     partials = [f.partial_derivative(k) for k in range(nvars)]
     series = series_hilbert(m, nvars, nvars * (m - 2) + 2)
     for d, h in enumerate(series):
-        index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
-        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1), index)
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
         kept = list(columns.kept())
-        assert len(kept) == len(index) - h
+        assert len(kept) == len(monomial_basis(nvars, d)) - h
         assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d)
 
 
@@ -275,11 +290,10 @@ def test_dwork_kept_columns_are_independent(f):
     assert griffiths.earlier_leads(partials)[nvars - 1] == powers
     socle, skipped = nvars * (m - 2), 0
     for d in (socle, socle + 1):
-        index = {nu: k for k, nu in enumerate(monomial_basis(nvars, d))}
         sources = monomial_basis(nvars, d - (m - 1))
-        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1), index)
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
         kept = list(columns.kept())
-        full = all_macaulay_columns(partials, index, sources)
+        full = all_macaulay_columns(partials, sources)
         skipped += len(full) - len(kept)
         assert len(kept) == griffiths.macaulay_rank(partials, nvars, m - 1, d) \
             == rank_of_columns(full)
@@ -288,21 +302,20 @@ def test_dwork_kept_columns_are_independent(f):
 
 def test_template_columns_are_the_lifted_columns():
     # each partial is lifted once, with the augmentation entry; a column
-    # (i, g), that entry included, is integerize_column of its field column
+    # (i, g), that entry included under its key (-1, i, g), is
+    # integerize_column of its field column
     x0, x1, x2 = (var(3, k) for k in range(3))
     f = ((x0 ** 3).scale(Fraction(1, 2)) + (x1 ** 3).scale(Fraction(2, 3))
          + (x2 ** 3).scale(6) - (x0 * x1 * x2).scale(4))
     partials = [f.partial_derivative(k) for k in range(3)]
     for d in range(2, 6):
-        index = {nu: k for k, nu in enumerate(monomial_basis(3, d))}
-        n = len(index)
-        columns = griffiths.MacaulayColumns(partials, 3, d - 2, index)
+        columns = griffiths.MacaulayColumns(partials, 3, d - 2)
         for i, p in enumerate(partials):
-            for pos, g in enumerate(monomial_basis(3, d - 2)):
-                row = n + columns.first[i] + pos
+            for g in monomial_basis(3, d - 2):
+                row = (-1, i, g)
                 col = columns.column(i, g)
                 col[row] = columns.scale[i]
-                field_col = {index[tuple(a + b for a, b in zip(g, mu))]: c
+                field_col = {tuple(a + b for a, b in zip(g, mu)): c
                              for mu, c in p.terms.items()}
                 field_col[row] = QQ.one
                 assert col == integerize_column(field_col)
@@ -311,13 +324,12 @@ def test_template_columns_are_the_lifted_columns():
     ft = f.map_coefficients(QQ_T.coerce, QQ_T) + (x0 * x1 * x2).map_coefficients(
         QQ_T.coerce, QQ_T).scale(T)
     partials = [ft.partial_derivative(k) for k in range(3)]
-    index = {nu: k for k, nu in enumerate(monomial_basis(3, 3))}
-    columns = griffiths.MacaulayColumns(partials, 3, 1, index)
+    columns = griffiths.MacaulayColumns(partials, 3, 1)
     for i, p in enumerate(partials):
         assert columns.scale[i] == QQ_T.one
         for g in monomial_basis(3, 1):
             assert columns.column(i, g) == {
-                index[tuple(a + b for a, b in zip(g, mu))]: c
+                tuple(a + b for a, b in zip(g, mu)): c
                 for mu, c in p.terms.items()}
 
 
