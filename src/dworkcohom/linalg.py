@@ -74,8 +74,12 @@ let L be the lattice spanned by the exponents of F.
   source with its orbit size w.  All representatives of orbit size w feed
   one accumulator.  Their blocks share no row, so an incoming column is
   reduced only by pivots of its own class, and the accumulator stores
-  exactly the pivots that per-class accumulators would store.  Its rank
-  is the sum of the per-class ranks, and a window rank is
+  exactly the pivots that per-class accumulators would store.  The
+  choices that the loop makes agree too: the oldest pivot is the oldest
+  of its own class, because births count up across classes in insertion
+  order, and the use of a row, which leads the pivot-row key, counts only
+  stored columns of the row's own class.  Its rank is the sum of the
+  per-class ranks, and a window rank is
   sum_w w * rank(accumulator of weight w).
 
 The dims and certificates are therefore those of the unsplit engine, by

@@ -2,13 +2,14 @@
 
 Ranks are computed by one left-looking sparse elimination loop with two
 steps.  The loop reduces each incoming column against the oldest stored pivot
-it touches and stores a nonzero remainder under the pivot row with the
-smallest entry, least-used row first, so columns stay sparse and entries
-small; the result is deterministic for a fixed column order.  The step is
-what differs: ``IntRankAccumulator`` clears an entry of an integer column by
-cross-multiplication and gcd normalization (fraction-free, no rounding), and
-``FieldRankAccumulator`` by field division, for any other exact field
-(rational functions in t).
+it touches, taking the pivots from a heap ordered by birth, and stores a
+nonzero remainder under the least-used pivot row, smallest entry next
+(Markowitz first), so columns stay sparse; the result is deterministic for
+a fixed column order.  The step is what differs: ``IntRankAccumulator``
+clears an entry of an integer column by cross-multiplication with the two
+entries divided by their gcd, then gcd normalization (fraction-free, no
+rounding), and ``FieldRankAccumulator`` by field division, for any other
+exact field (rational functions in t).
 
 The two steps update their columns inline rather than through
 poly.add_term, the engine's one cancelling update: they are the inner loop
@@ -23,6 +24,7 @@ path, never as a substitute for it.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .fields import RatFunc
@@ -130,9 +132,21 @@ class _RankAccumulator:
     """Incremental exact rank by left-looking sparse elimination.
 
     An incoming column is reduced against the oldest stored pivot among its
-    rows until no pivot row remains; a nonzero remainder is stored with the
-    pivot row of smallest (entry size, row use, row).  Subclasses give the
-    elimination step and the entry size.
+    rows until no pivot row remains; a nonzero remainder is stored under the
+    pivot row of least (row use, entry size, row), the Markowitz choice of
+    structured Gaussian elimination (LaMacchia and Odlyzko 1990).  A rank
+    does not depend on which row a column is stored under.  Subclasses give
+    the elimination step and the entry size.
+
+    The oldest pivot comes from a heap of (birth, row) over the column's
+    pivot rows, not from a scan of the column before each step.  A stored
+    column was reduced against every older pivot, so it holds no pivot row
+    born before its own: a step with the pivot of birth b adds only pivot
+    rows born after b.  The births cleared in one add_column therefore
+    strictly increase, a cleared row never comes back, and it is enough to
+    push the pivot rows a step adds and to skip a popped row that a step
+    cancelled.  The heap's least live entry is then always the row the scan
+    would pick, so the pivots, steps and stored columns are the scan's.
     """
 
     def __init__(self):
@@ -145,30 +159,37 @@ class _RankAccumulator:
         """Reduce col against current pivots; returns True if rank grew."""
         col = {r: v for r, v in col.items() if v}
         pivcol, birth, step = self.pivcol, self.birth, self._step
-        while col:
-            hit = None
-            for r in col:
-                b = birth.get(r)
-                if b is not None and (hit is None or b < hit[0]):
-                    hit = (b, r)
-            if hit is None:
-                break
-            col = step(col, pivcol[hit[1]], hit[1])
+        heap = []
+        for r in col:
+            b = birth.get(r)
+            if b is not None:
+                heap.append((b, r))
+        heapify(heap)
+        while heap:
+            r = heappop(heap)[1]
+            if r in col:            # else a step cancelled it
+                pcol = pivcol[r]
+                for s in pcol:
+                    if s not in col:
+                        b = birth.get(s)
+                        if b is not None:
+                            heappush(heap, (b, s))
+                col = step(col, pcol, r)
         if not col:
             return False
-        size, use = self._size, self.row_use
-        best = None
-        for r, v in col.items():
-            key = (size(v), use.get(r, 0), r)
-            if best is None or key < best:
-                best = key
-        row = best[2]
+        row = self._pivot_row(col)
         pivcol[row] = col
         birth[row] = self.rank
+        use = self.row_use
         for s in col:
             use[s] = use.get(s, 0) + 1
         self.rank += 1
         return True
+
+    def _pivot_row(self, col: dict):
+        """The row to store col under: least (row use, entry size, row)."""
+        size, use = self._size, self.row_use
+        return min((use.get(r, 0), size(v), r) for r, v in col.items())[2]
 
 
 class IntRankAccumulator(_RankAccumulator):
@@ -176,12 +197,21 @@ class IntRankAccumulator(_RankAccumulator):
 
     @staticmethod
     def _step(col, pcol, r):
-        """Clear row r of col with pivot column pcol; the result is primitive."""
+        """Clear row r of col with pivot column pcol; the result is primitive.
+
+        The two entries are divided by g = gcd(pcol[r], col[r]) before the
+        cross-multiplication, with the sign put on g that makes the pivot's
+        multiplier positive.  That divides the cross-multiplied column by
+        |g| and keeps its rows in order, so its primitive part, the result,
+        is the same; a multiplier of 1 copies col instead of scaling it.
+        """
         # inline cancelling update, not poly.add_term: the inner loop
         pval, cval = pcol[r], col[r]
+        g = gcd(pval, cval)
         if pval < 0:
-            pval, cval = -pval, -cval
-        new = {s: v * pval for s, v in col.items()}
+            g = -g
+        pval, cval = pval // g, cval // g
+        new = dict(col) if pval == 1 else {s: v * pval for s, v in col.items()}
         for s, w in pcol.items():
             u = new.get(s, 0) - cval * w
             if u:

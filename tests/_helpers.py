@@ -83,6 +83,68 @@ def solved_connection_matrix(reducer, perturbation, forms):
                          [reducer.reduce(g * p) for p in lifted], len(forms))
 
 
+def cross_multiplied_step(col, pcol, r):
+    """IntRankAccumulator._step before its gcd: scale col by the pivot's
+    entry, subtract col's entry times pcol, divide out the content."""
+    pval, cval = pcol[r], col[r]
+    if pval < 0:
+        pval, cval = -pval, -cval
+    new = {s: v * pval for s, v in col.items()}
+    for s, w in pcol.items():
+        u = new.get(s, 0) - cval * w
+        if u:
+            new[s] = u
+        else:
+            new.pop(s, None)
+    return primitive_column(new)
+
+
+def size_first_row(acc, col):
+    """The pivot row of least (entry size, row use, row): the accumulator's
+    choice before it took the least-used row first."""
+    size, use = acc._size, acc.row_use
+    return min((size(v), use.get(r, 0), r) for r, v in col.items())[2]
+
+
+class ScanRankAccumulator(IntRankAccumulator):
+    """IntRankAccumulator as the loop was before its pivots came from a heap:
+    a scan of the column for its oldest pivot row before every step, the
+    cross-multiplied step and the size-first pivot row.  The oracle of the
+    heap, the gcd-reduced step and, by rank alone, the pivot-row key."""
+
+    _step = staticmethod(cross_multiplied_step)
+    _pivot_row = size_first_row
+
+    def add_column(self, col):
+        col = {r: v for r, v in col.items() if v}
+        pivcol, birth, step = self.pivcol, self.birth, self._step
+        while col:
+            hit = None
+            for r in col:
+                b = birth.get(r)
+                if b is not None and (hit is None or b < hit[0]):
+                    hit = (b, r)
+            if hit is None:
+                break
+            col = step(col, pivcol[hit[1]], hit[1])
+        if not col:
+            return False
+        row = self._pivot_row(col)
+        pivcol[row] = col
+        birth[row] = self.rank
+        for s in col:
+            self.row_use[s] = self.row_use.get(s, 0) + 1
+        self.rank += 1
+        return True
+
+
+class SizeFirstRankAccumulator(IntRankAccumulator):
+    """The engine's loop and step with the size-first pivot row, which must
+    store exactly the columns ScanRankAccumulator stores."""
+
+    _pivot_row = size_first_row
+
+
 def dense_rank_fractions(rows):
     """Independent dense rank over Q by textbook row reduction."""
     rows = [[Fraction(x) for x in row] for row in rows]

@@ -18,8 +18,9 @@ from dworkcohom.gaussmanin import (GriffithsDworkReducer, _DegreeSolver,
                                    _matmul, _rational_roots,
                                    _test_invertible_matrix, connection_matrix)
 from dworkcohom.fields import poly_mul
-from _helpers import (all_macaulay_columns, fermat, solved_connection_matrix,
-                      triangle, trial_division_roots, var)
+from _helpers import (all_macaulay_columns, cross_multiplied_step, fermat,
+                      solved_connection_matrix, triangle, trial_division_roots,
+                      var)
 
 
 def dwork_family():
@@ -186,6 +187,28 @@ def random_part(rng, field, nvars, d):
                 c = RatFunc.from_fraction(c) + QQ_T.gen * rng.randint(-3, 3)
             terms[nu] = c
     return Polynomial(field, nvars, terms)
+
+
+@pytest.mark.parametrize("family, degrees", [
+    (dwork_family()[0], (3, 4, 6)),
+    (k3_family(), (4, 5, 8)),
+], ids=["cubic-QQ", "k3-QQ"])
+def test_gcd_step_keeps_the_echelon(family, degrees):
+    # the solver borrows IntRankAccumulator._step; with the step before its
+    # gcd it stores the same pivot columns, rows in the same order, and
+    # returns the same solves
+    f = family.at(2)
+    reducer = GriffithsDworkReducer(f)
+    rng = random.Random(19)
+    for d in degrees:
+        parts = [random_part(rng, QQ, f.nvars, d).terms for _ in range(3)]
+        new, old = (_DegreeSolver(reducer.partials, QQ, f.nvars,
+                                  reducer.m - 1, d) for _ in range(2))
+        old._step = cross_multiplied_step
+        assert [new.solve(p) for p in parts] == [old.solve(p) for p in parts]
+        assert new.standard_monomials == old.standard_monomials
+        assert ([(r, list(c.items())) for r, c in new.pivots.items()]
+                == [(r, list(c.items())) for r, c in old.pivots.items()])
 
 
 @pytest.mark.parametrize("family, symbolic, degrees", [
