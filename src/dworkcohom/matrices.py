@@ -2,14 +2,13 @@
 
 Ranks are computed by one left-looking sparse elimination loop with two
 steps.  The loop reduces each incoming column against the oldest stored pivot
-it touches, taking the pivots from a heap ordered by birth, and stores a
-nonzero remainder under the least-used pivot row, smallest entry next
-(Markowitz first), so columns stay sparse; the result is deterministic for
-a fixed column order.  The step is what differs: ``IntRankAccumulator``
-clears an entry of an integer column by cross-multiplication with the two
-entries divided by their gcd, then gcd normalization (fraction-free, no
-rounding), and ``FieldRankAccumulator`` by field division, for any other
-exact field (rational functions in t).
+it touches and stores a nonzero remainder under the least-used pivot row,
+smallest entry next (Markowitz first), so columns stay sparse; the result
+is deterministic for a fixed column order.  The step is what differs:
+``IntRankAccumulator`` clears an entry of an integer column by
+cross-multiplication with the two entries divided by their gcd, then gcd
+normalization (fraction-free, no rounding), and ``FieldRankAccumulator`` by
+field division, for any other exact field (rational functions in t).
 
 The two steps update their columns inline rather than through
 poly.add_term, the engine's one cancelling update: they are the inner loop
@@ -24,7 +23,6 @@ path, never as a substitute for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .fields import RatFunc
@@ -137,16 +135,6 @@ class _RankAccumulator:
     structured Gaussian elimination (LaMacchia and Odlyzko 1990).  A rank
     does not depend on which row a column is stored under.  Subclasses give
     the elimination step and the entry size.
-
-    The oldest pivot comes from a heap of (birth, row) over the column's
-    pivot rows, not from a scan of the column before each step.  A stored
-    column was reduced against every older pivot, so it holds no pivot row
-    born before its own: a step with the pivot of birth b adds only pivot
-    rows born after b.  The births cleared in one add_column therefore
-    strictly increase, a cleared row never comes back, and it is enough to
-    push the pivot rows a step adds and to skip a popped row that a step
-    cancelled.  The heap's least live entry is then always the row the scan
-    would pick, so the pivots, steps and stored columns are the scan's.
     """
 
     def __init__(self):
@@ -159,22 +147,15 @@ class _RankAccumulator:
         """Reduce col against current pivots; returns True if rank grew."""
         col = {r: v for r, v in col.items() if v}
         pivcol, birth, step = self.pivcol, self.birth, self._step
-        heap = []
-        for r in col:
-            b = birth.get(r)
-            if b is not None:
-                heap.append((b, r))
-        heapify(heap)
-        while heap:
-            r = heappop(heap)[1]
-            if r in col:            # else a step cancelled it
-                pcol = pivcol[r]
-                for s in pcol:
-                    if s not in col:
-                        b = birth.get(s)
-                        if b is not None:
-                            heappush(heap, (b, s))
-                col = step(col, pcol, r)
+        while col:
+            hit = None
+            for r in col:
+                b = birth.get(r)
+                if b is not None and (hit is None or b < hit[0]):
+                    hit = (b, r)
+            if hit is None:
+                break
+            col = step(col, pivcol[hit[1]], hit[1])
         if not col:
             return False
         row = self._pivot_row(col)

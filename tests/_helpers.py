@@ -106,41 +106,19 @@ def size_first_row(acc, col):
     return min((size(v), use.get(r, 0), r) for r, v in col.items())[2]
 
 
-class ScanRankAccumulator(IntRankAccumulator):
-    """IntRankAccumulator as the loop was before its pivots came from a heap:
-    a scan of the column for its oldest pivot row before every step, the
-    cross-multiplied step and the size-first pivot row.  The oracle of the
-    heap, the gcd-reduced step and, by rank alone, the pivot-row key."""
+class CrossMultipliedRankAccumulator(IntRankAccumulator):
+    """IntRankAccumulator as it was before its gcd-reduced step and its
+    Markowitz-first pivot row: the engine's loop with the cross-multiplied
+    step and the size-first pivot row.  The oracle of the step and, by rank
+    alone, of the pivot-row key."""
 
     _step = staticmethod(cross_multiplied_step)
     _pivot_row = size_first_row
 
-    def add_column(self, col):
-        col = {r: v for r, v in col.items() if v}
-        pivcol, birth, step = self.pivcol, self.birth, self._step
-        while col:
-            hit = None
-            for r in col:
-                b = birth.get(r)
-                if b is not None and (hit is None or b < hit[0]):
-                    hit = (b, r)
-            if hit is None:
-                break
-            col = step(col, pivcol[hit[1]], hit[1])
-        if not col:
-            return False
-        row = self._pivot_row(col)
-        pivcol[row] = col
-        birth[row] = self.rank
-        for s in col:
-            self.row_use[s] = self.row_use.get(s, 0) + 1
-        self.rank += 1
-        return True
-
 
 class SizeFirstRankAccumulator(IntRankAccumulator):
     """The engine's loop and step with the size-first pivot row, which must
-    store exactly the columns ScanRankAccumulator stores."""
+    store exactly the columns CrossMultipliedRankAccumulator stores."""
 
     _pivot_row = size_first_row
 

@@ -1,4 +1,5 @@
-"""The shared elimination loop of matrices against the scan it replaced."""
+"""The shared elimination loop of matrices against the loop before its
+gcd-reduced step and Markowitz-first pivot row."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from dworkcohom import dwork, parse_polynomial
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  SparseMatrix, rank_mod_p)
 
-from _helpers import (ScanRankAccumulator, SizeFirstRankAccumulator,
+from _helpers import (CrossMultipliedRankAccumulator, SizeFirstRankAccumulator,
                       cross_multiplied_step, dense_rank_fractions)
 
 # a smooth plane cubic of the benchmark's window-dense panel
@@ -24,22 +25,6 @@ def dense_cubic():
 def stored(acc):
     """Every stored column with its rows in order, by pivot row in order."""
     return [(r, list(col.items())) for r, col in acc.pivcol.items()]
-
-
-def cleared_births(acc):
-    """Spy on acc's step: a list of the births each add_column clears."""
-    runs, step = [], acc._step
-
-    def spy(col, pcol, r):
-        runs[-1].append(acc.birth[r])
-        return step(col, pcol, r)
-
-    def add_column(col, add=acc.add_column):
-        runs.append([])
-        return add(col)
-
-    acc._step, acc.add_column = spy, add_column
-    return runs
 
 
 def random_columns(rng, nrows, ncols, rank):
@@ -66,16 +51,17 @@ def feed(acc, columns):
 
 
 def assert_same_elimination(columns):
-    """The loop with the size-first key stores the scan's columns, in the
-    scan's order; with its own key it reaches the same rank."""
-    scan = feed(ScanRankAccumulator(), columns)
+    """With the size-first key the gcd-reduced step stores the columns of
+    the cross-multiplied one, in the same order; with its own key the loop
+    reaches the same rank."""
+    old = feed(CrossMultipliedRankAccumulator(), columns)
     same = feed(SizeFirstRankAccumulator(), columns)
-    assert stored(same) == stored(scan)
-    assert list(same.birth.items()) == list(scan.birth.items())
-    assert same.rank == scan.rank == feed(IntRankAccumulator(), columns).rank
+    assert stored(same) == stored(old)
+    assert list(same.birth.items()) == list(old.birth.items())
+    assert same.rank == old.rank == feed(IntRankAccumulator(), columns).rank
 
 
-def test_random_matrices_eliminate_as_the_scan():
+def test_random_matrices_eliminate_as_before():
     rng = random.Random(19)
     for _ in range(60):
         nrows, ncols = rng.randint(1, 14), rng.randint(1, 16)
@@ -103,25 +89,10 @@ def dense_cubic_streams():
     return list(streams.values())
 
 
-def test_dense_cubic_eliminates_as_the_scan(dense_cubic_streams):
+def test_dense_cubic_eliminates_as_before(dense_cubic_streams):
     assert sum(map(len, dense_cubic_streams)) > 300
     for columns in dense_cubic_streams:
         assert_same_elimination(columns)
-
-
-def test_cleared_births_strictly_increase(dense_cubic_streams):
-    rng = random.Random(5)
-    streams = dense_cubic_streams + [
-        random_columns(rng, 12, 16, 6) for _ in range(20)]
-    steps = 0
-    for columns in streams:
-        acc = IntRankAccumulator()
-        runs = cleared_births(acc)
-        feed(acc, columns)
-        for births in runs:
-            assert births == sorted(set(births))
-            steps += len(births)
-    assert steps > 1000
 
 
 # The steps compare_smooth_paths takes on the dense cubic, in the Macaulay
