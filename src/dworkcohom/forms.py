@@ -355,10 +355,10 @@ class ExponentClasses:
     class.
 
     ``gens`` are symmetries of F (as from poly.variable_symmetries); they
-    permute the classes.  ``representatives`` keeps the forms of one class
-    per orbit of the group they generate, the class of smallest key, and
-    weighs each by its orbit size.  ``sizes`` maps every class met to
-    its orbit size if it represents its orbit, else to 0; it is filled one
+    permute the classes.  The class of smallest key represents its orbit
+    under the group they generate, and ``weight`` gives an exponent
+    vector the orbit size of its class if that class represents its
+    orbit, else 0.  ``sizes`` holds those weights by key; it is filled one
     orbit at a time as classes are met and lives as long as the instance.
     """
 
@@ -417,22 +417,18 @@ class ExponentClasses:
                     todo.append(u)
         return seen
 
-    def representatives(self, basis) -> dict:
-        """{orbit size: the (nu, I) of basis whose class represents its
-        orbit}, in basis order."""
+    def weight(self, v) -> int:
+        """The orbit size of the class of the integer vector v if that
+        class represents its orbit, else 0."""
+        key = self.reduce(v)
         sizes = self.sizes
-        groups = {}
-        for nu, I in basis:
-            key = self.key(nu, I)
-            w = sizes.get(key)
-            if w is None:
-                orbit = self.orbit(key)
-                sizes.update(dict.fromkeys(orbit, 0))
-                sizes[min(orbit)] = len(orbit)
-                w = sizes[key]
-            if w:
-                groups.setdefault(w, []).append((nu, I))
-        return groups
+        w = sizes.get(key)
+        if w is None:
+            orbit = self.orbit(key)
+            sizes.update(dict.fromkeys(orbit, 0))
+            sizes[min(orbit)] = len(orbit)
+            w = sizes[key]
+        return w
 
 
 def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:

@@ -69,6 +69,15 @@ let L be the lattice spanned by the exponents of F.
   <= N, and the rows of degree > N onto such rows.  So the classes of one
   orbit of the group G of such permutations have equal main ranks and
   band ranks at every window.
+* Representative sources: the class depends only on v = nu + e_I, and
+  (nu, I) <-> (v, I) with I inside the support of v is a bijection from
+  the sources of degree e onto such pairs with v of degree e.  So the
+  engine lists the exponent vectors v of each degree once, keeps those
+  whose class represents its orbit (one key per vector, not per source),
+  and emits (v - e_I, I) for each I in combinations order and each kept v
+  that is at least 1 on I, in v's lex-descending order.  For a fixed I,
+  subtracting e_I keeps the lex order, so these are exactly the
+  representative sources of strand_basis_at_degree, in its order.
 * Weighted accumulators: the engine assembles the sources of one
   representative class per orbit (forms.ExponentClasses) and counts each
   source with its orbit size w.  All representatives of orbit size w feed
@@ -83,8 +92,10 @@ let L be the lattice spanned by the exponents of F.
   sum_w w * rank(accumulator of weight w).
 
 The dims and certificates are therefore those of the unsplit engine, by
-construction.  When G is trivial there is one accumulator of weight 1 and
-no class key is computed.  On the nodal quartic x0^4 + .. + x3^4 -
+construction, and every accumulator receives the columns it received
+when the engine filtered the whole basis by class, in the same order.
+When G is trivial there is one accumulator of weight 1 and no class key
+is computed.  On the nodal quartic x0^4 + .. + x3^4 -
 4 x0x1x2x3, L has index 64 and G is S4, so strand 0's 16 classes fall into
 3 orbits, of sizes 1, 3 and 12.
 """
@@ -92,6 +103,8 @@ no class key is computed.  On the nodal quartic x0^4 + .. + x3^4 -
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import sub
 
 from .exceptions import NilpotenceError, NotSmoothError
 from .fields import QQ
@@ -100,7 +113,7 @@ from .forms import (ColumnStencil, ExponentClasses, StrandSpec,
                     validate_twist_input)
 from .matrices import (IntRankAccumulator, SparseMatrix, exact_rank,
                        primitive_column, rank_mod_p, rank_of_columns)
-from .poly import Polynomial, variable_symmetries
+from .poly import Polynomial, monomial_basis, variable_symmetries
 from .reports import Certificate, CohomologyReport, Proof
 
 __all__ = [
@@ -256,11 +269,15 @@ class _WindowEngine:
     second time.
 
     When F has variable symmetries, only the classes that represent their
-    orbits are assembled (see the module docstring).  Every source counts
-    its orbit size w, and its column goes to the main and band accumulators
-    of weight w, so each rank is sum_w w * rank(accumulator of weight w).
-    With no symmetry there is one accumulator of weight 1, every source is
-    assembled and no class key is computed.
+    orbits are assembled (see the module docstring).  ``vectors`` lists,
+    per degree, the exponent vectors whose class represents its orbit;
+    the sources of every form degree come from it, so a class key is
+    computed once per vector of a degree, not once per source.  Every
+    source counts its orbit size w, and its column goes to the main and
+    band accumulators of weight w, so each rank is
+    sum_w w * rank(accumulator of weight w).  With no symmetry there is one
+    accumulator of weight 1, every source is assembled and no class key is
+    computed.
 
     Bounds must be asked in non-decreasing order: an engine lives for one
     escalation and keeps only the ranks up to the last bound swept.
@@ -278,20 +295,48 @@ class _WindowEngine:
         n = self.top + 1
         self.acc = [dict() for _ in range(n)]   # orbit size -> accumulator
         self.rows = [dict() for _ in range(n + 1)]
+        self.vectors = {}                       # degree -> _vectors
         self.next_deg = [spec.residue] * n
         self.dim_cum = [0] * n
         self.bound = None
+
+    def _vectors(self, e: int) -> list:
+        """(v, orbit size, support mask) for the exponent vectors v of
+        degree e whose class represents its orbit, lex-descending.
+
+        Listed once per engine and shared by every form degree and every
+        band re-sweep of degree e.
+        """
+        vectors = self.vectors.get(e)
+        if vectors is None:
+            weight = self.classes.weight
+            vectors = self.vectors[e] = [
+                (v, w, sum(1 << k for k, a in enumerate(v) if a))
+                for v in monomial_basis(self.top, e, self.spec.weights)
+                if (w := weight(v))]
+        return vectors
 
     def _sources(self, i: int, e: int):
         """(orbit size, sources) pairs covering the D^i sources of degree e.
 
         With no symmetry that is the whole basis at size 1; otherwise the
-        orbit representatives, grouped by orbit size.
+        orbit representatives, grouped by orbit size: the sources
+        (v - e_I, I) of the representative vectors v that are at least 1 on
+        I, for I in combinations order and v in lex-descending order,
+        which is strand_basis_at_degree's order.
         """
-        basis = strand_basis_at_degree(self.spec, i, e)
         if self.classes is None:
-            return ((1, basis),)
-        return self.classes.representatives(basis).items()
+            return ((1, strand_basis_at_degree(self.spec, i, e)),)
+        vectors = self._vectors(e)
+        groups = {}
+        for I in combinations(range(self.top), i):
+            mask = sum(1 << k for k in I)
+            e_I = tuple(int(k in I) for k in range(self.top))
+            for v, w, support in vectors:
+                if support & mask == mask:
+                    groups.setdefault(w, []).append((tuple(map(sub, v, e_I)),
+                                                     I))
+        return groups.items()
 
     def _add_degree(self, i: int, e: int, acc, band, cut: int) -> int:
         """Feed the D^i columns of source degree e; return how many sources

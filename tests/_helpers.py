@@ -218,6 +218,29 @@ def dense_windowed_dims(f, spec, bound):
     return {i: kernel[i] - witnessed[i] for i in kernel}
 
 
+def filtered_sources(classes, spec, i, e):
+    """{orbit size: the (nu, I) of strand_basis_at_degree(spec, i, e) whose
+    class represents its orbit}, in basis order.
+
+    The window engine's source filter before it enumerated representative
+    exponent vectors: a class key for every source.  The oracle for
+    _WindowEngine._sources; it keeps its own orbit sizes, so it shares no
+    state with the engine's classes.
+    """
+    sizes, groups = {}, {}
+    for nu, I in strand_basis_at_degree(spec, i, e):
+        key = classes.key(nu, I)
+        w = sizes.get(key)
+        if w is None:
+            orbit = classes.orbit(key)
+            sizes.update(dict.fromkeys(orbit, 0))
+            sizes[min(orbit)] = len(orbit)
+            w = sizes[key]
+        if w:
+            groups.setdefault(w, []).append((nu, I))
+    return groups
+
+
 class UnsplitWindowEngine:
     """The window engine without orbit sharing: every source is assembled.
 

@@ -3,7 +3,11 @@
 tests/frozen_reports.json holds the argv, the exit code and the report of
 jobs on the Jacobian and Griffiths-Dwork route (three gm families, one of
 them failing its discriminant samples), the window engine (dwork on a
-singular cubic) and the Jacobian profile (strands, hodge).  A change that
+singular cubic) and the Jacobian profile (strands, hodge).  Four more run
+the window engine's orbit sharing: dwork on x0*x1*x2*x3 (a lattice of low
+rank), dwork on the Fermat quartic with an explicit policy (a full-rank
+lattice and S4), affine on x0^2 + x1^2 + x2^3 with weights 3,3,2 (weighted,
+one swap) and suspension on x0*x1*x2.  A change that
 claims to keep every report byte-identical must pass these unedited.  They
 are kept out of the bundled corpus, whose job count the benchmark checks.
 """

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from dworkcohom import (Polynomial, QQ, StabilizationPolicy, StrandSpec,
                         full_complex_spec, stabilized_cohomology)
-from dworkcohom.forms import ColumnStencil, ExponentClasses
+from dworkcohom.forms import (ColumnStencil, ExponentClasses,
+                              strand_basis_at_degree)
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.poly import variable_symmetries
 
 from _helpers import (UnsplitWindowEngine, dense_windowed_dims, fermat,
-                      triangle, var)
+                      filtered_sources, triangle, var)
 
 
 def act(s, mu):
@@ -199,6 +200,82 @@ def test_orbit_sharing_matches_the_unsplit_engine_on_random_input(f, data):
     engine, unsplit = _WindowEngine(f, spec), UnsplitWindowEngine(f, spec)
     for bound in bounds:
         assert engine.dims_at(bound) == unsplit.dims_at(bound), bound
+
+
+def assert_sources_are_filtered(f, spec, bound):
+    """_WindowEngine._sources equals the per-source filter on every form
+    degree and every strand degree up to bound: the same orbit-size groups
+    in the same order, each with the same sources in the same order."""
+    engine = _WindowEngine(f, spec)
+    if engine.classes is None:
+        return
+    classes = ExponentClasses(f, variable_symmetries(f, spec.weights))
+    for i in range(spec.nvars + 1):
+        for e in range(spec.residue, bound + 1, spec.modulus):
+            got = [(w, list(sources)) for w, sources in engine._sources(i, e)]
+            assert got == list(filtered_sources(classes, spec, i, e).items()), \
+                (i, e)
+
+
+# the oracle also runs on a weighted input with a symmetry, and on a strand
+# of a weighted one
+SOURCE_CASES = [
+    *CASES,
+    ("x0^2 + x1^2 + x2^3 weighted 3,3,2",
+     var(3, 0) ** 2 + var(3, 1) ** 2 + var(3, 2) ** 3,
+     full_complex_spec(3, (3, 3, 2)), None, ()),
+    ("x0^2*x1^2 + x2^2 weighted 1,1,2 strand 1",
+     var(3, 0) ** 2 * var(3, 1) ** 2 + var(3, 2) ** 2,
+     StrandSpec(3, 4, 1, (1, 1, 2)), None, ()),
+]
+
+
+@pytest.mark.parametrize("name, f, spec, policy, dense", SOURCE_CASES,
+                         ids=[c[0] for c in SOURCE_CASES])
+def test_sources_are_the_filtered_basis(name, f, spec, policy, dense):
+    history = stabilized_cohomology(f, spec, policy).certificate.history
+    assert_sources_are_filtered(f, spec, history[-1][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_vars=4), st.data())
+def test_sources_are_the_filtered_basis_on_random_input(f, data):
+    n = f.nvars
+    weights = data.draw(st.none() | st.tuples(*[st.integers(1, 2)] * n))
+    m = f.homogeneous_degree(weights)
+    spec = full_complex_spec(n, weights)
+    if m and data.draw(st.booleans()):
+        spec = StrandSpec(n, m, data.draw(st.integers(0, m - 1)), weights)
+    assert_sources_are_filtered(f, spec, data.draw(st.integers(0, 8)))
+
+
+def test_sources_cost_one_class_key_per_exponent_vector(monkeypatch):
+    # x0*x1*x2 strand 0 at its default policy sweeps 28 (form degree,
+    # degree) pairs over 3,289 sources; keying every source and walking
+    # each new orbit takes 3,859 reductions.  Listing the vectors of each
+    # degree once costs one reduction per vector plus the same walks.
+    reductions = []
+    original = ExponentClasses.reduce
+
+    def spy(self, v):
+        reductions.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(ExponentClasses, "reduce", spy)
+    swept = []
+    sources = _WindowEngine._sources
+
+    def record(self, i, e):
+        swept.append((i, e))
+        return sources(self, i, e)
+
+    monkeypatch.setattr(_WindowEngine, "_sources", record)
+    spec = StrandSpec(3, 3, 0)
+    stabilized_cohomology(triangle(), spec)
+    monkeypatch.undo()
+    basis = sum(len(strand_basis_at_degree(spec, i, e)) for i, e in swept)
+    assert (len(swept), basis) == (28, 3289)
+    assert len(reductions) == 1081 < basis
 
 
 def test_symmetric_inputs_share_their_orbits():
