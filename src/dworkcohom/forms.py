@@ -291,11 +291,10 @@ class ColumnStencil:
     ``scale`` is the lcm L of F's coefficient denominators.  ``terms`` holds
     (k, mu - e_k, c * mu_k * L, deg_w(mu)) for every term c x^mu of F and
     every k with mu_k > 0, in f.terms order; ``wedge[I][k]`` is the
-    (sign, K) of dx_k ^ dx_I, or None when k lies in I.  ``max_rise`` is the
-    largest degree a column entry rises by.
+    (sign, K) of dx_k ^ dx_I, or None when k lies in I.
     """
 
-    __slots__ = ("scale", "terms", "wedge", "max_rise")
+    __slots__ = ("scale", "terms", "wedge")
 
     def __init__(self, f: Polynomial, weights=None):
         coeffs = [Fraction(c) for c in f.terms.values()]
@@ -316,7 +315,6 @@ class ColumnStencil:
         self.scale = scale
         self.terms = tuple(terms)
         self.wedge = wedge
-        self.max_rise = max((t[3] for t in terms), default=0)
 
     def column(self, nu: tuple, I: tuple) -> list:
         """Entries (target key, rise, value) of L * D(x^nu dx_I).

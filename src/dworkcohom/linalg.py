@@ -17,10 +17,24 @@ staying inside the honest complex:
         - dim ( D(C^{i-1}_{<=N})  intersected with  C^i_{<=N} )
 
 with no truncation of targets.  Both terms are exact ranks; the second one is
-rank(M_{i-1}) - rank(rows of degree > N of M_{i-1}).  These numbers converge
-to the true cohomology dimensions, and a stabilization certificate records
-three consecutive windows with identical dimension maps.  Stability is
-evidence, not proof; reports always carry the certificate.
+rank(M_{i-1}) - band rank, where M_{i-1} is D^{i-1} on sources of degree <= N
+and the band rank is the rank of its rows of degree > N.  These numbers
+converge to the true cohomology dimensions, and a stabilization certificate
+records three consecutive windows with identical dimension maps.  Stability
+is evidence, not proof; reports always carry the certificate.
+
+Band counts: one elimination gives both ranks.  The accumulator of D^i
+knows each row's degree (source degree plus the entry's rise) and stores
+each reduced column under a row of greatest degree among its entries.  A
+stored column is zero at the pivot rows stored before it, so the stored
+columns span everything fed and are triangular, with a nonzero diagonal,
+on their pivot rows in birth order.  One whose pivot has degree <= N has
+no entry above N; those whose pivots lie above N stay triangular on their
+pivot rows, so they are independent on the rows above N.  Sources enter in
+ascending degree, so after the sweep to N the accumulator holds exactly the
+columns of M_{i-1}, and the band rank is the number of stored pivots of
+degree > N: each N costs a count, not an elimination (the rank profile of
+Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013).
 
 ``proved_window_cohomology`` replaces that evidence by a proof when F is
 homogeneous of degree m, unweighted, with a finite Jacobian ring R (the
@@ -86,10 +100,11 @@ let L be the lattice spanned by the exponents of F.
   exactly the pivots that per-class accumulators would store.  The
   choices that the loop makes agree too: the oldest pivot is the oldest
   of its own class, because births count up across classes in insertion
-  order, and the use of a row, which leads the pivot-row key, counts only
-  stored columns of the row's own class.  Its rank is the sum of the
-  per-class ranks, and a window rank is
-  sum_w w * rank(accumulator of weight w).
+  order; the degree of a row, which leads the pivot-row key, is its own,
+  and its use, which breaks ties within a degree, counts only stored
+  columns of its own class.  So the rank and the pivots above N are the
+  sums of the per-class ones, and a window's rank and band rank are
+  sum_w w * (that of the accumulator of weight w).
 
 The dims and certificates are therefore those of the unsplit engine, by
 construction, and every accumulator receives the columns it received
@@ -263,21 +278,21 @@ class _WindowEngine:
     degree, so the cumulative rank after finishing degree e equals the exact
     rank of D^i restricted to sources of degree <= e; one sweep serves every
     window bound.  Targets are never truncated.  Columns come from one
-    integer stencil of F, and the sweep that adds a column to the rank also
-    feeds its entries of degree > bound to the band rank of that window.
-    Only band sources that an earlier sweep already passed are assembled a
-    second time.
+    integer stencil of F and are assembled once.  ``row_deg`` holds the
+    degree of each row id of ``rows``, and the accumulators store each
+    column under a row of greatest degree, so a band rank is a count of
+    stored pivots (module docstring, "Band counts").
 
     When F has variable symmetries, only the classes that represent their
     orbits are assembled (see the module docstring).  ``vectors`` lists,
     per degree, the exponent vectors whose class represents its orbit;
     the sources of every form degree come from it, so a class key is
     computed once per vector of a degree, not once per source.  Every
-    source counts its orbit size w, and its column goes to the main and
-    band accumulators of weight w, so each rank is
-    sum_w w * rank(accumulator of weight w).  With no symmetry there is one
-    accumulator of weight 1, every source is assembled and no class key is
-    computed.
+    source counts its orbit size w, and its column goes to the accumulator
+    of weight w, so each rank is sum_w w * rank(accumulator of weight w),
+    and each band rank the same sum of pivot counts.  With no symmetry
+    there is one accumulator of weight 1, every source is assembled and no
+    class key is computed.
 
     Bounds must be asked in non-decreasing order: an engine lives for one
     escalation and keeps only the ranks up to the last bound swept.
@@ -295,6 +310,7 @@ class _WindowEngine:
         n = self.top + 1
         self.acc = [dict() for _ in range(n)]   # orbit size -> accumulator
         self.rows = [dict() for _ in range(n + 1)]
+        self.row_deg = [[] for _ in range(n + 1)]   # row id -> degree
         self.vectors = {}                       # degree -> _vectors
         self.next_deg = [spec.residue] * n
         self.dim_cum = [0] * n
@@ -304,8 +320,7 @@ class _WindowEngine:
         """(v, orbit size, support mask) for the exponent vectors v of
         degree e whose class represents its orbit, lex-descending.
 
-        Listed once per engine and shared by every form degree and every
-        band re-sweep of degree e.
+        Listed once per engine and shared by every form degree.
         """
         vectors = self.vectors.get(e)
         if vectors is None:
@@ -338,60 +353,40 @@ class _WindowEngine:
                                                      I))
         return groups.items()
 
-    def _add_degree(self, i: int, e: int, acc, band, cut: int) -> int:
-        """Feed the D^i columns of source degree e; return how many sources
-        they stand for.
-
-        Whole columns go to acc and their entries rising by more than cut
-        to band, each keyed by orbit size; either may be None.
-        """
-        reg = self.rows[i + 1]
+    def _add_degree(self, i: int, e: int) -> int:
+        """Feed the D^i columns of source degree e to the accumulators of
+        their orbit sizes; return how many sources they stand for."""
+        reg, deg, accs = self.rows[i + 1], self.row_deg[i + 1], self.acc[i]
         column = self.stencil.column
         count = 0
         for w, sources in self._sources(i, e):
-            main, above_acc = _weighted(acc, w), _weighted(band, w)
+            acc = accs.get(w)
+            if acc is None:
+                acc = accs[w] = IntRankAccumulator(deg)
             for nu, I in sources:
                 col = {}
-                above = {}
                 for key, rise, v in column(nu, I):
                     rid = reg.get(key)
                     if rid is None:
                         rid = reg[key] = len(reg)
+                        deg.append(e + rise)
                     col[rid] = v
-                    if rise > cut:
-                        above[rid] = v
-                if main is not None and col:
-                    main.add_column(primitive_column(col))
-                if above_acc is not None and above:
-                    above_acc.add_column(primitive_column(above))
+                if col:
+                    acc.add_column(primitive_column(col))
             count += w * len(sources)
         return count
 
     def _process(self, i: int, bound: int) -> int:
-        """Sweep D^i up to bound; return the band rank of window (i, bound).
-
-        The band rank is the rank of the D^i columns of degree <= bound on
-        rows of degree > bound.  Only sources of degree > bound - max_rise
-        reach such rows; those below next_deg[i] were swept by an earlier
-        call, so their columns are assembled again here.
-        """
-        spec = self.spec
-        step = spec.modulus
+        """Sweep D^i up to bound; return the band rank of window (i, bound),
+        sum_w w * #{stored pivots of degree > bound}."""
         e = self.next_deg[i]
-        band = None
-        if i < self.top:
-            band = {}
-            # lowest strand degree above bound - max_rise
-            low = bound - self.stencil.max_rise + 1
-            first = max(spec.residue, low + (spec.residue - low) % step)
-            for d in range(first, min(e, bound + 1), step):
-                self._add_degree(i, d, None, band, bound - d)
-        acc = self.acc[i]
         while e <= bound:
-            self.dim_cum[i] += self._add_degree(i, e, acc, band, bound - e)
-            e += step
+            self.dim_cum[i] += self._add_degree(i, e)
+            e += self.spec.modulus
         self.next_deg[i] = e
-        return _weighted_rank(band) if band is not None else 0
+        deg = self.row_deg[i + 1]
+        return sum(w * sum(deg[r] > bound for r in acc.pivcol)
+                   for w, acc in self.acc[i].items())
 
     def dims_at(self, bound: int) -> dict:
         """Windowed dims at bound; raises ValueError below the last bound."""
@@ -407,17 +402,6 @@ class _WindowEngine:
                          if i else 0)
             dims[i] = kernel - witnessed
         return dims
-
-
-def _weighted(accs, w: int):
-    """The accumulator of orbit size w in accs, made on first use; None
-    when accs is None."""
-    if accs is None:
-        return None
-    acc = accs.get(w)
-    if acc is None:
-        acc = accs[w] = IntRankAccumulator()
-    return acc
 
 
 def _weighted_rank(accs) -> int:

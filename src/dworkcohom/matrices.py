@@ -4,7 +4,9 @@ Ranks are computed by one left-looking sparse elimination loop with two
 steps.  The loop reduces each incoming column against the oldest stored pivot
 it touches and stores a nonzero remainder under the least-used pivot row,
 smallest entry next (Markowitz first), so columns stay sparse; the result
-is deterministic for a fixed column order.  The step is what differs:
+is deterministic for a fixed column order.  A caller that gives each row a
+degree gets rows of greatest degree first, so that the rank above any degree
+is a count of pivots (``_RankAccumulator``).  The step is what differs:
 ``IntRankAccumulator`` clears an entry of an integer column by
 cross-multiplication with the two entries divided by their gcd, then gcd
 normalization (fraction-free, no rounding), and ``FieldRankAccumulator`` by
@@ -135,12 +137,19 @@ class _RankAccumulator:
     structured Gaussian elimination (LaMacchia and Odlyzko 1990).  A rank
     does not depend on which row a column is stored under.  Subclasses give
     the elimination step and the entry size.
+
+    ``degree``, when given, maps every row to a degree, and the key becomes
+    (-degree, row use, entry size, row): each column is stored under a row
+    of greatest degree among its entries.  Then, for every N, the number of
+    stored pivots of degree > N is the rank of the columns fed so far on
+    their rows of degree > N (the linalg docstring, "Band counts").
     """
 
-    def __init__(self):
+    def __init__(self, degree=None):
         self.pivcol = {}    # pivot row -> reduced column (dict row -> value)
         self.birth = {}     # pivot row -> insertion counter
         self.row_use = {}   # row -> number of stored pivot columns touching it
+        self.degree = degree    # row -> degree, or None
         self.rank = 0
 
     def add_column(self, col: dict) -> bool:
@@ -168,9 +177,13 @@ class _RankAccumulator:
         return True
 
     def _pivot_row(self, col: dict):
-        """The row to store col under: least (row use, entry size, row)."""
-        size, use = self._size, self.row_use
-        return min((use.get(r, 0), size(v), r) for r, v in col.items())[2]
+        """The row to store col under: least (-degree, row use, entry size,
+        row), or least (row use, entry size, row) with no degrees."""
+        size, use, degree = self._size, self.row_use, self.degree
+        if degree is None:
+            return min((use.get(r, 0), size(v), r) for r, v in col.items())[2]
+        return min((-degree[r], use.get(r, 0), size(v), r)
+                   for r, v in col.items())[3]
 
 
 class IntRankAccumulator(_RankAccumulator):

@@ -2,12 +2,36 @@
 
 from fractions import Fraction
 
-from dworkcohom import QQ, Polynomial, griffiths
+from hypothesis import strategies as st
+
+from dworkcohom import QQ, Polynomial, full_complex_spec, griffiths
 from dworkcohom.forms import (ColumnStencil, strand_basis,
                               strand_basis_at_degree, twisted_column)
 from dworkcohom.gaussmanin import _solve_square
 from dworkcohom.matrices import IntRankAccumulator, primitive_column
 from dworkcohom.poly import count_monomials
+
+
+def act(s, mu):
+    """s.mu, with (s.mu)[s[k]] = mu[k]."""
+    out = [0] * len(mu)
+    for k, e in enumerate(mu):
+        out[s[k]] = e
+    return tuple(out)
+
+
+@st.composite
+def polys(draw, max_vars=4):
+    """Polynomials of up to max_vars variables and four terms, some with
+    their support closed under a random permutation of the variables."""
+    n = draw(st.integers(1, max_vars))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+    if draw(st.booleans()):  # close the support under a random permutation
+        s = draw(st.permutations(range(n)))
+        terms.update({act(s, mu): c for mu, c in list(terms.items())})
+    return Polynomial(QQ, n, terms)
 
 
 def var(nvars, k, field=QQ):
@@ -20,6 +44,14 @@ def fermat(m, nvars, field=QQ):
 
 def triangle():
     return var(3, 0) * var(3, 1) * var(3, 2)
+
+
+def step_one_twist():
+    """(F, full complex spec) with F inhomogeneous of top degree 3 > step 1,
+    so each window's band spans source degrees an earlier window of the
+    same engine already swept."""
+    x0, x1 = var(2, 0), var(2, 1)
+    return x0 ** 3 + x0 * x1 + Fraction(1, 3) * x1 ** 2, full_complex_spec(2)
 
 
 # Verified 62-bit primes (deterministic stand-ins for "random" primes).
@@ -245,7 +277,9 @@ class UnsplitWindowEngine:
     """The window engine without orbit sharing: every source is assembled.
 
     This is linalg._WindowEngine as it was before it shared ranks between
-    symmetric classes, kept as the oracle for that sharing.  With ``key``, a
+    symmetric classes and counted its band ranks as pivots, kept as the
+    oracle for both: it eliminates each window's band, the columns' entries
+    of degree > bound, in accumulators of its own.  With ``key``, a
     function of (nu, I) such as ExponentClasses.key, every class gets its
     own main and band accumulators, and ``ranks(i, k)`` gives the sources,
     main rank and band rank of class k in degree i at the last window:
@@ -287,7 +321,8 @@ class UnsplitWindowEngine:
         e = self.next_deg[i]
         band = self.band[i] = {} if i < self.top else None
         if band is not None:
-            low = bound - self.stencil.max_rise + 1
+            max_rise = max((t[3] for t in self.stencil.terms), default=0)
+            low = bound - max_rise + 1
             first = max(spec.residue, low + (spec.residue - low) % step)
             for d in range(first, min(e, bound + 1), step):
                 self._add_degree(i, d, None, band, bound - d)

@@ -19,7 +19,7 @@ from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
 from dworkcohom.poly import monomial_basis
 
 from _helpers import (PRIMES_62, dense_rank_fractions, dense_windowed_dims,
-                      fermat, sparse_to_dense, var)
+                      fermat, sparse_to_dense, step_one_twist, var)
 
 
 def random_sparse(rng, nrows, ncols, fill=0.12, fractions=True):
@@ -267,17 +267,10 @@ def test_windowed_dims_match_independent_formula():
         == {0: 0, 1: 1}
 
 
-def _step_one_twist():
-    # inhomogeneous, with top degree 3 > step 1, so each window's band spans
-    # source degrees an earlier window of the same engine already swept
-    x0, x1 = var(2, 0), var(2, 1)
-    return x0 ** 3 + x0 * x1 + Fraction(1, 3) * x1 ** 2, full_complex_spec(2)
-
-
 def test_band_completion_matches_oracle_and_fresh_engine():
     # every call builds a fresh engine, whose bands past its first window
     # are completed from sources it already swept
-    f, spec = _step_one_twist()
+    f, spec = step_one_twist()
     for pol in (StabilizationPolicy(4, 1, 8), StabilizationPolicy(2, 1, 7)):
         history = stabilized_cohomology(f, spec, pol).certificate.history
         assert len(history) >= 3
@@ -287,7 +280,7 @@ def test_band_completion_matches_oracle_and_fresh_engine():
 
 def test_engine_bounds_never_decrease():
     from dworkcohom.linalg import _WindowEngine
-    f, spec = _step_one_twist()
+    f, spec = step_one_twist()
     engine = _WindowEngine(f, spec)
     first = engine.dims_at(5)
     assert first == dense_windowed_dims(f, spec, 5)

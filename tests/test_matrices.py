@@ -1,5 +1,6 @@
 """The shared elimination loop of matrices against the loop before its
-gcd-reduced step and Markowitz-first pivot row."""
+gcd-reduced step and Markowitz-first pivot row, and its degree-first pivot
+rows against dense band ranks."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkcohom import dwork, parse_polynomial
+from dworkcohom import Job, dwork, griffiths, parse_polynomial, run_job
+from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  SparseMatrix, rank_mod_p)
 
@@ -90,16 +92,22 @@ def dense_cubic_streams():
 
 
 def test_dense_cubic_eliminates_as_before(dense_cubic_streams):
-    assert sum(map(len, dense_cubic_streams)) > 300
+    # 15 Macaulay columns at socle+1 and the proved window's 174 nonzero
+    # columns; band ranks are counts, so no band column is fed
+    assert sum(map(len, dense_cubic_streams)) == 189
     for columns in dense_cubic_streams:
         assert_same_elimination(columns)
 
 
 # The steps compare_smooth_paths takes on the dense cubic, in the Macaulay
 # rank at socle+1 and in the proved window.  A cost pin: the size-first
-# pivot row took 1,371; fewer is better, and a change either way should be
-# understood before the pin is moved.
-STEPS = 1165
+# pivot row took 1,371 and the Markowitz-first one 1,165, 1,113 of them in
+# the window's main and band accumulators.  The window engine now stores
+# each column under a row of greatest degree and counts its band ranks
+# (linalg docstring, "Band counts"), so its band columns and their steps
+# are gone.  Fewer is better, and a change either way should be understood
+# before the pin is moved.
+STEPS = 754
 
 
 def test_compare_smooth_paths_step_count(monkeypatch):
@@ -113,6 +121,53 @@ def test_compare_smooth_paths_step_count(monkeypatch):
     monkeypatch.setattr(IntRankAccumulator, "_step", staticmethod(spy))
     assert dwork.compare_smooth_paths(dense_cubic()).ok
     assert len(calls) == STEPS
+
+
+def test_engine_columns_are_whole(monkeypatch):
+    # dwork x0*x1*x2: every add_column call of the window engine carries
+    # the whole column of one representative source, none a band part
+    sources, calls = [], []
+    emit = _WindowEngine._sources
+
+    def record_sources(self, i, e):
+        groups = list(emit(self, i, e))
+        sources.extend((nu, I) for _, group in groups for nu, I in group
+                       if self.stencil.column(nu, I))
+        return groups
+
+    add = IntRankAccumulator.add_column
+
+    def record(self, col):
+        if self.degree is not None:
+            calls.append(col)
+        return add(self, col)
+
+    monkeypatch.setattr(_WindowEngine, "_sources", record_sources)
+    monkeypatch.setattr(IntRankAccumulator, "add_column", record)
+    code, _ = run_job(Job.from_dict({"command": "dwork",
+                                     "polynomial": "x0*x1*x2",
+                                     "variables": ["x0", "x1", "x2"]}))
+    assert code == 0
+    assert len(calls) == len(sources) == 616
+
+
+def test_quintic_macaulay_rank_step_count(monkeypatch):
+    # the Jacobian route passes no row degrees: the Dwork quintic's rank at
+    # socle+1 (dominating jacobian-gm's Macaulay ranks) keeps its steps
+    calls = []
+    step = IntRankAccumulator._step
+
+    def spy(col, pcol, r):
+        calls.append(r)
+        return step(col, pcol, r)
+
+    monkeypatch.setattr(IntRankAccumulator, "_step", staticmethod(spy))
+    names = ["x0", "x1", "x2", "x3", "x4"]
+    f = parse_polynomial("x0^5 + x1^5 + x2^5 + x3^5 + x4^5"
+                         " - 10*x0*x1*x2*x3*x4", names)
+    partials = [f.partial_derivative(k) for k in range(5)]
+    assert griffiths.macaulay_rank(partials, 5, 4, 16) == 4845
+    assert len(calls) == 3144
 
 
 # ---- the gcd-reduced step -------------------------------------------------
@@ -179,3 +234,26 @@ def test_int_rank_is_the_dense_rank(drawn):
     for p in (2, 3, 2 ** 31 - 1):
         assert rank_mod_p(m, p) <= acc.rank
 
+
+# ---- degree-first pivot rows ----------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_columns(), st.data())
+def test_pivots_above_n_count_the_band_rank(drawn, data):
+    """After every column, the stored pivots of degree > N number the rank
+    of the columns fed so far on their rows of degree > N, for every N, and
+    no stored column has an entry above its pivot's degree."""
+    nrows, cols = drawn
+    degree = data.draw(st.lists(st.integers(0, 3), min_size=nrows,
+                                max_size=nrows))
+    acc = IntRankAccumulator(degree)
+    for k, col in enumerate(cols, 1):
+        acc.add_column(dict(col))
+        for r, pcol in acc.pivcol.items():
+            assert max(degree[s] for s in pcol) == degree[r]
+        for n in range(-1, 4):
+            band = [[Fraction(c.get(r, 0)) for c in cols[:k]]
+                    for r in range(nrows) if degree[r] > n]
+            pivots = sum(degree[r] > n for r in acc.pivcol)
+            assert pivots == dense_rank_fractions(band), (k, n)

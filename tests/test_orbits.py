@@ -7,23 +7,15 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkcohom import (Polynomial, QQ, StabilizationPolicy, StrandSpec,
-                        full_complex_spec, stabilized_cohomology)
+from dworkcohom import (StabilizationPolicy, StrandSpec, full_complex_spec,
+                        stabilized_cohomology)
 from dworkcohom.forms import (ColumnStencil, ExponentClasses,
                               strand_basis_at_degree)
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.poly import variable_symmetries
 
-from _helpers import (UnsplitWindowEngine, dense_windowed_dims, fermat,
-                      filtered_sources, triangle, var)
-
-
-def act(s, mu):
-    """s.mu, with (s.mu)[s[k]] = mu[k]."""
-    out = [0] * len(mu)
-    for k, e in enumerate(mu):
-        out[s[k]] = e
-    return tuple(out)
+from _helpers import (UnsplitWindowEngine, act, dense_windowed_dims, fermat,
+                      filtered_sources, polys, triangle, var)
 
 
 def fixes(s, f, weights=None):
@@ -43,18 +35,6 @@ def closure(gens, n):
                 group.add(h)
                 todo.append(h)
     return group
-
-
-@st.composite
-def polys(draw, max_vars=4):
-    n = draw(st.integers(1, max_vars))
-    exps = st.tuples(*[st.integers(0, 3)] * n)
-    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
-    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
-    if draw(st.booleans()):  # close the support under a random permutation
-        s = draw(st.permutations(range(n)))
-        terms.update({act(s, mu): c for mu, c in list(terms.items())})
-    return Polynomial(QQ, n, terms)
 
 
 @settings(max_examples=60, deadline=None)
