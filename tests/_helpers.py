@@ -5,8 +5,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from dworkcohom import QQ, Polynomial, full_complex_spec, griffiths
-from dworkcohom.forms import (ColumnStencil, strand_basis,
-                              strand_basis_at_degree, twisted_column)
+from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
+                              strand_basis, strand_basis_at_degree,
+                              twisted_column)
 from dworkcohom.gaussmanin import _solve_square
 from dworkcohom.matrices import IntRankAccumulator, primitive_column
 from dworkcohom.poly import count_monomials
@@ -248,6 +249,38 @@ def dense_windowed_dims(f, spec, bound):
         kernel[i] = len(basis) - rank_full
         witnessed[i + 1] = rank_full - dense_rank_fractions(band)
     return {i: kernel[i] - witnessed[i] for i in kernel}
+
+
+def dense_dF_only_dims(f, spec, bound):
+    """Independent oracle for griffiths.dF_only_cohomology: the space dims
+    and the ranks of dF^ out of each form degree, as two lists.
+
+    Every graded Koszul piece V^0_tau -> .. -> V^(n+1)_(tau+(n+1)m) whose
+    lowest nonempty space has degree <= bound counts whole, and each of its
+    maps is ranked densely on its own.  Columns are dF ^ x^nu dx_I by form
+    arithmetic (gradient_form and DifferentialForm.wedge).
+    """
+    n, m = spec.nvars, f.homogeneous_degree(spec.weights)
+    dF = gradient_form(f)
+    spaces, ranks = [0] * (n + 1), [0] * (n + 1)
+    for tau in range(-n * m, bound + 1):
+        if tau % spec.modulus != spec.residue:
+            continue
+        bases = [strand_basis_at_degree(spec, i, tau + i * m)
+                 for i in range(n + 1)]
+        low = [tau + i * m for i, basis in enumerate(bases) if basis]
+        if not low or min(low) > bound:
+            continue
+        for i in range(n + 1):
+            spaces[i] += len(bases[i])
+        for i in range(n):
+            images = [dF.wedge(DifferentialForm.monomial_form(
+                f.field, n, nu, I)).terms for nu, I in bases[i]]
+            assert set().union(*images) <= set(bases[i + 1])
+            ranks[i] += dense_rank_fractions(
+                [[image.get(key, 0) for image in images]
+                 for key in bases[i + 1]])
+    return spaces, ranks
 
 
 def filtered_sources(classes, spec, i, e):

@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomology,
                         full_complex_spec, griffiths, jacobian_hilbert,
-                        milnor_number, primitive_hodge_numbers, strand_top_dims)
+                        milnor_number, parse_polynomial, primitive_hodge_numbers,
+                        strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
 from dworkcohom.matrices import integerize_column, rank_of_columns
 from dworkcohom.poly import Polynomial, monomial_basis
 
-from _helpers import (all_macaulay_columns, fermat, ranked_profile,
-                      series_hilbert, triangle, var)
+from _helpers import (all_macaulay_columns, dense_dF_only_dims, fermat,
+                      ranked_profile, series_hilbert, triangle, var)
 
 
 def ranked_hilbert(f):
@@ -446,3 +447,28 @@ def test_df_only_strand_sum_is_milnor():
         dims = dF_only_cohomology(fermat(4, 4), StrandSpec(4, 4, j), 12)
         total += dims.coh(4)
     assert total == 81
+
+
+# singular and weighted inputs, against a dense rank of every piece:
+# (F, spec, bound, cohomology dims)
+DF_ONLY_CASES = [
+    ("x^2 + y^3 weighted 3,2", "x^2 + y^3", ["x", "y"],
+     full_complex_spec(2, (3, 2)), 12, [0, 0, 2]),
+    ("x0*x1*x2 strand 0", "x0*x1*x2", ["x0", "x1", "x2"],
+     StrandSpec(3, 3, 0), 9, [0, 0, 14, 16]),
+    ("x0*x1*x2 full complex", "x0*x1*x2", ["x0", "x1", "x2"],
+     full_complex_spec(3), 7, [0, 0, 32, 40]),
+    ("x0^2*x2 + x1^3 strand 1 weighted 1,1,1", "x0^2*x2 + x1^3",
+     ["x0", "x1", "x2"], StrandSpec(3, 3, 1, (1, 1, 1)), 9, [0, 0, 8, 11]),
+]
+
+
+@pytest.mark.parametrize("name, text, names, spec, bound, coh", DF_ONLY_CASES,
+                         ids=[c[0] for c in DF_ONLY_CASES])
+def test_df_only_matches_dense_pieces(name, text, names, spec, bound, coh):
+    f = parse_polynomial(text, names)
+    dims = dF_only_cohomology(f, spec, bound)
+    spaces, ranks = dense_dF_only_dims(f, spec, bound)
+    assert [(d, s, out) for d, s, out, _ in dims.data] == \
+        list(zip(range(spec.nvars + 1), spaces, ranks))
+    assert [dims.coh(i) for i in range(spec.nvars + 1)] == coh

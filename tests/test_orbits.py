@@ -7,11 +7,12 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkcohom import (StabilizationPolicy, StrandSpec, full_complex_spec,
-                        stabilized_cohomology)
+from dworkcohom import (Job, StabilizationPolicy, StrandSpec, dwork,
+                        full_complex_spec, run_job, stabilized_cohomology)
 from dworkcohom.forms import (ColumnStencil, ExponentClasses,
                               strand_basis_at_degree)
 from dworkcohom.linalg import _WindowEngine
+from dworkcohom.matrices import IntRankAccumulator
 from dworkcohom.poly import variable_symmetries
 
 from _helpers import (UnsplitWindowEngine, act, dense_windowed_dims, fermat,
@@ -271,3 +272,56 @@ def test_symmetric_inputs_share_their_orbits():
     assert len(reps) == sum(1 for t in combinations_with_replacement(range(4), 4)
                             if sum(t) % 4 == 0)
     assert sum(len(classes.orbit(r)) for r in reps) == 64
+
+
+def engine_work(monkeypatch, run):
+    """(add_column calls, _step calls) of the accumulators that have row
+    degrees, the window engine's own, while run() runs."""
+    counts = [0, 0]
+    inside = []
+    add, step = IntRankAccumulator.add_column, IntRankAccumulator._step
+
+    def count_add(self, col):
+        if self.degree is None:
+            return add(self, col)
+        counts[0] += 1
+        inside.append(self)
+        try:
+            return add(self, col)
+        finally:
+            inside.pop()
+
+    def count_step(col, pcol, r):
+        counts[1] += bool(inside)
+        return step(col, pcol, r)
+
+    monkeypatch.setattr(IntRankAccumulator, "add_column", count_add)
+    monkeypatch.setattr(IntRankAccumulator, "_step", staticmethod(count_step))
+    run()
+    monkeypatch.undo()
+    return tuple(counts)
+
+
+def dwork_product_of_four():
+    names = ["x0", "x1", "x2", "x3"]
+    code, _ = run_job(Job.from_dict({"command": "dwork",
+                                     "polynomial": "*".join(names),
+                                     "variables": names}))
+    assert code == 0
+
+
+def smooth_paths_of_the_fermat_quartic():
+    assert dwork.compare_smooth_paths(fermat(4, 4)).ok
+
+
+# The window engine's work on two symmetric inputs, where the sources of
+# every orbit size share one accumulator per differential.  Those sources
+# arrive interleaved in basis order, and the pins hold only while each
+# class is reduced by its own pivots alone, in its own feed order (linalg
+# docstring, "Weighted accumulators").
+@pytest.mark.parametrize("run, work", [
+    (dwork_product_of_four, (7659, 12443)),
+    (smooth_paths_of_the_fermat_quartic, (1002, 952)),
+], ids=["dwork x0*x1*x2*x3", "compare_smooth_paths fermat(4,4)"])
+def test_engine_pivot_pins_on_symmetric_input(monkeypatch, run, work):
+    assert engine_work(monkeypatch, run) == work
