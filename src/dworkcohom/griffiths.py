@@ -343,7 +343,10 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     graded Koszul pieces  V^0_tau -> V^1_{tau+m} -> ... -> V^(n+1)_{tau+(n+1)m}.
     Every piece whose lowest nonempty space has total degree <= bound is
     included whole; the result is an honest finite complex, exact in
-    sub-top degrees whenever the partials form a regular sequence.
+    sub-top degrees whenever the partials form a regular sequence.  Pieces
+    of different tau have targets of different degree, so they share no
+    row, and one accumulator per form degree, with the target forms as
+    rows, ranks every piece at once.
     """
     validate_twist_input(f, spec)
     nvars = spec.nvars
@@ -355,33 +358,20 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
         raise NonHomogeneousError("dF-only grading needs a homogeneous input")
     stencil = ColumnStencil(f, spec.weights)
     space = [0] * (nvars + 1)
-    out = [0] * (nvars + 1)
+    accs = [IntRankAccumulator() for _ in range(nvars)]
     for tau in range(-nvars * m, bound + 1):
         if spec.modulus > 1 and tau % spec.modulus != spec.residue:
             continue
-        bases = {}
-        for i in range(nvars + 1):
-            e = tau + i * m
-            if e >= 0:
-                b = strand_basis_at_degree(spec, i, e)
-                if b:
-                    bases[i] = b
-        if not bases:
+        bases = [strand_basis_at_degree(spec, i, tau + i * m)
+                 for i in range(nvars + 1)]
+        low = [tau + i * m for i, basis in enumerate(bases) if basis]
+        if not low or min(low) > bound:
             continue
-        if min(tau + i * m for i in bases) > bound:
-            continue
-        for i in range(nvars + 1):
-            if i not in bases:
-                continue
-            space[i] += len(bases[i])
-            if i + 1 not in bases:
-                continue
-            rows = {key: k for k, key in enumerate(bases[i + 1])}
-            acc = IntRankAccumulator()
-            for nu, I in bases[i]:
-                col = {rows[key]: c for key, rise, c in stencil.column(nu, I)
-                       if rise}
+        for i, basis in enumerate(bases):
+            space[i] += len(basis)
+        for acc, basis in zip(accs, bases):     # dF^ is 0 on top forms
+            for nu, I in basis:
+                col = {key: c for key, rise, c in stencil.column(nu, I) if rise}
                 if col:
                     acc.add_column(primitive_column(col))
-            out[i] += acc.rank
-    return ComplexDims.from_ranks(space, out)
+    return ComplexDims.from_ranks(space, [acc.rank for acc in accs])

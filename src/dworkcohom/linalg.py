@@ -92,27 +92,29 @@ let L be the lattice spanned by the exponents of F.
   that is at least 1 on I, in v's lex-descending order.  For a fixed I,
   subtracting e_I keeps the lex order, so these are exactly the
   representative sources of strand_basis_at_degree, in its order.
-* Weighted accumulators: the engine assembles the sources of one
-  representative class per orbit (forms.ExponentClasses) and counts each
-  source with its orbit size w.  All representatives of orbit size w feed
-  one accumulator.  Their blocks share no row, so an incoming column is
-  reduced only by pivots of its own class, and the accumulator stores
-  exactly the pivots that per-class accumulators would store.  The
-  choices that the loop makes agree too: the oldest pivot is the oldest
-  of its own class, because births count up across classes in insertion
-  order; the degree of a row, which leads the pivot-row key, is its own,
-  and its use, which breaks ties within a degree, counts only stored
-  columns of its own class.  So the rank and the pivots above N are the
-  sums of the per-class ones, and a window's rank and band rank are
-  sum_w w * (that of the accumulator of weight w).
+* Weighted pivots: the engine assembles the sources of one representative
+  class per orbit (forms.ExponentClasses) and feeds them all, in basis
+  order, to the one accumulator of D^i; each row carries the orbit size w
+  of its class.  Blocks share no row, so an incoming column is reduced
+  only by pivots of its own class, and the accumulator stores exactly the
+  pivots that per-class accumulators would store.  The choices that the
+  loop makes agree too, because everything it compares lies in one class:
+  the oldest pivot among a column's rows is the oldest of its own class,
+  births counting up in each class's own feed order; the degree of a row,
+  which leads the pivot-row key, is its own; its use, which breaks ties
+  within a degree, counts only stored columns of its own class; and row
+  ids, the last tie-break, are registered in that class's feed order.  So
+  the rank and the pivots above N are the sums of the per-class ones, and
+  a window's rank and band rank are the sums of the orbit sizes w of the
+  stored pivots, all of them and those of degree > N.
 
 The dims and certificates are therefore those of the unsplit engine, by
-construction, and every accumulator receives the columns it received
-when the engine filtered the whole basis by class, in the same order.
-When G is trivial there is one accumulator of weight 1 and no class key
-is computed.  On the nodal quartic x0^4 + .. + x3^4 -
-4 x0x1x2x3, L has index 64 and G is S4, so strand 0's 16 classes fall into
-3 orbits, of sizes 1, 3 and 12.
+construction, and every class's columns are reduced as they were when the
+engine filtered the whole basis by class, in the same order.  When G is
+trivial every class is its own orbit, of size 1, and no class key is
+computed.  On the nodal quartic x0^4 + .. + x3^4 - 4 x0x1x2x3, L has
+index 64 and G is S4, so strand 0's 16 classes fall into 3 orbits, of
+sizes 1, 3 and 12.
 """
 
 from __future__ import annotations
@@ -279,20 +281,20 @@ class _WindowEngine:
     rank of D^i restricted to sources of degree <= e; one sweep serves every
     window bound.  Targets are never truncated.  Columns come from one
     integer stencil of F and are assembled once.  ``row_deg`` holds the
-    degree of each row id of ``rows``, and the accumulators store each
-    column under a row of greatest degree, so a band rank is a count of
-    stored pivots (module docstring, "Band counts").
+    degree of each row id of ``rows``, and the accumulator of each D^i
+    stores each column under a row of greatest degree, so a band rank is a
+    count of stored pivots (module docstring, "Band counts").
 
     When F has variable symmetries, only the classes that represent their
     orbits are assembled (see the module docstring).  ``vectors`` lists,
     per degree, the exponent vectors whose class represents its orbit;
     the sources of every form degree come from it, so a class key is
     computed once per vector of a degree, not once per source.  Every
-    source counts its orbit size w, and its column goes to the accumulator
-    of weight w, so each rank is sum_w w * rank(accumulator of weight w),
-    and each band rank the same sum of pivot counts.  With no symmetry
-    there is one accumulator of weight 1, every source is assembled and no
-    class key is computed.
+    source counts its orbit size w, and so does every row its column
+    registers (``row_w``), since a row's class is its source's.  All
+    sources of D^i feed one accumulator, and each rank is the sum of the
+    orbit sizes of its stored pivots ("Weighted pivots").  With no symmetry
+    every source is assembled at size 1 and no class key is computed.
 
     Bounds must be asked in non-decreasing order: an engine lives for one
     escalation and keeps only the ranks up to the last bound swept.
@@ -308,9 +310,10 @@ class _WindowEngine:
         gens = variable_symmetries(f, spec.weights)
         self.classes = ExponentClasses(f, gens) if gens else None
         n = self.top + 1
-        self.acc = [dict() for _ in range(n)]   # orbit size -> accumulator
         self.rows = [dict() for _ in range(n + 1)]
         self.row_deg = [[] for _ in range(n + 1)]   # row id -> degree
+        self.row_w = [[] for _ in range(n + 1)]     # row id -> orbit size
+        self.acc = [IntRankAccumulator(self.row_deg[i + 1]) for i in range(n)]
         self.vectors = {}                       # degree -> _vectors
         self.next_deg = [spec.residue] * n
         self.dim_cum = [0] * n
@@ -332,61 +335,59 @@ class _WindowEngine:
         return vectors
 
     def _sources(self, i: int, e: int):
-        """(orbit size, sources) pairs covering the D^i sources of degree e.
+        """(nu, I, orbit size) for the D^i sources of degree e, in
+        strand_basis_at_degree's order.
 
         With no symmetry that is the whole basis at size 1; otherwise the
-        orbit representatives, grouped by orbit size: the sources
-        (v - e_I, I) of the representative vectors v that are at least 1 on
-        I, for I in combinations order and v in lex-descending order,
-        which is strand_basis_at_degree's order.
+        orbit representatives: the sources (v - e_I, I) of the
+        representative vectors v that are at least 1 on I, for I in
+        combinations order and v in lex-descending order.
         """
         if self.classes is None:
-            return ((1, strand_basis_at_degree(self.spec, i, e)),)
+            for nu, I in strand_basis_at_degree(self.spec, i, e):
+                yield nu, I, 1
+            return
         vectors = self._vectors(e)
-        groups = {}
         for I in combinations(range(self.top), i):
             mask = sum(1 << k for k in I)
             e_I = tuple(int(k in I) for k in range(self.top))
             for v, w, support in vectors:
                 if support & mask == mask:
-                    groups.setdefault(w, []).append((tuple(map(sub, v, e_I)),
-                                                     I))
-        return groups.items()
+                    yield tuple(map(sub, v, e_I)), I, w
 
     def _add_degree(self, i: int, e: int) -> int:
-        """Feed the D^i columns of source degree e to the accumulators of
-        their orbit sizes; return how many sources they stand for."""
-        reg, deg, accs = self.rows[i + 1], self.row_deg[i + 1], self.acc[i]
-        column = self.stencil.column
+        """Feed the D^i columns of source degree e to the accumulator of
+        D^i; return how many sources they stand for."""
+        reg, deg, row_w = self.rows[i + 1], self.row_deg[i + 1], self.row_w[i + 1]
+        acc, column = self.acc[i], self.stencil.column
         count = 0
-        for w, sources in self._sources(i, e):
-            acc = accs.get(w)
-            if acc is None:
-                acc = accs[w] = IntRankAccumulator(deg)
-            for nu, I in sources:
-                col = {}
-                for key, rise, v in column(nu, I):
-                    rid = reg.get(key)
-                    if rid is None:
-                        rid = reg[key] = len(reg)
-                        deg.append(e + rise)
-                    col[rid] = v
-                if col:
-                    acc.add_column(primitive_column(col))
-            count += w * len(sources)
+        for nu, I, w in self._sources(i, e):
+            col = {}
+            for key, rise, v in column(nu, I):
+                rid = reg.get(key)
+                if rid is None:
+                    rid = reg[key] = len(reg)
+                    deg.append(e + rise)
+                    row_w.append(w)
+                col[rid] = v
+            if col:
+                acc.add_column(primitive_column(col))
+            count += w
         return count
 
-    def _process(self, i: int, bound: int) -> int:
-        """Sweep D^i up to bound; return the band rank of window (i, bound),
-        sum_w w * #{stored pivots of degree > bound}."""
+    def _process(self, i: int, bound: int) -> tuple:
+        """Sweep D^i up to bound; return its rank and the band rank of
+        window (i, bound): the sums of the orbit sizes of all its stored
+        pivots and of those of degree > bound."""
         e = self.next_deg[i]
         while e <= bound:
             self.dim_cum[i] += self._add_degree(i, e)
             e += self.spec.modulus
         self.next_deg[i] = e
-        deg = self.row_deg[i + 1]
-        return sum(w * sum(deg[r] > bound for r in acc.pivcol)
-                   for w, acc in self.acc[i].items())
+        deg, row_w = self.row_deg[i + 1], self.row_w[i + 1]
+        pivots = self.acc[i].pivcol
+        return (sum(row_w[r] for r in pivots),
+                sum(row_w[r] for r in pivots if deg[r] > bound))
 
     def dims_at(self, bound: int) -> dict:
         """Windowed dims at bound; raises ValueError below the last bound."""
@@ -394,18 +395,14 @@ class _WindowEngine:
             raise ValueError(f"window {bound} is below the last window "
                              f"{self.bound} of this engine")
         self.bound = bound
-        band = [self._process(i, bound) for i in range(self.top + 1)]
+        rank, band = zip(*(self._process(i, bound)
+                           for i in range(self.top + 1)))
         dims = {}
         for i in range(self.top + 1):
-            kernel = self.dim_cum[i] - _weighted_rank(self.acc[i])
-            witnessed = (_weighted_rank(self.acc[i - 1]) - band[i - 1]
-                         if i else 0)
+            kernel = self.dim_cum[i] - rank[i]
+            witnessed = rank[i - 1] - band[i - 1] if i else 0
             dims[i] = kernel - witnessed
         return dims
-
-
-def _weighted_rank(accs) -> int:
-    return sum(w * acc.rank for w, acc in accs.items())
 
 
 def stabilized_cohomology(f: Polynomial, spec: StrandSpec,

@@ -130,10 +130,10 @@ def test_engine_columns_are_whole(monkeypatch):
     emit = _WindowEngine._sources
 
     def record_sources(self, i, e):
-        groups = list(emit(self, i, e))
-        sources.extend((nu, I) for _, group in groups for nu, I in group
+        stream = list(emit(self, i, e))
+        sources.extend((nu, I) for nu, I, _ in stream
                        if self.stencil.column(nu, I))
-        return groups
+        return stream
 
     add = IntRankAccumulator.add_column
 

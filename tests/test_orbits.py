@@ -185,17 +185,23 @@ def test_orbit_sharing_matches_the_unsplit_engine_on_random_input(f, data):
 
 def assert_sources_are_filtered(f, spec, bound):
     """_WindowEngine._sources equals the per-source filter on every form
-    degree and every strand degree up to bound: the same orbit-size groups
-    in the same order, each with the same sources in the same order."""
+    degree and every strand degree up to bound: the basis restricted to
+    the representative classes, in basis order, each source with the orbit
+    size the filter gives it.  With no symmetry that is the whole basis,
+    every source at size 1."""
     engine = _WindowEngine(f, spec)
-    if engine.classes is None:
-        return
     classes = ExponentClasses(f, variable_symmetries(f, spec.weights))
     for i in range(spec.nvars + 1):
         for e in range(spec.residue, bound + 1, spec.modulus):
-            got = [(w, list(sources)) for w, sources in engine._sources(i, e)]
-            assert got == list(filtered_sources(classes, spec, i, e).items()), \
-                (i, e)
+            sizes = {source: w for w, sources in
+                     filtered_sources(classes, spec, i, e).items()
+                     for source in sources}
+            basis = strand_basis_at_degree(spec, i, e)
+            want = [(nu, I, sizes[nu, I]) for nu, I in basis
+                    if (nu, I) in sizes]
+            if engine.classes is None:
+                assert want == [(nu, I, 1) for nu, I in basis]
+            assert list(engine._sources(i, e)) == want, (i, e)
 
 
 # the oracle also runs on a weighted input with a symmetry, and on a strand
@@ -318,7 +324,7 @@ def smooth_paths_of_the_fermat_quartic():
 # every orbit size share one accumulator per differential.  Those sources
 # arrive interleaved in basis order, and the pins hold only while each
 # class is reduced by its own pivots alone, in its own feed order (linalg
-# docstring, "Weighted accumulators").
+# docstring, "Weighted pivots").
 @pytest.mark.parametrize("run, work", [
     (dwork_product_of_four, (7659, 12443)),
     (smooth_paths_of_the_fermat_quartic, (1002, 952)),
