@@ -21,6 +21,19 @@ def act(s, mu):
     return tuple(out)
 
 
+def closure(gens, n):
+    """The group the permutations gens generate, by composition."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[g[k]] for k in range(n))
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
 @st.composite
 def polys(draw, max_vars=4):
     """Polynomials of up to max_vars variables and four terms, some with

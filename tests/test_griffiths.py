@@ -12,11 +12,13 @@ from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomolog
                         milnor_number, parse_polynomial, primitive_hodge_numbers,
                         strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
-from dworkcohom.matrices import integerize_column, rank_of_columns
-from dworkcohom.poly import Polynomial, monomial_basis
+from dworkcohom.forms import ExponentClasses
+from dworkcohom.matrices import (IntRankAccumulator, integerize_column,
+                                 rank_of_columns)
+from dworkcohom.poly import Polynomial, monomial_basis, variable_symmetries
 
-from _helpers import (all_macaulay_columns, dense_dF_only_dims, fermat,
-                      ranked_profile, series_hilbert, triangle, var)
+from _helpers import (act, all_macaulay_columns, closure, dense_dF_only_dims,
+                      fermat, ranked_profile, series_hilbert, triangle, var)
 
 
 def ranked_hilbert(f):
@@ -90,9 +92,9 @@ def ranked(monkeypatch):
     degrees = []
     original = griffiths.macaulay_rank
 
-    def spy(partials, nvars, gen_degree, d):
+    def spy(partials, nvars, gen_degree, d, classes=None):
         degrees.append(d)
-        return original(partials, nvars, gen_degree, d)
+        return original(partials, nvars, gen_degree, d, classes)
 
     monkeypatch.setattr(griffiths, "macaulay_rank", spy)
     return degrees
@@ -123,8 +125,18 @@ def test_singular_profile_ranks_each_degree_once(ranked, name):
 # ---- the coprime-lead certificate against the rank path -----------------
 
 
-@pytest.mark.parametrize("f", [*SMOOTH.values(), *SINGULAR.values()],
-                         ids=[*SMOOTH, *SINGULAR])
+# singular inputs with variable symmetries, beside the nodal K3 and the
+# triangle of SINGULAR: jacobian_hilbert ranks them by orbit where their
+# lattice has full rank, and ranked_profile ranks every column
+SYMMETRIC_SINGULAR = {
+    "cubic-at-t1": dwork_member(3, 1),
+    "x0*x1*x2*x3": var(4, 0) * var(4, 1) * var(4, 2) * var(4, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "f", [*SMOOTH.values(), *SINGULAR.values(), *SYMMETRIC_SINGULAR.values()],
+    ids=[*SMOOTH, *SINGULAR, *SYMMETRIC_SINGULAR])
 def test_profile_is_the_ranked_profile(f):
     assert jacobian_hilbert(f) == ranked_profile(f)
 
@@ -332,6 +344,139 @@ def test_template_columns_are_the_lifted_columns():
             assert columns.column(i, g) == {
                 tuple(a + b for a, b in zip(g, mu)): c
                 for mu, c in p.terms.items()}
+
+
+# ---- class blocks: one Macaulay rank per symmetry orbit -------------------
+
+
+def orbit_classes(f):
+    """ExponentClasses of f under all its symmetries, whatever the rank of
+    its lattice: the orbit path must be exact where jacobian_hilbert does
+    not select it, too."""
+    return ExponentClasses(f, variable_symmetries(f))
+
+
+def assert_orbit_rank_is_the_plain_rank(f, degrees):
+    m, nvars = f.homogeneous_degree(), f.nvars
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    classes = orbit_classes(f)
+    for d in degrees:
+        assert griffiths.macaulay_rank(partials, nvars, m - 1, d, classes) \
+            == griffiths.macaulay_rank(partials, nvars, m - 1, d)
+
+
+C3_CUBIC = (var(3, 0) ** 2 * var(3, 1) + var(3, 1) ** 2 * var(3, 2)
+            + var(3, 2) ** 2 * var(3, 0))
+ORBIT_ORACLE = {
+    "cubic-t2": DWORK_PENCILS["cubic-t2"],
+    "k3-t2": DWORK_PENCILS["k3-t2"],
+    "cubic-over-QQ(t)": DWORK_PENCILS["cubic-over-QQ(t)"],
+    "k3-over-QQ(t)": SMOOTH["k3-over-QQ(t)"],
+    "nodal-k3": SINGULAR["k3-at-t1"],
+    "x0*x1*x2": triangle(),
+    "x0*x1*x2*x3": SYMMETRIC_SINGULAR["x0*x1*x2*x3"],
+    "c3-cubic": C3_CUBIC,       # its group is C3, the rotations only
+}
+
+
+@pytest.mark.parametrize("f", ORBIT_ORACLE.values(), ids=ORBIT_ORACLE.keys())
+def test_orbit_rank_is_the_plain_rank(f):
+    # every degree 0..socle+2, on inputs whose group is not trivial
+    assert variable_symmetries(f)
+    socle = f.nvars * (f.homogeneous_degree() - 2)
+    assert_orbit_rank_is_the_plain_rank(f, range(socle + 3))
+
+
+def test_orbit_rank_is_the_plain_rank_on_the_quintic():
+    f = DWORK_PENCILS["quintic-t2"]
+    assert_orbit_rank_is_the_plain_rank(f, (15, 16))
+
+
+@st.composite
+def symmetrized_forms(draw):
+    """A form of degree 2..4 in 2..4 variables, the sum of s.f over the
+    group that one or two random permutations s generate, with f a few
+    random terms."""
+    m = draw(st.integers(2, 4))
+    nvars = draw(st.integers(2, 4 if m < 4 else 3))
+    gens = draw(st.lists(st.permutations(range(nvars)), min_size=1,
+                         max_size=2))
+    group = closure(gens, nvars)
+    monomials = monomial_basis(nvars, m)
+    coeffs = st.sampled_from([1, -1, 2, Fraction(-1, 2)])
+    terms = {}
+    for mu, c in draw(st.dictionaries(st.sampled_from(monomials), coeffs,
+                                      min_size=1, max_size=3)).items():
+        for s in group:
+            nu = act(s, mu)
+            terms[nu] = terms.get(nu, 0) + Fraction(c)
+    return Polynomial(QQ, nvars, {nu: c for nu, c in terms.items() if c})
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetrized_forms())
+def test_orbit_rank_is_the_plain_rank_on_symmetrized_forms(f):
+    assume(f)
+    socle = f.nvars * (f.homogeneous_degree() - 2)
+    assert_orbit_rank_is_the_plain_rank(f, range(socle + 3))
+
+
+def test_orbit_rank_feeds_one_class_per_orbit_on_the_quintic(monkeypatch):
+    # a cost pin: the Dwork quintic's rank at socle+1 eliminates 215 of its
+    # 4,845 kept columns, those of one class in each of the 5 orbits into
+    # which S5 splits the 125 classes of that degree
+    calls = []
+    add = IntRankAccumulator.add_column
+
+    def spy(self, col):
+        calls.append(len(col))
+        return add(self, col)
+
+    monkeypatch.setattr(IntRankAccumulator, "add_column", spy)
+    f = DWORK_PENCILS["quintic-t2"]
+    partials = [f.partial_derivative(k) for k in range(5)]
+    classes = griffiths.symmetry_classes(f)
+    assert griffiths.macaulay_rank(partials, 5, 4, 16, classes) == 4845
+    assert len(calls) == 215
+    assert len(list(griffiths.MacaulayColumns(partials, 5, 12).kept())) == 4845
+    assert len(classes.sizes) == 125
+    assert sorted(w for w in classes.sizes.values() if w) == [5, 10, 20, 30, 60]
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The calls jacobian_hilbert makes of variable_symmetries and
+    ExponentClasses, by name."""
+    calls = []
+    for name in ("variable_symmetries", "ExponentClasses"):
+        original = getattr(griffiths, name)
+
+        def spy(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(griffiths, name, spy)
+    return calls
+
+
+def test_symmetry_search_is_skipped_without_a_rank(searched):
+    assert jacobian_hilbert(fermat(5, 5)).smooth
+    assert searched == []
+
+
+def test_symmetry_search_is_skipped_on_a_low_rank_lattice(searched):
+    # the lattice of x0*x1*x2*x3 has rank 1: its rank check builds one
+    # ExponentClasses and no symmetry search follows
+    assert not jacobian_hilbert(SYMMETRIC_SINGULAR["x0*x1*x2*x3"]).smooth
+    assert searched == ["ExponentClasses"]
+
+
+@pytest.mark.parametrize("f, split", [
+    (DWORK_PENCILS["quintic-t2"], True), (SINGULAR["k3-at-t1"], True),
+    (C3_CUBIC, True), (triangle(), False), (random_form(3, 3, 1), False)])
+def test_symmetry_search_selects_the_orbit_path(f, split):
+    # full-rank lattice and a nontrivial group; the random cubic has none
+    assert (griffiths.symmetry_classes(f) is not None) == split
 
 
 def test_fermat_cubic_profile():

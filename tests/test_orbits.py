@@ -15,27 +15,14 @@ from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import IntRankAccumulator
 from dworkcohom.poly import variable_symmetries
 
-from _helpers import (UnsplitWindowEngine, act, dense_windowed_dims, fermat,
-                      filtered_sources, polys, triangle, var)
+from _helpers import (UnsplitWindowEngine, act, closure, dense_windowed_dims,
+                      fermat, filtered_sources, polys, triangle, var)
 
 
 def fixes(s, f, weights=None):
     return ({act(s, mu): c for mu, c in f.terms.items()} == f.terms
             and (weights is None
                  or all(weights[s[k]] == weights[k] for k in range(len(s)))))
-
-
-def closure(gens, n):
-    """The group the permutations gens generate, by composition."""
-    group, todo = {tuple(range(n))}, [tuple(range(n))]
-    while todo:
-        g = todo.pop()
-        for s in gens:
-            h = tuple(s[g[k]] for k in range(n))
-            if h not in group:
-                group.add(h)
-                todo.append(h)
-    return group
 
 
 @settings(max_examples=60, deadline=None)
