@@ -62,9 +62,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit takes superscripts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j
@@ -496,48 +496,27 @@ def bundled_corpus_dir() -> Path:
     return Path(__file__).resolve().parent / "corpus"
 
 
-def _run_job_dict(data: dict) -> tuple:
-    """Run one job behind its own error boundary, in this process or in a
-    corpus worker: an exception run_job does not map to an exit code
-    becomes (None, report) with the error and its traceback."""
-    try:
-        return run_job(Job.from_dict(data))
-    except Exception as exc:
-        from traceback import format_exc
-        return None, {"error": f"{type(exc).__name__}: {exc}",
-                      "traceback": format_exc()}
-
-
 def corpus_runner(directory=None) -> tuple:
     """Run every <name>.job.json against <name>.expect.json in a directory.
 
-    Returns (exit code, summary).  Missing or unreadable expectation files
-    are infrastructure failures, and a job that raises is an error; both
-    are kept distinct from dimension mismatches.  Set DWORKCOHOM_WORKERS > 1
-    to run independent jobs in parallel worker processes, at most one per
-    job; results are deterministic either way.  A path that is not a
-    directory, or a DWORKCOHOM_WORKERS that is not an integer, raises
-    ValueError before any job runs.
+    Returns (exit code, summary).  Jobs run one at a time in sorted order.
+    A bad job file and a missing or unreadable expectation file are
+    infrastructure failures, and a job that raises an exception run_job
+    does not map to an exit code is an error row with its traceback; both
+    are kept distinct from dimension mismatches.  A path that is not a
+    directory raises ValueError before any job runs.
     """
     directory = Path(directory) if directory else bundled_corpus_dir()
     if not directory.is_dir():
         raise ValueError(f"not a corpus directory: {directory}")
-    workers = os.environ.get("DWORKCOHOM_WORKERS", "1") or "1"
-    try:
-        workers = int(workers)
-    except ValueError:
-        raise ValueError("DWORKCOHOM_WORKERS must be an integer, "
-                         f"not {workers!r}") from None
     rows = []
-    runnable = []
     for job_path in sorted(directory.glob("*.job.json")):
         name = job_path.name[:-len(".job.json")]
         expect_path = directory / f"{name}.expect.json"
         row = {"name": name}
         rows.append(row)
         try:
-            job_data = json.loads(job_path.read_text())
-            Job.from_dict(job_data)
+            job = Job.from_dict(json.loads(job_path.read_text()))
         except (ValueError, OSError) as exc:
             row.update(status="infrastructure", detail=f"bad job file: {exc}")
             continue
@@ -550,23 +529,16 @@ def corpus_runner(directory=None) -> tuple:
             row.update(status="infrastructure",
                        detail=f"corrupted expectation: {exc}")
             continue
-        runnable.append((row, job_data, expected))
-    if workers > 1 and len(runnable) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(workers, len(runnable))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job_dict,
-                                    [data for _, data, _ in runnable]))
-    else:
-        results = [_run_job_dict(data) for _, data, _ in runnable]
-    for (row, _, expected), (code, report) in zip(runnable, results):
-        if code is None:
-            row.update(status="error", detail=report["error"],
-                       traceback=report["traceback"])
-        elif diffs := _diff_fields(expected, {"exit_code": code, **report}):
-            row.update(status="fail", detail="; ".join(diffs))
+        try:
+            code, report = run_job(job)
+        except Exception as exc:
+            from traceback import format_exc
+            row.update(status="error", detail=f"{type(exc).__name__}: {exc}",
+                       traceback=format_exc())
         else:
-            row.update(status="pass", detail="")
+            diffs = _diff_fields(expected, {"exit_code": code, **report})
+            row.update(status="fail" if diffs else "pass",
+                       detail="; ".join(diffs))
     summary = {
         "total": len(rows),
         "passed": sum(r["status"] == "pass" for r in rows),

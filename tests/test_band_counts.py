@@ -12,6 +12,8 @@ from dworkcohom.matrices import IntRankAccumulator
 from _helpers import (UnsplitWindowEngine, fermat, polys, step_one_twist,
                       triangle, var)
 
+pytestmark = pytest.mark.hash_order
+
 
 def cubics():
     x = [var(3, k) for k in range(3)]

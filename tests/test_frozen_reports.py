@@ -19,6 +19,8 @@ import pytest
 
 from dworkcohom.cli import main
 
+pytestmark = pytest.mark.hash_order
+
 FROZEN = json.loads(
     (Path(__file__).resolve().parent / "frozen_reports.json").read_text())
 

@@ -379,6 +379,7 @@ ORBIT_ORACLE = {
 }
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("f", ORBIT_ORACLE.values(), ids=ORBIT_ORACLE.keys())
 def test_orbit_rank_is_the_plain_rank(f):
     # every degree 0..socle+2, on inputs whose group is not trivial
@@ -387,6 +388,7 @@ def test_orbit_rank_is_the_plain_rank(f):
     assert_orbit_rank_is_the_plain_rank(f, range(socle + 3))
 
 
+@pytest.mark.hash_order
 def test_orbit_rank_is_the_plain_rank_on_the_quintic():
     f = DWORK_PENCILS["quintic-t2"]
     assert_orbit_rank_is_the_plain_rank(f, (15, 16))
@@ -413,6 +415,7 @@ def symmetrized_forms(draw):
     return Polynomial(QQ, nvars, {nu: c for nu, c in terms.items() if c})
 
 
+@pytest.mark.hash_order
 @settings(max_examples=60, deadline=None)
 @given(symmetrized_forms())
 def test_orbit_rank_is_the_plain_rank_on_symmetrized_forms(f):
@@ -421,6 +424,7 @@ def test_orbit_rank_is_the_plain_rank_on_symmetrized_forms(f):
     assert_orbit_rank_is_the_plain_rank(f, range(socle + 3))
 
 
+@pytest.mark.hash_order
 def test_orbit_rank_feeds_one_class_per_orbit_on_the_quintic(monkeypatch):
     # a cost pin: the Dwork quintic's rank at socle+1 eliminates 215 of its
     # 4,845 kept columns, those of one class in each of the 5 orbits into
@@ -459,11 +463,13 @@ def searched(monkeypatch):
     return calls
 
 
+@pytest.mark.hash_order
 def test_symmetry_search_is_skipped_without_a_rank(searched):
     assert jacobian_hilbert(fermat(5, 5)).smooth
     assert searched == []
 
 
+@pytest.mark.hash_order
 def test_symmetry_search_is_skipped_on_a_low_rank_lattice(searched):
     # the lattice of x0*x1*x2*x3 has rank 1: its rank check builds one
     # ExponentClasses and no symmetry search follows
@@ -471,6 +477,7 @@ def test_symmetry_search_is_skipped_on_a_low_rank_lattice(searched):
     assert searched == ["ExponentClasses"]
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("f, split", [
     (DWORK_PENCILS["quintic-t2"], True), (SINGULAR["k3-at-t1"], True),
     (C3_CUBIC, True), (triangle(), False), (random_form(3, 3, 1), False)])

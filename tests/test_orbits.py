@@ -204,6 +204,7 @@ SOURCE_CASES = [
 ]
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("name, f, spec, policy, dense", SOURCE_CASES,
                          ids=[c[0] for c in SOURCE_CASES])
 def test_sources_are_the_filtered_basis(name, f, spec, policy, dense):
@@ -211,6 +212,7 @@ def test_sources_are_the_filtered_basis(name, f, spec, policy, dense):
     assert_sources_are_filtered(f, spec, history[-1][0])
 
 
+@pytest.mark.hash_order
 @settings(max_examples=40, deadline=None)
 @given(polys(max_vars=4), st.data())
 def test_sources_are_the_filtered_basis_on_random_input(f, data):
@@ -223,6 +225,7 @@ def test_sources_are_the_filtered_basis_on_random_input(f, data):
     assert_sources_are_filtered(f, spec, data.draw(st.integers(0, 8)))
 
 
+@pytest.mark.hash_order
 def test_sources_cost_one_class_key_per_exponent_vector(monkeypatch):
     # x0*x1*x2 strand 0 at its default policy sweeps 28 (form degree,
     # degree) pairs over 3,289 sources; keying every source and walking
@@ -312,6 +315,7 @@ def smooth_paths_of_the_fermat_quartic():
 # arrive interleaved in basis order, and the pins hold only while each
 # class is reduced by its own pivots alone, in its own feed order (linalg
 # docstring, "Weighted pivots").
+@pytest.mark.hash_order
 @pytest.mark.parametrize("run, work", [
     (dwork_product_of_four, (7659, 12443)),
     (smooth_paths_of_the_fermat_quartic, (1002, 952)),
