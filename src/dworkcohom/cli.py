@@ -54,122 +54,80 @@ from .reports import Verdict
 # ---- polynomial grammar ----------------------------------------------
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
+def _tokenize(text: str) -> list:
+    """(kind, text, position) triples ending in ("END", "", len(text)); an
+    operator is its own kind."""
+    tokens, i, n = [], 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+        ch, j = text[i], i + 1
         if "0" <= ch <= "9":  # ASCII only: str.isdigit takes superscripts
-            j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", n))
-    return tokens
+        elif ch in "+-*/^":
+            tokens.append((ch, ch, i))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", i)
+        i = j
+    return tokens + [("END", "", n)]
 
 
 def parse_polynomial(text: str, variables) -> Polynomial:
     """Parse the CLI grammar: rational coefficients, declared variables,
     '^' powers, explicit '*' between factors, '+'/'-'; whitespace-free.
-    It inverts poly.format_polynomial exactly."""
+    It inverts poly.format_polynomial exactly.
+
+    One pass over the tokens: an optional sign, then each term's factors
+    joined by '*', the term closed by '+', '-' or END.  A factor looks one
+    token ahead for its '/' or '^', and no token past END is read."""
     variables = list(variables)
     if not variables:
         raise ParseError("no variables declared", 0)
     index = {name: k for k, name in enumerate(variables)}
-    nvars = len(variables)
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_factor():
-        kind, value, at = take()
+    tokens, terms, n = _tokenize(text), {}, len(variables)
+    pos = 1 if tokens[0][0] in ("+", "-") else 0
+    coeff, nu = Fraction(-1 if tokens[0][0] == "-" else 1), [0] * n
+    while True:
+        kind, value, at = tokens[pos]
         if kind == "INT":
-            num = int(value)
-            if peek()[:2] == ("OP", "/"):
-                take()
-                k2, v2, at2 = take()
-                if k2 != "INT":
-                    raise ParseError("expected an integer denominator", at2)
-                if int(v2) == 0:
-                    raise ParseError("zero denominator", at2)
-                return Fraction(num, int(v2)), None
-            return Fraction(num), None
-        if kind == "NAME":
+            coeff *= int(value)
+            if tokens[pos + 1][0] == "/":
+                pos += 2
+                kind, value, at = tokens[pos]
+                if kind != "INT":
+                    raise ParseError("expected an integer denominator", at)
+                if int(value) == 0:
+                    raise ParseError("zero denominator", at)
+                coeff /= int(value)
+        elif kind == "NAME":
             if value not in index:
                 raise UnknownVariableError(f"unknown variable {value!r}", at)
-            exp = 1
-            if peek()[:2] == ("OP", "^"):
-                take()
-                k2, v2, at2 = take()
-                if k2 != "INT":
-                    raise ParseError("expected an integer exponent", at2)
-                exp = int(v2)
-            nu = [0] * nvars
-            nu[index[value]] = exp
-            return None, tuple(nu)
-        raise ParseError(f"expected a coefficient or variable, got {value!r}",
-                         at)
-
-    def parse_term():
-        coeff = Fraction(1)
-        nu = [0] * nvars
-        while True:
-            c, mono = parse_factor()
-            if c is not None:
-                coeff *= c
-            else:
-                nu = [a + b for a, b in zip(nu, mono)]
-            if peek()[:2] == ("OP", "*"):
-                take()
-                continue
-            break
-        return tuple(nu), coeff
-
-    terms = {}
-    sign = 1
-    kind, value, at = peek()
-    if kind == "OP" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
-    while True:
-        nu, coeff = parse_term()
-        coeff *= sign
-        terms[nu] = terms.get(nu, Fraction(0)) + coeff
-        kind, value, at = peek()
-        if kind == "END":
-            break
-        if kind == "OP" and value in "+-":
-            take()
-            sign = -1 if value == "-" else 1
+            k, exp = index[value], 1
+            if tokens[pos + 1][0] == "^":
+                pos += 2
+                kind, value, at = tokens[pos]
+                if kind != "INT":
+                    raise ParseError("expected an integer exponent", at)
+                exp = int(value)
+            nu[k] += exp
+        else:
+            raise ParseError(
+                f"expected a coefficient or variable, got {value!r}", at)
+        kind, value, at = tokens[pos + 1]
+        pos += 2
+        if kind == "*":
             continue
-        raise ParseError(f"expected '+', '-' or end of input, got {value!r}",
-                         at)
-    return Polynomial(QQ, nvars, terms)
+        terms[tuple(nu)] = terms.get(tuple(nu), 0) + coeff
+        if kind == "END":
+            return Polynomial(QQ, n, terms)
+        if kind not in ("+", "-"):
+            raise ParseError(
+                f"expected '+', '-' or end of input, got {value!r}", at)
+        coeff, nu = Fraction(-1 if kind == "-" else 1), [0] * n
 
 
 # ---- the command table ----------------------------------------------------
@@ -336,10 +294,10 @@ def _fourier(job, out) -> int:
 
 
 def _sample(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"sample {text!r} is not a rational number") from None
+    with suppress(ValueError, ZeroDivisionError):
+        if text.isascii():  # Fraction reads any Unicode digit
+            return Fraction(text)
+    raise ValueError(f"sample {text!r} is not a rational number")
 
 
 def _gm(job, out) -> int:
@@ -436,7 +394,8 @@ def run_job(job: Job) -> tuple:
         return 3, {"error": str(exc), "engine_version": __version__}
     except StrandSumError as exc:
         return 2, {"error": str(exc), "engine_version": __version__}
-    except (ValueError, TypeError, ArithmeticError) as exc:
+    # RecursionError: poly.monomial_basis recurses once per variable
+    except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         return 1, {"error": str(exc), "engine_version": __version__}
     out["timing_ms"] = int((time.perf_counter() - started) * 1000)
     if job.output:

@@ -194,6 +194,8 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
+        if len(self.num) <= 1 and len(self.den) == 1:  # equal to a Fraction
+            return hash(Fraction(sum(self.num), self.den[0]))
         return hash((self.num, self.den))
 
     def __add__(self, other):

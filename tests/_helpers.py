@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from dworkcohom import QQ, Polynomial, full_complex_spec, griffiths
+from dworkcohom.exceptions import ParseError, UnknownVariableError
 from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               strand_basis, strand_basis_at_degree,
                               twisted_column)
@@ -395,3 +396,127 @@ class UnsplitWindowEngine:
                          if i else 0)
             dims[i] = kernel - witnessed
         return dims
+
+
+# ---- the polynomial grammar before its one-pass rewrite --------------------
+# _tokenize and parse_polynomial as cli had them (a peek/take descent with
+# nested factor and term parsers), kept unchanged as the oracle of the
+# one-pass parser: same Polynomial, or the same error at the same position.
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit takes superscripts
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^":
+            tokens.append(("OP", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", n))
+    return tokens
+
+
+def parse_polynomial(text: str, variables) -> Polynomial:
+    """Parse the CLI grammar: rational coefficients, declared variables,
+    '^' powers, explicit '*' between factors, '+'/'-'; whitespace-free.
+    It inverts poly.format_polynomial exactly."""
+    variables = list(variables)
+    if not variables:
+        raise ParseError("no variables declared", 0)
+    index = {name: k for k, name in enumerate(variables)}
+    nvars = len(variables)
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_factor():
+        kind, value, at = take()
+        if kind == "INT":
+            num = int(value)
+            if peek()[:2] == ("OP", "/"):
+                take()
+                k2, v2, at2 = take()
+                if k2 != "INT":
+                    raise ParseError("expected an integer denominator", at2)
+                if int(v2) == 0:
+                    raise ParseError("zero denominator", at2)
+                return Fraction(num, int(v2)), None
+            return Fraction(num), None
+        if kind == "NAME":
+            if value not in index:
+                raise UnknownVariableError(f"unknown variable {value!r}", at)
+            exp = 1
+            if peek()[:2] == ("OP", "^"):
+                take()
+                k2, v2, at2 = take()
+                if k2 != "INT":
+                    raise ParseError("expected an integer exponent", at2)
+                exp = int(v2)
+            nu = [0] * nvars
+            nu[index[value]] = exp
+            return None, tuple(nu)
+        raise ParseError(f"expected a coefficient or variable, got {value!r}",
+                         at)
+
+    def parse_term():
+        coeff = Fraction(1)
+        nu = [0] * nvars
+        while True:
+            c, mono = parse_factor()
+            if c is not None:
+                coeff *= c
+            else:
+                nu = [a + b for a, b in zip(nu, mono)]
+            if peek()[:2] == ("OP", "*"):
+                take()
+                continue
+            break
+        return tuple(nu), coeff
+
+    terms = {}
+    sign = 1
+    kind, value, at = peek()
+    if kind == "OP" and value in "+-":
+        take()
+        sign = -1 if value == "-" else 1
+    while True:
+        nu, coeff = parse_term()
+        coeff *= sign
+        terms[nu] = terms.get(nu, Fraction(0)) + coeff
+        kind, value, at = peek()
+        if kind == "END":
+            break
+        if kind == "OP" and value in "+-":
+            take()
+            sign = -1 if value == "-" else 1
+            continue
+        raise ParseError(f"expected '+', '-' or end of input, got {value!r}",
+                         at)
+    return Polynomial(QQ, nvars, terms)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dworkcohom import Family, Job, Polynomial, QQ, QQ_T, RatFunc, \
     compare_smooth_paths, corpus_runner, format_polynomial, \
@@ -21,7 +21,7 @@ from dworkcohom.cli import COMMANDS, bundled_corpus_dir, main
 from dworkcohom.exceptions import (ParseError, StrandSumError,
                                    UnknownVariableError)
 
-from _helpers import fermat
+from _helpers import fermat, parse_polynomial as descent_parse
 
 VARS4 = ["x0", "x1", "x2", "x3"]
 
@@ -65,6 +65,75 @@ def test_non_ascii_digits_are_parse_errors(capsys, text):
     code = main(["hodge", text, "-v", "x0"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["position"] == 3
+
+
+# polynomial text as factors joined by operators, some factors malformed,
+# so that each error can come first; and as loose pieces, which merge into
+# longer numbers and names where no space parts them
+_FACTORS = st.sampled_from([
+    "1", "12", "007", "3/4", "x", "x0", "x1", "_a", "x0^2", "x1^0", "y^12",
+    "2/0", "3/", "3/x", "x0^", "x0^y", "x0^-1", "x0^2^3", "2/3/4", "x0 x1",
+    "(x0)", "x0.5", "x0^\u00b2", "\u0663", "\u00e9", ""])
+_JOINED = st.lists(st.tuples(st.sampled_from(["+", "-", "*", " + ", "", "/"]),
+                             _FACTORS), max_size=6).map(
+    lambda parts: "".join(op + factor for op, factor in parts))
+_PIECES = st.lists(st.sampled_from([
+    "0", "7", "12", "x", "y", "x0", "x1", "+", "-", "*", "/", "^", " ",
+    "\t", "(", ".", "\u00b2"]), max_size=14).map("".join)
+_NAMES = st.lists(st.sampled_from(["x", "y", "x0", "x1", "_a", "\u00e9"]),
+                  max_size=4) | st.just(["x0", "x1", "x"])
+
+
+def _outcome(parse, text, names):
+    """The Polynomial, or the error's class, text and position."""
+    try:
+        return parse(text, names)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JOINED | _PIECES | st.text(max_size=16), _NAMES)
+@example("-3/4*x0^2*x1 + x0 - 2", ["x0", "x1"])  # and one of each error:
+@example("x0", [])
+@example("x0 + (x1)", ["x0", "x1"])
+@example("x0 + y", ["x0", "x1"])
+@example("x0 + 3/x1", ["x0", "x1"])
+@example("x0 + 1/0", ["x0", "x1"])
+@example("x0 + x1^y", ["x0", "x1"])
+@example("x0 + * x1", ["x0", "x1"])
+@example("x0 x1", ["x0", "x1"])
+def test_one_pass_parser_matches_the_descent_parser(text, names):
+    assert _outcome(parse_polynomial, text, names) == \
+        _outcome(descent_parse, text, names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.lists(st.text()))
+def test_parse_returns_a_polynomial_or_a_placed_parse_error(text, names):
+    try:
+        assert isinstance(parse_polynomial(text, names), Polynomial)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([*COMMANDS, "x0^2", "x0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["command", *cli.FIELDS]) | st.text(), inner,
+        max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | st.dictionaries(st.sampled_from(["command", *cli.FIELDS]),
+                               _JSON, max_size=5))
+def test_job_from_any_json_value_is_a_job_or_a_value_error(data):
+    try:
+        assert isinstance(Job.from_dict(data), Job)
+    except ValueError:
+        pass
 
 
 @st.composite
@@ -457,11 +526,30 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
     (["fourier", "--r", "1", "--bound=-3"], "bound must be >= 0"),
     (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2", "--perturbation", "0",
       "--basis", "1;2"], "proposed classes are not a cohomology basis"),
-], ids=["gm-sample", "koszul-bound", "fourier-bound", "gm-zero-perturbation"])
+    # Fraction reads both, as 3 and 1
+    (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
+      "--perturbation=-3*x0*x1*x2", "--samples", "\u0663"],
+     "sample '\u0663' is not a rational number"),
+    (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
+      "--perturbation=-3*x0*x1*x2", "--samples", "\uff11"],
+     "sample '\uff11' is not a rational number"),
+], ids=["gm-sample", "koszul-bound", "fourier-bound", "gm-zero-perturbation",
+        "gm-sample-arabic-indic-three", "gm-sample-fullwidth-one"])
 def test_bad_values_exit_1_with_json(capsys, argv, error):
     code = main(argv)
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and out["error"] == error
+
+
+@pytest.mark.parametrize("argv", [["hodge", "x0^2+x1^2"], ["dwork", "x0^2"]],
+                         ids=["hodge", "dwork"])
+def test_a_thousand_variables_exit_1_with_json(capsys, argv):
+    # the monomial basis recurses once per variable
+    names = ",".join(f"x{k}" for k in range(1200))
+    code = main(argv + ["-v", names])
+    captured = capsys.readouterr()
+    assert code == 1 and "recursion" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv,error", [

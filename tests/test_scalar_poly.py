@@ -65,6 +65,16 @@ def test_ratfunc_canonical_idempotent(a):
     assert again.num == a.num and again.den == a.den
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(max_denominator=12), small_ints.filter(bool), ratfuncs())
+def test_ratfunc_equal_values_hash_equal(q, k, a):
+    # a constant equals its Fraction, so a set must hold the two once
+    r = RatFunc((k * q.numerator,), (k * q.denominator,))
+    assert r == q and hash(r) == hash(q) and len({r, q}) == 1
+    again = (a + r) - r  # equal to a, built another way
+    assert again == a and hash(again) == hash(a)
+
+
 def test_poly_gcd_primitive_positive():
     # (t^2 - 1) and (t - 1): gcd is t - 1 with positive leading coefficient
     assert poly_gcd((-1, 0, 1), (-1, 1)) == (-1, 1)
