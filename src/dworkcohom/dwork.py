@@ -26,7 +26,7 @@ from dataclasses import replace
 from .exceptions import NonHomogeneousError, NotSmoothError, StrandSumError
 from .fields import QQ
 from .forms import StrandSpec, full_complex_spec
-from .griffiths import jacobian_hilbert, strand_top_dims
+from .griffiths import smooth_profile, strand_top_dims
 from .linalg import (StabilizationPolicy, proved_window_cohomology,
                      stabilized_cohomology)
 from .poly import Polynomial
@@ -46,8 +46,8 @@ class _Complexes:
     """The twisted complexes of one polynomial, each answered by one route.
 
     The route is chosen once: smooth plain-homogeneous F over QQ, with no
-    weights and no policy, goes through its Jacobian profile (computed here
-    once, path "jacobian"); everything else through windowed truncation.
+    weights and no policy, goes through its smooth_profile (path "jacobian",
+    one rank at most); everything else through windowed truncation.
     Weights are checked first, by the rules of StrandSpec.
     """
 
@@ -57,12 +57,9 @@ class _Complexes:
             full_complex_spec(f.nvars, weights)
         self.f, self.weights, self.policy = f, weights, policy
         self.profile = None
-        if policy is None and weights is None and f.field is QQ and f:
-            m = f.homogeneous_degree()
-            if m is not None and m >= 2:
-                profile = jacobian_hilbert(f)
-                if profile.smooth:
-                    self.profile = profile
+        if (policy is None and weights is None and f.field is QQ and f
+                and (f.homogeneous_degree() or 0) >= 2):
+            self.profile = smooth_profile(f)
 
     def _concentrated(self, dims_top, strand, description):
         nvars = self.f.nvars
@@ -310,8 +307,8 @@ def compare_smooth_paths(f: Polynomial) -> Verdict:
     which takes only the finiteness of the Jacobian ring from the other
     path.
     """
-    profile = jacobian_hilbert(f)
-    if not profile.smooth:
+    profile = smooth_profile(f)
+    if profile is None:
         raise NotSmoothError("two-path comparison is for smooth hypersurfaces")
     total = sum(h for _, h in profile.hodge_numbers())
     trunc = proved_window_cohomology(

@@ -59,7 +59,7 @@ from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_neg, poly_primitive,
                      poly_pseudo_rem, poly_str)
-from .griffiths import MacaulayColumns, jacobian_hilbert, koszul_redundant
+from .griffiths import MacaulayColumns, koszul_redundant, smooth_profile
 from .matrices import integerize_column
 from .poly import Polynomial, add_term, monomial_basis
 from .reports import Check, Verdict
@@ -253,8 +253,8 @@ class GriffithsDworkReducer:
     """Reduce top forms P dx_0..dx_n to the standard cohomology basis."""
 
     def __init__(self, f: Polynomial):
-        profile = jacobian_hilbert(f)
-        if not profile.smooth:
+        profile = smooth_profile(f)
+        if profile is None:
             raise NotSmoothError(
                 "Griffiths-Dwork reduction needs a smooth (generic) member")
         self.f = f
@@ -370,9 +370,8 @@ def _solve_square(u_cols, r_cols, k):
 
     Returns the rows of X = U^-1 R, by Gauss-Jordan elimination on [U | R];
     a singular U raises BasisError.  connection_matrix solves with the
-    reduced basis forms as U, unless they are the standard basis, where
-    U = I; connection_properties_check solves S X = M S,
-    so X is S^-1 M S with no inverse of S formed.
+    reduced basis forms as U on a basis given by the caller (gm --basis);
+    on the standard basis U = I and nothing is solved.
     """
     ncols_r = len(r_cols)
     rows = [[u_cols[j][i] for j in range(k)]
@@ -523,9 +522,10 @@ def connection_properties_check(fam: Family, samples, basis=None,
 
     (a) specializing the symbolic matrix at each sample t equals the matrix
         computed from scratch over QQ at F_t with the same basis;
-    (b) the matrix transforms by conjugation under an invertible t-free
-        change of basis S (a fixed one, from _test_invertible_matrix): the
-        matrix M' on the new basis equals the solution X of S X = M S.
+    (b) under the change of basis S = 2I + N (N the unit subdiagonal) the
+        reduced perturbation products R' of the new forms (lhs) equal U' X
+        (rhs): U' = U S the reduced new forms, X = S^-1 M S by forward
+        substitution, no solve.  For an invertible U' the new matrix is X.
     Samples on the discriminant (poles, non-smooth members, degenerate
     bases) are reported as failed checks, never skipped silently.  A
     sample is a pole exactly when specializing raises ZeroDivisionError:
@@ -564,47 +564,30 @@ def connection_properties_check(fam: Family, samples, basis=None,
         checks.append(Check(
             f"specialize-then-evaluate equals evaluate-then-compute at t = {t0}",
             specialized, direct.entries))
-    k = sym.size
-    s = _test_invertible_matrix(k)
-    new_forms = []
-    for j in range(k):
-        acc = Polynomial.zero(QQ, fam.nvars)
-        for i in range(k):
-            if s[i][j]:
-                acc = acc + sym.basis[i].scale(s[i][j])
-        new_forms.append(acc)
-    conj = connection_matrix(reducer, fam.perturbation, new_forms)
-    expected = _solve_square(list(zip(*s)),
-                             list(zip(*_matmul(sym.entries, s))), k)
+    # S = 2I + N, N the unit subdiagonal: new form j is 2 b_j + b_(j+1)
+    field, k = reducer.field, sym.size
+    g = fam.perturbation.map_coefficients(field.coerce, field)
+    padded = list(sym.basis) + [Polynomial.zero(QQ, fam.nvars)]
+    new_forms = [(padded[j].scale(2) + padded[j + 1]).map_coefficients(
+        field.coerce, field) for j in range(k)]
+    u_cols = [reducer.reduce(p) for p in new_forms]
+    r_cols = [reducer.reduce(g * p) for p in new_forms]
+    # X = S^-1 (M S) by forward substitution down the rows of M S
+    x = [[field.zero] * k]
+    for row in sym.entries:
+        ms = [2 * a + b for a, b in zip(row, (*row[1:], field.zero))]
+        x.append([(y - prev) / 2 for y, prev in zip(ms, x[-1])])
     checks.append(Check("basis change conjugates the matrix",
-                        conj.entries, expected))
+                        [list(r) for r in zip(*r_cols)],
+                        _matmul(list(zip(*u_cols)), x[1:])))
     return Verdict(tuple(checks))
-
-
-def _test_invertible_matrix(k):
-    """Deterministic invertible rational matrix (unit lower x unit upper).
-
-    The off-diagonal entries of the factors are (state % 7 - 3) /
-    (1 + state % 3), whose denominators divide 6, so both factors are
-    multiplied in integers scaled by 6 and each entry of the product is
-    divided by 36 once.
-    """
-    vals = []
-    state = 2 * 2654435761 % 2 ** 32  # fixed seed: one matrix per size
-    for _ in range(2 * k * k):
-        state = (1103515245 * state + 12345) % 2 ** 31
-        vals.append((state % 7 - 3) * (6 // (1 + state % 3)))
-    lower = [[6 if i == j else (vals.pop() if i > j else 0)
-              for j in range(k)] for i in range(k)]
-    upper = [[6 if i == j else (vals.pop() if i < j else 0)
-              for j in range(k)] for i in range(k)]
-    return [[Fraction(v, 36) for v in row] for row in _matmul(lower, upper)]
 
 
 def _matmul(a, b):
     """a @ b for matrices given as sequences of rows.
 
-    Zero factors are skipped (a unit triangular factor is half zeros), and
+    Zero factors are skipped (on the default basis the reduced forms of
+    connection_properties_check are S itself, two terms a column), and
     every sum starts at the zero of the product's type, so an entry has the
     same type whether or not all its products vanish.  A one-variable
     family has an empty basis, hence empty matrices.

@@ -331,17 +331,15 @@ def _koszul_hilbert(m: int, nvars: int, d: int) -> int:
                for k in range(min(nvars, d // (m - 1)) + 1))
 
 
-def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
-    """Hilbert function of R = scalars[x]/J(F), with the smooth flag.
+def _smooth_or_singular(f: Polynomial):
+    """(smooth profile, None) for a smooth f, else (None, singular).
 
     Partials with pairwise coprime grevlex leads (coprime_leads) certify
     smoothness with no rank; otherwise one Macaulay rank, at socle+1,
     decides it.  A smooth profile is the complete-intersection series
-    (_koszul_hilbert) with no further rank, and a singular one is ranked
-    degree by degree.  The ranks eliminate one class per symmetry orbit
-    where symmetry_classes gives classes, which it is asked only when a
-    rank is needed.  Works over both scalar fields; over the
-    rational-function field the answer holds at generic parameter values.
+    (_koszul_hilbert) with no further rank; singular() ranks each other
+    degree once.  The ranks eliminate one class per symmetry orbit where
+    symmetry_classes gives classes, asked only when a rank is needed.
     """
     if not f:
         raise ValueError("zero polynomial has no Jacobian ring")
@@ -353,7 +351,6 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     nvars = f.nvars
     partials = [f.partial_derivative(k) for k in range(nvars)]
     socle = nvars * (m - 2)
-
     coprime = coprime_leads(partials)
     classes = None if coprime else symmetry_classes(f)
 
@@ -362,13 +359,26 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
             partials, nvars, m - 1, d, classes)
 
     beyond = 0 if coprime else h(socle + 1)
-    smooth = beyond == 0
-    if smooth:
-        hilbert = [_koszul_hilbert(m, nvars, d) for d in range(socle + 3)]
-    else:
-        hilbert = [beyond if d == socle + 1 else h(d) for d in range(socle + 3)]
-    milnor = sum(hilbert) if smooth else None
-    return JacobianProfile(m, nvars, tuple(hilbert), socle, smooth, milnor)
+    if beyond:
+        return None, lambda: JacobianProfile(m, nvars, tuple(
+            beyond if d == socle + 1 else h(d) for d in range(socle + 3)),
+            socle, False)
+    hilbert = tuple(_koszul_hilbert(m, nvars, d) for d in range(socle + 3))
+    return JacobianProfile(m, nvars, hilbert, socle, True, sum(hilbert)), None
+
+
+def smooth_profile(f: Polynomial):
+    """jacobian_hilbert(f) for a smooth f, None for a singular one: the
+    smooth flag from at most one Macaulay rank, at socle+1."""
+    return _smooth_or_singular(f)[0]
+
+
+def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
+    """Hilbert function of R = scalars[x]/J(F), with the smooth flag, each
+    degree ranked at most once.  Over the rational-function field the
+    answer holds at generic parameter values."""
+    smooth, singular = _smooth_or_singular(f)
+    return smooth or singular()
 
 
 def milnor_number(f: Polynomial) -> int:

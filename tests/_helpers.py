@@ -9,9 +9,10 @@ from dworkcohom.exceptions import ParseError, UnknownVariableError
 from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               strand_basis, strand_basis_at_degree,
                               twisted_column)
-from dworkcohom.gaussmanin import _solve_square
+from dworkcohom.gaussmanin import _matmul, _solve_square, connection_matrix
 from dworkcohom.matrices import IntRankAccumulator, primitive_column
 from dworkcohom.poly import count_monomials
+from dworkcohom.reports import Check
 
 
 def act(s, mu):
@@ -128,6 +129,42 @@ def solved_connection_matrix(reducer, perturbation, forms):
     g = perturbation.map_coefficients(field.coerce, field)
     return _solve_square([reducer.reduce(p) for p in lifted],
                          [reducer.reduce(g * p) for p in lifted], len(forms))
+
+
+def _test_invertible_matrix(k):
+    """Deterministic invertible rational matrix (unit lower x unit upper).
+
+    The off-diagonal entries of the factors are (state % 7 - 3) /
+    (1 + state % 3), whose denominators divide 6, so both factors are
+    multiplied in integers scaled by 6 and each entry of the product is
+    divided by 36 once.
+    """
+    vals = []
+    state = 2 * 2654435761 % 2 ** 32  # fixed seed: one matrix per size
+    for _ in range(2 * k * k):
+        state = (1103515245 * state + 12345) % 2 ** 31
+        vals.append((state % 7 - 3) * (6 // (1 + state % 3)))
+    lower = [[6 if i == j else (vals.pop() if i > j else 0)
+              for j in range(k)] for i in range(k)]
+    upper = [[6 if i == j else (vals.pop() if i < j else 0)
+              for j in range(k)] for i in range(k)]
+    return [[Fraction(v, 36) for v in row] for row in _matmul(lower, upper)]
+
+
+def solved_conjugation_check(reducer, perturbation, sym):
+    """The basis-change check by two solves: the matrix on the new basis
+    (a dense S from _test_invertible_matrix) solved by connection_matrix,
+    against S^-1 M S solved from S X = M S.  The oracle for the product
+    identity of connection_properties_check."""
+    k = sym.size
+    s = _test_invertible_matrix(k)
+    new_forms = [sum((p.scale(s[i][j]) for i, p in enumerate(sym.basis)
+                      if s[i][j]), Polynomial.zero(QQ, reducer.nvars))
+                 for j in range(k)]
+    conj = connection_matrix(reducer, perturbation, new_forms)
+    expected = _solve_square(list(zip(*s)),
+                             list(zip(*_matmul(sym.entries, s))), k)
+    return Check("basis change conjugates the matrix", conj.entries, expected)
 
 
 def cross_multiplied_step(col, pcol, r):

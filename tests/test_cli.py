@@ -731,6 +731,24 @@ def test_main_gm_singular_base_member(capsys):
     assert rep["matrix"]["discriminant_roots"] == ["-1/3", "0"]
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["gm", "x0^3", "-v", "x0", "--perturbation", "x0^3", "--samples", "2"],
+     0),
+    (["gm", "x0^2+x1^2", "-v", "x0,x1", "--perturbation", "x0*x1",
+      "--samples", "1,3"], 1),
+], ids=["empty-basis", "one-form"])
+def test_main_gm_basis_change_on_tiny_bases(capsys, argv, size):
+    # the basis-change check on bases of size 0 and 1; t = 1 and t = 3 avoid
+    # the roots +-2 of t^2 - 4, the one-form family's denominator
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and all(c["pass"] for c in rep["checks"])
+    check = rep["checks"][-1]
+    assert check["name"] == "basis change conjugates the matrix"
+    assert check["lhs"] == check["rhs"]
+    assert len(check["lhs"]) == len(rep["matrix"]["basis"]) == size
+
+
 def _readme_cli_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n")[1].split("```")[1]
@@ -815,16 +833,17 @@ def test_strand_sum_mismatch_is_exit_2(monkeypatch):
 
 @pytest.fixture
 def profiled(monkeypatch):
-    """Every polynomial jacobian_hilbert is called on, once per call."""
+    """Every polynomial whose Jacobian profile is computed, once per
+    computation: jacobian_hilbert and smooth_profile both go through
+    griffiths._smooth_or_singular."""
     calls = []
-    original = griffiths.jacobian_hilbert
+    original = griffiths._smooth_or_singular
 
     def counted(f):
         calls.append(f)
         return original(f)
 
-    for module in (griffiths, dwork, cli, gaussmanin):
-        monkeypatch.setattr(module, "jacobian_hilbert", counted)
+    monkeypatch.setattr(griffiths, "_smooth_or_singular", counted)
     return calls
 
 

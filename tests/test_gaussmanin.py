@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,12 @@ from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from dworkcohom import gaussmanin, griffiths
-from dworkcohom.gaussmanin import (GriffithsDworkReducer, _DegreeSolver,
-                                   _matmul, _rational_roots,
-                                   _test_invertible_matrix, connection_matrix)
+from dworkcohom.gaussmanin import (ConnectionMatrix, GriffithsDworkReducer,
+                                   _DegreeSolver, _matmul, _rational_roots,
+                                   connection_matrix)
 from dworkcohom.fields import poly_mul
-from _helpers import (all_macaulay_columns, cross_multiplied_step, fermat,
+from _helpers import (_test_invertible_matrix, all_macaulay_columns,
+                      cross_multiplied_step, fermat, solved_conjugation_check,
                       solved_connection_matrix, triangle, trial_division_roots,
                       var)
 
@@ -109,6 +111,70 @@ def test_properties_check_full():
     assert verdict.ok
     names = [c.name for c in verdict.checks]
     assert any("conjugates" in n for n in names)
+
+
+def cubic_family(name):
+    """The three cubic families of tests/frozen_reports.json."""
+    fam, xyz = dwork_family()
+    return {"default": (fam, None),
+            "1;x0*x1*x2": (fam, [Polynomial.constant(QQ, 3, 1), xyz]),
+            "base x0*x1*x2": (Family(xyz, fermat(3, 3)), None)}[name]
+
+
+CUBIC_FAMILIES = ["default", "1;x0*x1*x2", "base x0*x1*x2"]
+
+
+def conjugation_check(fam, basis=None, reducer=None, matrix=None):
+    """connection_properties_check's basis-change check alone (no samples)."""
+    [check] = connection_properties_check(fam, [], basis, reducer=reducer,
+                                          matrix=matrix).checks
+    assert check.name == "basis change conjugates the matrix"
+    return check
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["given", "rescaled"])
+@pytest.mark.parametrize("name", CUBIC_FAMILIES)
+def test_product_check_passes_with_the_solved_check(name, rescale):
+    fam, basis = cubic_family(name)
+    reducer = GriffithsDworkReducer(fam.symbolic())
+    if rescale:
+        b = connection_matrix(reducer, fam.perturbation, basis).basis
+        basis = [b[0].scale(5), b[1].scale(Fraction(-2, 3))]
+    sym = connection_matrix(reducer, fam.perturbation, basis)
+    assert conjugation_check(fam, basis, reducer, sym).passed
+    assert solved_conjugation_check(reducer, fam.perturbation, sym).passed
+
+
+@pytest.mark.parametrize("coord", [0, 1])
+@pytest.mark.parametrize("name", ["default", "base x0*x1*x2"])
+def test_reduce_scaling_one_coordinate_fails_the_check(monkeypatch, name,
+                                                       coord):
+    reduce = GriffithsDworkReducer.reduce
+
+    def scaled(self, p):
+        coords = reduce(self, p)
+        coords[coord] = coords[coord] * 3
+        return coords
+
+    monkeypatch.setattr(GriffithsDworkReducer, "reduce", scaled)
+    fam, _ = cubic_family(name)
+    assert not conjugation_check(fam).passed
+    # on a given basis M absorbs the scale, so the check cannot see it
+    one, xyz = Polynomial.constant(QQ, 3, 1), triangle()
+    assert conjugation_check(fam, [one, xyz]).passed
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("name", ["default", "base x0*x1*x2"])
+def test_matrix_with_one_entry_changed_fails_the_check(name, i, j):
+    fam, _ = cubic_family(name)
+    reducer = GriffithsDworkReducer(fam.symbolic())
+    sym = connection_matrix(reducer, fam.perturbation)
+    rows = [list(row) for row in sym.entries]
+    rows[i][j] = rows[i][j] + 1
+    bad = ConnectionMatrix(sym.basis, tuple(map(tuple, rows)))
+    assert conjugation_check(fam, reducer=reducer, matrix=sym).passed
+    assert not conjugation_check(fam, reducer=reducer, matrix=bad).passed
 
 
 def test_discriminant_sample_reported():
@@ -413,12 +479,12 @@ def test_standard_basis_matrix_is_the_solved_matrix(build):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The sizes of the systems connection_matrix solves, in order."""
+    """(caller, size) of each _solve_square call, in order."""
     sizes = []
     original = gaussmanin._solve_square
 
     def spy(u_cols, r_cols, k):
-        sizes.append(k)
+        sizes.append((sys._getframe(1).f_code.co_name, k))
         return original(u_cols, r_cols, k)
 
     monkeypatch.setattr(gaussmanin, "_solve_square", spy)
@@ -432,14 +498,26 @@ def test_only_other_bases_take_the_solve(solves, symbolic):
     connection_matrix(reducer, g)
     connection_matrix(reducer, g, list(forms))
     assert solves == []
-    s = _test_invertible_matrix(len(forms))
-    conjugated = [sum((p.scale(s[i][j]) for i, p in enumerate(forms) if s[i][j]),
-                      Polynomial.zero(QQ, 3)) for j in range(len(forms))]
+    s = [[Fraction(1), Fraction(2)], [Fraction(-1, 2), Fraction(3)]]
+    conjugated = [forms[0].scale(s[0][j]) + forms[1].scale(s[1][j])
+                  for j in range(2)]
     for basis in ([forms[0].scale(5), forms[1].scale(Fraction(-2, 3))],
                   conjugated):
         mat = connection_matrix(reducer, g, basis)
         assert mat.entries == solved_connection_matrix(reducer, g, basis)
-    assert solves == [2, 2]
+    assert solves == [("connection_matrix", 2)] * 2
+
+
+@pytest.mark.parametrize("given", [False, True],
+                         ids=["default", "1;x0*x1*x2"])
+def test_properties_check_makes_no_solve(solves, given):
+    # the only solves are those of connection_matrix on a given basis: the
+    # symbolic matrix and one direct matrix per sample, none for the check
+    fam, xyz = dwork_family()
+    basis = [Polynomial.constant(QQ, 3, 1), xyz] if given else None
+    verdict = connection_properties_check(fam, [2, -1], basis)
+    assert verdict.ok and len(verdict.checks) == 3
+    assert solves == [("connection_matrix", 2)] * (3 if given else 0)
 
 
 def test_invertible_matrix_is_the_fraction_product():

@@ -12,7 +12,9 @@ from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomolog
                         milnor_number, parse_polynomial, primitive_hodge_numbers,
                         strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
+from dworkcohom.dwork import _Complexes
 from dworkcohom.forms import ExponentClasses
+from dworkcohom.gaussmanin import GriffithsDworkReducer
 from dworkcohom.matrices import (IntRankAccumulator, integerize_column,
                                  rank_of_columns)
 from dworkcohom.poly import Polynomial, monomial_basis, variable_symmetries
@@ -120,6 +122,29 @@ def test_singular_profile_ranks_each_degree_once(ranked, name):
     assert not p.smooth
     assert sorted(ranked) == list(range(p.socle + 3))
     assert ranked[0] == p.socle + 1
+
+
+@pytest.mark.parametrize("name", SINGULAR)
+def test_smooth_profile_is_one_rank_on_singular_input(ranked, name):
+    f = SINGULAR[name]
+    assert griffiths.smooth_profile(f) is None
+    assert ranked == [f.nvars * (f.homogeneous_degree() - 2) + 1]
+
+
+@pytest.mark.parametrize("name", ["cubic-over-QQ(t)", "binary-cubic"])
+def test_smooth_profile_is_the_smooth_jacobian_profile(name):
+    assert griffiths.smooth_profile(SMOOTH[name]) == jacobian_hilbert(SMOOTH[name])
+
+
+def test_route_choice_ranks_once_on_singular_input(ranked):
+    # the window route needs only the smooth flag, and so does the
+    # reducer: one rank each, at socle + 1 = 16, not every degree
+    f = var(5, 0) * var(5, 1) * var(5, 2) * var(5, 3) * var(5, 4)
+    assert _Complexes(f).profile is None
+    assert ranked == [16]
+    with pytest.raises(NotSmoothError):
+        GriffithsDworkReducer(f)
+    assert ranked == [16, 16]
 
 
 # ---- the coprime-lead certificate against the rank path -----------------
