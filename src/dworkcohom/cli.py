@@ -344,6 +344,13 @@ COMMANDS = {
 # ---- jobs --------------------------------------------------------------
 
 
+# The one input budget so far, checked before any work starts: a job's
+# variable count.  Without it a job of many variables on the window engine,
+# whose exterior algebra has 2^nvars index sets, fills memory instead of
+# failing.
+MAX_VARIABLES = 1000
+
+
 class Job:
     """One pipeline invocation, as carried by a JSON job file or written as
     command-line flags.  The keyword constructor checks ``command`` and the
@@ -368,6 +375,9 @@ class Job:
         names = given.get("variables", [])
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
+        if len(names) > MAX_VARIABLES:
+            raise ValueError(f"{len(names)} variables exceed the variable "
+                             f"budget of {MAX_VARIABLES}")
         for name in ("command", *FIELDS):
             setattr(self, name, fields.get(name))
 
@@ -394,8 +404,7 @@ def run_job(job: Job) -> tuple:
         return 3, {"error": str(exc), "engine_version": __version__}
     except StrandSumError as exc:
         return 2, {"error": str(exc), "engine_version": __version__}
-    # RecursionError: poly.monomial_basis recurses once per variable
-    except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         return 1, {"error": str(exc), "engine_version": __version__}
     out["timing_ms"] = int((time.perf_counter() - started) * 1000)
     if job.output:

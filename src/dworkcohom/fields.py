@@ -38,6 +38,20 @@ def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
+def poly_sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    if len(a) >= len(b):
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] -= x
+    else:
+        out = [-x for x in b]
+        for i, x in enumerate(a):
+            out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def poly_neg(a: IntPoly) -> IntPoly:
     return tuple(-x for x in a)
 
@@ -45,6 +59,9 @@ def poly_neg(a: IntPoly) -> IntPoly:
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return ()
+    if len(a) == 1:
+        c = a[0]
+        return tuple(c * y for y in b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -98,6 +115,16 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if a[-1] < 0:
         a = poly_neg(a)
     return a
+
+
+def poly_zgcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """gcd of nonzero a and b in Z[t]: the gcd of their contents times
+    poly_gcd, with a positive leading coefficient."""
+    c = gcd(*a, *b)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    g = poly_gcd(a, b)
+    return g if c == 1 else tuple(c * x for x in g)
 
 
 def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -253,12 +280,34 @@ class RatFunc:
         return out
 
     def evaluate(self, t0) -> Fraction:
-        """Value at t = t0 (exact); raises ZeroDivisionError on a pole."""
+        """Value at t = t0 (exact); raises ZeroDivisionError on a pole.
+
+        With t0 = p/q, q > 0, a polynomial a of degree k has
+        a(t0) = q^-k * A, where A = q^k a(p/q) = sum a_i p^i q^(k-i) is an
+        integer, computed by Horner's rule in integers.  The value is
+        N q^(dd - dn) / D for the degrees dn, dd of numerator and
+        denominator: one Fraction, no Fraction arithmetic.
+        """
         t0 = Fraction(t0)
-        d = poly_eval(self.den, t0)
+        p, q = t0.numerator, t0.denominator
+
+        def homogenized(a):
+            acc, qk = a[-1], 1
+            for c in reversed(a[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            return acc
+
+        d = homogenized(self.den)
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {t0}")
-        return poly_eval(self.num, t0) / d
+        if not self.num:
+            return Fraction(0)
+        shift = len(self.den) - len(self.num)
+        n = homogenized(self.num)
+        if shift >= 0:
+            return Fraction(n * q ** shift, d)
+        return Fraction(n, d * q ** -shift)
 
     def __str__(self):
         if not self.num:

@@ -20,9 +20,10 @@ Each Macaulay system is eliminated on augmented columns, which carry their
 transform (the combination of Macaulay columns, and the multiple of the
 polynomial being solved) as extra entries, whose keys sort below every
 monomial row (see _DegreeSolver).  One elimination step of the rank
-accumulators then updates both: over QQ the fraction-free integer step, so
-no Fraction arithmetic runs inside the elimination, and a solve divides by
-its scale once at the end; over QQ(t) the field step.
+accumulators then updates both, fraction-free: over QQ the integer step
+and over QQ(t) the step over Z[t], so no Fraction or RatFunc arithmetic
+runs inside the elimination, and a solve divides by its scale once at the
+end, one Fraction or RatFunc per coordinate it returns.
 
 A degree's echelon is built on demand, one connected block of its Macaulay
 matrix at a time.  A solve eliminates only the blocks its residue meets: on
@@ -120,12 +121,17 @@ class _DegreeSolver:
     equals, and in ``solve`` the entry of key (-1,) the multiple of the
     part being solved.  Exponents are never negative, so every
     augmentation key sorts below every monomial, and (-1,) below the rest.
-    Over QQ the step is ``IntRankAccumulator._step`` on columns lifted to
-    integers, the lifting scale carried in the augmentation entries; over
-    QQ(t) it is ``FieldRankAccumulator._step``.  The columns come from
+    Columns are lifted by integerize_column, to integers over QQ and to
+    polynomials over Z in t (IntPoly tuples) over QQ(t), the lifting scale
+    carried in the augmentation entries, and the step is the accumulator's
+    fraction-free one, ``IntRankAccumulator._step`` or
+    ``FieldRankAccumulator._step``.  The columns come from
     griffiths.MacaulayColumns, which lifts each partial once, together
     with its augmentation entry, so no Macaulay column is lifted on its
-    own; only the part a solve starts from is.
+    own; only the part a solve starts from is.  A solve returns each
+    coordinate as one quotient, entry over the (-1,) entry: a Fraction
+    over QQ, a RatFunc over QQ(t).  Both forms are canonical, so the
+    coordinates are those that field division would give.
 
     Only the columns that griffiths.koszul_redundant keeps are eliminated.
     They span the same space as all the columns (the griffiths module
@@ -150,8 +156,8 @@ class _DegreeSolver:
     def __init__(self, partials, field, nvars, gen_degree, d):
         self.field, self.degree = field, d
         self.columns = MacaulayColumns(partials, nvars, d - gen_degree)
-        self._lift = integerize_column if field is QQ else dict
         self._step = self.columns.accumulator._step
+        self._quotient = Fraction if field is QQ else RatFunc
         self.pivots = {}
         self._closed_rows = set()
 
@@ -238,14 +244,15 @@ class _DegreeSolver:
         first non-pivot row, so pivot rows below it can stay in the residue.
         """
         self._close(part)
-        _, col = self._reduce(self._lift({**part, _SCALE: self.field.one}))
-        inv = self.field.one / col.pop(_SCALE)
+        _, col = self._reduce(integerize_column({**part,
+                                                 _SCALE: self.field.one}))
+        scale, quotient = col.pop(_SCALE), self._quotient
         std, combo = {}, {}
         for r, c in col.items():
             if r[0] < 0:
-                combo[r[1:]] = -c * inv
+                combo[r[1:]] = -quotient(c, scale)
             else:
-                std[r] = c * inv
+                std[r] = quotient(c, scale)
         return std, combo
 
 
@@ -512,7 +519,9 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
     if field is QQ_T:
         for row in entries:
             for e in row:
-                den = poly_div_exact(poly_mul(den, e.den), poly_gcd(den, e.den))
+                if e.den != (1,):   # a unit den leaves den as it is
+                    den = poly_div_exact(poly_mul(den, e.den),
+                                         poly_gcd(den, e.den))
     return ConnectionMatrix(tuple(forms), entries, den, _rational_roots(den))
 
 

@@ -228,27 +228,26 @@ class MacaulayColumns:
     its key (i, g), for i a nonzero partial; nothing numbers either.
     ``kept`` lists the columns that koszul_redundant keeps, in Macaulay
     order; they span every column.  Each nonzero partial is lifted once
-    into a template: over QQ, integerize_column of its coefficients
-    together with the augmentation entry 1 that _DegreeSolver appends to a
-    column, which leaves ``scale[i]`` as that entry; over QQ(t) the
-    coefficients themselves, with scale one.  Column (i, g) then moves the
-    template's rows mu to g * mu; no entry cancels, because mu -> g * mu is
-    injective.  ``accumulator`` is the rank accumulator for the columns.
+    into a template: integerize_column of its coefficients together with
+    the augmentation entry 1 that _DegreeSolver appends to a column, which
+    leaves ``scale[i]`` as that entry.  Over QQ the template's entries and
+    the scale are integers, over QQ(t) IntPoly tuples, polynomials over Z
+    in t, with the lcm of the denominators cleared in both.  Column (i, g)
+    then moves the template's rows mu to g * mu; no entry cancels, because
+    mu -> g * mu is injective.  ``accumulator`` is the rank accumulator for
+    the columns.
     """
 
     def __init__(self, partials, nvars: int, src: int):
         self.nvars, self.src = nvars, src
         self.leads = earlier_leads(partials)
         self.templates, self.scale = {}, {}
-        lifted = partials[0].field is QQ
-        self.accumulator = IntRankAccumulator if lifted else FieldRankAccumulator
+        field = partials[0].field
+        self.accumulator = (IntRankAccumulator if field is QQ
+                            else FieldRankAccumulator)
         for i in self.leads:
-            terms = partials[i].terms
-            if lifted:
-                terms = integerize_column({**terms, None: 1})
-                self.scale[i] = terms.pop(None)
-            else:
-                self.scale[i] = partials[i].field.one
+            terms = integerize_column({**partials[i].terms, None: field.one})
+            self.scale[i] = terms.pop(None)
             self.templates[i] = tuple(terms.items())
 
     def column(self, i, g) -> dict:
@@ -382,17 +381,23 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
 
 
 def milnor_number(f: Polynomial) -> int:
-    """dim of the Milnor algebra; equals (m-1)^(n+1) for smooth inputs."""
-    profile = jacobian_hilbert(f)
-    if not profile.smooth:
+    """dim of the Milnor algebra; equals (m-1)^(n+1) for smooth inputs.
+    A singular input raises NotSmoothError after at most one rank."""
+    profile = smooth_profile(f)
+    if profile is None:
         raise NotSmoothError(
             "Jacobian ring is not finite-dimensional; use the truncation path")
     return profile.milnor
 
 
 def primitive_hodge_numbers(f: Polynomial):
-    """jacobian_hilbert(f).hodge_numbers(): [(q, h_q) for q = 1..n]."""
-    return jacobian_hilbert(f).hodge_numbers()
+    """jacobian_hilbert(f).hodge_numbers(): [(q, h_q) for q = 1..n].  A
+    singular input raises NotSmoothError after at most one rank."""
+    profile = smooth_profile(f)
+    if profile is None:
+        raise NotSmoothError(
+            "primitive Hodge numbers need a smooth hypersurface")
+    return profile.hodge_numbers()
 
 
 def strand_top_dims(profile: JacobianProfile, residue: int) -> int:

@@ -6,11 +6,16 @@ it touches and stores a nonzero remainder under the least-used pivot row,
 smallest entry next (Markowitz first), so columns stay sparse; the result
 is deterministic for a fixed column order.  A caller that gives each row a
 degree gets rows of greatest degree first, so that the rank above any degree
-is a count of pivots (``_RankAccumulator``).  The step is what differs:
-``IntRankAccumulator`` clears an entry of an integer column by
-cross-multiplication with the two entries divided by their gcd, then gcd
-normalization (fraction-free, no rounding), and ``FieldRankAccumulator`` by
-field division, for any other exact field (rational functions in t).
+is a count of pivots (``_RankAccumulator``).  The step is what differs,
+and both are fraction-free (Bareiss, Math. Comp. 22, 1968, carried from Z
+to Z[t]): ``IntRankAccumulator`` clears an entry of an integer column by
+cross-multiplication with the two entries divided by their gcd, then
+divides the column by the gcd of its entries; ``FieldRankAccumulator`` does
+the same over Z[t], for columns over the rational functions in t, with
+entries IntPoly tuples and gcds in Z[t] (content times poly_gcd).  Neither
+runs Fraction or RatFunc arithmetic inside an elimination:
+``integerize_column`` lifts a column over QQ to Z, or over QQ(t) to Z[t],
+once, by clearing the lcm of its denominators and dividing by its content.
 
 The two steps update their columns inline rather than through
 poly.add_term, the engine's one cancelling update: they are the inner loop
@@ -27,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import RatFunc
+from .fields import (QQ_T, RatFunc, poly_div_exact, poly_gcd, poly_mul, poly_neg,
+                     poly_primitive, poly_sub, poly_zgcd)
 from .poly import add_term
 
 
@@ -112,7 +118,13 @@ def primitive_column(col: dict) -> dict:
 
 
 def integerize_column(col: dict) -> dict:
-    """Scale a rational column to coprime integers (rank-preserving)."""
+    """Scale a column over QQ to coprime integers, or a column over QQ(t)
+    to a primitive one over Z[t] (rank-preserving); the first value tells
+    which."""
+    for v in col.values():
+        if isinstance(v, RatFunc):
+            return _integerize_ratfunc_column(col)
+        break
     lcm = 1
     for v in col.values():
         d = v.denominator if isinstance(v, Fraction) else 1
@@ -126,6 +138,53 @@ def integerize_column(col: dict) -> dict:
         if w:
             out[r] = w
     return primitive_column(out)
+
+
+def _integerize_ratfunc_column(col: dict) -> dict:
+    """Clear the lcm of the denominators, then divide by the content over
+    Z[t]: entries become IntPoly tuples."""
+    col = {r: QQ_T.coerce(v) for r, v in col.items() if v}
+    lcm = (1,)
+    for v in col.values():
+        if v.den != (1,) and v.den != lcm:
+            lcm = poly_mul(lcm, _div(v.den, poly_zgcd(lcm, v.den)))
+    return primitive_poly_column(
+        {r: v.num if v.den == lcm else poly_mul(v.num, _div(lcm, v.den))
+         for r, v in col.items()})
+
+
+def _div(a, g):
+    """a / g for g dividing a in Z[t]."""
+    if len(g) == 1:
+        c = g[0]
+        return a if c == 1 else tuple(x // c for x in a)
+    return poly_div_exact(a, g)
+
+
+def primitive_poly_column(col: dict) -> dict:
+    """Divide a column over Z[t] by the gcd of its entries (rank-preserving).
+
+    The integer content is folded first; an entry of degree 0 leaves no
+    polynomial factor, and only a column without one folds poly_gcd.
+    """
+    c, const = 0, False
+    for v in col.values():
+        c = gcd(c, *v)
+        const = const or len(v) == 1
+        if const and c == 1:
+            return col
+    if not col:
+        return col
+    prim = (1,)
+    if not const:
+        values = iter(col.values())
+        prim = poly_primitive(next(values))
+        for v in values:
+            if len(prim) == 1:
+                break
+            prim = poly_gcd(prim, v)
+    g = tuple(c * x for x in prim)
+    return col if g == (1,) else {r: _div(v, g) for r, v in col.items()}
 
 
 class _RankAccumulator:
@@ -218,26 +277,38 @@ class IntRankAccumulator(_RankAccumulator):
 
 
 class FieldRankAccumulator(_RankAccumulator):
-    """Rank of columns over an arbitrary exact field, by field division."""
+    """Rank over QQ(t) of columns over Z[t], by fraction-free elimination:
+    the Z[t] twin of IntRankAccumulator, entries IntPoly tuples
+    (integerize_column lifts a QQ(t) column)."""
 
     @staticmethod
     def _step(col, pcol, r):
-        """Clear row r of col with pivot column pcol."""
+        """Clear row r of col with pivot column pcol; the result is
+        primitive over Z[t].
+
+        The two entries are divided by their gcd g in Z[t] before the
+        cross-multiplication, with the sign put on g that gives the pivot's
+        multiplier a positive leading coefficient.  The result is col times
+        that multiplier less pcol times col's quotient, divided by the gcd
+        of its entries; a multiplier of 1 copies col instead of scaling it.
+        """
         # inline cancelling update, not poly.add_term: the inner loop
-        factor = col[r] / pcol[r]
-        new = dict(col)
+        pval, cval = pcol[r], col[r]
+        g = poly_zgcd(pval, cval)
+        if pval[-1] < 0:
+            g = poly_neg(g)
+        pval, cval = _div(pval, g), _div(cval, g)
+        new = (dict(col) if pval == (1,)
+               else {s: poly_mul(pval, v) for s, v in col.items()})
         for s, w in pcol.items():
-            u = new.get(s)
-            u = -factor * w if u is None else u - factor * w
+            u = poly_sub(new.get(s, ()), poly_mul(cval, w))
             if u:
                 new[s] = u
             else:
                 new.pop(s, None)
-        return new
+        return primitive_poly_column(new)
 
-    @staticmethod
-    def _size(v):
-        return len(v.num) + len(v.den) if isinstance(v, RatFunc) else 0
+    _size = staticmethod(len)    # degree + 1; a constant is the smallest
 
 
 def _is_rational_valued(columns) -> bool:
@@ -250,14 +321,10 @@ def _is_rational_valued(columns) -> bool:
 def rank_of_columns(columns) -> int:
     """Exact rank of a matrix given as a list of sparse columns."""
     columns = list(columns)
-    if _is_rational_valued(columns):
-        acc = IntRankAccumulator()
-        for col in columns:
-            acc.add_column(integerize_column(col))
-    else:
-        acc = FieldRankAccumulator()
-        for col in columns:
-            acc.add_column(dict(col))
+    acc = (IntRankAccumulator() if _is_rational_valued(columns)
+           else FieldRankAccumulator())
+    for col in columns:
+        acc.add_column(integerize_column(col))
     return acc.rank
 
 

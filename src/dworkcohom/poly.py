@@ -31,7 +31,7 @@ sum(w_i * nu_i) throughout (quasi-homogeneous grading).
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from math import comb, gcd
 from operator import add
 
 from .exceptions import VariableCountMismatch
@@ -53,6 +53,12 @@ def monomial_basis(nvars: int, d: int, weights=None) -> list:
     """All monomials of (weighted) total degree exactly d, lex-descending.
 
     For trivial weights the count is C(d + nvars - 1, nvars - 1).
+
+    Iterative: the prefixes of the first nvars - 2 exponents, of weighted
+    degree at most d, are walked in lex-descending order, and each prefix
+    emits its block of last two exponents in one comprehension.  The prefix
+    after e lowers the last nonzero exponent by one and fills the
+    positions after it greedily, which is the lex-largest completion.
     """
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
@@ -60,24 +66,33 @@ def monomial_basis(nvars: int, d: int, weights=None) -> list:
         return []
     if weights is not None and len(weights) != nvars:
         raise VariableCountMismatch("weight list length != variable count")
-    out = []
-    exps = [0] * nvars
-
-    def rec(k: int, rem: int):
-        w = 1 if weights is None else weights[k]
-        if k == nvars - 1:
-            if rem % w == 0:
-                exps[k] = rem // w
-                out.append(tuple(exps))
-                exps[k] = 0
-            return
-        for e in range(rem // w, -1, -1):
-            exps[k] = e
-            rec(k + 1, rem - e * w)
-        exps[k] = 0
-
-    rec(0, d)
-    return out
+    w = weights or (1,) * nvars
+    if nvars == 1:
+        return [] if d % w[0] else [(d // w[0],)]
+    m, wa, wb = nvars - 2, w[-2], w[-1]
+    unit, step = wa == wb == 1, wb // gcd(wa, wb)
+    e, rem, k, out = [0] * m, d, -1, []
+    while True:
+        last = k                    # fill the positions after k greedily
+        for j in range(k + 1, m):
+            if rem >= w[j]:
+                e[j], rem = divmod(rem, w[j])
+                last = j
+        while last >= 0 and not e[last]:
+            last -= 1
+        p = tuple(e)
+        if unit:
+            out += [p + (a, rem - a) for a in range(rem, -1, -1)]
+        else:   # a * wa + b * wb = rem holds for every step-th a
+            a = rem // wa
+            while a >= 0 and (rem - a * wa) % wb:
+                a -= 1
+            out += [p + (x, (rem - x * wa) // wb) for x in range(a, -1, -step)]
+        if last < 0:
+            return out
+        k = last                    # the last nonzero exponent drops by one
+        e[k] -= 1
+        rem += w[k]
 
 
 def add_term(terms: dict, key, c) -> None:

@@ -10,7 +10,9 @@ from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               strand_basis, strand_basis_at_degree,
                               twisted_column)
 from dworkcohom.gaussmanin import _matmul, _solve_square, connection_matrix
-from dworkcohom.matrices import IntRankAccumulator, primitive_column
+from dworkcohom.fields import RatFunc
+from dworkcohom.matrices import (IntRankAccumulator, _RankAccumulator,
+                                 primitive_column)
 from dworkcohom.poly import count_monomials
 from dworkcohom.reports import Check
 
@@ -205,6 +207,57 @@ class SizeFirstRankAccumulator(IntRankAccumulator):
     store exactly the columns CrossMultipliedRankAccumulator stores."""
 
     _pivot_row = size_first_row
+
+
+def division_step(col, pcol, r):
+    """FieldRankAccumulator._step as it was before it eliminated over Z[t]:
+    clear row r of col with pcol by field division, for any exact field."""
+    factor = col[r] / pcol[r]
+    new = dict(col)
+    for s, w in pcol.items():
+        u = new.get(s)
+        u = -factor * w if u is None else u - factor * w
+        if u:
+            new[s] = u
+        else:
+            new.pop(s, None)
+    return new
+
+
+class DivisionRankAccumulator(_RankAccumulator):
+    """The engine's loop with the field-division step, on columns over any
+    exact field (Fraction or RatFunc entries): the oracle of the Z[t]
+    step of FieldRankAccumulator."""
+
+    _step = staticmethod(division_step)
+
+    @staticmethod
+    def _size(v):
+        return len(v.num) + len(v.den) if isinstance(v, RatFunc) else 0
+
+
+def recursive_monomial_basis(nvars, d, weights=None):
+    """poly.monomial_basis as it was before it was iterative: one level of
+    recursion per variable, lex-descending."""
+    out = []
+    exps = [0] * nvars
+
+    def rec(k, rem):
+        w = 1 if weights is None else weights[k]
+        if k == nvars - 1:
+            if rem % w == 0:
+                exps[k] = rem // w
+                out.append(tuple(exps))
+                exps[k] = 0
+            return
+        for e in range(rem // w, -1, -1):
+            exps[k] = e
+            rec(k + 1, rem - e * w)
+        exps[k] = 0
+
+    if d >= 0:
+        rec(0, d)
+    return out
 
 
 def dense_rank_fractions(rows):

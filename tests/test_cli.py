@@ -544,11 +544,12 @@ def test_bad_values_exit_1_with_json(capsys, argv, error):
 @pytest.mark.parametrize("argv", [["hodge", "x0^2+x1^2"], ["dwork", "x0^2"]],
                          ids=["hodge", "dwork"])
 def test_a_thousand_variables_exit_1_with_json(capsys, argv):
-    # the monomial basis recurses once per variable
+    # the job is refused on its variable count before any work starts
     names = ",".join(f"x{k}" for k in range(1200))
     code = main(argv + ["-v", names])
     captured = capsys.readouterr()
-    assert code == 1 and "recursion" in json.loads(captured.out)["error"]
+    assert code == 1 and json.loads(captured.out)["error"] == (
+        "1200 variables exceed the variable budget of 1000")
     assert "Traceback" not in captured.err
 
 

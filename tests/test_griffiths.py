@@ -131,6 +131,22 @@ def test_smooth_profile_is_one_rank_on_singular_input(ranked, name):
     assert ranked == [f.nvars * (f.homogeneous_degree() - 2) + 1]
 
 
+@pytest.mark.parametrize("ask, error", [
+    (milnor_number,
+     "Jacobian ring is not finite-dimensional; use the truncation path"),
+    (primitive_hodge_numbers,
+     "primitive Hodge numbers need a smooth hypersurface"),
+], ids=["milnor_number", "primitive_hodge_numbers"])
+def test_smooth_only_answers_cost_one_rank_on_singular_input(ranked, ask,
+                                                             error):
+    # the smooth flag alone decides them: one rank, at socle + 1 = 16
+    x = [var(5, k) for k in range(5)]
+    with pytest.raises(NotSmoothError) as info:
+        ask(x[0] * x[1] * x[2] * x[3] * x[4])
+    assert str(info.value) == error
+    assert ranked == [16]
+
+
 @pytest.mark.parametrize("name", ["cubic-over-QQ(t)", "binary-cubic"])
 def test_smooth_profile_is_the_smooth_jacobian_profile(name):
     assert griffiths.smooth_profile(SMOOTH[name]) == jacobian_hilbert(SMOOTH[name])
@@ -271,10 +287,13 @@ def test_pruned_rank_is_the_full_rank(f, smooth):
         sources = monomial_basis(nvars, d - (m - 1))
         full = all_macaulay_columns(partials, sources)
         columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
-        kept = [columns.column(*key) for key in columns.kept()]
-        skipped += len(full) - len(kept)
+        keys = list(columns.kept())
+        skipped += len(full) - len(keys)
+        kept = columns.accumulator()   # the kept columns, lifted
+        for key in keys:
+            kept.add_column(columns.column(*key))
         assert griffiths.macaulay_rank(partials, nvars, m - 1, d) \
-            == rank_of_columns(kept) == rank_of_columns(full)
+            == kept.rank == rank_of_columns(full)
     assert skipped > 0
 
 
@@ -341,34 +360,29 @@ def test_dwork_kept_columns_are_independent(f):
 def test_template_columns_are_the_lifted_columns():
     # each partial is lifted once, with the augmentation entry; a column
     # (i, g), that entry included under its key (-1, i, g), is
-    # integerize_column of its field column
+    # integerize_column of its field column: integers over QQ, IntPoly
+    # tuples (polynomials over Z in t) over QQ(t)
     x0, x1, x2 = (var(3, k) for k in range(3))
     f = ((x0 ** 3).scale(Fraction(1, 2)) + (x1 ** 3).scale(Fraction(2, 3))
          + (x2 ** 3).scale(6) - (x0 * x1 * x2).scale(4))
-    partials = [f.partial_derivative(k) for k in range(3)]
-    for d in range(2, 6):
-        columns = griffiths.MacaulayColumns(partials, 3, d - 2)
-        for i, p in enumerate(partials):
-            for g in monomial_basis(3, d - 2):
-                row = (-1, i, g)
-                col = columns.column(i, g)
-                col[row] = columns.scale[i]
-                field_col = {tuple(a + b for a, b in zip(g, mu)): c
-                             for mu, c in p.terms.items()}
-                field_col[row] = QQ.one
-                assert col == integerize_column(field_col)
-                assert all(type(v) is int for v in col.values())
-    # over QQ(t) a column keeps the field entries, with augmentation one
     ft = f.map_coefficients(QQ_T.coerce, QQ_T) + (x0 * x1 * x2).map_coefficients(
-        QQ_T.coerce, QQ_T).scale(T)
-    partials = [ft.partial_derivative(k) for k in range(3)]
-    columns = griffiths.MacaulayColumns(partials, 3, 1)
-    for i, p in enumerate(partials):
-        assert columns.scale[i] == QQ_T.one
-        for g in monomial_basis(3, 1):
-            assert columns.column(i, g) == {
-                tuple(a + b for a, b in zip(g, mu)): c
-                for mu, c in p.terms.items()}
+        QQ_T.coerce, QQ_T).scale(T / 3)
+    lifted = {QQ: lambda v: type(v) is int,
+              QQ_T: lambda v: type(v) is tuple and all(type(c) is int for c in v)}
+    for form in (f, ft):
+        partials = [form.partial_derivative(k) for k in range(3)]
+        for d in range(2, 6):
+            columns = griffiths.MacaulayColumns(partials, 3, d - 2)
+            for i, p in enumerate(partials):
+                for g in monomial_basis(3, d - 2):
+                    row = (-1, i, g)
+                    col = columns.column(i, g)
+                    col[row] = columns.scale[i]
+                    field_col = {tuple(a + b for a, b in zip(g, mu)): c
+                                 for mu, c in p.terms.items()}
+                    field_col[row] = form.field.one
+                    assert col == integerize_column(field_col)
+                    assert all(map(lifted[form.field], col.values()))
 
 
 # ---- class blocks: one Macaulay rank per symmetry orbit -------------------

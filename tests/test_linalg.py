@@ -18,8 +18,9 @@ from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  integerize_column)
 from dworkcohom.poly import monomial_basis
 
-from _helpers import (PRIMES_62, dense_rank_fractions, dense_windowed_dims,
-                      fermat, sparse_to_dense, step_one_twist, var)
+from _helpers import (PRIMES_62, DivisionRankAccumulator, dense_rank_fractions,
+                      dense_windowed_dims, fermat, sparse_to_dense,
+                      step_one_twist, var)
 
 
 def random_sparse(rng, nrows, ncols, fill=0.12, fractions=True):
@@ -45,11 +46,12 @@ def test_rank_trivial_cases():
 
 def test_rank_against_dense_oracle():
     # the shared elimination loop with each step: fraction-free on
-    # integerized columns, field division on the Fraction columns
+    # integerized columns, and the field-division oracle on the Fraction
+    # columns
     rng = random.Random(11)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12))
-        field, whole = FieldRankAccumulator(), IntRankAccumulator()
+        field, whole = DivisionRankAccumulator(), IntRankAccumulator()
         for col in m.columns():
             field.add_column(col)
             whole.add_column(integerize_column(col))
@@ -79,7 +81,7 @@ def test_function_field_rank_is_largest_specialized_rank():
                          + b * cols[1].get(r, QQ_T.zero) for r in range(nrows)})
         acc = FieldRankAccumulator()
         for col in cols:
-            acc.add_column(col)
+            acc.add_column(integerize_column(col))
         specialized = max(dense_rank_fractions(
             [[col[r].evaluate(t0) if r in col else Fraction(0) for col in cols]
              for r in range(nrows)]) for t0 in samples)

@@ -1,20 +1,25 @@
 """The shared elimination loop of matrices against the loop before its
-gcd-reduced step and Markowitz-first pivot row, and its degree-first pivot
-rows against dense band ranks."""
+gcd-reduced step and Markowitz-first pivot row, its Z[t] step against
+field division over QQ(t), and its degree-first pivot rows against dense
+band ranks."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworkcohom import Job, dwork, griffiths, parse_polynomial, run_job
 from dworkcohom.linalg import _WindowEngine
+from dworkcohom.fields import RatFunc, poly_zgcd
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
-                                 SparseMatrix, rank_mod_p)
+                                 SparseMatrix, integerize_column,
+                                 rank_mod_p, rank_of_columns)
 
-from _helpers import (CrossMultipliedRankAccumulator, SizeFirstRankAccumulator,
-                      cross_multiplied_step, dense_rank_fractions)
+from _helpers import (CrossMultipliedRankAccumulator, DivisionRankAccumulator,
+                      SizeFirstRankAccumulator, cross_multiplied_step,
+                      dense_rank_fractions, division_step)
 
 # a smooth plane cubic of the benchmark's window-dense panel
 DENSE_CUBIC = "2*x0^3 - 2*x0*x1^2 + 2*x0*x1*x2 + x0*x2^2 + 2*x1^2*x2 - x1*x2^2"
@@ -227,12 +232,86 @@ def test_int_rank_is_the_dense_rank(drawn):
     acc = feed(CheckedStep(), cols)
     dense = [[Fraction(col.get(r, 0)) for col in cols] for r in range(nrows)]
     assert acc.rank == (dense_rank_fractions(dense) if cols else 0)
-    field = feed(FieldRankAccumulator(),
+    field = feed(DivisionRankAccumulator(),
                  [{r: Fraction(v) for r, v in col.items()} for col in cols])
     assert field.rank == acc.rank
     m = SparseMatrix.from_columns(nrows, cols)
     for p in (2, 3, 2 ** 31 - 1):
         assert rank_mod_p(m, p) <= acc.rank
+
+
+# ---- the Z[t] step --------------------------------------------------------
+
+
+def as_ratfuncs(col):
+    return {r: RatFunc(v) for r, v in col.items()}
+
+
+def zt_gcd(values):
+    """The gcd of IntPoly values in Z[t], positive leading coefficient."""
+    return reduce(poly_zgcd, values, values[0])
+
+
+class CheckedFieldStep(FieldRankAccumulator):
+    """The Z[t] accumulator, every step checked against field division: the
+    result clears row r, keeps the division step's rows in their order, is
+    a multiple of its column over QQ(t), and is primitive over Z[t]."""
+
+    @staticmethod
+    def _step(col, pcol, r):
+        new = FieldRankAccumulator._step(col, pcol, r)
+        want = division_step(as_ratfuncs(col), as_ratfuncs(pcol), r)
+        assert r not in new and list(new) == list(want)
+        if new:
+            got = as_ratfuncs(new)
+            ratio = got[next(iter(got))] / want[next(iter(want))]
+            assert all(got[s] == ratio * want[s] for s in want)
+            assert zt_gcd(list(new.values())) == (1,)
+        return new
+
+
+@pytest.mark.parametrize("col, pcol", [
+    ({0: (2, 4), 1: (1,)}, {0: (1, 2), 2: (0, 1)}),         # g = 1 + 2t
+    ({0: (0, 3), 1: (5,)}, {0: (0, -6), 1: (1, 1)}),        # negative pivot
+    ({0: (1, 1), 1: (0, 1)}, {0: (1, 0, -1), 1: (2,)}),    # g = -(1 + t)
+    ({0: (7,), 1: (1, 1)}, {0: (1,), 1: (3,)}),             # multiplier 1
+])
+def test_zt_step_is_the_primitive_division_step(col, pcol):
+    new = CheckedFieldStep._step(dict(col), pcol, 0)
+    assert all(type(v) is tuple for v in new.values())
+
+
+ZT_ENTRY = st.builds(
+    RatFunc, st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(((1,), (2,), (-3,), (1, 1), (0, 2), (1, 0, -1), (3, 1))))
+
+
+@st.composite
+def ratfunc_columns(draw):
+    """QQ(t) columns: a few drawn ones and QQ(t)-combinations of them, so
+    that some are dependent and the steps cancel whole rows."""
+    nrows = draw(st.integers(1, 5))
+    basis = draw(st.lists(st.dictionaries(st.integers(0, nrows - 1), ZT_ENTRY,
+                                          min_size=1), min_size=1, max_size=4))
+    cols = list(basis)
+    for ks in draw(st.lists(st.lists(st.one_of(st.just(RatFunc(())), ZT_ENTRY),
+                                     min_size=len(basis), max_size=len(basis)),
+                            max_size=4)):
+        col = {}
+        for k, b in zip(ks, basis):
+            for r, v in b.items():
+                col[r] = col.get(r, RatFunc(())) + k * v
+        cols.append({r: v for r, v in col.items() if v})
+    return draw(st.permutations(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratfunc_columns())
+def test_zt_rank_is_the_division_rank(cols):
+    acc = feed(CheckedFieldStep(), [integerize_column(col) for col in cols])
+    oracle = feed(DivisionRankAccumulator(), cols)
+    assert acc.rank == oracle.rank == rank_of_columns(cols)
+    assert acc.rank <= min(len(cols), len({r for col in cols for r in col}))
 
 
 # ---- degree-first pivot rows ----------------------------------------------

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dworkcohom import QQ, QQ_T, Polynomial, RatFunc, monomial_basis, poly_arith
 from dworkcohom.exceptions import VariableCountMismatch
-from dworkcohom.fields import poly_gcd, poly_mul
+from dworkcohom.fields import poly_eval, poly_gcd, poly_mul
 from dworkcohom.gaussmanin import ConnectionMatrix
 from dworkcohom.poly import add_term
 
-from _helpers import fermat, var
+from _helpers import fermat, recursive_monomial_basis, var
 
 
 # ---- rational functions ----------------------------------------------
@@ -75,6 +75,31 @@ def test_ratfunc_equal_values_hash_equal(q, k, a):
     assert again == a and hash(again) == hash(a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ratfuncs(), st.fractions(max_denominator=30)
+       .filter(lambda q: abs(q) < 50))
+def test_ratfunc_evaluate_is_the_quotient_of_values(a, t0):
+    # integer Horner against Fraction Horner on numerator and denominator
+    d = poly_eval(a.den, t0)
+    if d == 0:
+        with pytest.raises(ZeroDivisionError, match=f"pole at t = {t0}$"):
+            a.evaluate(t0)
+    else:
+        value = a.evaluate(t0)
+        assert type(value) is Fraction
+        assert value == poly_eval(a.num, t0) / d
+
+
+def test_ratfunc_evaluate_at_roots_of_the_denominator():
+    t = QQ_T.gen
+    a = (t ** 3 + 2) / ((3 * t - 2) * (t + 5))
+    for root in (Fraction(2, 3), Fraction(-5)):
+        with pytest.raises(ZeroDivisionError, match=f"pole at t = {root}$"):
+            a.evaluate(root)
+    assert a.evaluate(Fraction(1, 2)) == Fraction(17, 8) / Fraction(-11, 4)
+    assert ((t - 1) / (t + 1)).evaluate(1) == 0
+
+
 def test_poly_gcd_primitive_positive():
     # (t^2 - 1) and (t - 1): gcd is t - 1 with positive leading coefficient
     assert poly_gcd((-1, 0, 1), (-1, 1)) == (-1, 1)
@@ -128,6 +153,23 @@ def test_monomial_basis_counts_and_order():
     assert basis == sorted(basis, reverse=True)
     # weighted enumeration: weights (3, 2), degree 6 -> x^2 and y^3
     assert monomial_basis(2, 6, (3, 2)) == [(2, 0), (0, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(-1, 12),
+       st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=6,
+                                     max_size=6)))
+def test_monomial_basis_is_the_recursive_enumeration(nvars, d, weights):
+    weights = None if weights is None else tuple(weights[:nvars])
+    assert monomial_basis(nvars, d, weights) \
+        == recursive_monomial_basis(nvars, d, weights)
+
+
+def test_monomial_basis_of_many_variables():
+    # one variable after another, with no recursion depth to run out of
+    basis = monomial_basis(1200, 1)
+    assert len(basis) == 1200
+    assert all(nu[k] == 1 and sum(nu) == 1 for k, nu in enumerate(basis))
 
 
 @st.composite
