@@ -333,11 +333,16 @@ class ColumnStencil:
             if e and w is not None:
                 out.append(((nu[:k] + (e - 1,) + nu[k + 1:], w[1]), 0,
                             w[0] * e * scale))
-        for k, shift, c, rise in self.terms:
-            w = wedge[k]
-            if w is not None:
-                out.append(((tuple(map(add, nu, shift)), w[1]), rise, w[0] * c))
+        out += self.dF_part(nu, I)
         return out
+
+    def dF_part(self, nu: tuple, I: tuple) -> list:
+        """Entries (target key, rise, value) of L * dF ^ x^nu dx_I, the
+        dF part of column(nu, I), in F's term order."""
+        wedge = self.wedge[I]
+        return [((tuple(map(add, nu, shift)), w[1]), rise, w[0] * c)
+                for k, shift, c, rise in self.terms
+                if (w := wedge[k]) is not None]
 
 
 class ExponentClasses:

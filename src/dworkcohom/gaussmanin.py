@@ -59,7 +59,7 @@ from operator import sub
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
                      poly_gcd, poly_mul, poly_neg, poly_primitive,
-                     poly_pseudo_rem, poly_str)
+                     poly_pseudo_rem, poly_str, poly_zgcd)
 from .griffiths import MacaulayColumns, koszul_redundant, smooth_profile
 from .matrices import integerize_column
 from .poly import Polynomial, add_term, monomial_basis
@@ -521,7 +521,7 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
             for e in row:
                 if e.den != (1,):   # a unit den leaves den as it is
                     den = poly_div_exact(poly_mul(den, e.den),
-                                         poly_gcd(den, e.den))
+                                         poly_zgcd(den, e.den))
     return ConnectionMatrix(tuple(forms), entries, den, _rational_roots(den))
 
 

@@ -424,7 +424,18 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     sub-top degrees whenever the partials form a regular sequence.  Pieces
     of different tau have targets of different degree, so they share no
     row, and one accumulator per form degree, with the target forms as
-    rows, ranks every piece at once.
+    rows, ranks every piece at once.  Only the dF^ entries of each column
+    are built (ColumnStencil.dF_part).
+
+    As in the window engine (linalg docstring, "Skipped sources"), a
+    source of form degree i that is a stored pivot row of the accumulator
+    of form degree i-1 is counted but not fed, because dF^ o dF^ = 0.
+    Each piece feeds form degree i-1 whole before form degree i, so the
+    stored columns of that piece span its image of dF^ out of degree i-1,
+    and every row of such a column is a source of degree i of the same
+    piece.  A stored column is zero at the pivots stored before it, so by
+    induction down the births the image of each such pivot is a
+    combination of the images of the other sources of the piece.
     """
     validate_twist_input(f, spec)
     nvars = spec.nvars
@@ -447,9 +458,12 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
             continue
         for i, basis in enumerate(bases):
             space[i] += len(basis)
-        for acc, basis in zip(accs, bases):     # dF^ is 0 on top forms
-            for nu, I in basis:
-                col = {key: c for key, rise, c in stencil.column(nu, I) if rise}
+        for i, acc in enumerate(accs):      # dF^ is 0 on top forms
+            pivots = accs[i - 1].pivcol if i else {}
+            for nu, I in bases[i]:
+                if (nu, I) in pivots:
+                    continue
+                col = {key: c for key, _, c in stencil.dF_part(nu, I)}
                 if col:
                     acc.add_column(primitive_column(col))
     return ComplexDims.from_ranks(space, [acc.rank for acc in accs])

@@ -36,6 +36,24 @@ columns of M_{i-1}, and the band rank is the number of stored pivots of
 degree > N: each N costs a count, not an elimination (the rank profile of
 Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013).
 
+Skipped sources: a source of D^i that is a stored pivot row of D^(i-1) is
+never assembled, because D^i o D^(i-1) = 0 makes its column dependent (the
+window analogue of Faugere's F5 criterion, ISSAC 2002).  Let p_1..p_k be
+the stored pivots of D^(i-1) of degree <= N, in birth order, with columns
+c_j.  The degree-first key puts every entry of c_j at degree <= N, and the
+left-looking loop makes c_j zero at p_1..p_(j-1).  c_j lies in the image
+of D^(i-1), so D^i(c_j) = 0, which writes D^i(p_j) as a combination of the
+images of sources of degree <= N, each a non-pivot row or a pivot born
+after j.  By induction down the births, the sources of degree <= N that
+are no such pivot have the same image under D^i as all of them: the same
+rank, and the same band count, since the stored columns still span what
+is fed.  A row's degree is its form's own, so the pivots that a source of
+degree e can be are those of degree e, and ``dims_at`` sweeps D^(i-1) to
+the bound before D^i; rises are >= 0, so no later column of D^(i-1) puts
+a pivot at a degree already swept.  A skipped source still counts, with
+its orbit size, in the dimension of C^i.  Pivots and sources lie in the
+same representative classes, so orbit sharing is unaffected.
+
 ``proved_window_cohomology`` replaces that evidence by a proof when F is
 homogeneous of degree m, unweighted, with a finite Jacobian ring R (the
 smooth flag of ``jacobian_hilbert``, which checks R = 0 above the socle
@@ -283,7 +301,9 @@ class _WindowEngine:
     integer stencil of F and are assembled once.  ``row_deg`` holds the
     degree of each row id of ``rows``, and the accumulator of each D^i
     stores each column under a row of greatest degree, so a band rank is a
-    count of stored pivots (module docstring, "Band counts").
+    count of stored pivots (module docstring, "Band counts").  A source of
+    D^i that is a stored pivot row of D^(i-1) is counted but not assembled
+    ("Skipped sources").
 
     When F has variable symmetries, only the classes that represent their
     orbits are assembled (see the module docstring).  ``vectors`` lists,
@@ -357,11 +377,17 @@ class _WindowEngine:
 
     def _add_degree(self, i: int, e: int) -> int:
         """Feed the D^i columns of source degree e to the accumulator of
-        D^i; return how many sources they stand for."""
+        D^i, skipping the sources that are stored pivot rows of D^(i-1)
+        (module docstring, "Skipped sources"); return how many sources of
+        degree e there are, each counted with its orbit size."""
         reg, deg, row_w = self.rows[i + 1], self.row_deg[i + 1], self.row_w[i + 1]
         acc, column = self.acc[i], self.stencil.column
+        own, pivots = self.rows[i], self.acc[i - 1].pivcol if i else {}
         count = 0
         for nu, I, w in self._sources(i, e):
+            count += w
+            if own.get((nu, I)) in pivots:
+                continue
             col = {}
             for key, rise, v in column(nu, I):
                 rid = reg.get(key)
@@ -372,7 +398,6 @@ class _WindowEngine:
                 col[rid] = v
             if col:
                 acc.add_column(primitive_column(col))
-            count += w
         return count
 
     def _process(self, i: int, bound: int) -> tuple:

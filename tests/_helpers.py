@@ -11,6 +11,7 @@ from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               twisted_column)
 from dworkcohom.gaussmanin import _matmul, _solve_square, connection_matrix
 from dworkcohom.fields import RatFunc
+from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import (IntRankAccumulator, _RankAccumulator,
                                  primitive_column)
 from dworkcohom.poly import count_monomials
@@ -487,6 +488,31 @@ class UnsplitWindowEngine:
             dims[i] = kernel - witnessed
         return dims
 
+
+
+class UnskippedWindowEngine(_WindowEngine):
+    """linalg._WindowEngine with every source assembled: _add_degree as it
+    was before the sources that are stored pivot rows of D^(i-1) were
+    skipped, kept as the oracle of that skip (linalg docstring, "Skipped
+    sources")."""
+
+    def _add_degree(self, i, e):
+        reg, deg, row_w = self.rows[i + 1], self.row_deg[i + 1], self.row_w[i + 1]
+        acc, column = self.acc[i], self.stencil.column
+        count = 0
+        for nu, I, w in self._sources(i, e):
+            col = {}
+            for key, rise, v in column(nu, I):
+                rid = reg.get(key)
+                if rid is None:
+                    rid = reg[key] = len(reg)
+                    deg.append(e + rise)
+                    row_w.append(w)
+                col[rid] = v
+            if col:
+                acc.add_column(primitive_column(col))
+            count += w
+        return count
 
 # ---- the polynomial grammar before its one-pass rewrite --------------------
 # _tokenize and parse_polynomial as cli had them (a peek/take descent with

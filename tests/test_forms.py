@@ -105,6 +105,26 @@ def test_twisted_column_matches_form_operations():
                         spec.form_degree(nu, I)
 
 
+def test_stencil_df_part_is_the_wedge_with_dF():
+    # ColumnStencil.dF_part must be scale * (dF ^ x^nu dx_I), and the tail
+    # of column(nu, I) that follows its d part
+    x, y, z = (var(3, k) for k in range(3))
+    for f, weights in [
+            (fermat(3, 3) + 2 * x * y * z, None),
+            (Fraction(1, 3) * x ** 3 - Fraction(5, 4) * x * y * z + y ** 2 + z,
+             None),
+            (var(2, 0) ** 2 + Fraction(2, 3) * var(2, 1) ** 3, (3, 2))]:
+        stencil, dF = ColumnStencil(f, weights), gradient_form(f)
+        for i in range(f.nvars + 1):
+            for nu, I in strand_basis(full_complex_spec(f.nvars, weights), i, 7):
+                part = stencil.dF_part(nu, I)
+                column = stencil.column(nu, I)
+                assert column[len(column) - len(part):] == part
+                assert all(rise for _, rise, _ in part)
+                assert {key: Fraction(v, stencil.scale) for key, _, v in part} \
+                    == dF.wedge(mono_form(f.nvars, nu, I)).terms
+
+
 def test_twisted_nilpotent_on_random_forms():
     # the acceptance property: D(D(omega)) = 0, here on 200 seeded samples
     rng = random.Random(7)
