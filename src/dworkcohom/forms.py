@@ -20,7 +20,8 @@ column builder.  ``ColumnStencil`` is that builder: built once per F, it
 yields integer columns tagged with the degree each entry rises by.
 ``ExponentClasses`` names the class of a monomial form modulo the lattice
 of F's exponents, which D keeps, and the orbits of those classes under
-F's variable symmetries.
+F's variable symmetries, and groups exponent vectors by the classes that
+represent their orbits.
 """
 
 from __future__ import annotations
@@ -357,15 +358,20 @@ class ExponentClasses:
     coordinate into 0..pivot-1 in that order, which gives one key per
     class.
 
-    ``gens`` are symmetries of F (as from poly.variable_symmetries); they
-    permute the classes.  The class of smallest key represents its orbit
-    under the group they generate, and ``weight`` gives an exponent
-    vector the orbit size of its class if that class represents its
-    orbit, else 0.  ``sizes`` holds those weights by key; it is filled one
-    orbit at a time as classes are met and lives as long as the instance.
+    ``gens`` are symmetries of F as poly.variable_symmetries gives them:
+    T_k, for each k, holds one element that fixes 0..k-1 and sends k to j
+    for each j that k can reach.  They permute the classes, and every
+    element of their group is a product t_0 t_1 .. t_(n-1), each t_k in
+    T_k or the identity (Sims), so ``orbit`` applies the T_k (``levels``,
+    as inverse permutations), from the last k to the first, once each to
+    the classes reached so far.  The class of smallest key represents its
+    orbit.  ``representatives`` groups exponent vectors by class and keeps
+    those classes.  ``sizes`` holds the orbit size of each key met, 0 for
+    a class that does not represent its orbit; it is filled one orbit at
+    a time and lives as long as the instance, so each orbit is walked once.
     """
 
-    __slots__ = ("echelon", "inverses", "sizes")
+    __slots__ = ("echelon", "levels", "sizes")
 
     def __init__(self, f: Polynomial, gens=()):
         rows = [list(mu) for mu in f.terms if any(mu)]
@@ -387,9 +393,19 @@ class ExponentClasses:
             echelon.append((c, piv[c], tuple((k, a) for k, a in enumerate(piv)
                                              if a)))
         self.echelon = tuple(echelon)
-        self.inverses = tuple(tuple(sorted(range(len(s)), key=s.__getitem__))
-                              for s in gens)
+        self.under(gens)
+
+    def under(self, gens) -> "ExponentClasses":
+        """Let the symmetries gens act on these classes, in place of any
+        given before, and return self; the echelon is kept."""
+        levels = {}
+        for s in gens:
+            first = next(k for k, j in enumerate(s) if j != k)
+            levels.setdefault(first, []).append(
+                tuple(sorted(range(len(s)), key=s.__getitem__)))
+        self.levels = tuple(levels[k] for k in sorted(levels, reverse=True))
         self.sizes = {}
+        return self
 
     def reduce(self, v) -> tuple:
         """The key of the class of the integer vector v."""
@@ -409,29 +425,35 @@ class ExponentClasses:
         return self.reduce(v)
 
     def orbit(self, key: tuple) -> set:
-        """The keys of the classes that the symmetries reach from key."""
-        seen, todo = {key}, [key]
-        while todo:
-            v = todo.pop()
-            for inv in self.inverses:
-                u = self.reduce([v[t] for t in inv])
-                if u not in seen:
-                    seen.add(u)
-                    todo.append(u)
+        """The keys of the classes that the symmetries reach from key: the
+        set T_0 (T_1 (.. (T_(n-1) {key}))), each T_k with the identity."""
+        seen = {key}
+        for level in self.levels:
+            seen.update([self.reduce([v[t] for t in inv])
+                         for v in seen for inv in level])
         return seen
 
-    def weight(self, v) -> int:
-        """The orbit size of the class of the integer vector v if that
-        class represents its orbit, else 0."""
-        key = self.reduce(v)
-        sizes = self.sizes
-        w = sizes.get(key)
-        if w is None:
-            orbit = self.orbit(key)
-            sizes.update(dict.fromkeys(orbit, 0))
-            sizes[min(orbit)] = len(orbit)
-            w = sizes[key]
-        return w
+    def representatives(self, vectors) -> list:
+        """(orbit size, vectors of the class) for each class of the integer
+        vectors that represents its orbit.
+
+        Each vector is keyed once.  The classes come in the order of their
+        first vector, and each class's vectors in input order.
+        """
+        groups, reduce = {}, self.reduce
+        for v in vectors:
+            groups.setdefault(reduce(v), []).append(v)
+        sizes, out = self.sizes, []
+        for key, group in groups.items():
+            w = sizes.get(key)
+            if w is None:
+                orbit = self.orbit(key)
+                sizes.update(dict.fromkeys(orbit, 0))
+                sizes[min(orbit)] = len(orbit)
+                w = sizes[key]
+            if w:
+                out.append((w, group))
+        return out
 
 
 def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:

@@ -101,15 +101,33 @@ lattice spanned by the exponents of F (forms.ExponentClasses).
   the kept columns of either class span its block, so the classes of one
   orbit have equal ranks.
 
-So macaulay_rank, given the classes and symmetries of F, eliminates the
+So macaulay_rank, given the classes and symmetries of F, lists only the
 kept columns of one class per orbit and counts each stored pivot by the
-orbit size of its class.  jacobian_hilbert builds them only when it ranks
-at all (never on coprime leads, so Fermat inputs pay no symmetry search),
-and only when L has rank nvars and F a symmetry: a lattice of lower rank
+orbit size of its class.  MacaulayColumns.kept keys each source g once
+and groups the sources by class.  The class of g - e_i is then the same
+for every g of one class, so each (class, partial) pair is weighed once,
+and only the sources of a class whose shift represents its orbit are
+built, filtered by koszul_redundant and fed.  This stores the pivots that
+filtering the whole Macaulay order column by column stored:
+
+* columns of different classes share no row;
+* the accumulator (matrices._RankAccumulator) compares births, row use,
+  entry sizes and rows only over the rows of the column being reduced,
+  so a column's reduction and its pivot depend only on the columns of
+  its own class fed before it;
+* within each class the listing keeps Macaulay order: i ascending, then
+  g lex-descending.
+
+So every stored pivot, the rank and the count of elimination steps are
+those of the filtered order; only the interleaving across classes
+changes.  jacobian_hilbert builds the classes only when it ranks at all
+(never on coprime leads, so Fermat inputs pay no symmetry search), and
+only when L has rank nvars and F a symmetry: a lattice of lower rank
 leaves the classes of one degree small (one monomial each on x0*x1*x2),
 and there the class keys cost more than the columns they save.  On the
-Dwork quintic at socle+1, 125 classes fall into 5 orbits, and 215 of the
-4,845 kept columns are eliminated.
+Dwork quintic at socle+1, 125 classes fall into 5 orbits, and only 215
+of the 4,845 kept columns are listed: the 1,820 sources are keyed once
+each and the 625 (class, partial) pairs weighed once each.
 """
 
 from __future__ import annotations
@@ -227,7 +245,8 @@ class MacaulayColumns:
     A row is its monomial, of degree src + deg partials[i], and a column is
     its key (i, g), for i a nonzero partial; nothing numbers either.
     ``kept`` lists the columns that koszul_redundant keeps, in Macaulay
-    order; they span every column.  Each nonzero partial is lifted once
+    order, or only those of the representative classes; they span every
+    column.  Each nonzero partial is lifted once
     into a template: integerize_column of its coefficients together with
     the augmentation entry 1 that _DegreeSolver appends to a column, which
     leaves ``scale[i]`` as that entry.  Over QQ the template's entries and
@@ -254,14 +273,29 @@ class MacaulayColumns:
         """Column (i, g): the template of partial i on the rows g * mu."""
         return {mono_mul(g, mu): c for mu, c in self.templates[i]}
 
-    def kept(self):
+    def kept(self, classes=None):
         """(i, g) for every kept column, in Macaulay order: i ascending, then
         g in monomial_basis(nvars, src) order (lex-descending).
 
         A partial's kept sources are those less the multiples of the leads
         before it; the cofactors of one lead degree are enumerated once.
+        With classes (forms.ExponentClasses), (i, g, w) for the kept
+        columns of the representative classes only, w the orbit size of
+        the class of g - e_i, in that order within each class (module
+        docstring, "Class blocks").
         """
         sources = monomial_basis(self.nvars, self.src)
+        if classes is not None:
+            blocks = {}
+            for g in sources:
+                blocks.setdefault(classes.reduce(g), []).append(g)
+            for i, leads in self.leads.items():
+                shift = {k[:i] + (k[i] - 1,) + k[i + 1:]: k for k in blocks}
+                for w, (k,) in classes.representatives(shift):
+                    for g in blocks[shift[k]]:
+                        if not koszul_redundant(g, leads):
+                            yield i, g, w
+            return
         redundant, done, cofactors = set(), 0, {}
         for i, leads in self.leads.items():
             for lt in leads[done:]:
@@ -284,24 +318,22 @@ def macaulay_rank(partials, nvars: int, gen_degree: int, d: int,
     redundant ones (MacaulayColumns.kept), which leave the rank unchanged.
 
     With classes (forms.ExponentClasses of F and symmetries of F), only the
-    kept columns whose class represents its orbit are eliminated, and each
-    stored pivot counts the orbit size of its class.  This is exact for
-    three reasons (module docstring, "Class blocks"): every row of column
-    (i, g) lies in the class of g - e_i, so the matrix is block-diagonal
-    by class; the F5 syzygy identity stays inside one class, so the kept
-    columns of a class span all of its columns; and a symmetry s of F
-    sends g * dF_i to s(g) * dF_s(i), so the classes of one orbit have
-    equal ranks.
+    kept columns of the classes that represent their orbits are listed
+    and eliminated, and each column that grows the rank counts the orbit
+    size w of its class; the module docstring ("Class blocks") shows that
+    the matrix is block-diagonal by class, that the kept columns of a
+    class span its block, and that the classes of one orbit have equal
+    ranks.
     """
     src = d - gen_degree
     if src < 0:
         return 0
     columns = MacaulayColumns(partials, nvars, src)
     acc, rank = columns.accumulator(), 0
-    for i, g in columns.kept():
-        w = 1 if classes is None else classes.weight(
-            g[:i] + (g[i] - 1,) + g[i + 1:])     # the class of g - e_i
-        if w and acc.add_column(columns.column(i, g)):
+    listing = (((i, g, 1) for i, g in columns.kept()) if classes is None
+               else columns.kept(classes))
+    for i, g, w in listing:
+        if acc.add_column(columns.column(i, g)):
             rank += w
     return rank
 
@@ -311,11 +343,13 @@ def symmetry_classes(f: Polynomial):
     for macaulay_rank; None where ranking every kept column is cheaper:
     when L has rank below nvars, so that the classes of one degree are
     small (one monomial each on x0*x1*x2), and when f has no symmetry.
-    The rank of L is checked before the symmetry search."""
-    if len(ExponentClasses(f).echelon) < f.nvars:
+    The rank of L is checked before the symmetry search, on the echelon
+    that the classes then keep."""
+    classes = ExponentClasses(f)
+    if len(classes.echelon) < f.nvars:
         return None
     gens = variable_symmetries(f)
-    return ExponentClasses(f, gens) if gens else None
+    return classes.under(gens) if gens else None
 
 
 def _koszul_hilbert(m: int, nvars: int, d: int) -> int:

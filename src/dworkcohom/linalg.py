@@ -104,10 +104,11 @@ let L be the lattice spanned by the exponents of F.
 * Representative sources: the class depends only on v = nu + e_I, and
   (nu, I) <-> (v, I) with I inside the support of v is a bijection from
   the sources of degree e onto such pairs with v of degree e.  So the
-  engine lists the exponent vectors v of each degree once, keeps those
-  whose class represents its orbit (one key per vector, not per source),
-  and emits (v - e_I, I) for each I in combinations order and each kept v
-  that is at least 1 on I, in v's lex-descending order.  For a fixed I,
+  engine groups the exponent vectors v of each degree by class once
+  (ExponentClasses.representatives, one key per vector, not per source),
+  keeps the vectors of the classes that represent their orbits, sorted
+  lex-descending, and emits (v - e_I, I) for each I in combinations order
+  and each kept v that is at least 1 on I, in that order.  For a fixed I,
   subtracting e_I keeps the lex order, so these are exactly the
   representative sources of strand_basis_at_degree, in its order.
 * Weighted pivots: the engine assembles the sources of one representative
@@ -343,15 +344,18 @@ class _WindowEngine:
         """(v, orbit size, support mask) for the exponent vectors v of
         degree e whose class represents its orbit, lex-descending.
 
-        Listed once per engine and shared by every form degree.
+        The representative classes come from ExponentClasses.representatives,
+        one key per vector of monomial_basis; only their vectors are then
+        sorted back into its order.  Listed once per engine and shared by
+        every form degree.
         """
         vectors = self.vectors.get(e)
         if vectors is None:
-            weight = self.classes.weight
-            vectors = self.vectors[e] = [
-                (v, w, sum(1 << k for k, a in enumerate(v) if a))
-                for v in monomial_basis(self.top, e, self.spec.weights)
-                if (w := weight(v))]
+            basis = monomial_basis(self.top, e, self.spec.weights)
+            vectors = self.vectors[e] = sorted(
+                ((v, w, sum(1 << k for k, a in enumerate(v) if a))
+                 for w, group in self.classes.representatives(basis)
+                 for v in group), reverse=True)
         return vectors
 
     def _sources(self, i: int, e: int):

@@ -388,27 +388,72 @@ def dense_dF_only_dims(f, spec, bound):
     return spaces, ranks
 
 
+def walked_orbit(classes, key):
+    """The keys of the classes that the symmetries of classes reach from
+    key, by a walk that applies every generator to every key it reaches:
+    ExponentClasses.orbit as it was before it walked the stabilizer chain
+    level by level.  It reads only the generators (``levels``, flattened)
+    and ``reduce``."""
+    inverses = [inv for level in classes.levels for inv in level]
+    seen, todo = {key}, [key]
+    while todo:
+        v = todo.pop()
+        for inv in inverses:
+            u = classes.reduce([v[t] for t in inv])
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def orbit_weight(classes, sizes, key):
+    """The orbit size of the class of key if that class represents its
+    orbit (smallest key), else 0; sizes is the caller's own memo, filled
+    one walked_orbit at a time.  ExponentClasses.weight as it was before
+    classes were grouped, less its one key per call."""
+    w = sizes.get(key)
+    if w is None:
+        orbit = walked_orbit(classes, key)
+        sizes.update(dict.fromkeys(orbit, 0))
+        sizes[min(orbit)] = len(orbit)
+        w = sizes[key]
+    return w
+
+
 def filtered_sources(classes, spec, i, e):
     """{orbit size: the (nu, I) of strand_basis_at_degree(spec, i, e) whose
     class represents its orbit}, in basis order.
 
     The window engine's source filter before it enumerated representative
     exponent vectors: a class key for every source.  The oracle for
-    _WindowEngine._sources; it keeps its own orbit sizes, so it shares no
-    state with the engine's classes.
+    _WindowEngine._sources; it keeps its own orbit sizes and walks, so it
+    shares no state and no orbit code with the engine's classes.
     """
     sizes, groups = {}, {}
     for nu, I in strand_basis_at_degree(spec, i, e):
-        key = classes.key(nu, I)
-        w = sizes.get(key)
-        if w is None:
-            orbit = classes.orbit(key)
-            sizes.update(dict.fromkeys(orbit, 0))
-            sizes[min(orbit)] = len(orbit)
-            w = sizes[key]
+        w = orbit_weight(classes, sizes, classes.key(nu, I))
         if w:
             groups.setdefault(w, []).append((nu, I))
     return groups
+
+
+def filtered_macaulay_columns(columns, classes):
+    """(i, g, w) for each kept column (i, g) of a griffiths.MacaulayColumns
+    whose class of g - e_i represents its orbit, w its orbit size, in
+    Macaulay order.
+
+    macaulay_rank's column filter before MacaulayColumns.kept listed the
+    representative classes: every kept column, and a class key for each.
+    The oracle for MacaulayColumns.kept(classes); it keeps its own orbit
+    sizes and walks, so it shares no state and no orbit code with the
+    engine's classes.
+    """
+    sizes = {}
+    for i, g in columns.kept():
+        key = classes.reduce(g[:i] + (g[i] - 1,) + g[i + 1:])
+        w = orbit_weight(classes, sizes, key)
+        if w:
+            yield i, g, w
 
 
 class UnsplitWindowEngine:

@@ -20,7 +20,8 @@ from dworkcohom.matrices import (IntRankAccumulator, integerize_column,
 from dworkcohom.poly import Polynomial, monomial_basis, variable_symmetries
 
 from _helpers import (act, all_macaulay_columns, closure, dense_dF_only_dims,
-                      fermat, ranked_profile, series_hilbert, triangle, var)
+                      fermat, filtered_macaulay_columns, ranked_profile,
+                      series_hilbert, triangle, var)
 
 
 def ranked_hilbert(f):
@@ -484,6 +485,95 @@ def test_orbit_rank_feeds_one_class_per_orbit_on_the_quintic(monkeypatch):
     assert len(list(griffiths.MacaulayColumns(partials, 5, 12).kept())) == 4845
     assert len(classes.sizes) == 125
     assert sorted(w for w in classes.sizes.values() if w) == [5, 10, 20, 30, 60]
+
+
+@pytest.mark.hash_order
+def test_orbit_rank_keys_each_source_once_on_the_quintic(monkeypatch):
+    # a cost pin: the same rank keys each of the 1,820 sources of degree 12
+    # once, weighs each of the 625 (class, partial) pairs once and walks
+    # the 5 orbits level by level (150 reductions); keying every kept
+    # column and walking each orbit generator by generator took 6,095
+    reductions = []
+    original = ExponentClasses.reduce
+
+    def spy(self, v):
+        reductions.append(v)
+        return original(self, v)
+
+    f = DWORK_PENCILS["quintic-t2"]
+    partials = [f.partial_derivative(k) for k in range(5)]
+    classes = griffiths.symmetry_classes(f)
+    monkeypatch.setattr(ExponentClasses, "reduce", spy)
+    assert griffiths.macaulay_rank(partials, 5, 4, 16, classes) == 4845
+    assert len(reductions) == 2595 <= 3695
+
+
+def class_listing(listing, classes):
+    """The (i, g, w) of a Macaulay listing, by the class of g - e_i, each
+    class's columns in listing order."""
+    out = {}
+    for i, g, w in listing:
+        out.setdefault(classes.reduce(g[:i] + (g[i] - 1,) + g[i + 1:]),
+                       []).append((i, g, w))
+    return out
+
+
+def assert_class_listing_is_the_filtered_listing(f, degrees):
+    """MacaulayColumns.kept(classes) lists, class by class and in the same
+    order within each class, the (i, g, w) that filtering every kept
+    column by the class of g - e_i gives (filtered_macaulay_columns)."""
+    m, nvars = f.homogeneous_degree(), f.nvars
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    classes, oracle = orbit_classes(f), orbit_classes(f)
+    for d in degrees:
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
+        want = class_listing(filtered_macaulay_columns(columns, oracle), oracle)
+        assert class_listing(columns.kept(classes), oracle) == want, d
+
+
+LISTING_ORACLE = {
+    "quintic-t2": DWORK_PENCILS["quintic-t2"],
+    "k3-over-QQ(t)": SMOOTH["k3-over-QQ(t)"],
+    "cubic-over-QQ(t)": DWORK_PENCILS["cubic-over-QQ(t)"],
+    "c3-cubic": C3_CUBIC,
+    "fermat-quartic": fermat(4, 4),
+    "nodal-k3": SINGULAR["k3-at-t1"],
+}
+
+
+@pytest.mark.hash_order
+@pytest.mark.parametrize("f", LISTING_ORACLE.values(), ids=LISTING_ORACLE.keys())
+def test_class_listing_is_the_filtered_listing(f):
+    socle = f.nvars * (f.homogeneous_degree() - 2)
+    assert_class_listing_is_the_filtered_listing(f, range(socle + 3))
+
+
+@st.composite
+def symmetric_pencils(draw):
+    """A Dwork pencil member sum x_j^m - m t prod x_j with m = 3..5 and t a
+    small rational (t = 0 is the Fermat member), or a Fermat sum
+    sum c_j x_j^m in 2..4 variables whose coefficients repeat, so that it
+    has symmetries; with a degree to list."""
+    m = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        f = dwork_member(m, Fraction(draw(st.integers(-3, 3)),
+                                     draw(st.integers(1, 3))))
+    else:
+        nvars = draw(st.integers(2, 4))
+        coeffs = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=nvars,
+                               max_size=nvars))
+        f = Polynomial(QQ, nvars, {tuple(m if k == j else 0
+                                         for k in range(nvars)): c
+                                   for j, c in enumerate(coeffs)})
+    return f, draw(st.integers(0, f.nvars * (m - 2) + 2))
+
+
+@pytest.mark.hash_order
+@settings(max_examples=40, deadline=None)
+@given(symmetric_pencils())
+def test_class_listing_is_the_filtered_listing_on_pencils(case):
+    f, d = case
+    assert_class_listing_is_the_filtered_listing(f, (d,))
 
 
 @pytest.fixture
