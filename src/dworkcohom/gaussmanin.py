@@ -22,8 +22,15 @@ polynomial being solved) as extra entries, whose keys sort below every
 monomial row (see _DegreeSolver).  One elimination step of the rank
 accumulators then updates both, fraction-free: over QQ the integer step
 and over QQ(t) the step over Z[t], so no Fraction or RatFunc arithmetic
-runs inside the elimination, and a solve divides by its scale once at the
-end, one Fraction or RatFunc per coordinate it returns.
+runs inside the elimination.  The reduction loop around the solves is
+fraction-free too (GriffithsDworkReducer.reduce, after Bareiss and, for
+periods, Lairez, Math. Comp. 2016): the form is lifted once to Z or Z[t],
+its parts and the coordinates share one denominator, a solve returns its
+column with its scale, which multiplies that denominator and everything
+still open, and the correction to the next lower degree is computed over
+Z or Z[t].  One Fraction or RatFunc is built per nonzero coordinate, at the
+end, and the coordinates are sparse; so is ConnectionMatrix, which stores
+only its nonzero entries (396 of the Dwork quintic's 41,616).
 
 A degree's echelon is built on demand, one connected block of its Macaulay
 matrix at a time.  A solve eliminates only the blocks its residue meets: on
@@ -54,11 +61,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import add, mul, sub
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
-from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_div_exact, poly_eval,
-                     poly_gcd, poly_mul, poly_neg, poly_primitive,
+from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_add, poly_div_exact,
+                     poly_eval, poly_gcd, poly_mul, poly_neg, poly_primitive,
                      poly_pseudo_rem, poly_str, poly_zgcd)
 from .griffiths import MacaulayColumns, koszul_redundant, smooth_profile
 from .matrices import integerize_column
@@ -107,6 +114,12 @@ class Family:
 
 _SCALE = (-1,)      # augmentation key of the multiple of the part solved
 
+# The ring a field's values are lifted to, Z over QQ and Z[t] over QQ(t), as
+# (zero, one, int -> element, add, mul, quotient): quotient(num, den) is the
+# field value num / den, canonical.
+_RINGS = {QQ: (0, 1, int, add, mul, Fraction),
+          QQ_T: ((), (1,), lambda k: (k,), poly_add, poly_mul, RatFunc)}
+
 
 class _DegreeSolver:
     """Column echelon of one Macaulay degree with transformation tracking.
@@ -128,10 +141,11 @@ class _DegreeSolver:
     ``FieldRankAccumulator._step``.  The columns come from
     griffiths.MacaulayColumns, which lifts each partial once, together
     with its augmentation entry, so no Macaulay column is lifted on its
-    own; only the part a solve starts from is.  A solve returns each
-    coordinate as one quotient, entry over the (-1,) entry: a Fraction
-    over QQ, a RatFunc over QQ(t).  Both forms are canonical, so the
-    coordinates are those that field division would give.
+    own.  A solve takes its part already lifted (the reducer lifts each
+    form once), appends the entry 1 of key (-1,), and returns the reduced
+    column, that entry the scale s of the combination.  No quotient is
+    built here: GriffithsDworkReducer.reduce multiplies its common
+    denominator by s and divides once per nonzero coordinate, at the end.
 
     Only the columns that griffiths.koszul_redundant keeps are eliminated.
     They span the same space as all the columns (the griffiths module
@@ -157,7 +171,7 @@ class _DegreeSolver:
         self.field, self.degree = field, d
         self.columns = MacaulayColumns(partials, nvars, d - gen_degree)
         self._step = self.columns.accumulator._step
-        self._quotient = Fraction if field is QQ else RatFunc
+        self._one = _RINGS[field][1]
         self.pivots = {}
         self._closed_rows = set()
 
@@ -234,26 +248,20 @@ class _DegreeSolver:
             closed.update(monomials)
         return [nu for nu in monomials if nu not in self.pivots]
 
-    def solve(self, part: dict):
+    def solve(self, part: dict) -> dict:
         """part = (standard-monomial combination) + sum lambda * g * dF_i.
 
-        part is a term map, monomial -> nonzero coefficient, of degree d.
-        Returns (std coords keyed by monomial, combo keyed by (i, g)).
-        Closes the blocks the part meets first.  The non-pivot rows span
-        the cokernel, so this always succeeds.  The reduction stops at the
-        first non-pivot row, so pivot rows below it can stay in the residue.
+        part is a term map of degree d, monomial -> nonzero value over Z
+        (over QQ) or Z[t] (over QQ(t)).  Returns the reduced column: with s
+        its (-1,) entry, c_nu its monomial entries and c_(i,g) its
+        (-1, i, g) entries, s * part = sum c_nu x^nu - sum c_(i,g) g dF_i.
+        No quotient is built; the caller divides by s.  Closes the blocks
+        the part meets first.  The non-pivot rows span the cokernel, so
+        this always succeeds.  The reduction stops at the first non-pivot
+        row, so pivot rows below it can stay in the residue.
         """
         self._close(part)
-        _, col = self._reduce(integerize_column({**part,
-                                                 _SCALE: self.field.one}))
-        scale, quotient = col.pop(_SCALE), self._quotient
-        std, combo = {}, {}
-        for r, c in col.items():
-            if r[0] < 0:
-                combo[r[1:]] = -quotient(c, scale)
-            else:
-                std[r] = quotient(c, scale)
-        return std, combo
+        return self._reduce({**part, _SCALE: self._one})[1]
 
 
 class GriffithsDworkReducer:
@@ -290,56 +298,91 @@ class GriffithsDworkReducer:
         """The basis as t-free coefficient polynomials x^nu (over QQ)."""
         return [Polynomial.monomial(QQ, self.nvars, nu) for _, nu in self.std_basis]
 
-    def reduce(self, p: Polynomial):
-        """Coordinates of the class [p dx] in the standard basis."""
+    def reduce(self, p: Polynomial) -> dict:
+        """Coordinates of the class [p dx] in the standard basis, as a map
+        basis index -> nonzero value.
+
+        Fraction-free: p is lifted once by integerize_column, and the parts
+        left to solve and the coordinates are numerators over Z (over QQ)
+        or Z[t] (over QQ(t)) with one common denominator.  Each solve
+        returns its column with its scale s; the denominator, the parts
+        still open and the coordinates are multiplied by s, and the
+        column's entries are then numerators over the new denominator.
+        One quotient is built per nonzero coordinate, at the end.
+        """
+        zero, one, of_int, add, mul, quotient = _RINGS[self.field]
+        lifted = integerize_column({**p.terms, _SCALE: self.field.one})
+        den = lifted.pop(_SCALE)
         parts = {}
-        for nu, c in p.terms.items():
+        for nu, c in lifted.items():
             d = sum(nu)
             if d % self.m != self.top_residue:
                 raise ValueError(
                     f"coefficient degree {d} is not on the top strand")
             parts.setdefault(d, {})[nu] = c
-        coords = [self.field.zero] * len(self.std_basis)
+        coords = {}
         while parts:
             d = max(parts)
-            std, combo = self._solver(d).solve(parts.pop(d))
-            for nu, c in std.items():
-                key = (d, nu)
-                if key not in self.std_index:
-                    raise BasisError(
-                        f"residue {Polynomial.monomial(self.field, self.nvars, nu)} "
-                        f"in degree {d} lies outside the standard basis")
-                coords[self.std_index[key]] = coords[self.std_index[key]] + c
-            if d >= self.m:
-                # Summed without dropping zeros, then merged: a monomial
-                # whose partial sum passes through zero keeps its place, so
-                # the residue order (and a BasisError's text) is fixed.
-                correction = {}
-                for (i, g), lam in combo.items():
+            col = self._solver(d).solve(parts.pop(d))
+            s = col.pop(_SCALE)
+            if s != one:
+                den = mul(den, s)
+                for k, c in coords.items():
+                    coords[k] = mul(c, s)
+                for part in parts.values():
+                    for nu, c in part.items():
+                        part[nu] = mul(c, s)
+            # [c g dF/dx_i dx] = -[c g_i x^(g - e_i) dx]: the (-1, i, g)
+            # entry c adds c g_i to the part of degree d - m.  Summed
+            # without dropping zeros, then merged: a monomial whose partial
+            # sum passes through zero keeps its place, so the residue order
+            # (and a BasisError's text) is fixed.
+            correction = {}
+            for r, c in col.items():
+                if r[0] >= 0:
+                    k = self.std_index.get((d, r))
+                    if k is None:
+                        raise BasisError(
+                            f"residue {Polynomial.monomial(self.field, self.nvars, r)} "
+                            f"in degree {d} lies outside the standard basis")
+                    coords[k] = add(coords.get(k, zero), c)
+                else:
+                    _, i, g = r
                     if g[i]:
                         dmono = g[:i] + (g[i] - 1,) + g[i + 1:]
-                        acc = correction.get(dmono, self.field.zero)
-                        correction[dmono] = acc - lam * g[i]
+                        correction[dmono] = add(correction.get(dmono, zero),
+                                                mul(of_int(g[i]), c))
+            if correction:
                 lower = parts.setdefault(d - self.m, {})
                 for nu, c in correction.items():
-                    add_term(lower, nu, c)
-                if not parts[d - self.m]:
+                    c = add(lower.get(nu, zero), c)
+                    if c:
+                        lower[nu] = c
+                    else:
+                        lower.pop(nu, None)
+                if not lower:
                     del parts[d - self.m]
-        return coords
+        return {k: quotient(c, den) for k, c in sorted(coords.items()) if c}
 
 
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """Matrix of the t-derivative action on the chosen top-cohomology basis.
 
-    entries[i][j] is the coefficient of basis[i] in the derivative of
-    basis[j]; basis elements are t-free coefficient polynomials of top
-    forms.  denominator is the lcm of all entry denominators; its roots
-    bound the discriminant set where the matrix degenerates.
+    nonzero maps (i, j) to the coefficient of basis[i] in the derivative of
+    basis[j], for the nonzero coefficients only, values in field; basis
+    elements are t-free coefficient polynomials of top forms.  ``entries``
+    is the dense matrix, field.zero off the nonzero entries, built only
+    when asked: the Dwork quintic's 204 x 204 matrix has 396 nonzero
+    entries of 41,616, and the text, the denominator, the specializations
+    and the checks read only those.  denominator is the lcm of all entry
+    denominators; its roots bound the discriminant set where the matrix
+    degenerates.
     """
 
     basis: tuple
-    entries: tuple
+    nonzero: dict
+    field: object
     denominator: IntPoly = (1,)
     discriminant_roots: tuple = ()
 
@@ -347,8 +390,19 @@ class ConnectionMatrix:
     def size(self) -> int:
         return len(self.basis)
 
+    def _rows(self, zero, value):
+        """Dense rows: value(e) at each nonzero entry e, zero elsewhere."""
+        rows = [[zero] * self.size for _ in range(self.size)]
+        for (i, j), e in self.nonzero.items():
+            rows[i][j] = value(e)
+        return rows
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(tuple, self._rows(self.field.zero, lambda e: e)))
+
     def entry_strings(self):
-        return [[str(e) for e in row] for row in self.entries]
+        return self._rows("0", str)
 
     def to_json_dict(self):
         """Human-readable entries plus the discriminant denominator."""
@@ -362,14 +416,17 @@ class ConnectionMatrix:
     def specialize(self, t0) -> tuple:
         """Evaluate all entries at t = t0 (raises ZeroDivisionError on a pole)."""
         t0 = Fraction(t0)
-        out = []
-        for row in self.entries:
-            out.append(tuple(e.evaluate(t0) if isinstance(e, RatFunc)
-                             else Fraction(e) for e in row))
-        return tuple(out)
+        return tuple(map(tuple, self._rows(
+            Fraction(0), lambda e: (e.evaluate(t0) if isinstance(e, RatFunc)
+                                    else Fraction(e)))))
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not self.nonzero
+
+
+def _dense(coords: dict, k: int, zero) -> list:
+    """The length-k list of a map index -> value, zero elsewhere."""
+    return [coords.get(i, zero) for i in range(k)]
 
 
 def _solve_square(u_cols, r_cols, k):
@@ -510,19 +567,23 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
     g_lift = perturbation.map_coefficients(field.coerce, field)
     if forms == standard:
         # U = I: the derivative coordinates are the columns of the matrix
-        entries = tuple(zip(*(reducer.reduce(g_lift * p) for p in lifted)))
+        nonzero = {(i, j): e for j, p in enumerate(lifted)
+                   for i, e in reducer.reduce(g_lift * p).items()}
     else:
-        u_cols = [reducer.reduce(p) for p in lifted]
-        r_cols = [reducer.reduce(g_lift * p) for p in lifted]
-        entries = _solve_square(u_cols, r_cols, len(forms))
+        k, zero = len(forms), field.zero
+        u_cols = [_dense(reducer.reduce(p), k, zero) for p in lifted]
+        r_cols = [_dense(reducer.reduce(g_lift * p), k, zero) for p in lifted]
+        rows = _solve_square(u_cols, r_cols, k)
+        nonzero = {(i, j): e for i, row in enumerate(rows)
+                   for j, e in enumerate(row) if e}
     den = (1,)
     if field is QQ_T:
-        for row in entries:
-            for e in row:
-                if e.den != (1,):   # a unit den leaves den as it is
-                    den = poly_div_exact(poly_mul(den, e.den),
-                                         poly_zgcd(den, e.den))
-    return ConnectionMatrix(tuple(forms), entries, den, _rational_roots(den))
+        for e in nonzero.values():
+            if e.den != (1,):   # a unit den leaves den as it is
+                den = poly_div_exact(poly_mul(den, e.den),
+                                     poly_zgcd(den, e.den))
+    return ConnectionMatrix(tuple(forms), nonzero, field, den,
+                            _rational_roots(den))
 
 
 def connection_properties_check(fam: Family, samples, basis=None,
@@ -581,31 +642,40 @@ def connection_properties_check(fam: Family, samples, basis=None,
         field.coerce, field) for j in range(k)]
     u_cols = [reducer.reduce(p) for p in new_forms]
     r_cols = [reducer.reduce(g * p) for p in new_forms]
-    # X = S^-1 (M S) by forward substitution down the rows of M S
-    x = [[field.zero] * k]
-    for row in sym.entries:
-        ms = [2 * a + b for a, b in zip(row, (*row[1:], field.zero))]
-        x.append([(y - prev) / 2 for y, prev in zip(ms, x[-1])])
+    # X = S^-1 (M S) by forward substitution down the rows of M S, each row
+    # a map column -> nonzero value: (M S)[i][j] = 2 M[i][j] + M[i][j+1]
+    ms = [{} for _ in range(k)]
+    for (i, j), e in sym.nonzero.items():
+        add_term(ms[i], j, 2 * e)
+        if j:
+            add_term(ms[i], j - 1, e)
+    x, prev = [], {}
+    for row in ms:
+        for j, e in prev.items():
+            add_term(row, j, -e)
+        prev = {j: e / 2 for j, e in row.items()}
+        x.append(prev)
+    zero, product = field.zero, _matmul(u_cols, x)
     checks.append(Check("basis change conjugates the matrix",
-                        [list(r) for r in zip(*r_cols)],
-                        _matmul(list(zip(*u_cols)), x[1:])))
+                        [[col.get(i, zero) for col in r_cols]
+                         for i in range(k)],
+                        [_dense(product.get(i, {}), k, zero)
+                         for i in range(k)]))
     return Verdict(tuple(checks))
 
 
-def _matmul(a, b):
-    """a @ b for matrices given as sequences of rows.
+def _matmul(cols, rows) -> dict:
+    """a @ b from the columns of a and the rows of b, each a map index ->
+    nonzero value; returns the product's nonzero rows, i -> (l -> value).
 
-    Zero factors are skipped (on the default basis the reduced forms of
-    connection_properties_check are S itself, two terms a column), and
-    every sum starts at the zero of the product's type, so an entry has the
-    same type whether or not all its products vanish.  A one-variable
-    family has an empty basis, hence empty matrices.
+    Row i of a @ b is the sum over j of a[i][j] times row j of b, so only
+    nonzero entries are read: on the default basis the reduced forms of
+    connection_properties_check are S itself, two terms a column.
     """
-    cols = list(zip(*b))
-    zero = a[0][0] * b[0][0] * 0 if a and b else 0
-    out = []
-    for row in a:
-        nonzero = [(k, x) for k, x in enumerate(row) if x]
-        out.append([sum((x * col[k] for k, x in nonzero if col[k]), zero)
-                    for col in cols])
+    out = {}
+    for col, row in zip(cols, rows):
+        for i, a in col.items():
+            acc = out.setdefault(i, {})
+            for j, b in row.items():
+                add_term(acc, j, a * b)
     return out

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb, gcd
-from operator import add
+from operator import add, itemgetter
 
 from .exceptions import VariableCountMismatch
 
@@ -131,21 +131,30 @@ def variable_symmetries(f: "Polynomial", weights=None) -> tuple:
     their images): the two agree for every prefix of a symmetry, and for
     the whole permutation only on one.  Images are drawn from variables of
     equal signature (weight and multiset of (c, mu_k)), so an f whose
-    signatures are all distinct tries no permutation at all.
+    signatures are all distinct tries no permutation at all.  Each
+    coefficient is replaced by a small integer id first (equal
+    coefficients, equal ids), so the multisets hash ints, not Fractions or
+    RatFuncs; the identity side of the comparison depends only on the
+    number of variables placed, so it is counted once per depth.
     """
     n = f.nvars
-    terms = list(f.terms.items())
+    ids = {}
+    terms = [(mu, ids.setdefault(c, len(ids))) for mu, c in f.terms.items()]
     sig = [(1 if weights is None else weights[k],
             frozenset(Counter((c, mu[k]) for mu, c in terms).items()))
            for k in range(n)]
     alike = [[j for j in range(n) if sig[j] == sig[k]] for k in range(n)]
     if all(len(a) == 1 for a in alike):
         return ()
+    placed = {}     # depth d -> the multiset of (c, mu[:d])
 
     def agrees(images):
         d = len(images)
-        return Counter((c, mu[:d]) for mu, c in terms) == \
-            Counter((c, tuple(mu[j] for j in images)) for mu, c in terms)
+        if d not in placed:
+            head = itemgetter(*range(d))
+            placed[d] = Counter((c, head(mu)) for mu, c in terms)
+        image = itemgetter(*images)
+        return placed[d] == Counter((c, image(mu)) for mu, c in terms)
 
     def extend(images):
         if len(images) == n:

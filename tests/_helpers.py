@@ -1,20 +1,22 @@
 """Shared builders and independent oracles for the test suite."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from dworkcohom import QQ, Polynomial, full_complex_spec, griffiths
-from dworkcohom.exceptions import ParseError, UnknownVariableError
+from dworkcohom.exceptions import BasisError, ParseError, UnknownVariableError
 from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               strand_basis, strand_basis_at_degree,
                               twisted_column)
-from dworkcohom.gaussmanin import _matmul, _solve_square, connection_matrix
+from dworkcohom.gaussmanin import (_SCALE, GriffithsDworkReducer, _dense,
+                                   _solve_square, connection_matrix)
 from dworkcohom.fields import RatFunc
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import (IntRankAccumulator, _RankAccumulator,
-                                 primitive_column)
-from dworkcohom.poly import count_monomials
+                                 integerize_column, primitive_column)
+from dworkcohom.poly import add_term, count_monomials
 from dworkcohom.reports import Check
 
 
@@ -127,11 +129,29 @@ def solved_connection_matrix(reducer, perturbation, forms):
     """Entries of the connection matrix on forms by the general path:
     reduce the forms and their perturbation products, then solve U X = R.
     The oracle for connection_matrix's shortcut on the standard basis."""
-    field = reducer.field
+    field, k = reducer.field, len(forms)
     lifted = [p.map_coefficients(field.coerce, field) for p in forms]
     g = perturbation.map_coefficients(field.coerce, field)
-    return _solve_square([reducer.reduce(p) for p in lifted],
-                         [reducer.reduce(g * p) for p in lifted], len(forms))
+    return _solve_square(
+        [_dense(reducer.reduce(p), k, field.zero) for p in lifted],
+        [_dense(reducer.reduce(g * p), k, field.zero) for p in lifted], k)
+
+
+def dense_matmul(a, b):
+    """a @ b for matrices given as sequences of rows.
+
+    Zero factors are skipped, and every sum starts at the zero of the
+    product's type, so an entry has the same type whether or not all its
+    products vanish.
+    """
+    cols = list(zip(*b))
+    zero = a[0][0] * b[0][0] * 0 if a and b else 0
+    out = []
+    for row in a:
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        out.append([sum((x * col[k] for k, x in nonzero if col[k]), zero)
+                    for col in cols])
+    return out
 
 
 def _test_invertible_matrix(k):
@@ -151,7 +171,8 @@ def _test_invertible_matrix(k):
               for j in range(k)] for i in range(k)]
     upper = [[6 if i == j else (vals.pop() if i < j else 0)
               for j in range(k)] for i in range(k)]
-    return [[Fraction(v, 36) for v in row] for row in _matmul(lower, upper)]
+    return [[Fraction(v, 36) for v in row]
+            for row in dense_matmul(lower, upper)]
 
 
 def solved_conjugation_check(reducer, perturbation, sym):
@@ -166,8 +187,128 @@ def solved_conjugation_check(reducer, perturbation, sym):
                  for j in range(k)]
     conj = connection_matrix(reducer, perturbation, new_forms)
     expected = _solve_square(list(zip(*s)),
-                             list(zip(*_matmul(sym.entries, s))), k)
+                             list(zip(*dense_matmul(sym.entries, s))), k)
     return Check("basis change conjugates the matrix", conj.entries, expected)
+
+
+def _field_value(field):
+    """The field value of a lifted entry: an integer, or an IntPoly in t."""
+    return Fraction if field is QQ else RatFunc
+
+
+def field_solve(solver, terms):
+    """_DegreeSolver.solve on a part over the field: the part lifted by
+    integerize_column, solved, and the column divided by its scale (times
+    the lift's).  Returns (std coords keyed by monomial, combo keyed by
+    (i, g)) with part = sum std x^nu + sum combo g dF_i."""
+    value = _field_value(solver.field)
+    lifted = integerize_column({**terms, _SCALE: solver.field.one})
+    scale = value(lifted.pop(_SCALE))
+    col = solver.solve(lifted)
+    scale = scale * value(col.pop(_SCALE))
+    std, combo = {}, {}
+    for r, c in col.items():
+        if r[0] < 0:
+            combo[r[1:]] = -value(c) / scale
+        else:
+            std[r] = value(c) / scale
+    return std, combo
+
+
+def division_solve(solver, part):
+    """_DegreeSolver.solve as it was before it returned its column: the
+    part over the field, lifted together with the augmentation entry 1,
+    reduced, and one quotient per entry.  Returns (std coords keyed by
+    monomial, combo keyed by (i, g))."""
+    solver._close(part)
+    _, col = solver._reduce(
+        integerize_column({**part, _SCALE: solver.field.one}))
+    scale, quotient = col.pop(_SCALE), _field_value(solver.field)
+    std, combo = {}, {}
+    for r, c in col.items():
+        if r[0] < 0:
+            combo[r[1:]] = -quotient(c, scale)
+        else:
+            std[r] = quotient(c, scale)
+    return std, combo
+
+
+class DivisionReducer(GriffithsDworkReducer):
+    """GriffithsDworkReducer with the reduce it had before it was
+    fraction-free: every solve divides by its scale (division_solve), the
+    parts and coordinates are summed in the field, and the coordinates are
+    returned as a dense list.  The oracle of reduce."""
+
+    def reduce(self, p):
+        parts = {}
+        for nu, c in p.terms.items():
+            d = sum(nu)
+            if d % self.m != self.top_residue:
+                raise ValueError(
+                    f"coefficient degree {d} is not on the top strand")
+            parts.setdefault(d, {})[nu] = c
+        coords = [self.field.zero] * len(self.std_basis)
+        while parts:
+            d = max(parts)
+            std, combo = division_solve(self._solver(d), parts.pop(d))
+            for nu, c in std.items():
+                key = (d, nu)
+                if key not in self.std_index:
+                    raise BasisError(
+                        f"residue {Polynomial.monomial(self.field, self.nvars, nu)} "
+                        f"in degree {d} lies outside the standard basis")
+                coords[self.std_index[key]] = coords[self.std_index[key]] + c
+            if d >= self.m:
+                correction = {}
+                for (i, g), lam in combo.items():
+                    if g[i]:
+                        dmono = g[:i] + (g[i] - 1,) + g[i + 1:]
+                        acc = correction.get(dmono, self.field.zero)
+                        correction[dmono] = acc - lam * g[i]
+                lower = parts.setdefault(d - self.m, {})
+                for nu, c in correction.items():
+                    add_term(lower, nu, c)
+                if not parts[d - self.m]:
+                    del parts[d - self.m]
+        return coords
+
+
+def counted_variable_symmetries(f, weights=None):
+    """poly.variable_symmetries as it was before it keyed coefficients by
+    small ids: every backtracking step counts (coefficient, exponents) over
+    the terms of f on both sides."""
+    n = f.nvars
+    terms = list(f.terms.items())
+    sig = [(1 if weights is None else weights[k],
+            frozenset(Counter((c, mu[k]) for mu, c in terms).items()))
+           for k in range(n)]
+    alike = [[j for j in range(n) if sig[j] == sig[k]] for k in range(n)]
+    if all(len(a) == 1 for a in alike):
+        return ()
+
+    def agrees(images):
+        d = len(images)
+        return Counter((c, mu[:d]) for mu, c in terms) == \
+            Counter((c, tuple(mu[j] for j in images)) for mu, c in terms)
+
+    def extend(images):
+        if len(images) == n:
+            return tuple(images)
+        for j in alike[len(images)]:
+            if j not in images and agrees(images + [j]):
+                found = extend(images + [j])
+                if found is not None:
+                    return found
+        return None
+
+    gens = []
+    for k in range(n):
+        for j in alike[k]:
+            if j > k and agrees(list(range(k)) + [j]):
+                found = extend(list(range(k)) + [j])
+                if found is not None:
+                    gens.append(found)
+    return tuple(gens)
 
 
 def cross_multiplied_step(col, pcol, r):

@@ -710,6 +710,7 @@ def load_workloads(monkeypatch):
     return module
 
 
+@pytest.mark.hash_order
 def test_main_gm_k3_fails_as_the_benchmark_pins(capsys, monkeypatch):
     # the benchmark accepts exactly this failure of its K3 gm job; an engine
     # change that alters the error must change the pin with it

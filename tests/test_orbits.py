@@ -1,22 +1,27 @@
 """Exponent-lattice classes, variable symmetries and orbit sharing in the
 window engine, each against an independent oracle."""
 
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkcohom import (Job, StabilizationPolicy, StrandSpec, dwork,
-                        full_complex_spec, run_job, stabilized_cohomology)
+from dworkcohom import (QQ_T, Family, Job, Polynomial, StabilizationPolicy,
+                        StrandSpec, dwork, full_complex_spec, run_job,
+                        stabilized_cohomology)
+from dworkcohom.cli import bundled_corpus_dir, build_parser, parse_polynomial
 from dworkcohom.forms import (ColumnStencil, ExponentClasses,
                               strand_basis_at_degree)
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import IntRankAccumulator
 from dworkcohom.poly import variable_symmetries
 
-from _helpers import (UnsplitWindowEngine, act, closure, dense_windowed_dims,
-                      fermat, filtered_sources, polys, triangle, var)
+from _helpers import (UnsplitWindowEngine, act, closure,
+                      counted_variable_symmetries, dense_windowed_dims, fermat,
+                      filtered_sources, polys, triangle, var)
 
 
 def fixes(s, f, weights=None):
@@ -65,6 +70,60 @@ def test_symmetries_generate_every_permutation_that_fixes_f(f, data):
     v = data.draw(st.tuples(*[st.integers(0, 5)] * n))
     key = classes.reduce(v)
     assert classes.orbit(key) == {classes.reduce(act(s, key)) for s in brute}
+
+
+def job_polynomials():
+    """(F, weights) for the polynomial of every job of the bundled corpus and
+    of tests/frozen_reports.json; a gm job adds its perturbation, F_t over
+    QQ(t) and F_2."""
+    frozen = json.loads((Path(__file__).resolve().parent
+                         / "frozen_reports.json").read_text())
+    jobs = [json.loads(p.read_text())
+            for p in sorted(bundled_corpus_dir().glob("*.job.json"))]
+    jobs += [vars(build_parser().parse_args(job["argv"])) for job in frozen]
+    out = []
+    for job in jobs:
+        f = parse_polynomial(job["polynomial"], job["variables"])
+        out.append((f, job.get("weights")))
+        if job.get("perturbation"):
+            fam = Family(f, parse_polynomial(job["perturbation"],
+                                             job["variables"]))
+            out += [(fam.perturbation, None), (fam.symbolic(), None),
+                    (fam.at(2), None)]
+    return out
+
+
+def test_symmetries_are_the_counted_symmetries_on_the_jobs():
+    # the same generators in the same order as the search that counted
+    # coefficients themselves at every step
+    found = [(variable_symmetries(f, w), counted_variable_symmetries(f, w))
+             for f, w in job_polynomials()]
+    assert [new for new, _ in found] == [old for _, old in found]
+    assert sum(bool(new) for new, _ in found) >= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 4), st.booleans(), st.data())
+def test_symmetries_are_the_counted_symmetries_on_fermat_sums(n, m, over_t,
+                                                              data):
+    # a Fermat sum with repeated coefficients on permuted variables, plus a
+    # Dwork term (times t over QQ(t)), a cross term or neither
+    coeffs = st.sampled_from([1, 2, -1, Fraction(1, 2)])
+    cs = data.draw(st.lists(coeffs, min_size=n, max_size=n))
+    s = data.draw(st.permutations(range(n)))
+    f = sum((var(n, s[k]) ** m).scale(c) for k, c in enumerate(cs))
+    extra = data.draw(st.sampled_from(["dwork", "cross", None]))
+    if extra == "cross":
+        f = f + (var(n, s[0]) ** (m - 1) * var(n, s[1])).scale(
+            data.draw(coeffs))
+    if over_t:
+        f = f.map_coefficients(QQ_T.coerce, QQ_T)
+    if extra == "dwork":
+        prod = Polynomial.monomial(f.field, n, (1,) * n)
+        f = f + prod.scale(QQ_T.gen if over_t else data.draw(coeffs))
+    weights = data.draw(st.none() | st.tuples(*[st.integers(1, 2)] * n))
+    assert (variable_symmetries(f, weights)
+            == counted_variable_symmetries(f, weights))
 
 
 def test_a_symmetry_fixes_f_itself_not_up_to_sign():

@@ -289,4 +289,4 @@ DENOMINATOR_TEXT = [
 
 @pytest.mark.parametrize("den, text", DENOMINATOR_TEXT)
 def test_connection_denominator_text(den, text):
-    assert ConnectionMatrix((), (), den).to_json_dict()["denominator"] == text
+    assert ConnectionMatrix((), {}, QQ_T, den).to_json_dict()["denominator"] == text
