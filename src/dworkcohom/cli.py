@@ -25,7 +25,6 @@ runs, and the corpus runner ignores it when diffing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -525,15 +524,19 @@ def corpus_runner(directory=None) -> tuple:
 # ---- command line ---------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, for main to report as JSON with exit
-    code 1; argparse's own exit code 2 means "unstabilized" here."""
-
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, derived from COMMANDS and FIELDS.  argparse
+    is imported here, not at module level, so that ``import dworkcohom``
+    loads neither it nor gettext."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors raise ValueError, for main to report as JSON with
+        exit code 1; argparse's own exit code 2 means "unstabilized" here."""
+
+        def error(self, message):
+            raise ValueError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="dworkcohom",
         description="Exact twisted de Rham (Dwork) cohomology of polynomials")

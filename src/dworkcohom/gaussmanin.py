@@ -37,8 +37,9 @@ matrix at a time.  A solve eliminates only the blocks its residue meets: on
 the Dwork quintic the socle class x4^15 times the perturbation x0x1x2x3x4
 lands in degree 20, whose matrix has 10,626 rows and 24,225 columns, yet it
 meets one block of 126 rows.  A row is keyed by its monomial and a column
-by (i, g), so the solver lists none of the 10,626 rows: it walks from the
-part's monomials to the columns that meet them and back.  The standard
+by (i, g), both monomials packed into integers (griffiths.MacaulayColumns),
+so the solver lists none of the 10,626 rows: it walks from the part's
+monomials to the columns that meet them and back.  The standard
 monomials need every block, so they list the degree and close the rest.
 The blocks share no rows, so eliminating them separately in Macaulay order
 stores the same pivot columns as eliminating the whole matrix (see
@@ -112,7 +113,7 @@ class Family:
         return self.base + self.perturbation.scale(t0)
 
 
-_SCALE = (-1,)      # augmentation key of the multiple of the part solved
+_SCALE = -1     # augmentation key of the multiple of the part solved
 
 # The ring a field's values are lifted to, Z over QQ and Z[t] over QQ(t), as
 # (zero, one, int -> element, add, mul, quotient): quotient(num, den) is the
@@ -124,16 +125,19 @@ _RINGS = {QQ: (0, 1, int, add, mul, Fraction),
 class _DegreeSolver:
     """Column echelon of one Macaulay degree with transformation tracking.
 
-    Rows are degree-d monomials, keyed by themselves; pivots prefer the
+    Rows are degree-d monomials, keyed by their packed integers
+    (griffiths.MacaulayColumns.pack, base d + 1, x_0 most significant,
+    which compare as the monomials do in lex order); pivots prefer the
     largest available monomial (lex, which is graded lex within a degree),
     so the non-pivot rows are the standard monomials of the Jacobian ideal
-    in this degree.
+    in this degree.  ``standard_monomials`` gives them as exponent tuples.
 
-    Every column is augmented: the entry of key (-1, i, g) holds the
-    coefficient of Macaulay column (i, g) in the combination the column
-    equals, and in ``solve`` the entry of key (-1,) the multiple of the
-    part being solved.  Exponents are never negative, so every
-    augmentation key sorts below every monomial, and (-1,) below the rest.
+    Every column is augmented: the entry of key -2 - (pack(g) * nvars + i)
+    holds the coefficient of Macaulay column (i, g) in the combination the
+    column equals, and in ``solve`` the entry of key -1 the multiple of the
+    part being solved.  Augmentation keys are negative and distinct, and
+    every row key is at least 0, so every augmentation key sorts below
+    every row; a reduction stops at the first negative key.
     Columns are lifted by integerize_column, to integers over QQ and to
     polynomials over Z in t (IntPoly tuples) over QQ(t), the lifting scale
     carried in the augmentation entries, and the step is the accumulator's
@@ -141,10 +145,10 @@ class _DegreeSolver:
     ``FieldRankAccumulator._step``.  The columns come from
     griffiths.MacaulayColumns, which lifts each partial once, together
     with its augmentation entry, so no Macaulay column is lifted on its
-    own.  A solve takes its part already lifted (the reducer lifts each
-    form once), appends the entry 1 of key (-1,), and returns the reduced
-    column, that entry the scale s of the combination.  No quotient is
-    built here: GriffithsDworkReducer.reduce multiplies its common
+    own.  A solve takes its part already lifted and packed (the reducer
+    lifts each form once), appends the entry 1 of key -1, and returns the
+    reduced column, that entry the scale s of the combination.  No quotient
+    is built here: GriffithsDworkReducer.reduce multiplies its common
     denominator by s and divides once per nonzero coordinate, at the end.
 
     Only the columns that griffiths.koszul_redundant keeps are eliminated.
@@ -169,19 +173,24 @@ class _DegreeSolver:
 
     def __init__(self, partials, field, nvars, gen_degree, d):
         self.field, self.degree = field, d
-        self.columns = MacaulayColumns(partials, nvars, d - gen_degree)
-        self._step = self.columns.accumulator._step
+        self.columns = columns = MacaulayColumns(partials, nvars, d - gen_degree)
+        self._step = columns.accumulator._step
         self._one = _RINGS[field][1]
         self.pivots = {}
         self._closed_rows = set()
+        # per nonzero partial: its earlier leads and its terms mu, as
+        # exponent tuples beside their packed keys, for _close's walk
+        self._shifts = [(i, leads, [(columns.unpack(mu), mu)
+                                    for mu, _ in columns.templates[i]])
+                        for i, leads in columns.leads.items()]
 
     def _eliminate(self, i, g, col):
-        """Reduce Macaulay column (i, g) and store its pivot.
+        """Reduce Macaulay column (i, g), g packed, and store its pivot.
 
         col is MacaulayColumns.column(i, g); the augmentation entry makes it
         the column that integerize_column would give the augmented one.
         """
-        col[-1, i, g] = self.columns.scale[i]
+        col[-2 - (g * self.columns.nvars + i)] = self.columns.scale[i]
         r, col = self._reduce(col)
         if r is not None:
             self.pivots[r] = col
@@ -189,10 +198,10 @@ class _DegreeSolver:
     def _close(self, rows):
         """Eliminate every column of the blocks that meet rows and are open.
 
-        Walks rows and columns from the given rows, then eliminates the
-        columns found in Macaulay order, (i, g) with g lex-descending.
-        Closed rows stay closed: every column meeting them is already
-        eliminated.
+        Walks rows and columns from the given (packed) rows, then
+        eliminates the columns found in Macaulay order, (i, g) with g
+        lex-descending.  Closed rows stay closed: every column meeting them
+        is already eliminated.
         """
         closed, stack = self._closed_rows, []
         for r in rows:
@@ -201,20 +210,24 @@ class _DegreeSolver:
                 stack.append(r)
         found = {}
         columns = self.columns
+        unpack = columns.unpack
         while stack:
-            nu = stack.pop()
-            for i, leads in columns.leads.items():
-                for mu, _ in columns.templates[i]:
+            r = stack.pop()
+            nu = unpack(r)
+            for i, leads, terms in self._shifts:
+                for mu, mu_key in terms:
                     g = tuple(map(sub, nu, mu))
-                    if (min(g) < 0 or (i, g) in found
-                            or koszul_redundant(g, leads)):
+                    if min(g) < 0:
                         continue
-                    col = found[i, g] = columns.column(i, g)
-                    for r in col:
-                        if r not in closed:
-                            closed.add(r)
-                            stack.append(r)
-        for i, g in sorted(found, key=lambda k: (k[0], [-e for e in k[1]])):
+                    key = i, r - mu_key     # column (i, g), g packed
+                    if key in found or koszul_redundant(g, leads):
+                        continue
+                    col = found[key] = columns.column(*key)
+                    for s in col:
+                        if s not in closed:
+                            closed.add(s)
+                            stack.append(s)
+        for i, g in sorted(found, key=lambda k: (k[0], -k[1])):
             self._eliminate(i, g, found[i, g])
 
     def _reduce(self, col):
@@ -227,7 +240,7 @@ class _DegreeSolver:
         pivots, step = self.pivots, self._step
         while True:
             r = max(col)
-            if r[0] < 0:
+            if r < 0:
                 return None, col
             pcol = pivots.get(r)
             if pcol is None:
@@ -236,25 +249,29 @@ class _DegreeSolver:
 
     @property
     def standard_monomials(self):
-        """The non-pivot rows; the first read closes every open block."""
+        """The non-pivot rows, as exponent tuples; the first read closes
+        every open block."""
         monomials = monomial_basis(self.columns.nvars, self.degree)
+        keys = list(map(self.columns.pack, monomials))
         closed = self._closed_rows
-        if len(closed) < len(monomials):
+        if len(closed) < len(keys):
             columns = self.columns
             for i, g in columns.kept():
                 col = columns.column(i, g)
                 if next(iter(col)) not in closed:   # its block is open
                     self._eliminate(i, g, col)
-            closed.update(monomials)
-        return [nu for nu in monomials if nu not in self.pivots]
+            closed.update(keys)
+        pivots = self.pivots
+        return [nu for nu, r in zip(monomials, keys) if r not in pivots]
 
     def solve(self, part: dict) -> dict:
         """part = (standard-monomial combination) + sum lambda * g * dF_i.
 
-        part is a term map of degree d, monomial -> nonzero value over Z
-        (over QQ) or Z[t] (over QQ(t)).  Returns the reduced column: with s
-        its (-1,) entry, c_nu its monomial entries and c_(i,g) its
-        (-1, i, g) entries, s * part = sum c_nu x^nu - sum c_(i,g) g dF_i.
+        part is a term map of degree d, packed monomial -> nonzero value
+        over Z (over QQ) or Z[t] (over QQ(t)).  Returns the reduced column:
+        with s its -1 entry, c_nu its row entries and c_(i,g) its
+        -2 - (pack(g) * nvars + i) entries,
+        s * part = sum c_nu x^nu - sum c_(i,g) g dF_i.
         No quotient is built; the caller divides by s.  Closes the blocks
         the part meets first.  The non-pivot rows span the cokernel, so
         this always succeeds.  The reduction stops at the first non-pivot
@@ -265,7 +282,12 @@ class _DegreeSolver:
 
 
 class GriffithsDworkReducer:
-    """Reduce top forms P dx_0..dx_n to the standard cohomology basis."""
+    """Reduce top forms P dx_0..dx_n to the standard cohomology basis.
+
+    std_basis lists the basis as (degree, exponent tuple); std_index maps
+    (degree, packed monomial), packed by that degree's solver, to its
+    position.
+    """
 
     def __init__(self, f: Polynomial):
         profile = smooth_profile(f)
@@ -281,11 +303,12 @@ class GriffithsDworkReducer:
         self.std_degrees = [d for d in range(profile.socle + 1)
                             if d % self.m == self.top_residue]
         self._solvers = {}
-        self.std_basis = []
+        self.std_basis, self.std_index = [], {}
         for d in self.std_degrees:
-            for nu in self._solver(d).standard_monomials:
+            solver = self._solver(d)
+            for nu in solver.standard_monomials:
+                self.std_index[d, solver.columns.pack(nu)] = len(self.std_basis)
                 self.std_basis.append((d, nu))
-        self.std_index = {key: k for k, key in enumerate(self.std_basis)}
 
     def _solver(self, d: int) -> _DegreeSolver:
         s = self._solvers.get(d)
@@ -304,13 +327,17 @@ class GriffithsDworkReducer:
 
         Fraction-free: p is lifted once by integerize_column, and the parts
         left to solve and the coordinates are numerators over Z (over QQ)
-        or Z[t] (over QQ(t)) with one common denominator.  Each solve
-        returns its column with its scale s; the denominator, the parts
-        still open and the coordinates are multiplied by s, and the
-        column's entries are then numerators over the new denominator.
-        One quotient is built per nonzero coordinate, at the end.
+        or Z[t] (over QQ(t)) with one common denominator.  Each part is
+        keyed by monomials packed for its degree's solver: p's terms once,
+        and each correction to a lower degree once, repacked from the
+        degree it comes from.  Each solve returns its column with its scale
+        s; the denominator, the parts still open and the coordinates are
+        multiplied by s, and the column's entries are then numerators over
+        the new denominator.  One quotient is built per nonzero coordinate,
+        at the end.
         """
         zero, one, of_int, add, mul, quotient = _RINGS[self.field]
+        nvars, std_index = self.nvars, self.std_index
         lifted = integerize_column({**p.terms, _SCALE: self.field.one})
         den = lifted.pop(_SCALE)
         parts = {}
@@ -319,11 +346,12 @@ class GriffithsDworkReducer:
             if d % self.m != self.top_residue:
                 raise ValueError(
                     f"coefficient degree {d} is not on the top strand")
-            parts.setdefault(d, {})[nu] = c
+            parts.setdefault(d, {})[self._solver(d).columns.pack(nu)] = c
         coords = {}
         while parts:
             d = max(parts)
-            col = self._solver(d).solve(parts.pop(d))
+            solver = self._solver(d)
+            columns, col = solver.columns, solver.solve(parts.pop(d))
             s = col.pop(_SCALE)
             if s != one:
                 den = mul(den, s)
@@ -332,29 +360,35 @@ class GriffithsDworkReducer:
                 for part in parts.values():
                     for nu, c in part.items():
                         part[nu] = mul(c, s)
-            # [c g dF/dx_i dx] = -[c g_i x^(g - e_i) dx]: the (-1, i, g)
-            # entry c adds c g_i to the part of degree d - m.  Summed
-            # without dropping zeros, then merged: a monomial whose partial
-            # sum passes through zero keeps its place, so the residue order
-            # (and a BasisError's text) is fixed.
-            correction = {}
+            # [c g dF/dx_i dx] = -[c g_i x^(g - e_i) dx]: the entry c of
+            # column (i, g) adds c g_i to the part of degree d - m, keyed
+            # by that degree's packing.  Summed without dropping zeros,
+            # then merged: a monomial whose partial sum passes through zero
+            # keeps its place, so the residue order (and a BasisError's
+            # text) is fixed.
+            correction, weights, base = {}, columns.weights, columns.base
             for r, c in col.items():
-                if r[0] >= 0:
-                    k = self.std_index.get((d, r))
+                if r >= 0:
+                    k = std_index.get((d, r))
                     if k is None:
+                        residue = Polynomial.monomial(self.field, nvars,
+                                                      columns.unpack(r))
                         raise BasisError(
-                            f"residue {Polynomial.monomial(self.field, self.nvars, r)} "
-                            f"in degree {d} lies outside the standard basis")
+                            f"residue {residue} in degree {d} "
+                            f"lies outside the standard basis")
                     coords[k] = add(coords.get(k, zero), c)
                 else:
-                    _, i, g = r
-                    if g[i]:
-                        dmono = g[:i] + (g[i] - 1,) + g[i + 1:]
+                    g, i = divmod(-2 - r, nvars)
+                    gi = g // weights[i] % base
+                    if gi:
+                        dmono = g - weights[i]      # g / x_i, still packed
                         correction[dmono] = add(correction.get(dmono, zero),
-                                                mul(of_int(g[i]), c))
+                                                mul(of_int(gi), c))
             if correction:
+                below = self._solver(d - self.m).columns
                 lower = parts.setdefault(d - self.m, {})
                 for nu, c in correction.items():
+                    nu = below.pack(columns.unpack(nu))
                     c = add(lower.get(nu, zero), c)
                     if c:
                         lower[nu] = c

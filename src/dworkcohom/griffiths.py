@@ -134,6 +134,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .exceptions import NonHomogeneousError, NotSmoothError
 from .fields import QQ
@@ -142,7 +143,7 @@ from .forms import (ColumnStencil, ExponentClasses, StrandSpec, strand_basis,
 from .linalg import ComplexDims
 from .matrices import (FieldRankAccumulator, IntRankAccumulator, integerize_column,
                        primitive_column)
-from .poly import (Polynomial, count_monomials, mono_mul, monomial_basis,
+from .poly import (Polynomial, count_monomials, monomial_basis,
                    variable_symmetries)
 
 
@@ -242,8 +243,17 @@ class MacaulayColumns:
     """The Macaulay matrix (g_0..g_n) -> sum g_i * partials[i], g_i of
     degree src.
 
-    A row is its monomial, of degree src + deg partials[i], and a column is
-    its key (i, g), for i a nonzero partial; nothing numbers either.
+    A row is its monomial, of degree d = src + deg partials[i], and a
+    column is its key (i, g), for i a nonzero partial; nothing numbers
+    either.  Both monomials are packed integers: x^nu is the base-(d+1)
+    number with digits nu, x_0 most significant (``pack``; ``unpack``
+    inverts it).  Every monomial here, row, source or term of a partial,
+    has degree at most d, so no exponent reaches the base.  Hence the
+    digits never carry: pack(g) + pack(mu) == pack(g * mu), and two
+    monomials compare as integers as their exponent tuples compare, in lex
+    order, which is graded lex within one degree.  Rows, the sources g and
+    the Koszul-redundant set are then ints, which hash and compare faster
+    than tuples; each matrix has its own base, fixed by its degree.
     ``kept`` lists the columns that koszul_redundant keeps, in Macaulay
     order, or only those of the representative classes; they span every
     column.  Each nonzero partial is lifted once
@@ -252,14 +262,17 @@ class MacaulayColumns:
     leaves ``scale[i]`` as that entry.  Over QQ the template's entries and
     the scale are integers, over QQ(t) IntPoly tuples, polynomials over Z
     in t, with the lcm of the denominators cleared in both.  Column (i, g)
-    then moves the template's rows mu to g * mu; no entry cancels, because
-    mu -> g * mu is injective.  ``accumulator`` is the rank accumulator for
-    the columns.
+    then moves the template's rows mu to g * mu, pack(g) + pack(mu); no
+    entry cancels, because mu -> g * mu is injective.  ``accumulator`` is
+    the rank accumulator for the columns.
     """
 
     def __init__(self, partials, nvars: int, src: int):
         self.nvars, self.src = nvars, src
         self.leads = earlier_leads(partials)
+        gen = max((sum(mu) for p in partials for mu in p.terms), default=0)
+        self.base = base = src + gen + 1
+        self.weights = tuple(base ** k for k in reversed(range(nvars)))
         self.templates, self.scale = {}, {}
         field = partials[0].field
         self.accumulator = (IntRankAccumulator if field is QQ
@@ -267,24 +280,38 @@ class MacaulayColumns:
         for i in self.leads:
             terms = integerize_column({**partials[i].terms, None: field.one})
             self.scale[i] = terms.pop(None)
-            self.templates[i] = tuple(terms.items())
+            self.templates[i] = tuple((self.pack(mu), c)
+                                      for mu, c in terms.items())
+
+    def pack(self, nu) -> int:
+        """The monomial x^nu as a base-(d+1) integer, x_0 most significant."""
+        return sum(map(mul, nu, self.weights))
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent vector of a packed monomial."""
+        base = self.base
+        return tuple(key // w % base for w in self.weights)
 
     def column(self, i, g) -> dict:
-        """Column (i, g): the template of partial i on the rows g * mu."""
-        return {mono_mul(g, mu): c for mu, c in self.templates[i]}
+        """Column (i, g), g packed: the template of partial i on the rows
+        g * mu."""
+        return {g + mu: c for mu, c in self.templates[i]}
 
     def kept(self, classes=None):
-        """(i, g) for every kept column, in Macaulay order: i ascending, then
-        g in monomial_basis(nvars, src) order (lex-descending).
+        """(i, g) for every kept column, g packed, in Macaulay order: i
+        ascending, then g in monomial_basis(nvars, src) order
+        (lex-descending).
 
         A partial's kept sources are those less the multiples of the leads
-        before it; the cofactors of one lead degree are enumerated once.
+        before it; the cofactors of one lead degree are enumerated once,
+        and each source and each multiple is packed once.
         With classes (forms.ExponentClasses), (i, g, w) for the kept
         columns of the representative classes only, w the orbit size of
         the class of g - e_i, in that order within each class (module
-        docstring, "Class blocks").
+        docstring, "Class blocks"); only the sources listed are packed.
         """
         sources = monomial_basis(self.nvars, self.src)
+        pack = self.pack
         if classes is not None:
             blocks = {}
             for g in sources:
@@ -294,15 +321,17 @@ class MacaulayColumns:
                 for w, (k,) in classes.representatives(shift):
                     for g in blocks[shift[k]]:
                         if not koszul_redundant(g, leads):
-                            yield i, g, w
+                            yield i, pack(g), w
             return
+        sources = list(map(pack, sources))
         redundant, done, cofactors = set(), 0, {}
         for i, leads in self.leads.items():
             for lt in leads[done:]:
                 e = self.src - sum(lt)
                 if e not in cofactors:
-                    cofactors[e] = monomial_basis(self.nvars, e)
-                redundant.update(mono_mul(lt, h) for h in cofactors[e])
+                    cofactors[e] = list(map(pack, monomial_basis(self.nvars, e)))
+                lt = pack(lt)
+                redundant.update(lt + h for h in cofactors[e])
             done = len(leads)
             for g in sources:
                 if g not in redundant:

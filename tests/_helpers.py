@@ -196,41 +196,55 @@ def _field_value(field):
     return Fraction if field is QQ else RatFunc
 
 
+def decoded_column(solver, col):
+    """A column of _DegreeSolver over the field's lift, its keys decoded
+    through MacaulayColumns.unpack: (std entries keyed by monomial, combo
+    entries keyed by (i, g)).  A row key is a packed monomial; an
+    augmentation key is -2 - (pack(g) * nvars + i)."""
+    columns = solver.columns
+    std, combo = {}, {}
+    for r, c in col.items():
+        if r < 0:
+            g, i = divmod(-2 - r, columns.nvars)
+            combo[i, columns.unpack(g)] = c
+        else:
+            std[columns.unpack(r)] = c
+    return std, combo
+
+
+def packed_part(solver, terms):
+    """A term map keyed by monomials, keyed by their packed integers."""
+    return {solver.columns.pack(nu): c for nu, c in terms.items()}
+
+
 def field_solve(solver, terms):
     """_DegreeSolver.solve on a part over the field: the part lifted by
-    integerize_column, solved, and the column divided by its scale (times
-    the lift's).  Returns (std coords keyed by monomial, combo keyed by
-    (i, g)) with part = sum std x^nu + sum combo g dF_i."""
+    integerize_column, packed, solved, and the column divided by its scale
+    (times the lift's).  Returns (std coords keyed by monomial, combo keyed
+    by (i, g)) with part = sum std x^nu + sum combo g dF_i."""
     value = _field_value(solver.field)
     lifted = integerize_column({**terms, _SCALE: solver.field.one})
     scale = value(lifted.pop(_SCALE))
-    col = solver.solve(lifted)
+    col = solver.solve(packed_part(solver, lifted))
     scale = scale * value(col.pop(_SCALE))
-    std, combo = {}, {}
-    for r, c in col.items():
-        if r[0] < 0:
-            combo[r[1:]] = -value(c) / scale
-        else:
-            std[r] = value(c) / scale
-    return std, combo
+    std, combo = decoded_column(solver, col)
+    return ({nu: value(c) / scale for nu, c in std.items()},
+            {key: -value(c) / scale for key, c in combo.items()})
 
 
 def division_solve(solver, part):
     """_DegreeSolver.solve as it was before it returned its column: the
-    part over the field, lifted together with the augmentation entry 1,
-    reduced, and one quotient per entry.  Returns (std coords keyed by
-    monomial, combo keyed by (i, g))."""
+    part over the field, packed, lifted together with the augmentation
+    entry 1, reduced, and one quotient per entry.  Returns (std coords
+    keyed by monomial, combo keyed by (i, g))."""
+    part = packed_part(solver, part)
     solver._close(part)
     _, col = solver._reduce(
         integerize_column({**part, _SCALE: solver.field.one}))
     scale, quotient = col.pop(_SCALE), _field_value(solver.field)
-    std, combo = {}, {}
-    for r, c in col.items():
-        if r[0] < 0:
-            combo[r[1:]] = -quotient(c, scale)
-        else:
-            std[r] = quotient(c, scale)
-    return std, combo
+    std, combo = decoded_column(solver, col)
+    return ({nu: quotient(c, scale) for nu, c in std.items()},
+            {key: -quotient(c, scale) for key, c in combo.items()})
 
 
 class DivisionReducer(GriffithsDworkReducer):
@@ -250,9 +264,10 @@ class DivisionReducer(GriffithsDworkReducer):
         coords = [self.field.zero] * len(self.std_basis)
         while parts:
             d = max(parts)
-            std, combo = division_solve(self._solver(d), parts.pop(d))
+            solver = self._solver(d)
+            std, combo = division_solve(solver, parts.pop(d))
             for nu, c in std.items():
-                key = (d, nu)
+                key = (d, solver.columns.pack(nu))
                 if key not in self.std_index:
                     raise BasisError(
                         f"residue {Polynomial.monomial(self.field, self.nvars, nu)} "
@@ -581,7 +596,7 @@ def filtered_sources(classes, spec, i, e):
 def filtered_macaulay_columns(columns, classes):
     """(i, g, w) for each kept column (i, g) of a griffiths.MacaulayColumns
     whose class of g - e_i represents its orbit, w its orbit size, in
-    Macaulay order.
+    Macaulay order; g decoded through MacaulayColumns.unpack.
 
     macaulay_rank's column filter before MacaulayColumns.kept listed the
     representative classes: every kept column, and a class key for each.
@@ -591,6 +606,7 @@ def filtered_macaulay_columns(columns, classes):
     """
     sizes = {}
     for i, g in columns.kept():
+        g = columns.unpack(g)
         key = classes.reduce(g[:i] + (g[i] - 1,) + g[i + 1:])
         w = orbit_weight(classes, sizes, key)
         if w:

@@ -387,6 +387,43 @@ def test_symbolic_quintic_specializes_to_the_digest():
     assert mat.discriminant_roots == (0, 1)
 
 
+# ---- the Picard-Fuchs block of the Dwork pencils -------------------------
+
+
+T = QQ_T.gen
+
+# Columns j of each block, rows in basis order, as read on the engine: the
+# coefficients of 1, x_n^m, .., x_n^(m(m-2)) in the derivative of form j.
+PENCIL_BLOCKS = {
+    3: [(-1 / T, -3 / T),
+        (-2 / (3 * T ** 4 - 3 * T), (-T ** 3 - 2) / (T ** 4 - T))],
+    4: [(-1 / T, -4 / T, 0), (0, -5 / T, -4 / T),
+        (-3 / (8 * T ** 5 - 8 * T), (16 * T ** 4 - 51) / (4 * T ** 5 - 4 * T),
+         (3 * T ** 4 - 9) / (T ** 5 - T))],
+    5: [(-1 / T, -5 / T, 0, 0), (0, -6 / T, -5 / T, 0),
+        (0, 0, -11 / T, -5 / T),
+        (-24 / (125 * T ** 6 - 125 * T), (5 * T ** 5 - 24) / (T ** 6 - T),
+         (35 * T ** 5 - 72) / (T ** 6 - T), (14 * T ** 5 - 24) / (T ** 6 - T))],
+}
+
+
+@pytest.mark.parametrize("m", sorted(PENCIL_BLOCKS))
+def test_dwork_pencil_block_is_invariant(m):
+    # F_t = sum x_i^m - m t x_0..x_n: on the default basis the forms 1,
+    # x_n^m, .., x_n^(m(m-2)) span an invariant block, the one that carries
+    # the Picard-Fuchs operator; no nonzero entry crosses it, and its
+    # columns are pinned (upper Hessenberg, subdiagonal -m/t)
+    prod = Polynomial.monomial(QQ, m, (1,) * m)
+    mat = family_connection_matrix(Family(fermat(m, m), prod.scale(-m)))
+    block = [mat.basis.index(Polynomial.monomial(
+        QQ, m, (0,) * (m - 1) + (m * k,))) for k in range(m - 1)]
+    inside = set(block)
+    assert [(i, j) for i, j in mat.nonzero
+            if (i in inside) != (j in inside)] == []
+    assert [tuple(mat.nonzero.get((i, j), 0) for i in block)
+            for j in block] == PENCIL_BLOCKS[m]
+
+
 def test_solve_eliminates_only_its_block():
     # the socle class times the perturbation lands in degree 20, in one block
     # of 126 of the 10,626 rows and 126 of the 24,225 Macaulay columns (0.5 %):
@@ -450,7 +487,9 @@ def test_block_closure_order_gives_one_echelon(family, symbolic, degrees):
         assert [field_solve(late, p.terms) for p in parts] == solved
         assert first.standard_monomials == std
         assert first.pivots == late.pivots
-        assert first._closed_rows == late._closed_rows == set(monomials)
+        assert ({first.columns.unpack(r) for r in first._closed_rows}
+                == {late.columns.unpack(r) for r in late._closed_rows}
+                == set(monomials))
         if d <= at2.std_degrees[-1]:
             assert std == leading_rows_oracle(
                 at2._solver(d), at2.partials, at2.nvars, at2.m - 1)

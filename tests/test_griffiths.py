@@ -360,9 +360,9 @@ def test_dwork_kept_columns_are_independent(f):
 
 def test_template_columns_are_the_lifted_columns():
     # each partial is lifted once, with the augmentation entry; a column
-    # (i, g), that entry included under its key (-1, i, g), is
-    # integerize_column of its field column: integers over QQ, IntPoly
-    # tuples (polynomials over Z in t) over QQ(t)
+    # (i, g), its rows decoded through unpack and that entry included under
+    # a key (-1, i, g), is integerize_column of its field column: integers
+    # over QQ, IntPoly tuples (polynomials over Z in t) over QQ(t)
     x0, x1, x2 = (var(3, k) for k in range(3))
     f = ((x0 ** 3).scale(Fraction(1, 2)) + (x1 ** 3).scale(Fraction(2, 3))
          + (x2 ** 3).scale(6) - (x0 * x1 * x2).scale(4))
@@ -377,13 +377,57 @@ def test_template_columns_are_the_lifted_columns():
             for i, p in enumerate(partials):
                 for g in monomial_basis(3, d - 2):
                     row = (-1, i, g)
-                    col = columns.column(i, g)
+                    col = {columns.unpack(r): c for r, c
+                           in columns.column(i, columns.pack(g)).items()}
                     col[row] = columns.scale[i]
                     field_col = {tuple(a + b for a, b in zip(g, mu)): c
                                  for mu, c in p.terms.items()}
                     field_col[row] = form.field.one
                     assert col == integerize_column(field_col)
                     assert all(map(lifted[form.field], col.values()))
+
+
+def monomials_of_degree(nvars, d):
+    """Exponent vectors of degree d in nvars variables, as the gaps between
+    nvars - 1 cut points of 0..d."""
+    def gaps(cuts):
+        ends = [0, *sorted(cuts), d]
+        return tuple(b - a for a, b in zip(ends, ends[1:]))
+    return st.lists(st.integers(0, d), min_size=nvars - 1,
+                    max_size=nvars - 1).map(gaps)
+
+
+@st.composite
+def packings(draw):
+    """nvars, a row degree d, monomials g and mu whose degrees sum to d, and
+    a list of monomials of degree d."""
+    nvars, d = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    a = draw(st.integers(0, d))
+    return (nvars, d, draw(monomials_of_degree(nvars, a)),
+            draw(monomials_of_degree(nvars, d - a)),
+            draw(st.lists(monomials_of_degree(nvars, d), min_size=1,
+                          max_size=20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packings())
+def test_packing_is_injective_lex_ordered_and_additive(case):
+    # MacaulayColumns packs x^nu as a base-(d+1) integer for rows of degree
+    # d: distinct monomials get distinct keys, keys of degree d compare as
+    # their exponent tuples (lex), a product's key is the sum of its
+    # factors' keys, and unpack inverts pack
+    nvars, d, g, mu, rows = case
+    # the partials of sum x_k^2 have degree 1, so the sources degree d - 1
+    partials = [Polynomial.variable(QQ, nvars, k).scale(2)
+                for k in range(nvars)]
+    columns = griffiths.MacaulayColumns(partials, nvars, d - 1)
+    pack, unpack = columns.pack, columns.unpack
+    product = tuple(a + b for a, b in zip(g, mu))
+    monomials = {g, mu, product, *rows}
+    assert len({pack(nu) for nu in monomials}) == len(monomials)
+    assert all((pack(a) < pack(b)) == (a < b) for a in rows for b in rows)
+    assert pack(g) + pack(mu) == pack(product)
+    assert all(unpack(pack(nu)) == nu for nu in monomials)
 
 
 # ---- class blocks: one Macaulay rank per symmetry orbit -------------------
@@ -521,14 +565,16 @@ def class_listing(listing, classes):
 def assert_class_listing_is_the_filtered_listing(f, degrees):
     """MacaulayColumns.kept(classes) lists, class by class and in the same
     order within each class, the (i, g, w) that filtering every kept
-    column by the class of g - e_i gives (filtered_macaulay_columns)."""
+    column by the class of g - e_i gives (filtered_macaulay_columns); both
+    listings' g decoded through MacaulayColumns.unpack."""
     m, nvars = f.homogeneous_degree(), f.nvars
     partials = [f.partial_derivative(k) for k in range(nvars)]
     classes, oracle = orbit_classes(f), orbit_classes(f)
     for d in degrees:
         columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
         want = class_listing(filtered_macaulay_columns(columns, oracle), oracle)
-        assert class_listing(columns.kept(classes), oracle) == want, d
+        got = ((i, columns.unpack(g), w) for i, g, w in columns.kept(classes))
+        assert class_listing(got, oracle) == want, d
 
 
 LISTING_ORACLE = {
