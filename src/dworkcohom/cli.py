@@ -467,21 +467,35 @@ def corpus_runner(directory=None) -> tuple:
     """Run every <name>.job.json against <name>.expect.json in a directory.
 
     Returns (exit code, summary).  Jobs run one at a time in sorted order.
-    A bad job file and a missing or unreadable expectation file are
-    infrastructure failures, and a job that raises an exception run_job
-    does not map to an exit code is an error row with its traceback; both
-    are kept distinct from dimension mismatches.  A path that is not a
-    directory raises ValueError before any job runs.
+    A bad job file, a missing or unreadable expectation file and an
+    expectation file with no job are infrastructure failures, and a job
+    that raises an exception run_job does not map to an exit code is an
+    error row with its traceback; both are kept distinct from dimension
+    mismatches.  A path that is not a directory, or a directory with no
+    job file, raises ValueError before any job runs.
     """
     directory = Path(directory) if directory else bundled_corpus_dir()
     if not directory.is_dir():
         raise ValueError(f"not a corpus directory: {directory}")
+
+    def names(suffix):
+        return {p.name[:-len(suffix)] for p in directory.glob(f"*{suffix}")}
+
+    jobs = names(".job.json")
+    if not jobs:
+        raise ValueError(f"no *.job.json file in the corpus directory: "
+                         f"{directory}")
+    orphans = names(".expect.json") - jobs
     rows = []
-    for job_path in sorted(directory.glob("*.job.json")):
-        name = job_path.name[:-len(".job.json")]
+    # rows in the order of their job file names
+    for name in sorted(jobs | orphans, key=lambda n: f"{n}.job.json"):
+        job_path = directory / f"{name}.job.json"
         expect_path = directory / f"{name}.expect.json"
         row = {"name": name}
         rows.append(row)
+        if name in orphans:
+            row.update(status="infrastructure", detail="missing job file")
+            continue
         try:
             job = Job.from_dict(json.loads(job_path.read_text()))
         except (ValueError, OSError) as exc:

@@ -56,6 +56,38 @@ stops at once with x^nu itself as the residue and no Macaulay combination,
 and reduce returns the unit vector of (d, nu).  On the standard basis U is
 the identity, and connection_matrix reads X = R off the reduced
 perturbation products (see connection_matrix).
+
+Smoothness.  The reducer needs F smooth (over QQ(t), its generic member).
+Where the socle degree sigma = (n+1)(m-2) is a degree of the top strand,
+that is where m divides n+1, as for every Dwork pencil, the echelon the
+standard basis needs at sigma decides it, and no Macaulay rank is taken.
+It rests on two facts of the Jacobian ring R = S/J (griffiths module
+docstring; Griffiths, Ann. of Math. 1969): R vanishes at sigma + 1 exactly
+when F is smooth, and for a smooth F the socle R_sigma has dimension 1.
+
+A pivot sits at the largest row of its column, and the order (lex within
+a degree) is multiplicative, so the pivot rows of degree d are exactly the
+leading monomials LT(v) of the nonzero v in J_d, and the standard
+monomials are the others.  Call a monomial nu of degree sigma + 1 an
+orphan when every nu / x_j, for x_j dividing nu, is standard at sigma.  A
+monomial that is not an orphan has a parent u = nu / x_j with u = LT(v),
+v in J_sigma; then x_j v lies in J_(sigma+1), and LT(x_j v) = x_j LT(v) =
+nu.  So every non-orphan is a pivot row of degree sigma + 1, and
+R_(sigma+1) = 0, the test smooth_profile ranks, holds exactly when every
+orphan is a pivot row too.  When sigma has more or fewer than one
+standard monomial, F is singular and nothing more is eliminated; this
+early exit keeps singular members from walking large blocks.  When it has
+one, s, every parent of an orphan is s, so an orphan has a single
+variable: the orphans are the s * x_k for s a power of x_k, that is
+x_k^(sigma+1), or every x_k when sigma = 0.  Whether a row is a pivot row
+is decided by its block alone (_DegreeSolver), so only the blocks of the
+orphans are eliminated.  On the Dwork quintic at t = 2, s = x4^15 and the
+block of x4^16 has 57 of degree 16's 4,845 rows, where smooth_profile
+ranks the classed matrix of degree 16; the Fermat quintic's socle
+monomial (x0..x4)^3 has no orphan, so nothing more is eliminated.  The
+argument holds over any field, so over QQ(t) it certifies the generic
+member, as the rank does.  Where sigma is not a degree of the top strand
+(x0^3 + x1^3, the Fermat cubic in four variables), smooth_profile decides.
 """
 
 from __future__ import annotations
@@ -68,7 +100,8 @@ from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_add, poly_div_exact,
                      poly_eval, poly_gcd, poly_mul, poly_neg, poly_primitive,
                      poly_pseudo_rem, poly_str, poly_zgcd)
-from .griffiths import MacaulayColumns, koszul_redundant, smooth_profile
+from .griffiths import (MacaulayColumns, jacobian_degree, koszul_redundant,
+                        smooth_profile)
 from .matrices import integerize_column
 from .poly import Polynomial, add_term, monomial_basis
 from .reports import Check, Verdict
@@ -184,16 +217,28 @@ class _DegreeSolver:
                                     for mu, _ in columns.templates[i]])
                         for i, leads in columns.leads.items()]
 
-    def _eliminate(self, i, g, col):
-        """Reduce Macaulay column (i, g), g packed, and store its pivot.
+    def _eliminate(self, listing):
+        """Reduce each Macaulay column (i, g, col) of listing in turn, g
+        packed and col MacaulayColumns.column(i, g), and store its pivot.
 
-        col is MacaulayColumns.column(i, g); the augmentation entry makes it
-        the column that integerize_column would give the augmented one.
+        The augmentation entry makes col the column that integerize_column
+        would give the augmented one.  Each column is head-reduced as in
+        ``_reduce``, by one loop inline for the whole listing: a column
+        stops at its first non-pivot row, which becomes its pivot, or when
+        only augmentation entries remain, and is then dropped.
         """
-        col[-2 - (g * self.columns.nvars + i)] = self.columns.scale[i]
-        r, col = self._reduce(col)
-        if r is not None:
-            self.pivots[r] = col
+        pivots, step = self.pivots, self._step
+        scale, nvars = self.columns.scale, self.columns.nvars
+        for i, g, col in listing:
+            col[-2 - (g * nvars + i)] = scale[i]
+            r = max(col)
+            while r >= 0:
+                pcol = pivots.get(r)
+                if pcol is None:
+                    pivots[r] = col
+                    break
+                col = step(col, pcol, r)
+                r = max(col)
 
     def _close(self, rows):
         """Eliminate every column of the blocks that meet rows and are open.
@@ -227,15 +272,16 @@ class _DegreeSolver:
                         if s not in closed:
                             closed.add(s)
                             stack.append(s)
-        for i, g in sorted(found, key=lambda k: (k[0], -k[1])):
-            self._eliminate(i, g, found[i, g])
+        self._eliminate((i, g, found[i, g])
+                        for i, g in sorted(found, key=lambda k: (k[0], -k[1])))
 
     def _reduce(self, col):
         """Head-reduce an augmented column with the stored pivots.
 
         Stops at the first non-pivot row, returned with the column, or when
         only augmentation entries remain (returns None as the row).  The
-        augmentation entries keep every column nonzero.
+        augmentation entries keep every column nonzero.  ``solve`` reduces
+        through this; ``_eliminate`` runs the same loop inline.
         """
         pivots, step = self.pivots, self._step
         while True:
@@ -256,10 +302,10 @@ class _DegreeSolver:
         closed = self._closed_rows
         if len(closed) < len(keys):
             columns = self.columns
-            for i, g in columns.kept():
-                col = columns.column(i, g)
-                if next(iter(col)) not in closed:   # its block is open
-                    self._eliminate(i, g, col)
+            self._eliminate((i, g, col) for i, g in columns.kept()
+                            # its block is open
+                            if next(iter(col := columns.column(i, g)))
+                            not in closed)
             closed.update(keys)
         pivots = self.pivots
         return [nu for nu, r in zip(monomials, keys) if r not in pivots]
@@ -286,29 +332,58 @@ class GriffithsDworkReducer:
 
     std_basis lists the basis as (degree, exponent tuple); std_index maps
     (degree, packed monomial), packed by that degree's solver, to its
-    position.
+    position.  A singular F (over QQ(t), a singular generic member) raises
+    NotSmoothError.  Where the socle degree is a standard degree, its
+    echelon is built first and decides smoothness: one standard monomial,
+    and every orphan of the degree above a pivot row of its block (module
+    docstring, "Smoothness"); elsewhere smooth_profile decides.
     """
 
     def __init__(self, f: Polynomial):
-        profile = smooth_profile(f)
-        if profile is None:
-            raise NotSmoothError(
-                "Griffiths-Dwork reduction needs a smooth (generic) member")
+        self.m = m = jacobian_degree(f)
         self.f = f
         self.field = f.field
         self.nvars = f.nvars
-        self.m = profile.modulus
         self.partials = [f.partial_derivative(k) for k in range(f.nvars)]
-        self.top_residue = (-f.nvars) % self.m
-        self.std_degrees = [d for d in range(profile.socle + 1)
-                            if d % self.m == self.top_residue]
+        self.top_residue = (-f.nvars) % m
+        socle = f.nvars * (m - 2)
+        self.std_degrees = [d for d in range(socle + 1)
+                            if d % m == self.top_residue]
         self._solvers = {}
+        standard = {}
+        if socle % m == self.top_residue:
+            # the socle degree first: its echelon decides smoothness
+            standard[socle] = self._solver(socle).standard_monomials
+            smooth = self._socle_certifies(standard[socle])
+        else:
+            smooth = smooth_profile(f) is not None
+        if not smooth:
+            raise NotSmoothError(
+                "Griffiths-Dwork reduction needs a smooth (generic) member")
         self.std_basis, self.std_index = [], {}
         for d in self.std_degrees:
             solver = self._solver(d)
-            for nu in solver.standard_monomials:
+            for nu in standard.get(d) or solver.standard_monomials:
                 self.std_index[d, solver.columns.pack(nu)] = len(self.std_basis)
                 self.std_basis.append((d, nu))
+
+    def _socle_certifies(self, top) -> bool:
+        """F is smooth, given top, the standard monomials of the socle
+        degree (module docstring, "Smoothness"): top is one monomial s, and
+        every orphan of the degree above, s * x_k for s a power of x_k, is
+        a pivot row once its block is eliminated."""
+        if len(top) != 1:
+            return False
+        (s,) = top
+        orphans = [s[:k] + (e + 1,) + s[k + 1:] for k, e in enumerate(s)
+                   if e == sum(s)]
+        if not orphans:
+            return True
+        solver = _DegreeSolver(self.partials, self.field, self.nvars,
+                               self.m - 1, sum(s) + 1)
+        keys = list(map(solver.columns.pack, orphans))
+        solver._close(keys)
+        return all(r in solver.pivots for r in keys)
 
     def _solver(self, d: int) -> _DegreeSolver:
         s = self._solvers.get(d)

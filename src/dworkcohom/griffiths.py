@@ -393,6 +393,19 @@ def _koszul_hilbert(m: int, nvars: int, d: int) -> int:
                for k in range(min(nvars, d // (m - 1)) + 1))
 
 
+def jacobian_degree(f: Polynomial) -> int:
+    """The degree m of f, checked to have a Jacobian ring with a socle:
+    f nonzero, homogeneous, and m >= 2."""
+    if not f:
+        raise ValueError("zero polynomial has no Jacobian ring")
+    m = f.homogeneous_degree()
+    if m is None:
+        raise NonHomogeneousError("Jacobian profile needs a homogeneous input")
+    if m < 2:
+        raise ValueError("Jacobian profile needs degree >= 2")
+    return m
+
+
 def _smooth_or_singular(f: Polynomial):
     """(smooth profile, None) for a smooth f, else (None, singular).
 
@@ -403,14 +416,7 @@ def _smooth_or_singular(f: Polynomial):
     degree once.  The ranks eliminate one class per symmetry orbit where
     symmetry_classes gives classes, asked only when a rank is needed.
     """
-    if not f:
-        raise ValueError("zero polynomial has no Jacobian ring")
-    m = f.homogeneous_degree()
-    if m is None:
-        raise NonHomogeneousError("Jacobian profile needs a homogeneous input")
-    if m < 2:
-        raise ValueError("Jacobian profile needs degree >= 2")
-    nvars = f.nvars
+    m, nvars = jacobian_degree(f), f.nvars
     partials = [f.partial_derivative(k) for k in range(nvars)]
     socle = nvars * (m - 2)
     coprime = coprime_leads(partials)
@@ -431,7 +437,11 @@ def _smooth_or_singular(f: Polynomial):
 
 def smooth_profile(f: Polynomial):
     """jacobian_hilbert(f) for a smooth f, None for a singular one: the
-    smooth flag from at most one Macaulay rank, at socle+1."""
+    smooth flag from at most one Macaulay rank, at socle+1.
+    GriffithsDworkReducer asks this only where the socle degree is not on
+    its top strand; elsewhere the echelon it builds at the socle degree
+    decides the same flag with no rank (gaussmanin module docstring,
+    "Smoothness")."""
     return _smooth_or_singular(f)[0]
 
 

@@ -10,13 +10,13 @@ from dworkcohom.exceptions import BasisError, ParseError, UnknownVariableError
 from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               strand_basis, strand_basis_at_degree,
                               twisted_column)
-from dworkcohom.gaussmanin import (_SCALE, GriffithsDworkReducer, _dense,
-                                   _solve_square, connection_matrix)
+from dworkcohom.gaussmanin import (_SCALE, GriffithsDworkReducer, _DegreeSolver,
+                                   _dense, _solve_square, connection_matrix)
 from dworkcohom.fields import RatFunc
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import (IntRankAccumulator, _RankAccumulator,
                                  integerize_column, primitive_column)
-from dworkcohom.poly import add_term, count_monomials
+from dworkcohom.poly import add_term, count_monomials, monomial_basis
 from dworkcohom.reports import Check
 
 
@@ -245,6 +245,38 @@ def division_solve(solver, part):
     std, combo = decoded_column(solver, col)
     return ({nu: quotient(c, scale) for nu, c in std.items()},
             {key: -quotient(c, scale) for key, c in combo.items()})
+
+
+class PerColumnSolver(_DegreeSolver):
+    """_DegreeSolver with the elimination it had before one loop served a
+    whole listing: ``_close`` and ``standard_monomials`` reduce each column
+    by its own ``_eliminate_one`` call, which calls ``_reduce``.  The
+    oracle of the batch loop: both must store the same pivots."""
+
+    def _eliminate_one(self, i, g, col):
+        col[-2 - (g * self.columns.nvars + i)] = self.columns.scale[i]
+        r, col = self._reduce(col)
+        if r is not None:
+            self.pivots[r] = col
+
+    def _eliminate(self, listing):
+        for i, g, col in listing:
+            self._eliminate_one(i, g, col)
+
+    @property
+    def standard_monomials(self):
+        monomials = monomial_basis(self.columns.nvars, self.degree)
+        keys = list(map(self.columns.pack, monomials))
+        closed = self._closed_rows
+        if len(closed) < len(keys):
+            columns = self.columns
+            for i, g in columns.kept():
+                col = columns.column(i, g)
+                if next(iter(col)) not in closed:   # its block is open
+                    self._eliminate_one(i, g, col)
+            closed.update(keys)
+        pivots = self.pivots
+        return [nu for nu, r in zip(monomials, keys) if r not in pivots]
 
 
 class DivisionReducer(GriffithsDworkReducer):

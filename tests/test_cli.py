@@ -441,9 +441,37 @@ def test_bundled_corpus_passes():
     assert summary["passed"] == summary["total"] == 5
 
 
-def test_corpus_empty_directory(tmp_path):
+def test_corpus_empty_directory(tmp_path, capsys):
+    # a corpus with no job proves nothing: a JSON error with exit 1, even
+    # when expectations are there
+    for files in ([], ["a.expect.json"]):
+        for name in files:
+            (tmp_path / name).write_text(json.dumps({"exit_code": 0}))
+        with pytest.raises(ValueError, match="no \\*.job.json file"):
+            corpus_runner(tmp_path)
+        code = main(["verify", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["error"] == (
+            f"no *.job.json file in the corpus directory: {tmp_path}")
+
+
+def test_corpus_expectation_without_a_job(tmp_path, capsys):
+    # an expectation whose job is missing is never checked: an
+    # infrastructure row, in job-file order among the others
+    (tmp_path / "b.job.json").write_text(json.dumps(
+        {"command": "hodge", **CUBIC}))
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.expect.json").write_text(
+            json.dumps({"exit_code": 0}))
     code, summary = corpus_runner(tmp_path)
-    assert code == 0 and summary["total"] == 0
+    assert code == 1
+    assert [(r["name"], r["status"], r["detail"]) for r in summary["rows"]] == [
+        ("a", "infrastructure", "missing job file"), ("b", "pass", ""),
+        ("c", "infrastructure", "missing job file")]
+    code = main(["verify", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1 and "a  infrastructure  missing job file" in out
+    assert "1/3 passed, 2 infrastructure" in out
 
 
 def test_verify_needs_a_directory(tmp_path, capsys):

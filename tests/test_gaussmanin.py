@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
                         connection_properties_check, family_connection_matrix,
@@ -19,7 +19,7 @@ from dworkcohom.gaussmanin import (ConnectionMatrix, GriffithsDworkReducer,
                                    _DegreeSolver, _rational_roots,
                                    connection_matrix)
 from dworkcohom.fields import poly_mul
-from _helpers import (DivisionReducer, _test_invertible_matrix,
+from _helpers import (DivisionReducer, PerColumnSolver, _test_invertible_matrix,
                       all_macaulay_columns, cross_multiplied_step,
                       dense_matmul, fermat, field_solve,
                       solved_conjugation_check, solved_connection_matrix,
@@ -710,3 +710,134 @@ def test_quintic_matrix_builds_one_quotient_per_nonzero_entry(monkeypatch):
     strings = mat.entry_strings()
     assert len(formatted) == 396
     assert sum(s != "0" for row in strings for s in row) == 396
+
+
+# ---- smoothness from the reducer's own socle echelon --------------------
+
+
+def pencil_member(m, t0, field=QQ):
+    """x_0^m + ... + x_(m-1)^m - m t0 x_0..x_(m-1), over field."""
+    prod = Polynomial.monomial(field, m, (1,) * m)
+    return fermat(m, m, field) + prod.scale(field.one * (-m) * t0)
+
+
+def binary_cubic(field=QQ, cross=0):
+    """x0^3 + x1^3 + cross * x0*x1^2: its socle degree 2 is off the top
+    strand, so the reducer asks smooth_profile."""
+    x0, x1 = var(2, 0, field), var(2, 1, field)
+    return x0 ** 3 + x1 ** 3 + (x0 * x1 ** 2).scale(field.one * cross)
+
+
+x = [var(4, k) for k in range(4)]
+# name -> (F, smooth); the singular members with one socle monomial (the
+# nodal cubic, the cone, x0^2) are decided by their orphans alone
+SMOOTHNESS = {
+    "nodal-cubic": (var(3, 1) ** 2 * var(3, 2) - var(3, 0) ** 3
+                    - var(3, 0) ** 2 * var(3, 2), False),
+    "cone-x0*x1-x2^2": (x[0] * x[1] - x[2] ** 2, False),
+    "x0^2": (var(2, 0) ** 2, False),
+    "x0*x1+x2*x3": (x[0] * x[1] + x[2] * x[3], True),
+    "x0^2+x1^2": (fermat(2, 2), True),
+    "fermat-quintic": (fermat(5, 5), True),
+    **{f"pencil-{m}-t={t0}": (pencil_member(m, t0), smooth)
+       for m, singular in [(3, {1}), (4, {1, -1}), (5, {1})]
+       for t0 in (2, Fraction(1, 2), 1, -1)
+       for smooth in [t0 not in singular]},
+    **{f"pencil-{m}-QQ(t)": (pencil_member(m, T, QQ_T), True)
+       for m in (3, 4, 5)},
+    **{f"cubic-family-{name}": (cubic_family(name)[0].symbolic(), True)
+       for name in CUBIC_FAMILIES},
+    "x0^3+x1^3": (binary_cubic(), True),
+    "x0^3+x1^3+t*x0*x1^2": (binary_cubic(QQ_T, T), True),
+    "fermat-cubic-4": (fermat(3, 4), True),
+}
+
+
+def refuses(f) -> bool:
+    try:
+        GriffithsDworkReducer(f)
+    except NotSmoothError as exc:
+        assert str(exc) == ("Griffiths-Dwork reduction needs a smooth "
+                            "(generic) member")
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", SMOOTHNESS)
+def test_reducer_refuses_exactly_the_singular_profiles(name):
+    # the socle certificate against the rank at socle + 1 it replaces
+    f, smooth = SMOOTHNESS[name]
+    assert (griffiths.smooth_profile(f) is not None) == smooth
+    assert refuses(f) == (not smooth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reducer_refuses_exactly_the_singular_forms(data):
+    # ternary cubics and quaternary quartics, m = nvars, so the socle
+    # degree is on the top strand: a diagonal part, some terms dropped,
+    # and up to three other terms
+    m = data.draw(st.sampled_from([3, 4]))
+    coefficient = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+    diagonal = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                                  min_size=m, max_size=m))
+    terms = {tuple(m * (j == k) for j in range(m)): c
+             for k, c in enumerate(diagonal) if c}
+    terms.update(data.draw(st.dictionaries(
+        st.sampled_from(monomial_basis(m, m)), coefficient, max_size=3)))
+    f = Polynomial(QQ, m, {nu: Fraction(c) for nu, c in terms.items()})
+    assume(f)
+    assert refuses(f) == (griffiths.smooth_profile(f) is None)
+
+
+@pytest.mark.parametrize("f, ranks, closes", [
+    (dwork_quintic()[0], [], [(16, 57)]),
+    (binary_cubic(QQ_T, T), [3], []),
+    (fermat(5, 5), [], []),
+], ids=["quintic-t=2", "x0^3+x1^3+t*x0*x1^2", "fermat-quintic"])
+def test_reducer_certifies_smoothness_without_a_rank(monkeypatch, f, ranks,
+                                                     closes):
+    # a cost pin: on the quintic at t = 2 the socle x4^15 leaves one
+    # orphan, x4^16, whose block of 57 rows is the only one closed at
+    # degree 16, and no Macaulay rank is taken; the Fermat quintic's socle
+    # monomial has no orphan; the binary cubic's socle degree 2 is off the
+    # top strand, so smooth_profile ranks degree 3
+    ranked, closed = [], []
+    rank, close = griffiths.macaulay_rank, _DegreeSolver._close
+
+    def counted_rank(partials, nvars, gen_degree, d, classes=None):
+        ranked.append(d)
+        return rank(partials, nvars, gen_degree, d, classes)
+
+    def counted_close(self, rows):
+        before = len(self._closed_rows)
+        close(self, rows)
+        closed.append((self.degree, len(self._closed_rows) - before))
+
+    monkeypatch.setattr(griffiths, "macaulay_rank", counted_rank)
+    monkeypatch.setattr(_DegreeSolver, "_close", counted_close)
+    GriffithsDworkReducer(f)
+    assert ranked == ranks and closed == closes
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["QQ", "QQ(t)"])
+@pytest.mark.parametrize("m", [3, 4, 5], ids=["cubic", "k3", "quintic"])
+def test_batch_elimination_is_the_per_column_elimination(m, symbolic):
+    # at each standard degree and the degree above the socle: close the
+    # block of x_n^d, as the certificate does, then read the standard
+    # monomials; the batch loop stores the pivots the per-column loop does,
+    # the same columns in the same order
+    f = pencil_member(m, T, QQ_T) if symbolic else pencil_member(m, 2)
+    partials = [f.partial_derivative(k) for k in range(m)]
+    socle = m * (m - 2)
+    for d in [*range(0, socle + 1, m), socle + 1]:
+        new, old = (cls(partials, f.field, m, m - 1, d)
+                    for cls in (_DegreeSolver, PerColumnSolver))
+        steps = [lambda s: s._close([s.columns.pack((0,) * (m - 1) + (d,))])]
+        if d <= socle:
+            steps.append(lambda s: s.standard_monomials)
+        for step in steps:
+            assert step(new) == step(old)
+            assert ([(r, list(c.items())) for r, c in new.pivots.items()]
+                    == [(r, list(c.items())) for r, c in old.pivots.items()])
+        assert new.pivots

@@ -154,14 +154,15 @@ def test_smooth_profile_is_the_smooth_jacobian_profile(name):
 
 
 def test_route_choice_ranks_once_on_singular_input(ranked):
-    # the window route needs only the smooth flag, and so does the
-    # reducer: one rank each, at socle + 1 = 16, not every degree
+    # the window route needs only the smooth flag: one rank, at socle + 1 =
+    # 16, not every degree; the reducer takes none, since the socle degree
+    # 15 is on its top strand and its own echelon there decides
     f = var(5, 0) * var(5, 1) * var(5, 2) * var(5, 3) * var(5, 4)
     assert _Complexes(f).profile is None
     assert ranked == [16]
     with pytest.raises(NotSmoothError):
         GriffithsDworkReducer(f)
-    assert ranked == [16, 16]
+    assert ranked == [16]
 
 
 # ---- the coprime-lead certificate against the rank path -----------------
