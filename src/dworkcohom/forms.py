@@ -393,11 +393,6 @@ class ExponentClasses:
             echelon.append((c, piv[c], tuple((k, a) for k, a in enumerate(piv)
                                              if a)))
         self.echelon = tuple(echelon)
-        self.under(gens)
-
-    def under(self, gens) -> "ExponentClasses":
-        """Let the symmetries gens act on these classes, in place of any
-        given before, and return self; the echelon is kept."""
         levels = {}
         for s in gens:
             first = next(k for k, j in enumerate(s) if j != k)
@@ -405,7 +400,6 @@ class ExponentClasses:
                 tuple(sorted(range(len(s)), key=s.__getitem__)))
         self.levels = tuple(levels[k] for k in sorted(levels, reverse=True))
         self.sizes = {}
-        return self
 
     def reduce(self, v) -> tuple:
         """The key of the class of the integer vector v."""

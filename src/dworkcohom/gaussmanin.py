@@ -58,12 +58,14 @@ the identity, and connection_matrix reads X = R off the reduced
 perturbation products (see connection_matrix).
 
 Smoothness.  The reducer needs F smooth (over QQ(t), its generic member).
-Where the socle degree sigma = (n+1)(m-2) is a degree of the top strand,
-that is where m divides n+1, as for every Dwork pencil, the echelon the
-standard basis needs at sigma decides it, and no Macaulay rank is taken.
-It rests on two facts of the Jacobian ring R = S/J (griffiths module
-docstring; Griffiths, Ann. of Math. 1969): R vanishes at sigma + 1 exactly
-when F is smooth, and for a smooth F the socle R_sigma has dimension 1.
+The echelon of the socle degree sigma = (n+1)(m-2) decides it, and no
+Macaulay rank is taken.  Where m divides n+1, as for every Dwork pencil,
+sigma is a degree of the top strand and the standard basis needs that
+echelon anyway; elsewhere (x0^3 + x1^3, the Fermat cubic in four
+variables, plane quartics) it is built for this test alone.  It rests on
+two facts of the Jacobian ring R = S/J (griffiths module docstring;
+Griffiths, Ann. of Math. 1969): R vanishes at sigma + 1 exactly when F is
+smooth, and for a smooth F the socle R_sigma has dimension 1.
 
 A pivot sits at the largest row of its column, and the order (lex within
 a degree) is multiplicative, so the pivot rows of degree d are exactly the
@@ -73,21 +75,25 @@ orphan when every nu / x_j, for x_j dividing nu, is standard at sigma.  A
 monomial that is not an orphan has a parent u = nu / x_j with u = LT(v),
 v in J_sigma; then x_j v lies in J_(sigma+1), and LT(x_j v) = x_j LT(v) =
 nu.  So every non-orphan is a pivot row of degree sigma + 1, and
-R_(sigma+1) = 0, the test smooth_profile ranks, holds exactly when every
-orphan is a pivot row too.  When sigma has more or fewer than one
-standard monomial, F is singular and nothing more is eliminated; this
-early exit keeps singular members from walking large blocks.  When it has
-one, s, every parent of an orphan is s, so an orphan has a single
-variable: the orphans are the s * x_k for s a power of x_k, that is
-x_k^(sigma+1), or every x_k when sigma = 0.  Whether a row is a pivot row
-is decided by its block alone (_DegreeSolver), so only the blocks of the
-orphans are eliminated.  On the Dwork quintic at t = 2, s = x4^15 and the
-block of x4^16 has 57 of degree 16's 4,845 rows, where smooth_profile
-ranks the classed matrix of degree 16; the Fermat quintic's socle
-monomial (x0..x4)^3 has no orphan, so nothing more is eliminated.  The
-argument holds over any field, so over QQ(t) it certifies the generic
-member, as the rank does.  Where sigma is not a degree of the top strand
-(x0^3 + x1^3, the Fermat cubic in four variables), smooth_profile decides.
+R_(sigma+1) = 0 holds exactly when every orphan is a pivot row too.  When
+sigma has more or fewer than one standard monomial, F is singular and
+nothing more is eliminated; this early exit keeps singular members from
+walking large blocks.  When it has one, s, every parent of an orphan is
+s, so an orphan has a single variable: the orphans are the s * x_k for s
+a power of x_k, that is x_k^(sigma+1), or every x_k when sigma = 0.
+Whether a row is a pivot row is decided by its block alone
+(_DegreeSolver), so only the blocks of the orphans are eliminated.  On the
+Dwork quintic at t = 2, s = x4^15 and the block of x4^16 has 57 of degree
+16's 4,845 rows; the Fermat quintic's socle monomial (x0..x4)^3 has no
+orphan, so nothing more is eliminated.
+
+Nothing here asks for sigma > 0 or for m to divide n+1, so the test holds
+for every sigma.  At sigma = 0 (m = 2) the socle degree has the one
+standard monomial 1, the early exit never fires, every x_k is an orphan,
+and the test asks that the linear partials span degree 1: that the
+quadric is nondegenerate, which is smoothness.  The argument holds over
+any field, so over QQ(t) it certifies the generic member, as the rank
+does (griffiths.smooth_profile, which the reducer does not ask).
 """
 
 from __future__ import annotations
@@ -100,8 +106,7 @@ from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_add, poly_div_exact,
                      poly_eval, poly_gcd, poly_mul, poly_neg, poly_primitive,
                      poly_pseudo_rem, poly_str, poly_zgcd)
-from .griffiths import (MacaulayColumns, jacobian_degree, koszul_redundant,
-                        smooth_profile)
+from .griffiths import MacaulayColumns, jacobian_degree, koszul_redundant
 from .matrices import integerize_column
 from .poly import Polynomial, add_term, monomial_basis
 from .reports import Check, Verdict
@@ -333,10 +338,9 @@ class GriffithsDworkReducer:
     std_basis lists the basis as (degree, exponent tuple); std_index maps
     (degree, packed monomial), packed by that degree's solver, to its
     position.  A singular F (over QQ(t), a singular generic member) raises
-    NotSmoothError.  Where the socle degree is a standard degree, its
-    echelon is built first and decides smoothness: one standard monomial,
-    and every orphan of the degree above a pivot row of its block (module
-    docstring, "Smoothness"); elsewhere smooth_profile decides.
+    NotSmoothError.  The echelon of the socle degree is built first and
+    decides smoothness: one standard monomial, and every orphan of the
+    degree above a pivot row of its block (module docstring, "Smoothness").
     """
 
     def __init__(self, f: Polynomial):
@@ -350,20 +354,14 @@ class GriffithsDworkReducer:
         self.std_degrees = [d for d in range(socle + 1)
                             if d % m == self.top_residue]
         self._solvers = {}
-        standard = {}
-        if socle % m == self.top_residue:
-            # the socle degree first: its echelon decides smoothness
-            standard[socle] = self._solver(socle).standard_monomials
-            smooth = self._socle_certifies(standard[socle])
-        else:
-            smooth = smooth_profile(f) is not None
-        if not smooth:
+        top = self._solver(socle).standard_monomials
+        if not self._socle_certifies(top):
             raise NotSmoothError(
                 "Griffiths-Dwork reduction needs a smooth (generic) member")
         self.std_basis, self.std_index = [], {}
         for d in self.std_degrees:
             solver = self._solver(d)
-            for nu in standard.get(d) or solver.standard_monomials:
+            for nu in top if d == socle else solver.standard_monomials:
                 self.std_index[d, solver.columns.pack(nu)] = len(self.std_basis)
                 self.std_basis.append((d, nu))
 
@@ -379,8 +377,7 @@ class GriffithsDworkReducer:
                    if e == sum(s)]
         if not orphans:
             return True
-        solver = _DegreeSolver(self.partials, self.field, self.nvars,
-                               self.m - 1, sum(s) + 1)
+        solver = self._solver(sum(s) + 1)
         keys = list(map(solver.columns.pack, orphans))
         solver._close(keys)
         return all(r in solver.pivots for r in keys)

@@ -80,54 +80,6 @@ lex leads dF_1..dF_n by the deformation monomials prod(x)/x_j.
 A column (i, g) repeats the coefficients of dF_i on the rows g * mu, so
 MacaulayColumns lifts each partial once, and column (i, g) only moves the
 lifted coefficients to the rows g * mu.
-
-Class blocks.  A rank splits into blocks by exponent-lattice class, and
-symmetric blocks share their ranks (as in the window engine, linalg
-docstring; Faugere and Svartz, ISSAC 2013, split Groebner bases of ideals
-invariant under a group of characters the same way).  Let L be the
-lattice spanned by the exponents of F (forms.ExponentClasses).
-
-* Rows: every term of dF_i is a term mu of F less e_i, so every row
-  g * (mu - e_i) of column (i, g) lies in the class of g - e_i mod L.
-  Columns of different classes share no row, the matrix is block-diagonal
-  by class, and its rank is the sum of the ranks of its class blocks.
-* Pruning: in the F5 identity above, the columns (j, h * nu) for nu a
-  term of dF_i and (i, h * t) for t a term of dF_j lie in the class of
-  h - e_i - e_j, which is that of g - e_i for g = h * LT(dF_j).  So the
-  kept columns of a class span all columns of that class.
-* Orbits: a permutation s of the variables that fixes F sends dF_i to
-  dF_s(i), so it sends the column g * dF_i to s(g) * dF_s(i) and the
-  block of a class onto the block of its image class.  With the pruning,
-  the kept columns of either class span its block, so the classes of one
-  orbit have equal ranks.
-
-So macaulay_rank, given the classes and symmetries of F, lists only the
-kept columns of one class per orbit and counts each stored pivot by the
-orbit size of its class.  MacaulayColumns.kept keys each source g once
-and groups the sources by class.  The class of g - e_i is then the same
-for every g of one class, so each (class, partial) pair is weighed once,
-and only the sources of a class whose shift represents its orbit are
-built, filtered by koszul_redundant and fed.  This stores the pivots that
-filtering the whole Macaulay order column by column stored:
-
-* columns of different classes share no row;
-* the accumulator (matrices._RankAccumulator) compares births, row use,
-  entry sizes and rows only over the rows of the column being reduced,
-  so a column's reduction and its pivot depend only on the columns of
-  its own class fed before it;
-* within each class the listing keeps Macaulay order: i ascending, then
-  g lex-descending.
-
-So every stored pivot, the rank and the count of elimination steps are
-those of the filtered order; only the interleaving across classes
-changes.  jacobian_hilbert builds the classes only when it ranks at all
-(never on coprime leads, so Fermat inputs pay no symmetry search), and
-only when L has rank nvars and F a symmetry: a lattice of lower rank
-leaves the classes of one degree small (one monomial each on x0*x1*x2),
-and there the class keys cost more than the columns they save.  On the
-Dwork quintic at socle+1, 125 classes fall into 5 orbits, and only 215
-of the 4,845 kept columns are listed: the 1,820 sources are keyed once
-each and the 625 (class, partial) pairs weighed once each.
 """
 
 from __future__ import annotations
@@ -138,13 +90,12 @@ from operator import mul
 
 from .exceptions import NonHomogeneousError, NotSmoothError
 from .fields import QQ
-from .forms import (ColumnStencil, ExponentClasses, StrandSpec, strand_basis,
+from .forms import (ColumnStencil, StrandSpec, strand_basis,
                     strand_basis_at_degree, validate_twist_input)
 from .linalg import ComplexDims
 from .matrices import (FieldRankAccumulator, IntRankAccumulator, integerize_column,
                        primitive_column)
-from .poly import (Polynomial, count_monomials, monomial_basis,
-                   variable_symmetries)
+from .poly import Polynomial, count_monomials, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -255,8 +206,7 @@ class MacaulayColumns:
     the Koszul-redundant set are then ints, which hash and compare faster
     than tuples; each matrix has its own base, fixed by its degree.
     ``kept`` lists the columns that koszul_redundant keeps, in Macaulay
-    order, or only those of the representative classes; they span every
-    column.  Each nonzero partial is lifted once
+    order; they span every column.  Each nonzero partial is lifted once
     into a template: integerize_column of its coefficients together with
     the augmentation entry 1 that _DegreeSolver appends to a column, which
     leaves ``scale[i]`` as that entry.  Over QQ the template's entries and
@@ -297,7 +247,7 @@ class MacaulayColumns:
         g * mu."""
         return {g + mu: c for mu, c in self.templates[i]}
 
-    def kept(self, classes=None):
+    def kept(self):
         """(i, g) for every kept column, g packed, in Macaulay order: i
         ascending, then g in monomial_basis(nvars, src) order
         (lex-descending).
@@ -305,25 +255,9 @@ class MacaulayColumns:
         A partial's kept sources are those less the multiples of the leads
         before it; the cofactors of one lead degree are enumerated once,
         and each source and each multiple is packed once.
-        With classes (forms.ExponentClasses), (i, g, w) for the kept
-        columns of the representative classes only, w the orbit size of
-        the class of g - e_i, in that order within each class (module
-        docstring, "Class blocks"); only the sources listed are packed.
         """
-        sources = monomial_basis(self.nvars, self.src)
         pack = self.pack
-        if classes is not None:
-            blocks = {}
-            for g in sources:
-                blocks.setdefault(classes.reduce(g), []).append(g)
-            for i, leads in self.leads.items():
-                shift = {k[:i] + (k[i] - 1,) + k[i + 1:]: k for k in blocks}
-                for w, (k,) in classes.representatives(shift):
-                    for g in blocks[shift[k]]:
-                        if not koszul_redundant(g, leads):
-                            yield i, pack(g), w
-            return
-        sources = list(map(pack, sources))
+        sources = list(map(pack, monomial_basis(self.nvars, self.src)))
         redundant, done, cofactors = set(), 0, {}
         for i, leads in self.leads.items():
             for lt in leads[done:]:
@@ -338,47 +272,21 @@ class MacaulayColumns:
                     yield i, g
 
 
-def macaulay_rank(partials, nvars: int, gen_degree: int, d: int,
-                  classes: ExponentClasses = None) -> int:
+def macaulay_rank(partials, nvars: int, gen_degree: int, d: int) -> int:
     """Rank of (g_0..g_n) -> sum g_i * dF/dx_i landing in degree d.
 
     partials are the generators (each homogeneous of gen_degree or zero);
     the g_i run over the monomials of degree d - gen_degree, less the
     redundant ones (MacaulayColumns.kept), which leave the rank unchanged.
-
-    With classes (forms.ExponentClasses of F and symmetries of F), only the
-    kept columns of the classes that represent their orbits are listed
-    and eliminated, and each column that grows the rank counts the orbit
-    size w of its class; the module docstring ("Class blocks") shows that
-    the matrix is block-diagonal by class, that the kept columns of a
-    class span its block, and that the classes of one orbit have equal
-    ranks.
     """
     src = d - gen_degree
     if src < 0:
         return 0
     columns = MacaulayColumns(partials, nvars, src)
-    acc, rank = columns.accumulator(), 0
-    listing = (((i, g, 1) for i, g in columns.kept()) if classes is None
-               else columns.kept(classes))
-    for i, g, w in listing:
-        if acc.add_column(columns.column(i, g)):
-            rank += w
-    return rank
-
-
-def symmetry_classes(f: Polynomial):
-    """The classes of f's exponent lattice L and f's variable symmetries,
-    for macaulay_rank; None where ranking every kept column is cheaper:
-    when L has rank below nvars, so that the classes of one degree are
-    small (one monomial each on x0*x1*x2), and when f has no symmetry.
-    The rank of L is checked before the symmetry search, on the echelon
-    that the classes then keep."""
-    classes = ExponentClasses(f)
-    if len(classes.echelon) < f.nvars:
-        return None
-    gens = variable_symmetries(f)
-    return classes.under(gens) if gens else None
+    acc = columns.accumulator()
+    for i, g in columns.kept():
+        acc.add_column(columns.column(i, g))
+    return acc.rank
 
 
 def _koszul_hilbert(m: int, nvars: int, d: int) -> int:
@@ -413,18 +321,16 @@ def _smooth_or_singular(f: Polynomial):
     smoothness with no rank; otherwise one Macaulay rank, at socle+1,
     decides it.  A smooth profile is the complete-intersection series
     (_koszul_hilbert) with no further rank; singular() ranks each other
-    degree once.  The ranks eliminate one class per symmetry orbit where
-    symmetry_classes gives classes, asked only when a rank is needed.
+    degree once.
     """
     m, nvars = jacobian_degree(f), f.nvars
     partials = [f.partial_derivative(k) for k in range(nvars)]
     socle = nvars * (m - 2)
     coprime = coprime_leads(partials)
-    classes = None if coprime else symmetry_classes(f)
 
     def h(d):
-        return count_monomials(nvars, d) - macaulay_rank(
-            partials, nvars, m - 1, d, classes)
+        return count_monomials(nvars, d) - macaulay_rank(partials, nvars,
+                                                         m - 1, d)
 
     beyond = 0 if coprime else h(socle + 1)
     if beyond:
@@ -438,10 +344,9 @@ def _smooth_or_singular(f: Polynomial):
 def smooth_profile(f: Polynomial):
     """jacobian_hilbert(f) for a smooth f, None for a singular one: the
     smooth flag from at most one Macaulay rank, at socle+1.
-    GriffithsDworkReducer asks this only where the socle degree is not on
-    its top strand; elsewhere the echelon it builds at the socle degree
-    decides the same flag with no rank (gaussmanin module docstring,
-    "Smoothness")."""
+    GriffithsDworkReducer does not ask it: the echelon it builds at the
+    socle degree decides the same flag with no rank (gaussmanin module
+    docstring, "Smoothness")."""
     return _smooth_or_singular(f)[0]
 
 

@@ -625,26 +625,6 @@ def filtered_sources(classes, spec, i, e):
     return groups
 
 
-def filtered_macaulay_columns(columns, classes):
-    """(i, g, w) for each kept column (i, g) of a griffiths.MacaulayColumns
-    whose class of g - e_i represents its orbit, w its orbit size, in
-    Macaulay order; g decoded through MacaulayColumns.unpack.
-
-    macaulay_rank's column filter before MacaulayColumns.kept listed the
-    representative classes: every kept column, and a class key for each.
-    The oracle for MacaulayColumns.kept(classes); it keeps its own orbit
-    sizes and walks, so it shares no state and no orbit code with the
-    engine's classes.
-    """
-    sizes = {}
-    for i, g in columns.kept():
-        g = columns.unpack(g)
-        key = classes.reduce(g[:i] + (g[i] - 1,) + g[i + 1:])
-        w = orbit_weight(classes, sizes, key)
-        if w:
-            yield i, g, w
-
-
 class UnsplitWindowEngine:
     """The window engine without orbit sharing: every source is assembled.
 

@@ -723,19 +723,36 @@ def pencil_member(m, t0, field=QQ):
 
 def binary_cubic(field=QQ, cross=0):
     """x0^3 + x1^3 + cross * x0*x1^2: its socle degree 2 is off the top
-    strand, so the reducer asks smooth_profile."""
+    strand, so the reducer builds that degree's echelon for the socle
+    certificate alone."""
     x0, x1 = var(2, 0, field), var(2, 1, field)
     return x0 ** 3 + x1 ** 3 + (x0 * x1 ** 2).scale(field.one * cross)
 
 
 x = [var(4, k) for k in range(4)]
+y = [var(3, k) for k in range(3)]
+
+
+def plane_quartic(t0):
+    """x0^4 + x1^4 + x2^4 + t0 x0^2 x1^2, singular exactly where the binary
+    quartic x0^4 + t0 x0^2 x1^2 + x1^4 has a double root, t0 = 2 or -2;
+    m = 4 does not divide 3, so its socle degree 6 is off the top strand."""
+    return (y[0] ** 4 + y[1] ** 4 + y[2] ** 4
+            + (y[0] ** 2 * y[1] ** 2).scale(Fraction(t0)))
+
+
 # name -> (F, smooth); the singular members with one socle monomial (the
-# nodal cubic, the cone, x0^2) are decided by their orphans alone
+# nodal cubic, the cones, x0^2) are decided by their orphans alone
 SMOOTHNESS = {
     "nodal-cubic": (var(3, 1) ** 2 * var(3, 2) - var(3, 0) ** 3
                     - var(3, 0) ** 2 * var(3, 2), False),
     "cone-x0*x1-x2^2": (x[0] * x[1] - x[2] ** 2, False),
     "x0^2": (var(2, 0) ** 2, False),
+    # m does not divide nvars: sigma is off the top strand
+    "x0^2+x1^2-in-3": (y[0] ** 2 + y[1] ** 2, False),
+    "x0*x1-x2^2-in-3": (y[0] * y[1] - y[2] ** 2, True),
+    "plane-quartic-t=1": (plane_quartic(1), True),
+    "plane-quartic-t=-2": (plane_quartic(-2), False),
     "x0*x1+x2*x3": (x[0] * x[1] + x[2] * x[3], True),
     "x0^2+x1^2": (fermat(2, 2), True),
     "fermat-quintic": (fermat(5, 5), True),
@@ -775,24 +792,24 @@ def test_reducer_refuses_exactly_the_singular_profiles(name):
 @given(st.data())
 def test_reducer_refuses_exactly_the_singular_forms(data):
     # ternary cubics and quaternary quartics, m = nvars, so the socle
-    # degree is on the top strand: a diagonal part, some terms dropped,
-    # and up to three other terms
-    m = data.draw(st.sampled_from([3, 4]))
+    # degree is on the top strand, and ternary quartics, where it is not:
+    # a diagonal part, some terms dropped, and up to three other terms
+    m, nvars = data.draw(st.sampled_from([(3, 3), (4, 4), (4, 3)]))
     coefficient = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
     diagonal = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]),
-                                  min_size=m, max_size=m))
-    terms = {tuple(m * (j == k) for j in range(m)): c
+                                  min_size=nvars, max_size=nvars))
+    terms = {tuple(m * (j == k) for j in range(nvars)): c
              for k, c in enumerate(diagonal) if c}
     terms.update(data.draw(st.dictionaries(
-        st.sampled_from(monomial_basis(m, m)), coefficient, max_size=3)))
-    f = Polynomial(QQ, m, {nu: Fraction(c) for nu, c in terms.items()})
+        st.sampled_from(monomial_basis(nvars, m)), coefficient, max_size=3)))
+    f = Polynomial(QQ, nvars, {nu: Fraction(c) for nu, c in terms.items()})
     assume(f)
     assert refuses(f) == (griffiths.smooth_profile(f) is None)
 
 
 @pytest.mark.parametrize("f, ranks, closes", [
     (dwork_quintic()[0], [], [(16, 57)]),
-    (binary_cubic(QQ_T, T), [3], []),
+    (binary_cubic(QQ_T, T), [], [(3, 4)]),
     (fermat(5, 5), [], []),
 ], ids=["quintic-t=2", "x0^3+x1^3+t*x0*x1^2", "fermat-quintic"])
 def test_reducer_certifies_smoothness_without_a_rank(monkeypatch, f, ranks,
@@ -801,13 +818,14 @@ def test_reducer_certifies_smoothness_without_a_rank(monkeypatch, f, ranks,
     # orphan, x4^16, whose block of 57 rows is the only one closed at
     # degree 16, and no Macaulay rank is taken; the Fermat quintic's socle
     # monomial has no orphan; the binary cubic's socle degree 2 is off the
-    # top strand, so smooth_profile ranks degree 3
+    # top strand, and its socle monomial x1^2 leaves the orphan x1^3,
+    # whose block of 4 rows is all of degree 3
     ranked, closed = [], []
     rank, close = griffiths.macaulay_rank, _DegreeSolver._close
 
-    def counted_rank(partials, nvars, gen_degree, d, classes=None):
+    def counted_rank(partials, nvars, gen_degree, d):
         ranked.append(d)
-        return rank(partials, nvars, gen_degree, d, classes)
+        return rank(partials, nvars, gen_degree, d)
 
     def counted_close(self, rows):
         before = len(self._closed_rows)

@@ -13,15 +13,14 @@ from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomolog
                         strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
 from dworkcohom.dwork import _Complexes
-from dworkcohom.forms import ColumnStencil, ExponentClasses
+from dworkcohom.forms import ColumnStencil
 from dworkcohom.gaussmanin import GriffithsDworkReducer
 from dworkcohom.matrices import (IntRankAccumulator, integerize_column,
                                  rank_of_columns)
-from dworkcohom.poly import Polynomial, monomial_basis, variable_symmetries
+from dworkcohom.poly import Polynomial, monomial_basis
 
-from _helpers import (act, all_macaulay_columns, closure, dense_dF_only_dims,
-                      fermat, filtered_macaulay_columns, ranked_profile,
-                      series_hilbert, triangle, var)
+from _helpers import (all_macaulay_columns, dense_dF_only_dims, fermat,
+                      ranked_profile, series_hilbert, triangle, var)
 
 
 def ranked_hilbert(f):
@@ -95,9 +94,9 @@ def ranked(monkeypatch):
     degrees = []
     original = griffiths.macaulay_rank
 
-    def spy(partials, nvars, gen_degree, d, classes=None):
+    def spy(partials, nvars, gen_degree, d):
         degrees.append(d)
-        return original(partials, nvars, gen_degree, d, classes)
+        return original(partials, nvars, gen_degree, d)
 
     monkeypatch.setattr(griffiths, "macaulay_rank", spy)
     return degrees
@@ -155,8 +154,8 @@ def test_smooth_profile_is_the_smooth_jacobian_profile(name):
 
 def test_route_choice_ranks_once_on_singular_input(ranked):
     # the window route needs only the smooth flag: one rank, at socle + 1 =
-    # 16, not every degree; the reducer takes none, since the socle degree
-    # 15 is on its top strand and its own echelon there decides
+    # 16, not every degree; the reducer takes none: its own echelon at the
+    # socle degree 15 decides
     f = var(5, 0) * var(5, 1) * var(5, 2) * var(5, 3) * var(5, 4)
     assert _Complexes(f).profile is None
     assert ranked == [16]
@@ -169,8 +168,7 @@ def test_route_choice_ranks_once_on_singular_input(ranked):
 
 
 # singular inputs with variable symmetries, beside the nodal K3 and the
-# triangle of SINGULAR: jacobian_hilbert ranks them by orbit where their
-# lattice has full rank, and ranked_profile ranks every column
+# triangle of SINGULAR
 SYMMETRIC_SINGULAR = {
     "cubic-at-t1": dwork_member(3, 1),
     "x0*x1*x2*x3": var(4, 0) * var(4, 1) * var(4, 2) * var(4, 3),
@@ -429,237 +427,6 @@ def test_packing_is_injective_lex_ordered_and_additive(case):
     assert all((pack(a) < pack(b)) == (a < b) for a in rows for b in rows)
     assert pack(g) + pack(mu) == pack(product)
     assert all(unpack(pack(nu)) == nu for nu in monomials)
-
-
-# ---- class blocks: one Macaulay rank per symmetry orbit -------------------
-
-
-def orbit_classes(f):
-    """ExponentClasses of f under all its symmetries, whatever the rank of
-    its lattice: the orbit path must be exact where jacobian_hilbert does
-    not select it, too."""
-    return ExponentClasses(f, variable_symmetries(f))
-
-
-def assert_orbit_rank_is_the_plain_rank(f, degrees):
-    m, nvars = f.homogeneous_degree(), f.nvars
-    partials = [f.partial_derivative(k) for k in range(nvars)]
-    classes = orbit_classes(f)
-    for d in degrees:
-        assert griffiths.macaulay_rank(partials, nvars, m - 1, d, classes) \
-            == griffiths.macaulay_rank(partials, nvars, m - 1, d)
-
-
-C3_CUBIC = (var(3, 0) ** 2 * var(3, 1) + var(3, 1) ** 2 * var(3, 2)
-            + var(3, 2) ** 2 * var(3, 0))
-ORBIT_ORACLE = {
-    "cubic-t2": DWORK_PENCILS["cubic-t2"],
-    "k3-t2": DWORK_PENCILS["k3-t2"],
-    "cubic-over-QQ(t)": DWORK_PENCILS["cubic-over-QQ(t)"],
-    "k3-over-QQ(t)": SMOOTH["k3-over-QQ(t)"],
-    "nodal-k3": SINGULAR["k3-at-t1"],
-    "x0*x1*x2": triangle(),
-    "x0*x1*x2*x3": SYMMETRIC_SINGULAR["x0*x1*x2*x3"],
-    "c3-cubic": C3_CUBIC,       # its group is C3, the rotations only
-}
-
-
-@pytest.mark.hash_order
-@pytest.mark.parametrize("f", ORBIT_ORACLE.values(), ids=ORBIT_ORACLE.keys())
-def test_orbit_rank_is_the_plain_rank(f):
-    # every degree 0..socle+2, on inputs whose group is not trivial
-    assert variable_symmetries(f)
-    socle = f.nvars * (f.homogeneous_degree() - 2)
-    assert_orbit_rank_is_the_plain_rank(f, range(socle + 3))
-
-
-@pytest.mark.hash_order
-def test_orbit_rank_is_the_plain_rank_on_the_quintic():
-    f = DWORK_PENCILS["quintic-t2"]
-    assert_orbit_rank_is_the_plain_rank(f, (15, 16))
-
-
-@st.composite
-def symmetrized_forms(draw):
-    """A form of degree 2..4 in 2..4 variables, the sum of s.f over the
-    group that one or two random permutations s generate, with f a few
-    random terms."""
-    m = draw(st.integers(2, 4))
-    nvars = draw(st.integers(2, 4 if m < 4 else 3))
-    gens = draw(st.lists(st.permutations(range(nvars)), min_size=1,
-                         max_size=2))
-    group = closure(gens, nvars)
-    monomials = monomial_basis(nvars, m)
-    coeffs = st.sampled_from([1, -1, 2, Fraction(-1, 2)])
-    terms = {}
-    for mu, c in draw(st.dictionaries(st.sampled_from(monomials), coeffs,
-                                      min_size=1, max_size=3)).items():
-        for s in group:
-            nu = act(s, mu)
-            terms[nu] = terms.get(nu, 0) + Fraction(c)
-    return Polynomial(QQ, nvars, {nu: c for nu, c in terms.items() if c})
-
-
-@pytest.mark.hash_order
-@settings(max_examples=60, deadline=None)
-@given(symmetrized_forms())
-def test_orbit_rank_is_the_plain_rank_on_symmetrized_forms(f):
-    assume(f)
-    socle = f.nvars * (f.homogeneous_degree() - 2)
-    assert_orbit_rank_is_the_plain_rank(f, range(socle + 3))
-
-
-@pytest.mark.hash_order
-def test_orbit_rank_feeds_one_class_per_orbit_on_the_quintic(monkeypatch):
-    # a cost pin: the Dwork quintic's rank at socle+1 eliminates 215 of its
-    # 4,845 kept columns, those of one class in each of the 5 orbits into
-    # which S5 splits the 125 classes of that degree
-    calls = []
-    add = IntRankAccumulator.add_column
-
-    def spy(self, col):
-        calls.append(len(col))
-        return add(self, col)
-
-    monkeypatch.setattr(IntRankAccumulator, "add_column", spy)
-    f = DWORK_PENCILS["quintic-t2"]
-    partials = [f.partial_derivative(k) for k in range(5)]
-    classes = griffiths.symmetry_classes(f)
-    assert griffiths.macaulay_rank(partials, 5, 4, 16, classes) == 4845
-    assert len(calls) == 215
-    assert len(list(griffiths.MacaulayColumns(partials, 5, 12).kept())) == 4845
-    assert len(classes.sizes) == 125
-    assert sorted(w for w in classes.sizes.values() if w) == [5, 10, 20, 30, 60]
-
-
-@pytest.mark.hash_order
-def test_orbit_rank_keys_each_source_once_on_the_quintic(monkeypatch):
-    # a cost pin: the same rank keys each of the 1,820 sources of degree 12
-    # once, weighs each of the 625 (class, partial) pairs once and walks
-    # the 5 orbits level by level (150 reductions); keying every kept
-    # column and walking each orbit generator by generator took 6,095
-    reductions = []
-    original = ExponentClasses.reduce
-
-    def spy(self, v):
-        reductions.append(v)
-        return original(self, v)
-
-    f = DWORK_PENCILS["quintic-t2"]
-    partials = [f.partial_derivative(k) for k in range(5)]
-    classes = griffiths.symmetry_classes(f)
-    monkeypatch.setattr(ExponentClasses, "reduce", spy)
-    assert griffiths.macaulay_rank(partials, 5, 4, 16, classes) == 4845
-    assert len(reductions) == 2595 <= 3695
-
-
-def class_listing(listing, classes):
-    """The (i, g, w) of a Macaulay listing, by the class of g - e_i, each
-    class's columns in listing order."""
-    out = {}
-    for i, g, w in listing:
-        out.setdefault(classes.reduce(g[:i] + (g[i] - 1,) + g[i + 1:]),
-                       []).append((i, g, w))
-    return out
-
-
-def assert_class_listing_is_the_filtered_listing(f, degrees):
-    """MacaulayColumns.kept(classes) lists, class by class and in the same
-    order within each class, the (i, g, w) that filtering every kept
-    column by the class of g - e_i gives (filtered_macaulay_columns); both
-    listings' g decoded through MacaulayColumns.unpack."""
-    m, nvars = f.homogeneous_degree(), f.nvars
-    partials = [f.partial_derivative(k) for k in range(nvars)]
-    classes, oracle = orbit_classes(f), orbit_classes(f)
-    for d in degrees:
-        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
-        want = class_listing(filtered_macaulay_columns(columns, oracle), oracle)
-        got = ((i, columns.unpack(g), w) for i, g, w in columns.kept(classes))
-        assert class_listing(got, oracle) == want, d
-
-
-LISTING_ORACLE = {
-    "quintic-t2": DWORK_PENCILS["quintic-t2"],
-    "k3-over-QQ(t)": SMOOTH["k3-over-QQ(t)"],
-    "cubic-over-QQ(t)": DWORK_PENCILS["cubic-over-QQ(t)"],
-    "c3-cubic": C3_CUBIC,
-    "fermat-quartic": fermat(4, 4),
-    "nodal-k3": SINGULAR["k3-at-t1"],
-}
-
-
-@pytest.mark.hash_order
-@pytest.mark.parametrize("f", LISTING_ORACLE.values(), ids=LISTING_ORACLE.keys())
-def test_class_listing_is_the_filtered_listing(f):
-    socle = f.nvars * (f.homogeneous_degree() - 2)
-    assert_class_listing_is_the_filtered_listing(f, range(socle + 3))
-
-
-@st.composite
-def symmetric_pencils(draw):
-    """A Dwork pencil member sum x_j^m - m t prod x_j with m = 3..5 and t a
-    small rational (t = 0 is the Fermat member), or a Fermat sum
-    sum c_j x_j^m in 2..4 variables whose coefficients repeat, so that it
-    has symmetries; with a degree to list."""
-    m = draw(st.integers(3, 5))
-    if draw(st.booleans()):
-        f = dwork_member(m, Fraction(draw(st.integers(-3, 3)),
-                                     draw(st.integers(1, 3))))
-    else:
-        nvars = draw(st.integers(2, 4))
-        coeffs = draw(st.lists(st.sampled_from([1, 2, -1]), min_size=nvars,
-                               max_size=nvars))
-        f = Polynomial(QQ, nvars, {tuple(m if k == j else 0
-                                         for k in range(nvars)): c
-                                   for j, c in enumerate(coeffs)})
-    return f, draw(st.integers(0, f.nvars * (m - 2) + 2))
-
-
-@pytest.mark.hash_order
-@settings(max_examples=40, deadline=None)
-@given(symmetric_pencils())
-def test_class_listing_is_the_filtered_listing_on_pencils(case):
-    f, d = case
-    assert_class_listing_is_the_filtered_listing(f, (d,))
-
-
-@pytest.fixture
-def searched(monkeypatch):
-    """The calls jacobian_hilbert makes of variable_symmetries and
-    ExponentClasses, by name."""
-    calls = []
-    for name in ("variable_symmetries", "ExponentClasses"):
-        original = getattr(griffiths, name)
-
-        def spy(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(griffiths, name, spy)
-    return calls
-
-
-@pytest.mark.hash_order
-def test_symmetry_search_is_skipped_without_a_rank(searched):
-    assert jacobian_hilbert(fermat(5, 5)).smooth
-    assert searched == []
-
-
-@pytest.mark.hash_order
-def test_symmetry_search_is_skipped_on_a_low_rank_lattice(searched):
-    # the lattice of x0*x1*x2*x3 has rank 1: its rank check builds one
-    # ExponentClasses and no symmetry search follows
-    assert not jacobian_hilbert(SYMMETRIC_SINGULAR["x0*x1*x2*x3"]).smooth
-    assert searched == ["ExponentClasses"]
-
-
-@pytest.mark.hash_order
-@pytest.mark.parametrize("f, split", [
-    (DWORK_PENCILS["quintic-t2"], True), (SINGULAR["k3-at-t1"], True),
-    (C3_CUBIC, True), (triangle(), False), (random_form(3, 3, 1), False)])
-def test_symmetry_search_selects_the_orbit_path(f, split):
-    # full-rank lattice and a nontrivial group; the random cubic has none
-    assert (griffiths.symmetry_classes(f) is not None) == split
 
 
 def test_fermat_cubic_profile():
