@@ -16,20 +16,14 @@ The engine computes, with no floating point anywhere:
 
 __version__ = "0.1.0"
 
-from .exceptions import (BasisError, NilpotenceError, NonHomogeneousError,
-                         NotSmoothError, ParseError, StrandSumError,
-                         UnknownVariableError, VariableCountMismatch)
+from .exceptions import (BasisError, NonHomogeneousError, NotSmoothError,
+                         ParseError, StrandSumError, UnknownVariableError,
+                         VariableCountMismatch)
 from .fields import QQ, QQ_T, RatFunc
-from .poly import (Monomial, Polynomial, format_polynomial,
-                   homogeneous_degree, monomial_basis, partial_derivative,
-                   poly_arith)
-from .forms import (DifferentialForm, StrandSpec, TruncatedComplex,
-                    assemble_truncated_complex, exterior_derivative,
-                    full_complex_spec, gradient_form, strand_basis,
-                    twisted_differential, wedge)
-from .matrices import SparseMatrix
-from .linalg import (ComplexDims, StabilizationPolicy, cohomology_dims,
-                     complex_dims, default_policy, exact_rank,
+from .poly import Monomial, Polynomial, format_polynomial, monomial_basis
+from .forms import (DifferentialForm, StrandSpec, full_complex_spec,
+                    gradient_form, strand_basis)
+from .linalg import (ComplexDims, StabilizationPolicy, default_policy,
                      proved_window_cohomology, rank_mod_p,
                      stabilized_cohomology)
 from .griffiths import (JacobianProfile, dF_only_cohomology, jacobian_hilbert,

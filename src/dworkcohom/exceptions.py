@@ -13,10 +13,6 @@ class NotSmoothError(Exception):
     """The Jacobian ring is not finite-dimensional; use the truncation path."""
 
 
-class NilpotenceError(ValueError):
-    """Consecutive differentials of a complex do not compose to zero."""
-
-
 class ParseError(ValueError):
     """Polynomial text rejected by the grammar; carries a 0-based position."""
 

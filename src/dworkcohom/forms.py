@@ -34,7 +34,6 @@ from math import lcm
 from operator import add
 
 from .exceptions import NonHomogeneousError, VariableCountMismatch
-from .matrices import SparseMatrix
 from .poly import Polynomial, add_term, mono_degree, mono_mul, monomial_basis
 
 
@@ -70,9 +69,6 @@ class StrandSpec:
         if w is None:
             return sum(nu) + len(I)
         return mono_degree(nu, w) + sum(w[k] for k in I)
-
-    def in_strand(self, nu, I) -> bool:
-        return self.form_degree(nu, I) % self.modulus == self.residue
 
 
 def full_complex_spec(nvars: int, weights=None) -> StrandSpec:
@@ -263,18 +259,6 @@ def gradient_form(f: Polynomial) -> DifferentialForm:
             if e:
                 add_term(terms, (nu[:k] + (e - 1,) + nu[k + 1:], (k,)), c * e)
     return DifferentialForm._of(f.field, f.nvars, 1, terms)
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    return a.wedge(b)
-
-
-def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
-    return a.exterior_derivative()
-
-
-def twisted_differential(f: Polynomial, a: DifferentialForm) -> DifferentialForm:
-    return a.twisted_differential(f)
 
 
 def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
@@ -498,50 +482,3 @@ def validate_twist_input(f: Polynomial, spec: StrandSpec):
     if d != spec.modulus:
         raise ValueError(
             f"twist degree {d} does not match strand modulus {spec.modulus}")
-
-
-@dataclass(frozen=True)
-class TruncatedComplex:
-    """Quotient of a strand complex by total degree > bound.
-
-    bases[i] lists the retained monomial forms of exterior degree i;
-    matrices[i] is the induced differential bases[i] -> bases[i+1].
-    Consecutive matrices compose to zero exactly.
-    """
-
-    spec: StrandSpec
-    twist: Polynomial
-    bound: int
-    bases: tuple
-    matrices: tuple
-
-    @property
-    def space_dims(self):
-        return tuple(len(b) for b in self.bases)
-
-    def check_nilpotent(self) -> bool:
-        for a, b in zip(self.matrices[1:], self.matrices[:-1]):
-            if not a.compose(b).is_zero():
-                return False
-        return True
-
-
-def assemble_truncated_complex(f: Polynomial, spec: StrandSpec,
-                               bound: int) -> TruncatedComplex:
-    """Matrices of d + dF^ on the quotient by total degree > bound."""
-    validate_twist_input(f, spec)
-    bases = [strand_basis(spec, i, bound) for i in range(spec.nvars + 1)]
-    index = [{key: n for n, key in enumerate(b)} for b in bases]
-    matrices = []
-    for i in range(spec.nvars):
-        look = index[i + 1]
-        cols = []
-        for nu, I in bases[i]:
-            col = {}
-            for key, c in twisted_column(f, nu, I).items():
-                if spec.form_degree(*key) <= bound:
-                    col[look[key]] = c
-            cols.append(col)
-        matrices.append(SparseMatrix.from_columns(len(bases[i + 1]), cols))
-    return TruncatedComplex(spec, f, bound, tuple(map(tuple, bases)),
-                            tuple(matrices))

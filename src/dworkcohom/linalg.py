@@ -1,9 +1,4 @@
-"""Cohomology dimensions: finite complexes and stabilized strand complexes.
-
-Two distinct computations live here.
-
-``cohomology_dims`` is the textbook rank formula for an honest finite cochain
-complex: dim H^i = dim C^i - rank(d^i) - rank(d^{i-1}).
+"""Cohomology dimensions of the twisted strand complexes, by windows.
 
 ``stabilized_cohomology`` computes windowed dimensions of a twisted strand
 complex (Omega^(j mod m), d + dF^), which is infinite-dimensional before
@@ -142,19 +137,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
 
-from .exceptions import NilpotenceError, NotSmoothError
+from .exceptions import NotSmoothError
 from .fields import QQ
 from .forms import (ColumnStencil, ExponentClasses, StrandSpec,
-                    TruncatedComplex, strand_basis_at_degree,
-                    validate_twist_input)
-from .matrices import (IntRankAccumulator, SparseMatrix, exact_rank,
-                       primitive_column, rank_mod_p, rank_of_columns)
+                    strand_basis_at_degree, validate_twist_input)
+from .matrices import (IntRankAccumulator, primitive_column, rank_mod_p,
+                       rank_of_columns)
 from .poly import Polynomial, monomial_basis, variable_symmetries
 from .reports import Certificate, CohomologyReport, Proof
 
 __all__ = [
-    "SparseMatrix", "exact_rank", "rank_mod_p", "rank_of_columns",
-    "ComplexDims", "cohomology_dims", "complex_dims",
+    "rank_mod_p", "rank_of_columns", "ComplexDims",
     "StabilizationPolicy", "default_policy", "stabilized_cohomology",
     "proved_window_cohomology",
 ]
@@ -201,41 +194,11 @@ class ComplexDims:
     def coh(self, i):
         return dict((d, c) for d, _, _, c in self.data).get(i, 0)
 
-    @property
-    def coh_dims(self) -> dict:
-        return {d: c for d, _, _, c in self.data}
-
     def euler_spaces(self):
         return sum((-1) ** d * s for d, s, _, _ in self.data)
 
     def euler_cohomology(self):
         return sum((-1) ** d * c for d, _, _, c in self.data)
-
-
-def complex_dims(space_dims, matrices) -> ComplexDims:
-    """Dimensions of a finite cochain complex given by exact matrices.
-
-    matrices[i] maps degree i to degree i+1; consecutive matrices must
-    compose to zero (raises NilpotenceError otherwise, which signals an
-    assembly bug in the caller).
-    """
-    space_dims = list(space_dims)
-    matrices = list(matrices)
-    if len(matrices) != len(space_dims) - 1:
-        raise ValueError("need one matrix per consecutive pair of degrees")
-    for i, m in enumerate(matrices):
-        if m.ncols != space_dims[i] or m.nrows != space_dims[i + 1]:
-            raise ValueError(f"matrix {i} has shape {m.nrows}x{m.ncols}, "
-                             f"expected {space_dims[i + 1]}x{space_dims[i]}")
-    for a, b in zip(matrices[1:], matrices[:-1]):
-        if not a.compose(b).is_zero():
-            raise NilpotenceError("consecutive differentials do not compose to zero")
-    return ComplexDims.from_ranks(space_dims, [exact_rank(m) for m in matrices])
-
-
-def cohomology_dims(c: TruncatedComplex) -> ComplexDims:
-    """dim H^i = dim C^i - rank(d^i) - rank(d^{i-1}) for a truncated complex."""
-    return complex_dims(c.space_dims, c.matrices)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact sparse matrices and rank computation over the engine's scalar fields.
+"""Exact ranks of sparse column maps over the engine's scalar fields.
 
 Ranks are computed by one left-looking sparse elimination loop with two
 steps.  The loop reduces each incoming column against the oldest stored pivot
@@ -22,9 +22,10 @@ poly.add_term, the engine's one cancelling update: they are the inner loop
 of every elimination (about a quarter of the window-sparse pass), and a
 call per entry would show.
 
-``rank_mod_p`` is an independent dense elimination over a prime field, kept
-separate on purpose: it serves as a probabilistic cross-check of the exact
-path, never as a substitute for it.
+``rank_mod_p`` takes the same columns and ranks them by an independent
+dense elimination over a prime field, kept separate on purpose: it serves
+as a probabilistic cross-check of the exact path, never as a substitute
+for it.
 """
 
 from __future__ import annotations
@@ -34,75 +35,6 @@ from math import gcd
 
 from .fields import (QQ_T, RatFunc, poly_div_exact, poly_gcd, poly_mul, poly_neg,
                      poly_primitive, poly_sub, poly_zgcd)
-from .poly import add_term
-
-
-class SparseMatrix:
-    """Immutable sparse matrix; entries indexed by (row, col), all nonzero."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows: int, ncols: int, entries):
-        clean = {}
-        for (r, c), v in dict(entries).items():
-            if not 0 <= r < nrows or not 0 <= c < ncols:
-                raise IndexError(f"entry ({r}, {c}) outside {nrows}x{ncols}")
-            if v:
-                clean[(r, c)] = v
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SparseMatrix is immutable")
-
-    @staticmethod
-    def from_triplets(nrows: int, ncols: int, triplets) -> "SparseMatrix":
-        entries = {}
-        for r, c, v in triplets:
-            if (r, c) in entries:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            entries[(r, c)] = v
-        return SparseMatrix(nrows, ncols, entries)
-
-    @staticmethod
-    def from_columns(nrows: int, columns) -> "SparseMatrix":
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                entries[(r, c)] = v
-        return SparseMatrix(nrows, len(columns), entries)
-
-    def columns(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Matrix product self @ other."""
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in composition")
-        rows_of_self = {}
-        for (r, c), v in self.entries.items():
-            rows_of_self.setdefault(c, []).append((r, v))
-        entries = {}
-        for (k, c), w in other.entries.items():
-            for r, v in rows_of_self.get(k, ()):
-                add_term(entries, (r, c), v * w)
-        return SparseMatrix(self.nrows, other.ncols, entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if isinstance(other, SparseMatrix):
-            return (self.nrows, self.ncols, self.entries) == \
-                   (other.nrows, other.ncols, other.entries)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
 def primitive_column(col: dict) -> dict:
@@ -328,30 +260,33 @@ def rank_of_columns(columns) -> int:
     return acc.rank
 
 
-def exact_rank(m: SparseMatrix) -> int:
-    """Rank over the exact base field, deterministic."""
-    return rank_of_columns(m.columns())
-
-
-def rank_mod_p(m: SparseMatrix, p: int) -> int:
-    """Rank over GF(p) by dense row elimination (independent of exact_rank).
+def rank_mod_p(columns, p: int) -> int:
+    """Rank over GF(p) of a matrix given as a list of sparse columns, by
+    dense row elimination (independent of rank_of_columns).  Its rows are
+    the keys its columns touch.
 
     Entries must be rational with denominators invertible mod p.
     """
-    rows = [[0] * m.ncols for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        if isinstance(v, Fraction):
-            den = v.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by p={p}")
-            rows[r][c] = (v.numerator * pow(den, -1, p)) % p
-        else:
-            rows[r][c] = v % p
+    columns = list(columns)
+    index = {}
+    for col in columns:
+        for r in col:
+            index.setdefault(r, len(index))
+    nrows, ncols = len(index), len(columns)
+    rows = [[0] * ncols for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            if isinstance(v, Fraction):
+                den = v.denominator % p
+                if den == 0:
+                    raise ZeroDivisionError(f"denominator divisible by p={p}")
+                v = v.numerator * pow(den, -1, p)
+            rows[index[r]][c] = v % p
     rank = 0
-    for c in range(m.ncols):
+    for c in range(ncols):
         piv = None
-        for i in range(rank, m.nrows):
-            if rows[i][c] % p:
+        for i in range(rank, nrows):
+            if rows[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -359,11 +294,11 @@ def rank_mod_p(m: SparseMatrix, p: int) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][c], -1, p)
         rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(m.nrows):
+        for i in range(nrows):
             if i != rank and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
-        if rank == m.nrows:
+        if rank == nrows:
             break
     return rank

@@ -6,7 +6,7 @@ elements; the zero polynomial stores no terms.  All values are immutable
 after construction and hashable.
 
 Every sparse term map of the engine keeps that invariant: polynomials,
-differential forms (forms), sparse matrices and column maps (matrices),
+differential forms (forms), the column maps of the ranks (matrices),
 and the parts a Griffiths-Dwork reduction carries (gaussmanin) store no
 zero value.  ``add_term`` is their one update: a sum that cancels drops its
 key, and any other sum keeps the key where it was.  Two loops keep their
@@ -383,25 +383,3 @@ def format_polynomial(p: Polynomial, variables=None) -> str:
         else:
             parts.append(f" - {text}" if neg else f" + {text}")
     return "".join(parts)
-
-
-# ---- spec-level operation surface -------------------------------------
-
-
-def poly_arith(op: str, a: Polynomial, b):
-    """Exact arithmetic dispatch: op is one of 'add', 'mul', 'scale'."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def partial_derivative(f: Polynomial, k: int) -> Polynomial:
-    return f.partial_derivative(k)
-
-
-def homogeneous_degree(f: Polynomial, weights=None):
-    return f.homogeneous_degree(weights)

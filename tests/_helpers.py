@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from dworkcohom import QQ, Polynomial, full_complex_spec, griffiths
+from dworkcohom import QQ, ComplexDims, Polynomial, full_complex_spec, griffiths
 from dworkcohom.exceptions import BasisError, ParseError, UnknownVariableError
 from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               strand_basis, strand_basis_at_degree,
@@ -477,11 +477,25 @@ def dense_rank_fractions(rows):
     return rank
 
 
-def sparse_to_dense(m):
-    rows = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = Fraction(v)
-    return rows
+def sparse_to_dense(columns):
+    """Dense rows of the matrix with these sparse columns; its rows are the
+    keys the columns touch."""
+    keys = dict.fromkeys(r for col in columns for r in col)
+    return [[Fraction(col.get(r, 0)) for col in columns] for r in keys]
+
+
+def quotient_dims(f, spec, bound):
+    """ComplexDims of the quotient of the strand complex by total degree
+    > bound: the bases of strand_basis, the columns of twisted_column with
+    targets above the bound cut, ranked densely.  Its degree-0 cohomology
+    keeps the truncated jet of exp(-F), which the windows avoid."""
+    bases = [strand_basis(spec, i, bound) for i in range(spec.nvars + 1)]
+    ranks = []
+    for source, target in zip(bases, bases[1:]):
+        cols = [twisted_column(f, nu, I) for nu, I in source]
+        ranks.append(dense_rank_fractions(
+            [[col.get(key, 0) for col in cols] for key in target]))
+    return ComplexDims.from_ranks([len(b) for b in bases], ranks)
 
 
 def all_macaulay_columns(partials, sources):

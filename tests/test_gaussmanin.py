@@ -793,18 +793,36 @@ def test_reducer_refuses_exactly_the_singular_profiles(name):
 def test_reducer_refuses_exactly_the_singular_forms(data):
     # ternary cubics and quaternary quartics, m = nvars, so the socle
     # degree is on the top strand, and ternary quartics, where it is not:
-    # a diagonal part, some terms dropped, and up to three other terms
+    # a diagonal part, some terms dropped, and up to three other terms; or
+    # an A1 node at the vertex e_k, x_k^(m-2) x_j^2 + x_j^m for j != k,
+    # and up to three terms that vanish to order 3 there, so the socle
+    # degree often has one standard monomial and the orphans decide
     m, nvars = data.draw(st.sampled_from([(3, 3), (4, 4), (4, 3)]))
     coefficient = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
-    diagonal = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]),
-                                  min_size=nvars, max_size=nvars))
-    terms = {tuple(m * (j == k) for j in range(nvars)): c
-             for k, c in enumerate(diagonal) if c}
+    others = monomial_basis(nvars, m)
+    node = data.draw(st.booleans())
+    if node:
+        k = data.draw(st.integers(0, nvars - 1))
+        terms = {}
+        for j in range(nvars):
+            if j == k:
+                continue
+            terms[tuple(m * (i == j) for i in range(nvars))] = 1
+            terms[tuple((m - 2) * (i == k) + 2 * (i == j)
+                        for i in range(nvars))] = 1
+        others = [nu for nu in others if nu[k] < m - 2]
+    else:
+        diagonal = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                                      min_size=nvars, max_size=nvars))
+        terms = {tuple(m * (j == k) for j in range(nvars)): c
+                 for k, c in enumerate(diagonal) if c}
     terms.update(data.draw(st.dictionaries(
-        st.sampled_from(monomial_basis(nvars, m)), coefficient, max_size=3)))
+        st.sampled_from(others), coefficient, max_size=3)))
     f = Polynomial(QQ, nvars, {nu: Fraction(c) for nu, c in terms.items()})
     assume(f)
-    assert refuses(f) == (griffiths.smooth_profile(f) is None)
+    singular = griffiths.smooth_profile(f) is None
+    assert refuses(f) == singular
+    assert singular or not node
 
 
 @pytest.mark.parametrize("f, ranks, closes", [

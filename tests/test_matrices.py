@@ -14,12 +14,13 @@ from dworkcohom import Job, dwork, griffiths, parse_polynomial, run_job
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.fields import RatFunc, poly_zgcd
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
-                                 SparseMatrix, integerize_column,
-                                 rank_mod_p, rank_of_columns)
+                                 integerize_column, rank_mod_p,
+                                 rank_of_columns)
 
-from _helpers import (CrossMultipliedRankAccumulator, DivisionRankAccumulator,
-                      SizeFirstRankAccumulator, cross_multiplied_step,
-                      dense_rank_fractions, division_step)
+from _helpers import (PRIMES_62, CrossMultipliedRankAccumulator,
+                      DivisionRankAccumulator, SizeFirstRankAccumulator,
+                      cross_multiplied_step, dense_rank_fractions,
+                      division_step, sparse_to_dense)
 
 # a smooth plane cubic of the benchmark's window-dense panel
 DENSE_CUBIC = "2*x0^3 - 2*x0*x1^2 + 2*x0*x1*x2 + x0*x2^2 + 2*x1^2*x2 - x1*x2^2"
@@ -244,9 +245,34 @@ def test_int_rank_is_the_dense_rank(drawn):
     field = feed(DivisionRankAccumulator(),
                  [{r: Fraction(v) for r, v in col.items()} for col in cols])
     assert field.rank == acc.rank
-    m = SparseMatrix.from_columns(nrows, cols)
     for p in (2, 3, 2 ** 31 - 1):
-        assert rank_mod_p(m, p) <= acc.rank
+        assert rank_mod_p(cols, p) <= acc.rank
+
+
+def test_rank_mod_p_on_engine_columns():
+    # the oracle takes the columns rank_of_columns takes: Fraction entries,
+    # rows keyed (nu, I) as the window engine keys them, empty columns
+    rng = random.Random(34)
+    keys = [((a, b, 2 - a), I) for a in range(3) for b in range(3)
+            for I in ((), (0,), (1, 2))]
+    for _ in range(40):
+        rows = rng.sample(keys, rng.randint(1, 10))
+        cols = [{r: Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 6))
+                 for r in rows if rng.random() < 0.4}
+                for _ in range(rng.randint(1, 8))]
+        if len(cols) > 1:   # a dependent column
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(2)
+            both = cols[0].keys() | cols[1].keys()
+            dep = {r: a * cols[0].get(r, 0) + b * cols[1].get(r, 0) for r in both}
+            cols.append({r: v for r, v in dep.items() if v})
+        cols.insert(rng.randrange(len(cols) + 1), {})
+        exact = rank_of_columns(cols)
+        assert exact == dense_rank_fractions(sparse_to_dense(cols))
+        ranks = [rank_mod_p(cols, p) for p in rng.sample(PRIMES_62, 3)]
+        assert all(r <= exact for r in ranks) and max(ranks) == exact
+    p = PRIMES_62[0]
+    with pytest.raises(ZeroDivisionError):
+        rank_mod_p([{keys[0]: Fraction(1)}, {keys[1]: Fraction(3, 2 * p)}], p)
 
 
 # ---- the Z[t] step --------------------------------------------------------
