@@ -23,18 +23,18 @@ from .fields import QQ, QQ_T, RatFunc
 from .poly import Monomial, Polynomial, format_polynomial, monomial_basis
 from .forms import (DifferentialForm, StrandSpec, full_complex_spec,
                     gradient_form, strand_basis)
+from .matrices import rank_mod_p
 from .linalg import (ComplexDims, StabilizationPolicy, default_policy,
-                     proved_window_cohomology, rank_mod_p,
-                     stabilized_cohomology)
+                     proved_window_cohomology, stabilized_cohomology)
 from .griffiths import (JacobianProfile, dF_only_cohomology, jacobian_hilbert,
-                        milnor_number, primitive_hodge_numbers,
                         strand_top_dims)
 from .reports import Certificate, Check, CohomologyReport, Verdict
 from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
                     compare_smooth_paths, fourier_lemma_check,
                     primitive_dwork_cohomology, strand_cohomology,
-                    strand_decomposition, strands_and_affine,
-                    suspension_check, thom_sebastiani_check)
-from .gaussmanin import (ConnectionMatrix, Family, connection_properties_check,
-                         family_connection_matrix, rational_connection_matrix)
+                    strand_decomposition, suspension_check,
+                    thom_sebastiani_check)
+from .gaussmanin import (ConnectionMatrix, Family, GriffithsDworkReducer,
+                         connection_matrix, connection_properties_check,
+                         rational_connection_matrix)
 from .cli import Job, corpus_runner, parse_polynomial, run_job

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
                     fourier_lemma_check, primitive_dwork_cohomology,
-                    strand_cohomology, strands_and_affine,
+                    strand_cohomology, strand_decomposition,
                     suspension_check, thom_sebastiani_check)
 from .exceptions import (NotSmoothError, ParseError, StrandSumError,
                          UnknownVariableError)
@@ -276,7 +276,7 @@ def _strands(job, out) -> int:
     f, policy, w = _poly(job), _policy(job), _weights(job)
     if job.strand is not None:
         return _answer(out, strand_cohomology(f, job.strand, policy, w))
-    verdict = strands_and_affine(f, policy, w)
+    verdict = strand_decomposition(f, policy, w)
     *strands, full = verdict.reports
     out["strands"] = [r.to_json_dict() for r in strands]
     return _answer(out, full, verdict)
@@ -310,7 +310,7 @@ def _gm(job, out) -> int:
     if not samples:
         return _answer(out)
     return _answer(out, verdict=connection_properties_check(
-        fam, samples, basis, reducer=reducer, matrix=matrix))
+        fam, samples, reducer, matrix))
 
 
 _POLY = ("polynomial", "variables")

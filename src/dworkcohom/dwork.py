@@ -15,8 +15,11 @@ Smooth plain-homogeneous inputs are answered through the Jacobian ring
 (path "jacobian", exact); everything else goes through windowed truncation
 with a stabilization certificate (path "truncation").  Each pipeline
 makes that choice once per polynomial, in one _Complexes.
-compare_smooth_paths runs both routes and demands exact agreement; its
-truncation side is one proved window.
+strand_decomposition returns the strand-sum identities as one Verdict: the
+strand reports j = 0..m-1, then the full complex labelled as
+affine_twisted_cohomology labels it, so the strands command is that one
+call.  compare_smooth_paths runs both routes and demands exact agreement;
+its truncation side is one proved window.
 """
 
 from __future__ import annotations
@@ -144,33 +147,18 @@ def _affine_report(g: Polynomial, full: CohomologyReport) -> CohomologyReport:
 
 
 def strand_decomposition(f: Polynomial, policy: StabilizationPolicy = None,
-                         weights=None):
-    """Per-strand dimension reports, j = 0..m-1; their degreewise sum is
-    verified against an independently computed full-complex report."""
-    return list(_decompose(f, policy, weights).reports[:-1])
-
-
-def strands_and_affine(f: Polynomial, policy: StabilizationPolicy = None,
-                       weights=None) -> Verdict:
-    """The strand-sum identities, with the reports of
-    strand_decomposition(f) followed by affine_twisted_cohomology(f): the
-    full-complex report of the identities serves as the last."""
-    verdict = _decompose(f, policy, weights)
-    _need_nonconstant(f)
-    *strands, full = verdict.reports
-    return replace(verdict, reports=(*strands, _affine_report(f, full)))
-
-
-def _decompose(f: Polynomial, policy, weights) -> Verdict:
-    """The strand-sum identity in every degree, with the strand reports and
-    then the full-complex report as its reports, all on one route.  A
-    failed identity raises StrandSumError."""
+                         weights=None) -> Verdict:
+    """The strand-sum identity in every degree, all on one route.  Its
+    reports are the strands j = 0..m-1, then the full complex, labelled as
+    affine_twisted_cohomology(f) labels it.  A failed identity raises
+    StrandSumError."""
     complexes = _Complexes(f, weights, policy)
     m = f.homogeneous_degree(weights) if f else None
     if m is None:
         raise NonHomogeneousError("strand decomposition needs a homogeneous input")
-    reports = [complexes.strand(j) for j in range(max(m, 1))]
-    full = complexes.full()
+    _need_nonconstant(f)
+    reports = [complexes.strand(j) for j in range(m)]
+    full = _affine_report(f, complexes.full())
     checks = [Check(f"strand sum equals full complex in degree {k}",
                     sum(rep.dim(k) for rep in reports), full.dim(k))
               for k in range(f.nvars + 1)]

@@ -135,10 +135,6 @@ class Family:
     def nvars(self) -> int:
         return self.base.nvars
 
-    @property
-    def degree(self) -> int:
-        return self.base.homogeneous_degree()
-
     def symbolic(self) -> Polynomial:
         """F_t over the rational-function field."""
         f0 = self.base.map_coefficients(QQ_T.coerce, QQ_T)
@@ -526,9 +522,6 @@ class ConnectionMatrix:
             Fraction(0), lambda e: (e.evaluate(t0) if isinstance(e, RatFunc)
                                     else Fraction(e)))))
 
-    def is_zero(self) -> bool:
-        return not self.nonzero
-
 
 def _dense(coords: dict, k: int, zero) -> list:
     """The length-k list of a map index -> value, zero elsewhere."""
@@ -616,19 +609,6 @@ def _rational_roots(p: IntPoly):
     return tuple(sorted(roots))
 
 
-def family_connection_matrix(fam: Family, basis=None) -> ConnectionMatrix:
-    """Exact matrix of the action  omega -> [ (dF_t/dt) * omega ]  on a basis
-    of the top strand cohomology.
-
-    basis, when given, lists t-free coefficient polynomials over QQ of top
-    forms; the default is the engine's standard monomial basis.  The action
-    on a t-free representative has no d/dt term, so it reduces to
-    multiplication by the perturbation followed by Griffiths-Dwork reduction.
-    """
-    return connection_matrix(GriffithsDworkReducer(fam.symbolic()),
-                             fam.perturbation, basis)
-
-
 def rational_connection_matrix(f0: Polynomial, g: Polynomial,
                                basis=None) -> ConnectionMatrix:
     """Connection matrix computed from scratch over QQ at one family member.
@@ -643,7 +623,11 @@ def rational_connection_matrix(f0: Polynomial, g: Polynomial,
 def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
                       basis=None) -> ConnectionMatrix:
     """Matrix of  omega -> [perturbation * omega]  on a basis, reduced by a
-    given reducer (of F_t over QQ(t), or of one member over QQ).
+    given reducer (of F_t over QQ(t), or of one member over QQ).  With the
+    reducer of Family.symbolic() and the family's perturbation it is the
+    Gauss-Manin matrix: the action on a t-free representative has no d/dt
+    term.  basis lists t-free coefficient polynomials over QQ of top forms;
+    the default is the reducer's standard monomial basis.
 
     The matrix X solves U X = R, where the columns of U are the reduced
     basis forms and those of R the reduced perturbation * form.  A standard
@@ -692,12 +676,19 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
                             _rational_roots(den))
 
 
-def connection_properties_check(fam: Family, samples, basis=None,
-                                reducer=None, matrix=None) -> Verdict:
+def connection_properties_check(fam: Family, samples,
+                                reducer: GriffithsDworkReducer,
+                                matrix: ConnectionMatrix) -> Verdict:
     """Consistency harness for the connection action.
 
-    (a) specializing the symbolic matrix at each sample t equals the matrix
-        computed from scratch over QQ at F_t with the same basis;
+    reducer is the GriffithsDworkReducer of fam.symbolic(), and matrix is
+    connection_matrix(reducer, fam.perturbation, basis), the symbolic
+    matrix under check; the checks run on its basis, matrix.basis.  A
+    caller that reports the matrix has built both, so the check builds
+    neither.
+    (a) specializing the symbolic matrix at each sample t equals
+        rational_connection_matrix, computed from scratch over QQ at F_t on
+        the same basis;
     (b) under the change of basis S = 2I + N (N the unit subdiagonal) the
         reduced perturbation products R' of the new forms (lhs) equal U' X
         (rhs): U' = U S the reduced new forms, X = S^-1 M S by forward
@@ -707,28 +698,19 @@ def connection_properties_check(fam: Family, samples, basis=None,
     sample is a pole exactly when specializing raises ZeroDivisionError:
     the discriminant roots are the rational roots of the lcm of the
     reduced entry denominators, so some entry has a pole at each of them.
-    reducer, when given, is the GriffithsDworkReducer of fam.symbolic();
-    it serves both symbolic matrices, so a caller that already has one
-    does not build another.  matrix, when given, is the symbolic matrix
-    under check, connection_matrix(reducer, fam.perturbation, basis), as a
-    caller that reports it has already computed it.
     """
-    if reducer is None:
-        reducer = GriffithsDworkReducer(fam.symbolic())
-    sym = (matrix if matrix is not None
-           else connection_matrix(reducer, fam.perturbation, basis))
     checks = []
     for t0 in samples:
         t0 = Fraction(t0)
         try:
-            specialized = sym.specialize(t0)
+            specialized = matrix.specialize(t0)
         except ZeroDivisionError:
             checks.append(Check(f"t = {t0} avoids the discriminant set",
                                 str(t0), "discriminant sample"))
             continue
         try:
             direct = rational_connection_matrix(fam.at(t0), fam.perturbation,
-                                                basis=list(sym.basis))
+                                                basis=list(matrix.basis))
         except NotSmoothError:
             checks.append(Check(f"t = {t0} gives a smooth member",
                                 str(t0), "non-smooth specialization"))
@@ -741,9 +723,9 @@ def connection_properties_check(fam: Family, samples, basis=None,
             f"specialize-then-evaluate equals evaluate-then-compute at t = {t0}",
             specialized, direct.entries))
     # S = 2I + N, N the unit subdiagonal: new form j is 2 b_j + b_(j+1)
-    field, k = reducer.field, sym.size
+    field, k = reducer.field, matrix.size
     g = fam.perturbation.map_coefficients(field.coerce, field)
-    padded = list(sym.basis) + [Polynomial.zero(QQ, fam.nvars)]
+    padded = list(matrix.basis) + [Polynomial.zero(QQ, fam.nvars)]
     new_forms = [(padded[j].scale(2) + padded[j + 1]).map_coefficients(
         field.coerce, field) for j in range(k)]
     u_cols = [reducer.reduce(p) for p in new_forms]
@@ -751,7 +733,7 @@ def connection_properties_check(fam: Family, samples, basis=None,
     # X = S^-1 (M S) by forward substitution down the rows of M S, each row
     # a map column -> nonzero value: (M S)[i][j] = 2 M[i][j] + M[i][j+1]
     ms = [{} for _ in range(k)]
-    for (i, j), e in sym.nonzero.items():
+    for (i, j), e in matrix.nonzero.items():
         add_term(ms[i], j, 2 * e)
         if j:
             add_term(ms[i], j - 1, e)

@@ -358,26 +358,6 @@ def jacobian_hilbert(f: Polynomial) -> JacobianProfile:
     return smooth or singular()
 
 
-def milnor_number(f: Polynomial) -> int:
-    """dim of the Milnor algebra; equals (m-1)^(n+1) for smooth inputs.
-    A singular input raises NotSmoothError after at most one rank."""
-    profile = smooth_profile(f)
-    if profile is None:
-        raise NotSmoothError(
-            "Jacobian ring is not finite-dimensional; use the truncation path")
-    return profile.milnor
-
-
-def primitive_hodge_numbers(f: Polynomial):
-    """jacobian_hilbert(f).hodge_numbers(): [(q, h_q) for q = 1..n].  A
-    singular input raises NotSmoothError after at most one rank."""
-    profile = smooth_profile(f)
-    if profile is None:
-        raise NotSmoothError(
-            "primitive Hodge numbers need a smooth hypersurface")
-    return profile.hodge_numbers()
-
-
 def strand_top_dims(profile: JacobianProfile, residue: int) -> int:
     """Top twisted-cohomology dimension of strand residue, from the profile.
 

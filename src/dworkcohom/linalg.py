@@ -141,15 +141,13 @@ from .exceptions import NotSmoothError
 from .fields import QQ
 from .forms import (ColumnStencil, ExponentClasses, StrandSpec,
                     strand_basis_at_degree, validate_twist_input)
-from .matrices import (IntRankAccumulator, primitive_column, rank_mod_p,
-                       rank_of_columns)
+from .matrices import IntRankAccumulator, primitive_column
 from .poly import Polynomial, monomial_basis, variable_symmetries
 from .reports import Certificate, CohomologyReport, Proof
 
 __all__ = [
-    "rank_mod_p", "rank_of_columns", "ComplexDims",
-    "StabilizationPolicy", "default_policy", "stabilized_cohomology",
-    "proved_window_cohomology",
+    "ComplexDims", "StabilizationPolicy", "default_policy",
+    "stabilized_cohomology", "proved_window_cohomology",
 ]
 
 

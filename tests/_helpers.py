@@ -125,6 +125,14 @@ def ranked_profile(f):
                                      sum(hilbert) if smooth else None)
 
 
+def family_matrix(fam, basis=None):
+    """(reducer, matrix): the QQ(t) reducer of the family and its symbolic
+    connection matrix, built as the gm command builds them.  The one
+    helper that builds a family's matrix."""
+    reducer = GriffithsDworkReducer(fam.symbolic())
+    return reducer, connection_matrix(reducer, fam.perturbation, basis)
+
+
 def solved_connection_matrix(reducer, perturbation, forms):
     """Entries of the connection matrix on forms by the general path:
     reduce the forms and their perturbation products, then solve U X = R.

@@ -89,21 +89,24 @@ def test_affine_rejects_constant():
 
 
 def test_strand_decomposition_cubic():
-    reps = strand_decomposition(fermat(3, 3))
+    reps = strand_decomposition(fermat(3, 3)).reports[:-1]
     assert [r.dim(3) for r in reps] == [2, 3, 3]
     assert sum(r.total() for r in reps) == 8
 
 
 def test_strand_decomposition_quartic():
-    reps = strand_decomposition(fermat(4, 4))
+    reps = strand_decomposition(fermat(4, 4)).reports[:-1]
     assert [r.dim(4) for r in reps] == [21, 20, 20, 20]
 
 
 def test_strand_decomposition_triangle():
-    reps = strand_decomposition(triangle())
+    verdict = strand_decomposition(triangle())
+    *reps, last = verdict.reports
     full = affine_twisted_cohomology(triangle())
     for k in range(4):
         assert sum(r.dim(k) for r in reps) == full.dim(k)
+    # the last report is the affine report, labels and certificate included
+    assert last == full and verdict.ok and len(verdict.checks) == 4
 
 
 def test_strand_truncation_cross_check():
@@ -267,7 +270,7 @@ def test_strand_euler_characteristics_agree(name):
     f = {"fermat cubic": fermat(3, 3), "x0*x1*x2": triangle(),
          "x0^3 + x1^2*x2": x[0] ** 3 + x[1] ** 2 * x[2],
          "x0^2*x1 + x1^2*x2": x[0] ** 2 * x[1] + x[1] ** 2 * x[2]}[name]
-    chi = [euler(rep) for rep in strand_decomposition(f)]
+    chi = [euler(rep) for rep in strand_decomposition(f).reports[:-1]]
     assert len(set(chi[1:])) == 1
     assert chi[0] == chi[1] + 1
 

@@ -9,19 +9,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dworkcohom import (Family, Polynomial, QQ, QQ_T, RatFunc,
-                        connection_properties_check, family_connection_matrix,
-                        jacobian_hilbert, monomial_basis,
-                        rational_connection_matrix)
+from dworkcohom import (Family, GriffithsDworkReducer, Polynomial, QQ, QQ_T,
+                        RatFunc, connection_matrix,
+                        connection_properties_check, jacobian_hilbert,
+                        monomial_basis, rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from dworkcohom import gaussmanin, griffiths
-from dworkcohom.gaussmanin import (ConnectionMatrix, GriffithsDworkReducer,
-                                   _DegreeSolver, _rational_roots,
-                                   connection_matrix)
+from dworkcohom.gaussmanin import ConnectionMatrix, _DegreeSolver, _rational_roots
 from dworkcohom.fields import poly_mul
 from _helpers import (DivisionReducer, PerColumnSolver, _test_invertible_matrix,
                       all_macaulay_columns, cross_multiplied_step,
-                      dense_matmul, fermat, field_solve,
+                      dense_matmul, family_matrix, fermat, field_solve,
                       solved_conjugation_check, solved_connection_matrix,
                       triangle, trial_division_roots, var)
 
@@ -42,8 +40,8 @@ def test_family_validation():
 
 def test_constant_family_zero_matrix():
     fam = Family(fermat(3, 3), Polynomial.zero(QQ, 3))
-    mat = family_connection_matrix(fam)
-    assert mat.is_zero()
+    _, mat = family_matrix(fam)
+    assert not mat.nonzero
     assert mat.size == 2
 
 
@@ -56,7 +54,7 @@ def test_dwork_family_frozen_matrix():
     #   u -> -3 v,   v -> -t/(3(1-t^3)) u + 3 t^2/(1-t^3) v.
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
-    mat = family_connection_matrix(fam, basis=[one, xyz])
+    _, mat = family_matrix(fam, [one, xyz])
     strings = [[str(e) for e in row] for row in mat.entries]
     assert strings == [["0", "(t)/(3*t^3 - 3)"],
                        ["-3", "(-3*t^2)/(t^3 - 1)"]]
@@ -66,7 +64,7 @@ def test_dwork_family_frozen_matrix():
 def test_dwork_family_specializations():
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
-    mat = family_connection_matrix(fam, basis=[one, xyz])
+    _, mat = family_matrix(fam, [one, xyz])
     assert mat.specialize(0) == ((Fraction(0), Fraction(0)),
                                  (Fraction(-3), Fraction(0)))
     assert mat.specialize(2) == ((Fraction(0), Fraction(2, 21)),
@@ -78,7 +76,7 @@ def test_dwork_family_specializations():
 def test_specialization_commutes_with_computation():
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
-    mat = family_connection_matrix(fam, basis=[one, xyz])
+    _, mat = family_matrix(fam, [one, xyz])
     for t0 in (0, 2, -1, Fraction(1, 2)):
         direct = rational_connection_matrix(fam.at(t0), fam.perturbation,
                                             basis=[one, xyz])
@@ -87,17 +85,16 @@ def test_specialization_commutes_with_computation():
 
 def test_default_basis_is_deterministic():
     fam, _ = dwork_family()
-    a = family_connection_matrix(fam)
-    b = family_connection_matrix(fam)
+    _, a = family_matrix(fam)
+    _, b = family_matrix(fam)
     assert a.basis == b.basis and a.entries == b.entries
 
 
 def test_diagonal_rescale_conjugates():
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
-    base = family_connection_matrix(fam, basis=[one, xyz])
-    scaled = family_connection_matrix(
-        fam, basis=[one.scale(5), xyz.scale(Fraction(-2, 3))])
+    _, base = family_matrix(fam, [one, xyz])
+    _, scaled = family_matrix(fam, [one.scale(5), xyz.scale(Fraction(-2, 3))])
     c0, c1 = Fraction(5), Fraction(-2, 3)
     assert scaled.entries[0][0] == base.entries[0][0]
     assert scaled.entries[1][1] == base.entries[1][1]
@@ -108,10 +105,32 @@ def test_diagonal_rescale_conjugates():
 def test_properties_check_full():
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
-    verdict = connection_properties_check(fam, [0, 2, -1], basis=[one, xyz])
+    verdict = connection_properties_check(fam, [0, 2, -1],
+                                          *family_matrix(fam, [one, xyz]))
     assert verdict.ok
     names = [c.name for c in verdict.checks]
     assert any("conjugates" in n for n in names)
+
+
+def test_exported_path_builds_one_symbolic_reducer(monkeypatch):
+    # the gm command's path as the package exports it: one QQ(t) reducer
+    # serves the matrix and the basis-change check, and each sample builds
+    # one QQ reducer, for its direct matrix
+    fields = []
+    init = GriffithsDworkReducer.__init__
+
+    def counted_init(self, f):
+        fields.append(f.field)
+        init(self, f)
+
+    monkeypatch.setattr(GriffithsDworkReducer, "__init__", counted_init)
+    fam, xyz = dwork_family()
+    reducer = GriffithsDworkReducer(fam.symbolic())
+    mat = connection_matrix(reducer, fam.perturbation,
+                            [Polynomial.constant(QQ, 3, 1), xyz])
+    verdict = connection_properties_check(fam, [0, 2, -1], reducer, mat)
+    assert verdict.ok and len(verdict.checks) == 4
+    assert fields == [QQ_T, QQ, QQ, QQ]
 
 
 def cubic_family(name):
@@ -125,10 +144,9 @@ def cubic_family(name):
 CUBIC_FAMILIES = ["default", "1;x0*x1*x2", "base x0*x1*x2"]
 
 
-def conjugation_check(fam, basis=None, reducer=None, matrix=None):
+def conjugation_check(fam, reducer, matrix):
     """connection_properties_check's basis-change check alone (no samples)."""
-    [check] = connection_properties_check(fam, [], basis, reducer=reducer,
-                                          matrix=matrix).checks
+    [check] = connection_properties_check(fam, [], reducer, matrix).checks
     assert check.name == "basis change conjugates the matrix"
     return check
 
@@ -142,7 +160,7 @@ def test_product_check_passes_with_the_solved_check(name, rescale):
         b = connection_matrix(reducer, fam.perturbation, basis).basis
         basis = [b[0].scale(5), b[1].scale(Fraction(-2, 3))]
     sym = connection_matrix(reducer, fam.perturbation, basis)
-    assert conjugation_check(fam, basis, reducer, sym).passed
+    assert conjugation_check(fam, reducer, sym).passed
     assert solved_conjugation_check(reducer, fam.perturbation, sym).passed
 
 
@@ -160,10 +178,10 @@ def test_reduce_scaling_one_coordinate_fails_the_check(monkeypatch, name,
 
     monkeypatch.setattr(GriffithsDworkReducer, "reduce", scaled)
     fam, _ = cubic_family(name)
-    assert not conjugation_check(fam).passed
+    assert not conjugation_check(fam, *family_matrix(fam)).passed
     # on a given basis M absorbs the scale, so the check cannot see it
     one, xyz = Polynomial.constant(QQ, 3, 1), triangle()
-    assert conjugation_check(fam, [one, xyz]).passed
+    assert conjugation_check(fam, *family_matrix(fam, [one, xyz])).passed
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -175,14 +193,15 @@ def test_matrix_with_one_entry_changed_fails_the_check(name, i, j):
     changed = {**sym.nonzero, (i, j): sym.entries[i][j] + 1}
     bad = ConnectionMatrix(sym.basis, {k: e for k, e in changed.items() if e},
                            sym.field)
-    assert conjugation_check(fam, reducer=reducer, matrix=sym).passed
-    assert not conjugation_check(fam, reducer=reducer, matrix=bad).passed
+    assert conjugation_check(fam, reducer, sym).passed
+    assert not conjugation_check(fam, reducer, bad).passed
 
 
 def test_discriminant_sample_reported():
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
-    verdict = connection_properties_check(fam, [1], basis=[one, xyz])
+    verdict = connection_properties_check(fam, [1],
+                                          *family_matrix(fam, [one, xyz]))
     assert not verdict.checks[0].passed
     assert verdict.checks[0].rhs == "discriminant sample"
 
@@ -191,24 +210,24 @@ def test_bad_basis_rejected():
     fam, xyz = dwork_family()
     one = Polynomial.constant(QQ, 3, 1)
     with pytest.raises(BasisError):
-        family_connection_matrix(fam, basis=[one])
+        family_matrix(fam, [one])
     with pytest.raises(BasisError):
-        family_connection_matrix(fam, basis=[one, one.scale(2)])
+        family_matrix(fam, [one, one.scale(2)])
 
 
 def test_nonsmooth_generic_family_rejected():
     fam = Family(triangle(), Polynomial.zero(QQ, 3))
     with pytest.raises(NotSmoothError):
-        family_connection_matrix(fam)
+        family_matrix(fam)
 
 
 def test_quartic_family_constant_and_shape():
     # K3 family: strand-0 cohomology has dimension 21
     x3 = var(4, 3)
     fam = Family(fermat(4, 4), (var(4, 0) * var(4, 1) * var(4, 2) * x3))
-    mat = family_connection_matrix(fam)
+    _, mat = family_matrix(fam)
     assert mat.size == 21
-    assert not mat.is_zero()
+    assert mat.nonzero
 
 
 def test_rational_roots_of_a_large_content():
@@ -309,7 +328,7 @@ def test_degree_solver_identity(family, symbolic, degrees):
                          ids=["cubic", "k3"])
 def test_rational_matrix_is_the_specialized_symbolic_matrix(family):
     # the integer (fraction-free) path against the QQ(t) field path
-    sym = family_connection_matrix(family)
+    _, sym = family_matrix(family)
     for t0 in (2, Fraction(1, 3), Fraction(-5, 2)):
         direct = rational_connection_matrix(family.at(t0), family.perturbation,
                                             basis=list(sym.basis))
@@ -378,7 +397,7 @@ def test_symbolic_quintic_specializes_to_the_digest():
     # one the gm report prints, is 125 t^3 (t^5 - 1), the lcm over Z[t] of
     # the entry denominators
     f, g = dwork_quintic()
-    mat = family_connection_matrix(Family(f - g.scale(2), g))
+    _, mat = family_matrix(Family(f - g.scale(2), g))
     assert mat.size == 204
     text = json.dumps([[str(e) for e in row] for row in mat.specialize(2)])
     assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_T2_DIGEST
@@ -414,7 +433,7 @@ def test_dwork_pencil_block_is_invariant(m):
     # the Picard-Fuchs operator; no nonzero entry crosses it, and its
     # columns are pinned (upper Hessenberg, subdiagonal -m/t)
     prod = Polynomial.monomial(QQ, m, (1,) * m)
-    mat = family_connection_matrix(Family(fermat(m, m), prod.scale(-m)))
+    _, mat = family_matrix(Family(fermat(m, m), prod.scale(-m)))
     block = [mat.basis.index(Polynomial.monomial(
         QQ, m, (0,) * (m - 1) + (m * k,))) for k in range(m - 1)]
     inside = set(block)
@@ -571,7 +590,8 @@ def test_properties_check_makes_no_solve(solves, given):
     # symbolic matrix and one direct matrix per sample, none for the check
     fam, xyz = dwork_family()
     basis = [Polynomial.constant(QQ, 3, 1), xyz] if given else None
-    verdict = connection_properties_check(fam, [2, -1], basis)
+    verdict = connection_properties_check(fam, [2, -1],
+                                          *family_matrix(fam, basis))
     assert verdict.ok and len(verdict.checks) == 3
     assert solves == [("connection_matrix", 2)] * (3 if given else 0)
 

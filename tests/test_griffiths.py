@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomology,
                         full_complex_spec, griffiths, jacobian_hilbert,
-                        milnor_number, parse_polynomial, primitive_hodge_numbers,
-                        strand_top_dims)
+                        parse_polynomial, strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
 from dworkcohom.dwork import _Complexes
 from dworkcohom.forms import ColumnStencil
@@ -129,22 +128,6 @@ def test_smooth_profile_is_one_rank_on_singular_input(ranked, name):
     f = SINGULAR[name]
     assert griffiths.smooth_profile(f) is None
     assert ranked == [f.nvars * (f.homogeneous_degree() - 2) + 1]
-
-
-@pytest.mark.parametrize("ask, error", [
-    (milnor_number,
-     "Jacobian ring is not finite-dimensional; use the truncation path"),
-    (primitive_hodge_numbers,
-     "primitive Hodge numbers need a smooth hypersurface"),
-], ids=["milnor_number", "primitive_hodge_numbers"])
-def test_smooth_only_answers_cost_one_rank_on_singular_input(ranked, ask,
-                                                             error):
-    # the smooth flag alone decides them: one rank, at socle + 1 = 16
-    x = [var(5, k) for k in range(5)]
-    with pytest.raises(NotSmoothError) as info:
-        ask(x[0] * x[1] * x[2] * x[3] * x[4])
-    assert str(info.value) == error
-    assert ranked == [16]
 
 
 @pytest.mark.parametrize("name", ["cubic-over-QQ(t)", "binary-cubic"])
@@ -447,7 +430,7 @@ def test_fermat_quartic_profile():
 def test_quadric_profile():
     p = jacobian_hilbert(fermat(2, 3))
     assert list(p.hilbert[:p.socle + 1]) == [1]
-    assert milnor_number(fermat(2, 3)) == 1
+    assert p.milnor == 1
 
 
 @pytest.mark.parametrize("m,nvars", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
@@ -469,10 +452,9 @@ def test_non_fermat_smooth_input():
 def test_singular_inputs_flagged():
     p = jacobian_hilbert(triangle())
     assert not p.smooth
+    assert p.milnor is None and griffiths.smooth_profile(triangle()) is None
     with pytest.raises(NotSmoothError):
-        milnor_number(triangle())
-    with pytest.raises(NotSmoothError):
-        primitive_hodge_numbers(triangle())
+        p.hodge_numbers()
     # cuspidal cubic x0^3 - x1^2 x2 is singular too
     cusp = var(3, 0) ** 3 - var(3, 1) ** 2 * var(3, 2)
     assert not jacobian_hilbert(cusp).smooth
@@ -488,9 +470,12 @@ def test_input_validation():
 
 
 def test_primitive_hodge_numbers():
-    assert primitive_hodge_numbers(fermat(3, 3)) == [(1, 1), (2, 1)]
-    assert primitive_hodge_numbers(fermat(4, 4)) == [(1, 1), (2, 19), (3, 1)]
-    quintic = primitive_hodge_numbers(fermat(5, 5))
+    def hodge_numbers(f):
+        return jacobian_hilbert(f).hodge_numbers()
+
+    assert hodge_numbers(fermat(3, 3)) == [(1, 1), (2, 1)]
+    assert hodge_numbers(fermat(4, 4)) == [(1, 1), (2, 19), (3, 1)]
+    quintic = hodge_numbers(fermat(5, 5))
     assert quintic == [(1, 1), (2, 101), (3, 101), (4, 1)]
     oracle = series_hilbert(5, 5, 15)
     assert [h for _, h in quintic] == [oracle[5 * q - 5] for q in range(1, 5)]
