@@ -39,15 +39,16 @@ lands in degree 20, whose matrix has 10,626 rows and 24,225 columns, yet it
 meets one block of 126 rows.  A row is keyed by its monomial and a column
 by (i, g), both monomials packed into integers (griffiths.MacaulayColumns),
 so the solver lists none of the 10,626 rows: it walks from the part's
-monomials to the columns that meet them and back.  The standard
-monomials need every block, so they list the degree and close the rest.
-The blocks share no rows, so eliminating them separately in Macaulay order
+monomials to the columns that meet them and back, testing divisibility by
+one subtraction on the packed keys.  The standard monomials need every
+block, so they list the degree's packed keys and close the rest.  The
+blocks share no rows, so eliminating them separately in Macaulay order
 stores the same pivot columns as eliminating the whole matrix (see
 _DegreeSolver).  Columns that Koszul syzygies make redundant are never
-built (griffiths.koszul_redundant): they are 13,599 of the 24,225 in that
+built (griffiths module docstring): they are 13,599 of the 24,225 in that
 degree, which leaves 10,626 columns, one per row, and the block eliminates
 126 columns on its 126 rows.  With grevlex leads every kept column of the
-Dwork pencils is independent (griffiths module docstring).
+Dwork pencils is independent.
 
 The default basis needs no solve.  A connection matrix X solves U X = R,
 with the reduced basis forms as the columns of U.  A standard monomial
@@ -100,15 +101,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 
 from .exceptions import BasisError, NonHomogeneousError, NotSmoothError
 from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_add, poly_div_exact,
                      poly_eval, poly_gcd, poly_mul, poly_neg, poly_primitive,
                      poly_pseudo_rem, poly_str, poly_zgcd)
-from .griffiths import MacaulayColumns, jacobian_degree, koszul_redundant
+from .griffiths import MacaulayColumns, jacobian_degree
 from .matrices import integerize_column
-from .poly import Polynomial, add_term, monomial_basis
+from .poly import Polynomial, add_term
 from .reports import Check, Verdict
 
 
@@ -160,49 +161,46 @@ class _DegreeSolver:
     """Column echelon of one Macaulay degree with transformation tracking.
 
     Rows are degree-d monomials, keyed by their packed integers
-    (griffiths.MacaulayColumns.pack, base d + 1, x_0 most significant,
-    which compare as the monomials do in lex order); pivots prefer the
-    largest available monomial (lex, which is graded lex within a degree),
-    so the non-pivot rows are the standard monomials of the Jacobian ideal
-    in this degree.  ``standard_monomials`` gives them as exponent tuples.
+    (griffiths.MacaulayColumns: base 2^(b+1) for b the bit length of d,
+    x_0 most significant, compared as the monomials in lex order); pivots
+    prefer the largest available monomial (lex, which is graded lex within
+    a degree), so the non-pivot rows are the standard monomials of the
+    Jacobian ideal in this degree, which ``standard_monomials`` unpacks.
 
     Every column is augmented: the entry of key -2 - (pack(g) * nvars + i)
     holds the coefficient of Macaulay column (i, g) in the combination the
     column equals, and in ``solve`` the entry of key -1 the multiple of the
     part being solved.  Augmentation keys are negative and distinct, and
-    every row key is at least 0, so every augmentation key sorts below
-    every row; a reduction stops at the first negative key.
-    Columns are lifted by integerize_column, to integers over QQ and to
-    polynomials over Z in t (IntPoly tuples) over QQ(t), the lifting scale
-    carried in the augmentation entries, and the step is the accumulator's
-    fraction-free one, ``IntRankAccumulator._step`` or
-    ``FieldRankAccumulator._step``.  The columns come from
-    griffiths.MacaulayColumns, which lifts each partial once, together
-    with its augmentation entry, so no Macaulay column is lifted on its
-    own.  A solve takes its part already lifted and packed (the reducer
-    lifts each form once), appends the entry 1 of key -1, and returns the
-    reduced column, that entry the scale s of the combination.  No quotient
-    is built here: GriffithsDworkReducer.reduce multiplies its common
-    denominator by s and divides once per nonzero coordinate, at the end.
+    every row key is at least 0, so a reduction stops at the first negative
+    key.  Columns are lifted to integers over QQ and to IntPoly tuples over
+    QQ(t), the lifting scale carried in the augmentation entries, and the
+    step is the accumulator's fraction-free one, ``_step`` of
+    IntRankAccumulator or FieldRankAccumulator, which consumes the column
+    it is given.  MacaulayColumns lifts each partial once, together with its
+    augmentation entry, so no Macaulay column is lifted on its own.  A solve
+    takes its part already lifted and packed (the reducer lifts each form
+    once), appends the entry 1 of key -1, and returns the reduced column,
+    that entry the scale s of the combination; GriffithsDworkReducer.reduce
+    divides by s once per nonzero coordinate, at the end.
 
-    Only the columns that griffiths.koszul_redundant keeps are eliminated.
-    They span the same space as all the columns (the griffiths module
-    docstring has the argument), so the pivot rows, the standard monomials
-    and the solved classes are those of the full matrix; only the
-    combinations a solve returns may differ, by Koszul syzygies.
+    Only the columns that the Koszul criterion keeps are eliminated.  They
+    span the same space as all the columns (griffiths module docstring), so
+    the pivot rows, the standard monomials and the solved classes are those
+    of the full matrix; only the combinations a solve returns may differ.
 
     The echelon is built on demand, one connected block at a time.  Kept
-    column (i, g) meets row nu exactly when nu = g * mu for a monomial mu
-    of dF/dx_i; the blocks are the connected components of this incidence.
+    column (i, g) meets row r exactly when r = g * mu for a term mu of
+    dF/dx_i; the blocks are the connected components of this incidence.
     ``solve`` eliminates the blocks its part meets (``_close``), walking
     from the part's own monomials, so no degree is listed; and
-    ``standard_monomials`` the rest, in one pass in Macaulay order.  A
-    block is eliminated exactly when its rows are closed.  Blocks share no
-    rows, and a step combines two columns only through a shared row, so a
-    column is only ever reduced against pivots of its own block:
-    eliminating one block alone, in Macaulay order, stores exactly the
-    pivot columns that eliminating the whole matrix stores, whichever order
-    the blocks are closed in.
+    ``standard_monomials`` the rest, in one pass in Macaulay order.  The
+    walk is integer-only: column (i, r - mu) meets r when mu divides r,
+    and is kept when no mu * LT(dF_j), j < i, of degree <= d divides r
+    (MacaulayColumns' guard-bit test).  A block is eliminated exactly when
+    its rows are closed.  Blocks share no rows, and a step combines two
+    columns only through a shared row, so eliminating one block alone, in
+    Macaulay order, stores exactly the pivot columns that eliminating the
+    whole matrix stores, whichever order the blocks are closed in.
     """
 
     def __init__(self, partials, field, nvars, gen_degree, d):
@@ -212,11 +210,12 @@ class _DegreeSolver:
         self._one = _RINGS[field][1]
         self.pivots = {}
         self._closed_rows = set()
-        # per nonzero partial: its earlier leads and its terms mu, as
-        # exponent tuples beside their packed keys, for _close's walk
-        self._shifts = [(i, leads, [(columns.unpack(mu), mu)
-                                    for mu, _ in columns.templates[i]])
-                        for i, leads in columns.leads.items()]
+        # (i, mu, the multiples of mu by the earlier leads if their degree,
+        # 2 * gen_degree, is at most d) per nonzero partial i and term mu
+        self._walk = [(i, mu, [mu + columns.pack(lt) for lt in leads
+                               if d >= 2 * gen_degree])
+                      for i, leads in columns.leads.items()
+                      for mu, _ in columns.templates[i]]
 
     def _eliminate(self, listing):
         """Reduce each Macaulay column (i, g, col) of listing in turn, g
@@ -232,14 +231,10 @@ class _DegreeSolver:
         scale, nvars = self.columns.scale, self.columns.nvars
         for i, g, col in listing:
             col[-2 - (g * nvars + i)] = scale[i]
-            r = max(col)
-            while r >= 0:
-                pcol = pivots.get(r)
-                if pcol is None:
-                    pivots[r] = col
-                    break
+            while (pcol := pivots.get(r := max(col))) is not None:
                 col = step(col, pcol, r)
-                r = max(col)
+            if r >= 0:
+                pivots[r] = col
 
     def _close(self, rows):
         """Eliminate every column of the blocks that meet rows and are open.
@@ -256,18 +251,20 @@ class _DegreeSolver:
                 stack.append(r)
         found = {}
         columns = self.columns
-        unpack = columns.unpack
+        guard = columns.guard
         while stack:
             r = stack.pop()
-            nu = unpack(r)
-            for i, leads, terms in self._shifts:
-                for mu, mu_key in terms:
-                    g = tuple(map(sub, nu, mu))
-                    if min(g) < 0:
-                        continue
-                    key = i, r - mu_key     # column (i, g), g packed
-                    if key in found or koszul_redundant(g, leads):
-                        continue
+            top = r | guard
+            for i, mu, multiples in self._walk:
+                if (top - mu) & guard != guard:     # mu does not divide r
+                    continue
+                key = i, r - mu     # column (i, g), g = r / mu packed
+                if key in found:
+                    continue
+                for lt_mu in multiples:
+                    if (top - lt_mu) & guard == guard:
+                        break       # an earlier lead divides g
+                else:
                     col = found[key] = columns.column(*key)
                     for s in col:
                         if s not in closed:
@@ -277,39 +274,31 @@ class _DegreeSolver:
                         for i, g in sorted(found, key=lambda k: (k[0], -k[1])))
 
     def _reduce(self, col):
-        """Head-reduce an augmented column with the stored pivots.
-
-        Stops at the first non-pivot row, returned with the column, or when
-        only augmentation entries remain (returns None as the row).  The
-        augmentation entries keep every column nonzero.  ``solve`` reduces
-        through this; ``_eliminate`` runs the same loop inline.
-        """
+        """Head-reduce an augmented column with the stored pivots, which
+        have no negative row: stop at the first non-pivot row, returned with
+        the column, or with None when only augmentation entries remain
+        (they keep every column nonzero).  ``solve`` reduces through this;
+        ``_eliminate`` runs the same loop inline."""
         pivots, step = self.pivots, self._step
-        while True:
-            r = max(col)
-            if r < 0:
-                return None, col
-            pcol = pivots.get(r)
-            if pcol is None:
-                return r, col
+        while (pcol := pivots.get(r := max(col))) is not None:
             col = step(col, pcol, r)
+        return (r if r >= 0 else None), col
 
     @property
     def standard_monomials(self):
         """The non-pivot rows, as exponent tuples; the first read closes
         every open block."""
-        monomials = monomial_basis(self.columns.nvars, self.degree)
-        keys = list(map(self.columns.pack, monomials))
+        columns = self.columns
+        keys = columns.listing(self.degree)
         closed = self._closed_rows
         if len(closed) < len(keys):
-            columns = self.columns
             self._eliminate((i, g, col) for i, g in columns.kept()
                             # its block is open
                             if next(iter(col := columns.column(i, g)))
                             not in closed)
             closed.update(keys)
         pivots = self.pivots
-        return [nu for nu, r in zip(monomials, keys) if r not in pivots]
+        return [columns.unpack(r) for r in keys if r not in pivots]
 
     def solve(self, part: dict) -> dict:
         """part = (standard-monomial combination) + sum lambda * g * dF_i.

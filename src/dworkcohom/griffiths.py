@@ -79,7 +79,9 @@ lex leads dF_1..dF_n by the deformation monomials prod(x)/x_j.
 
 A column (i, g) repeats the coefficients of dF_i on the rows g * mu, so
 MacaulayColumns lifts each partial once, and column (i, g) only moves the
-lifted coefficients to the rows g * mu.
+lifted coefficients to the rows g * mu.  Monomials are packed integers
+with a guard bit per exponent, so a product is a sum of keys and a
+divisibility test one subtraction and one mask (MacaulayColumns).
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from .forms import (ColumnStencil, StrandSpec, strand_basis,
 from .linalg import ComplexDims
 from .matrices import (FieldRankAccumulator, IntRankAccumulator, integerize_column,
                        primitive_column)
-from .poly import Polynomial, count_monomials, monomial_basis
+from .poly import Polynomial, count_monomials
 
 
 @dataclass(frozen=True)
@@ -184,45 +186,42 @@ def coprime_leads(partials) -> bool:
                     for k in range(len(partials))))
 
 
-def koszul_redundant(g, leads) -> bool:
-    """Column g * dF_i is redundant: g is divisible by one of leads, the
-    grevlex leads of the partials before i (module docstring)."""
-    return any(all(a >= b for a, b in zip(g, lt)) for lt in leads)
-
-
 class MacaulayColumns:
     """The Macaulay matrix (g_0..g_n) -> sum g_i * partials[i], g_i of
     degree src.
 
     A row is its monomial, of degree d = src + deg partials[i], and a
     column is its key (i, g), for i a nonzero partial; nothing numbers
-    either.  Both monomials are packed integers: x^nu is the base-(d+1)
-    number with digits nu, x_0 most significant (``pack``; ``unpack``
-    inverts it).  Every monomial here, row, source or term of a partial,
-    has degree at most d, so no exponent reaches the base.  Hence the
-    digits never carry: pack(g) + pack(mu) == pack(g * mu), and two
-    monomials compare as integers as their exponent tuples compare, in lex
-    order, which is graded lex within one degree.  Rows, the sources g and
-    the Koszul-redundant set are then ints, which hash and compare faster
-    than tuples; each matrix has its own base, fixed by its degree.
-    ``kept`` lists the columns that koszul_redundant keeps, in Macaulay
-    order; they span every column.  Each nonzero partial is lifted once
-    into a template: integerize_column of its coefficients together with
-    the augmentation entry 1 that _DegreeSolver appends to a column, which
-    leaves ``scale[i]`` as that entry.  Over QQ the template's entries and
-    the scale are integers, over QQ(t) IntPoly tuples, polynomials over Z
-    in t, with the lcm of the denominators cleared in both.  Column (i, g)
-    then moves the template's rows mu to g * mu, pack(g) + pack(mu); no
-    entry cancels, because mu -> g * mu is injective.  ``accumulator`` is
-    the rank accumulator for the columns.
+    either.  Both monomials are packed integers: x^nu has the digits nu in
+    base 2^(b+1), b the bit length of d, x_0 most significant (``pack``,
+    inverted by ``unpack``).  Every monomial here has degree at most d, so
+    its digits stay below their top bits, the guard bits 2^b > d.  So no
+    digit carries: pack(g) + pack(mu) == pack(g * mu), and keys compare as
+    their exponent tuples, in lex order.  Below the partials' degree
+    (src < 0) the base is sized by theirs, and there are no columns.  With
+    H the mask of the guard bits, digit k of (r | H) - a is 2^b + r_k - a_k,
+    in [0, 2^(b+1)) for r_k, a_k < 2^b, so no digit borrows and its guard
+    bit is set exactly when a_k <= r_k: for monomials of degree at most d,
+    a divides r exactly when ((r | H) - a) & H == H.
+
+    ``kept`` lists the columns that the Koszul criterion keeps, in
+    Macaulay order; they span every column.  Each nonzero partial is lifted
+    once into a template: integerize_column of its coefficients together
+    with the augmentation entry 1 that _DegreeSolver appends to a column,
+    which leaves ``scale[i]`` as that entry (integers over QQ, IntPoly
+    tuples over QQ(t)).  Column (i, g) then moves the template's rows mu to
+    pack(g) + pack(mu); no entry cancels, as mu -> g * mu is injective.
+    ``accumulator`` is the rank accumulator for the columns.
     """
 
     def __init__(self, partials, nvars: int, src: int):
         self.nvars, self.src = nvars, src
         self.leads = earlier_leads(partials)
         gen = max((sum(mu) for p in partials for mu in p.terms), default=0)
-        self.base = base = src + gen + 1
+        bit = 1 << (max(src, 0) + gen).bit_length()    # the guard bit
+        self.base = base = 2 * bit
         self.weights = tuple(base ** k for k in reversed(range(nvars)))
+        self.guard = bit * sum(self.weights)    # H, the mask of the guard bits
         self.templates, self.scale = {}, {}
         field = partials[0].field
         self.accumulator = (IntRankAccumulator if field is QQ
@@ -234,13 +233,23 @@ class MacaulayColumns:
                                       for mu, c in terms.items())
 
     def pack(self, nu) -> int:
-        """The monomial x^nu as a base-(d+1) integer, x_0 most significant."""
+        """The monomial x^nu as a packed integer, x_0 most significant."""
         return sum(map(mul, nu, self.weights))
 
     def unpack(self, key: int) -> tuple:
         """The exponent vector of a packed monomial."""
         base = self.base
         return tuple(key // w % base for w in self.weights)
+
+    def listing(self, e: int) -> list:
+        """The packed monomials of degree e in monomial_basis(nvars, e)
+        order, descending; none for e < 0."""
+        first, *rest = self.weights
+        tails = [[0]] + [[]] * e    # tails[s]: degree s in the last variables
+        for w in reversed(rest):
+            tails = [[a * w + t for a in range(s, -1, -1) for t in tails[s - a]]
+                     for s in range(e + 1)]
+        return [a * first + t for a in range(e, -1, -1) for t in tails[e - a]]
 
     def column(self, i, g) -> dict:
         """Column (i, g), g packed: the template of partial i on the rows
@@ -249,21 +258,17 @@ class MacaulayColumns:
 
     def kept(self):
         """(i, g) for every kept column, g packed, in Macaulay order: i
-        ascending, then g in monomial_basis(nvars, src) order
-        (lex-descending).
-
-        A partial's kept sources are those less the multiples of the leads
-        before it; the cofactors of one lead degree are enumerated once,
-        and each source and each multiple is packed once.
-        """
-        pack = self.pack
-        sources = list(map(pack, monomial_basis(self.nvars, self.src)))
+        ascending, then g descending.  A partial's kept sources are those
+        less the multiples of the leads before it; the cofactors of one
+        lead degree are listed once."""
+        pack, listing = self.pack, self.listing
+        sources = listing(self.src)
         redundant, done, cofactors = set(), 0, {}
         for i, leads in self.leads.items():
             for lt in leads[done:]:
                 e = self.src - sum(lt)
                 if e not in cofactors:
-                    cofactors[e] = list(map(pack, monomial_basis(self.nvars, e)))
+                    cofactors[e] = listing(e)
                 lt = pack(lt)
                 redundant.update(lt + h for h in cofactors[e])
             done = len(leads)

@@ -17,10 +17,12 @@ runs Fraction or RatFunc arithmetic inside an elimination:
 ``integerize_column`` lifts a column over QQ to Z, or over QQ(t) to Z[t],
 once, by clearing the lcm of its denominators and dividing by its content.
 
-The two steps update their columns inline rather than through
-poly.add_term, the engine's one cancelling update: they are the inner loop
-of every elimination (about a quarter of the window-sparse pass), and a
-call per entry would show.
+The two steps update the column they are given in place, and inline
+rather than through poly.add_term, the engine's one cancelling update:
+they are the inner loop of every elimination (about a quarter of the
+window-sparse pass), and a copy, or a call per entry, would show.  So a
+step consumes its column, and every caller passes one it owns
+(``add_column`` copies its column on entry).
 
 ``rank_mod_p`` takes the same columns and ranks them by an independent
 dense elimination over a prime field, kept separate on purpose: it serves
@@ -38,14 +40,12 @@ from .fields import (QQ_T, RatFunc, poly_div_exact, poly_gcd, poly_mul, poly_neg
 
 
 def primitive_column(col: dict) -> dict:
-    """Divide an integer column by the gcd of its entries (rank-preserving)."""
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return col
+    """Divide an integer column by the gcd of its entries, in place
+    (rank-preserving); returns col."""
+    g = gcd(*col.values())
     if g > 1:
-        return {r: v // g for r, v in col.items()}
+        for r, v in col.items():
+            col[r] = v // g
     return col
 
 
@@ -182,13 +182,14 @@ class IntRankAccumulator(_RankAccumulator):
 
     @staticmethod
     def _step(col, pcol, r):
-        """Clear row r of col with pivot column pcol; the result is primitive.
+        """Clear row r of col with pivot column pcol, in place; the result,
+        col, is primitive.
 
         The two entries are divided by g = gcd(pcol[r], col[r]) before the
         cross-multiplication, with the sign put on g that makes the pivot's
         multiplier positive.  That divides the cross-multiplied column by
         |g| and keeps its rows in order, so its primitive part, the result,
-        is the same; a multiplier of 1 copies col instead of scaling it.
+        is the same; a multiplier of 1 leaves col unscaled.
         """
         # inline cancelling update, not poly.add_term: the inner loop
         pval, cval = pcol[r], col[r]
@@ -196,14 +197,16 @@ class IntRankAccumulator(_RankAccumulator):
         if pval < 0:
             g = -g
         pval, cval = pval // g, cval // g
-        new = dict(col) if pval == 1 else {s: v * pval for s, v in col.items()}
+        if pval != 1:
+            for s, v in col.items():
+                col[s] = v * pval
         for s, w in pcol.items():
-            u = new.get(s, 0) - cval * w
+            u = col.get(s, 0) - cval * w
             if u:
-                new[s] = u
+                col[s] = u
             else:
-                new.pop(s, None)
-        return primitive_column(new)
+                col.pop(s, None)
+        return primitive_column(col)
 
     _size = staticmethod(int.bit_length)    # of |v|; +-1 is the smallest
 
@@ -215,14 +218,14 @@ class FieldRankAccumulator(_RankAccumulator):
 
     @staticmethod
     def _step(col, pcol, r):
-        """Clear row r of col with pivot column pcol; the result is
-        primitive over Z[t].
+        """Clear row r of col with pivot column pcol, in place; the result
+        is col, or its quotient when that is not primitive over Z[t].
 
         The two entries are divided by their gcd g in Z[t] before the
         cross-multiplication, with the sign put on g that gives the pivot's
         multiplier a positive leading coefficient.  The result is col times
         that multiplier less pcol times col's quotient, divided by the gcd
-        of its entries; a multiplier of 1 copies col instead of scaling it.
+        of its entries; a multiplier of 1 leaves col unscaled.
         """
         # inline cancelling update, not poly.add_term: the inner loop
         pval, cval = pcol[r], col[r]
@@ -230,15 +233,16 @@ class FieldRankAccumulator(_RankAccumulator):
         if pval[-1] < 0:
             g = poly_neg(g)
         pval, cval = _div(pval, g), _div(cval, g)
-        new = (dict(col) if pval == (1,)
-               else {s: poly_mul(pval, v) for s, v in col.items()})
+        if pval != (1,):
+            for s, v in col.items():
+                col[s] = poly_mul(pval, v)
         for s, w in pcol.items():
-            u = poly_sub(new.get(s, ()), poly_mul(cval, w))
+            u = poly_sub(col.get(s, ()), poly_mul(cval, w))
             if u:
-                new[s] = u
+                col[s] = u
             else:
-                new.pop(s, None)
-        return primitive_poly_column(new)
+                col.pop(s, None)
+        return primitive_poly_column(col)
 
     _size = staticmethod(len)    # degree + 1; a constant is the smallest
 

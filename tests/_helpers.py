@@ -287,6 +287,60 @@ class PerColumnSolver(_DegreeSolver):
         return [nu for nu, r in zip(monomials, keys) if r not in pivots]
 
 
+def koszul_redundant(g, leads) -> bool:
+    """Column g * dF_i is redundant: the exponent tuple g is divisible by
+    one of leads, the grevlex leads of the partials before i (griffiths
+    module docstring).  The Koszul test of the tuple walk."""
+    return any(all(a >= b for a, b in zip(g, lt)) for lt in leads)
+
+
+class TupleWalkSolver(_DegreeSolver):
+    """_DegreeSolver with the block walk it had before it was integer-only:
+    every row unpacked, every source g an exponent tuple, and the Koszul
+    test koszul_redundant.  The oracle of the packed walk: both must find
+    the same columns and store the same pivots."""
+
+    def _close(self, rows):
+        closed, stack = self._closed_rows, []
+        for r in rows:
+            if r not in closed:
+                closed.add(r)
+                stack.append(r)
+        found, columns = {}, self.columns
+        shifts = [(i, leads, [(columns.unpack(mu), mu)
+                              for mu, _ in columns.templates[i]])
+                  for i, leads in columns.leads.items()]
+        while stack:
+            r = stack.pop()
+            nu = columns.unpack(r)
+            for i, leads, terms in shifts:
+                for mu, mu_key in terms:
+                    g = tuple(a - b for a, b in zip(nu, mu))
+                    if min(g) < 0:
+                        continue
+                    key = i, r - mu_key
+                    if key in found or koszul_redundant(g, leads):
+                        continue
+                    col = found[key] = columns.column(*key)
+                    for s in col:
+                        if s not in closed:
+                            closed.add(s)
+                            stack.append(s)
+        self._eliminate((i, g, found[i, g])
+                        for i, g in sorted(found, key=lambda k: (k[0], -k[1])))
+
+
+def consuming_step(step):
+    """The elimination step step, after which the column it was given is
+    cleared: a caller that reads its column after a step reads nothing, so
+    a run through it answers as the plain run only if no caller does."""
+    def spy(col, pcol, r):
+        out = dict(step(col, pcol, r))
+        col.clear()
+        return out
+    return staticmethod(spy)
+
+
 class DivisionReducer(GriffithsDworkReducer):
     """GriffithsDworkReducer with the reduce it had before it was
     fraction-free: every solve divides by its scale (division_solve), the

@@ -14,12 +14,14 @@ from dworkcohom import (Family, GriffithsDworkReducer, Polynomial, QQ, QQ_T,
                         connection_properties_check, jacobian_hilbert,
                         monomial_basis, rational_connection_matrix)
 from dworkcohom.exceptions import BasisError, NonHomogeneousError, NotSmoothError
-from dworkcohom import gaussmanin, griffiths
+from dworkcohom import gaussmanin, griffiths, poly
 from dworkcohom.gaussmanin import ConnectionMatrix, _DegreeSolver, _rational_roots
 from dworkcohom.fields import poly_mul
-from _helpers import (DivisionReducer, PerColumnSolver, _test_invertible_matrix,
-                      all_macaulay_columns, cross_multiplied_step,
-                      dense_matmul, family_matrix, fermat, field_solve,
+from dworkcohom.matrices import FieldRankAccumulator, IntRankAccumulator
+from _helpers import (DivisionReducer, PerColumnSolver, TupleWalkSolver,
+                      _test_invertible_matrix, all_macaulay_columns,
+                      consuming_step, cross_multiplied_step, dense_matmul,
+                      family_matrix, fermat, field_solve,
                       solved_conjugation_check, solved_connection_matrix,
                       triangle, trial_division_roots, var)
 
@@ -467,14 +469,20 @@ def test_solve_eliminates_only_its_block():
 
 def test_solve_lists_no_degree(monkeypatch):
     # rows are monomials and columns (i, g): neither the degree-20 solver nor
-    # the solve that meets one block of its 10,626 rows lists any monomials
+    # the solve that meets one block of its 10,626 rows lists any monomials,
+    # through poly.monomial_basis (in every module that binds it) or through
+    # MacaulayColumns.listing, the one lister of packed monomials
     f, _ = dwork_quintic()
     reducer = GriffithsDworkReducer(f)
     calls = []
-    original = gaussmanin.monomial_basis
-    for module in (gaussmanin, griffiths):
-        monkeypatch.setattr(module, "monomial_basis",
-                            lambda *args: calls.append(args) or original(*args))
+    original = poly.monomial_basis
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dworkcohom") and hasattr(module, "monomial_basis"):
+            monkeypatch.setattr(module, "monomial_basis", lambda *args:
+                                calls.append(args) or original(*args))
+    listing = griffiths.MacaulayColumns.listing
+    monkeypatch.setattr(griffiths.MacaulayColumns, "listing",
+                        lambda *args: calls.append(args) or listing(*args))
     solver = reducer._solver(20)
     std, combo = field_solve(solver, {(4, 4, 4, 4, 4): QQ.one})
     assert not std and combo and len(solver.pivots) == 126
@@ -896,4 +904,80 @@ def test_batch_elimination_is_the_per_column_elimination(m, symbolic):
             assert step(new) == step(old)
             assert ([(r, list(c.items())) for r, c in new.pivots.items()]
                     == [(r, list(c.items())) for r, c in old.pivots.items()])
-        assert new.pivots
+        # below the partials' degree the matrix has no columns
+        if d < m - 1:
+            assert not new.pivots and not list(new.columns.kept())
+        else:
+            assert new.pivots
+
+
+# ---- the packed walk, and steps that consume their column --------------
+
+
+def walked_columns(solver, rows):
+    """Close the blocks of rows; return the Macaulay columns (i, g) that
+    solver eliminates, in order, each through the solver's own loop."""
+    found, eliminate = [], solver._eliminate
+
+    def record(listing):
+        for i, g, col in listing:
+            found.append((i, g))
+            eliminate([(i, g, col)])
+
+    solver._eliminate = record
+    solver._close(rows)
+    del solver._eliminate
+    return found
+
+
+@pytest.mark.hash_order
+@pytest.mark.parametrize("symbolic", [False, True], ids=["QQ", "QQ(t)"])
+@pytest.mark.parametrize("m", [3, 4, 5], ids=["cubic", "k3", "quintic"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_walk_is_the_tuple_walk(m, symbolic, data):
+    # from any rows, in turn, of any degree up to the socle's plus m (the
+    # degree a product with the perturbation lands in), the guard-bit walk
+    # finds the columns that the walk over exponent tuples with
+    # koszul_redundant finds, in the same order, and both store the same
+    # pivots; below degree m - 1 there are none
+    f = pencil_member(m, T, QQ_T) if symbolic else pencil_member(m, 2)
+    partials = [f.partial_derivative(k) for k in range(m)]
+    d = data.draw(st.integers(0, m * (m - 1)), label="d")
+    rows = data.draw(st.lists(st.sampled_from(monomial_basis(m, d)),
+                              min_size=1, max_size=3), label="rows")
+    new, old = (cls(partials, f.field, m, m - 1, d)
+                for cls in (_DegreeSolver, TupleWalkSolver))
+    for nu in rows:
+        found = walked_columns(new, [new.columns.pack(nu)])
+        assert found == walked_columns(old, [old.columns.pack(nu)])
+        assert ([(r, list(c.items())) for r, c in new.pivots.items()]
+                == [(r, list(c.items())) for r, c in old.pivots.items()])
+        assert new._closed_rows == old._closed_rows
+    if d < m - 1:
+        assert not new.pivots
+
+
+def reducer_run(f, g):
+    """The reducer of f, its connection matrix with the perturbation g, and
+    the pivots of every degree it built, each column's items in order."""
+    reducer = GriffithsDworkReducer(f)
+    mat = connection_matrix(reducer, g)
+    pivots = {d: [(r, list(c.items())) for r, c in s.pivots.items()]
+              for d, s in reducer._solvers.items()}
+    return pivots, mat.to_json_dict()
+
+
+@pytest.mark.hash_order
+@pytest.mark.parametrize("symbolic", [False, True], ids=["t2", "QQ(t)"])
+@pytest.mark.parametrize("m", [3, 4, 5], ids=["cubic", "k3", "quintic"])
+def test_steps_consume_their_column(monkeypatch, m, symbolic):
+    # each step updates the column it is given in place; with steps that
+    # clear it afterwards, no caller reads it again, so the reducer's
+    # pivots and the connection matrix are those of the plain steps
+    f = pencil_member(m, T, QQ_T) if symbolic else pencil_member(m, 2)
+    g = Polynomial.monomial(QQ, m, (1,) * m).scale(-m)
+    want = reducer_run(f, g)
+    for acc in (IntRankAccumulator, FieldRankAccumulator):
+        monkeypatch.setattr(acc, "_step", consuming_step(acc._step))
+    assert reducer_run(f, g) == want

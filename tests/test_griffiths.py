@@ -282,13 +282,14 @@ def test_pruned_rank_is_the_full_rank(f, smooth):
 
 def test_macaulay_rank_lists_no_target_degree(monkeypatch):
     # rows are monomials: a rank lists its sources (degree d - 2) and the
-    # cofactors of the leads (degree d - 4), never the degree d of its rows
+    # cofactors of the leads (degree d - 4), never the degree d of its rows;
+    # MacaulayColumns.listing is the one lister of packed monomials
     f = triangle()
     partials = [f.partial_derivative(k) for k in range(3)]
     degrees = []
-    original = griffiths.monomial_basis
-    monkeypatch.setattr(griffiths, "monomial_basis",
-                        lambda nvars, d: degrees.append(d) or original(nvars, d))
+    original = griffiths.MacaulayColumns.listing
+    monkeypatch.setattr(griffiths.MacaulayColumns, "listing",
+                        lambda self, d: degrees.append(d) or original(self, d))
     assert not jacobian_hilbert(f).smooth
     for d in range(6):
         degrees.clear()
@@ -381,35 +382,46 @@ def monomials_of_degree(nvars, d):
 
 @st.composite
 def packings(draw):
-    """nvars, a row degree d, monomials g and mu whose degrees sum to d, and
-    a list of monomials of degree d."""
+    """nvars, a row degree d, monomials g and mu whose degrees sum to d, a
+    list of monomials of degree d, and a list of monomials of degree at
+    most d."""
     nvars, d = draw(st.integers(1, 6)), draw(st.integers(0, 12))
     a = draw(st.integers(0, d))
+    lower = st.integers(0, d).flatmap(lambda e: monomials_of_degree(nvars, e))
     return (nvars, d, draw(monomials_of_degree(nvars, a)),
             draw(monomials_of_degree(nvars, d - a)),
             draw(st.lists(monomials_of_degree(nvars, d), min_size=1,
-                          max_size=20)))
+                          max_size=20)),
+            draw(st.lists(lower, min_size=1, max_size=12)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(packings())
 def test_packing_is_injective_lex_ordered_and_additive(case):
-    # MacaulayColumns packs x^nu as a base-(d+1) integer for rows of degree
-    # d: distinct monomials get distinct keys, keys of degree d compare as
-    # their exponent tuples (lex), a product's key is the sum of its
-    # factors' keys, and unpack inverts pack
-    nvars, d, g, mu, rows = case
+    # MacaulayColumns packs x^nu for rows of degree d with a guard bit above
+    # every digit: distinct monomials get distinct keys, keys of degree d
+    # compare as their exponent tuples (lex), a product's key is the sum of
+    # its factors' keys, unpack inverts pack, listing(d) is monomial_basis
+    # packed in its order, and for monomials of degree <= d the guard-bit
+    # test ((r | H) - a) & H == H holds exactly when a divides r
+    nvars, d, g, mu, rows, low = case
     # the partials of sum x_k^2 have degree 1, so the sources degree d - 1
     partials = [Polynomial.variable(QQ, nvars, k).scale(2)
                 for k in range(nvars)]
     columns = griffiths.MacaulayColumns(partials, nvars, d - 1)
-    pack, unpack = columns.pack, columns.unpack
+    pack, unpack, guard = columns.pack, columns.unpack, columns.guard
     product = tuple(a + b for a, b in zip(g, mu))
-    monomials = {g, mu, product, *rows}
+    monomials = {g, mu, product, *rows, *low}
     assert len({pack(nu) for nu in monomials}) == len(monomials)
     assert all((pack(a) < pack(b)) == (a < b) for a in rows for b in rows)
     assert pack(g) + pack(mu) == pack(product)
     assert all(unpack(pack(nu)) == nu for nu in monomials)
+    assert columns.listing(d) == [pack(nu) for nu in monomial_basis(nvars, d)]
+    assert columns.listing(-1) == []
+    for r in [*rows, *low]:
+        for a in low:
+            divides = ((pack(r) | guard) - pack(a)) & guard == guard
+            assert divides == all(x <= y for x, y in zip(a, r))
 
 
 def test_fermat_cubic_profile():

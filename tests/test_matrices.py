@@ -19,8 +19,8 @@ from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
 
 from _helpers import (PRIMES_62, CrossMultipliedRankAccumulator,
                       DivisionRankAccumulator, SizeFirstRankAccumulator,
-                      cross_multiplied_step, dense_rank_fractions,
-                      division_step, sparse_to_dense)
+                      consuming_step, cross_multiplied_step,
+                      dense_rank_fractions, division_step, sparse_to_dense)
 
 # a smooth plane cubic of the benchmark's window-dense panel
 DENSE_CUBIC = "2*x0^3 - 2*x0*x1^2 + 2*x0*x1*x2 + x0*x2^2 + 2*x1^2*x2 - x1*x2^2"
@@ -131,6 +131,34 @@ def test_compare_smooth_paths_step_count(monkeypatch):
     assert len(calls) == STEPS
 
 
+def smooth_paths_run(monkeypatch):
+    """compare_smooth_paths on the dense cubic: its verdict and the pivots
+    of every IntRankAccumulator it feeds, each column's items in order."""
+    accs, add = {}, IntRankAccumulator.add_column
+
+    def record(self, col):
+        accs.setdefault(id(self), self)
+        return add(self, col)
+
+    monkeypatch.setattr(IntRankAccumulator, "add_column", record)
+    verdict = dwork.compare_smooth_paths(dense_cubic())
+    monkeypatch.setattr(IntRankAccumulator, "add_column", add)
+    return verdict, [[(r, list(c.items())) for r, c in acc.pivcol.items()]
+                     for acc in accs.values()]
+
+
+@pytest.mark.hash_order
+def test_compare_smooth_paths_steps_consume_their_column(monkeypatch):
+    # the integer step updates the column it is given in place; with a step
+    # that clears it afterwards, no caller reads it again, so the verdict
+    # and every stored pivot are those of the plain step
+    want = smooth_paths_run(monkeypatch)
+    assert want[0].ok and len(want[1]) > 1
+    monkeypatch.setattr(IntRankAccumulator, "_step",
+                        consuming_step(IntRankAccumulator._step))
+    assert smooth_paths_run(monkeypatch) == want
+
+
 def test_engine_columns_are_whole(monkeypatch):
     # dwork x0*x1*x2: every add_column call of the window engine carries
     # the whole column of one representative source, none a band part, and
@@ -229,7 +257,7 @@ class CheckedStep(IntRankAccumulator):
 
     @staticmethod
     def _step(col, pcol, r):
-        new = IntRankAccumulator._step(col, pcol, r)
+        new = IntRankAccumulator._step(dict(col), pcol, r)   # consumes it
         want = cross_multiplied_step(col, pcol, r)
         assert list(new.items()) == list(want.items())
         return new
@@ -294,7 +322,7 @@ class CheckedFieldStep(FieldRankAccumulator):
 
     @staticmethod
     def _step(col, pcol, r):
-        new = FieldRankAccumulator._step(col, pcol, r)
+        new = FieldRankAccumulator._step(dict(col), pcol, r)     # consumes it
         want = division_step(as_ratfuncs(col), as_ratfuncs(pcol), r)
         assert r not in new and list(new) == list(want)
         if new:
