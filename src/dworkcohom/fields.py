@@ -104,7 +104,15 @@ def poly_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    """Primitive gcd with positive leading coefficient: t^min(k, v(y)) when
+    one argument is c*t^k, y the other and v(y) its lowest degree with a
+    nonzero coefficient, as a divisor of c*t^k is t^j with j <= k, up to a
+    unit, and t^j divides y exactly when j <= v(y); else a primitive PRS."""
+    for x, y in (a, b), (b, a):
+        k = len(x) - 1
+        if x.count(0) == k:     # x = c*t^k
+            j = next((v for v, c in enumerate(y[:k]) if c), k)
+            return (0,) * j + (1,)
     a, b = poly_primitive(a), poly_primitive(b)
     if len(a) < len(b):
         a, b = b, a

@@ -109,7 +109,7 @@ from .fields import (QQ, QQ_T, IntPoly, RatFunc, poly_add, poly_div_exact,
                      poly_pseudo_rem, poly_str, poly_zgcd)
 from .griffiths import MacaulayColumns, jacobian_degree
 from .matrices import integerize_column
-from .poly import Polynomial, add_term
+from .poly import Polynomial, add_term, mono_mul
 from .reports import Check, Verdict
 
 
@@ -177,7 +177,8 @@ class _DegreeSolver:
     step is the accumulator's fraction-free one, ``_step`` of
     IntRankAccumulator or FieldRankAccumulator, which consumes the column
     it is given.  MacaulayColumns lifts each partial once, together with its
-    augmentation entry, so no Macaulay column is lifted on its own.  A solve
+    augmentation entry, so no Macaulay column is lifted on its own, and
+    ``_eliminate`` builds each column once, from its template.  A solve
     takes its part already lifted and packed (the reducer lifts each form
     once), appends the entry 1 of key -1, and returns the reduced column,
     that entry the scale s of the combination; GriffithsDworkReducer.reduce
@@ -196,8 +197,11 @@ class _DegreeSolver:
     ``standard_monomials`` the rest, in one pass in Macaulay order.  The
     walk is integer-only: column (i, r - mu) meets r when mu divides r,
     and is kept when no mu * LT(dF_j), j < i, of degree <= d divides r
-    (MacaulayColumns' guard-bit test).  A block is eliminated exactly when
-    its rows are closed.  Blocks share no rows, and a step combines two
+    (MacaulayColumns' guard-bit test).  Neither builds a column: the walk
+    reads column (i, g)'s rows as g + nu, nu a row of template i, and a
+    block is open when its first row g + templates[i][0][0] is.  A block
+    is eliminated exactly when its rows are closed.  Blocks share no
+    rows, and a step combines two
     columns only through a shared row, so eliminating one block alone, in
     Macaulay order, stores exactly the pivot columns that eliminating the
     whole matrix stores, whichever order the blocks are closed in.
@@ -218,60 +222,62 @@ class _DegreeSolver:
                       for mu, _ in columns.templates[i]]
 
     def _eliminate(self, listing):
-        """Reduce each Macaulay column (i, g, col) of listing in turn, g
-        packed and col MacaulayColumns.column(i, g), and store its pivot.
+        """Reduce each Macaulay column (i, g) of listing in turn, g packed,
+        and store its pivot.
 
-        The augmentation entry makes col the column that integerize_column
-        would give the augmented one.  Each column is head-reduced as in
-        ``_reduce``, by one loop inline for the whole listing: a column
-        stops at its first non-pivot row, which becomes its pivot, or when
-        only augmentation entries remain, and is then dropped.
+        Each column is built here, once: template i on the rows g + mu,
+        with the augmentation entry scale[i], which makes it the column
+        integerize_column would give the augmented one.  It is head-reduced
+        as in ``_reduce``, by one loop inline for the whole listing, from
+        its largest row g + top[i]: it stops at its first non-pivot row,
+        its pivot, or is dropped when only augmentation entries remain.
         """
-        pivots, step = self.pivots, self._step
-        scale, nvars = self.columns.scale, self.columns.nvars
-        for i, g, col in listing:
-            col[-2 - (g * nvars + i)] = scale[i]
-            while (pcol := pivots.get(r := max(col))) is not None:
-                col = step(col, pcol, r)
+        pivots, step, columns = self.pivots, self._step, self.columns
+        templates, scale, top = columns.templates, columns.scale, columns.top
+        for i, g in listing:
+            col = {g + mu: c for mu, c in templates[i]}
+            col[-2 - (g * columns.nvars + i)] = scale[i]
+            r = g + top[i]
+            while (pcol := pivots.get(r)) is not None:
+                r = max(col := step(col, pcol, r))
             if r >= 0:
                 pivots[r] = col
 
     def _close(self, rows):
         """Eliminate every column of the blocks that meet rows and are open.
 
-        Walks rows and columns from the given (packed) rows, then
+        Walks rows and columns from the given (packed) rows, a found
+        column's rows as g + nu for the rows nu of its template, then
         eliminates the columns found in Macaulay order, (i, g) with g
         lex-descending.  Closed rows stay closed: every column meeting them
-        is already eliminated.
+        is already eliminated, so rows that are all closed return at once.
         """
-        closed, stack = self._closed_rows, []
-        for r in rows:
-            if r not in closed:
-                closed.add(r)
-                stack.append(r)
-        found = {}
-        columns = self.columns
-        guard = columns.guard
+        closed = self._closed_rows
+        stack = [r for r in rows if r not in closed]
+        if not stack:
+            return
+        closed.update(stack)
+        found, templates = set(), self.columns.templates
+        guard = self.columns.guard
         while stack:
             r = stack.pop()
             top = r | guard
             for i, mu, multiples in self._walk:
                 if (top - mu) & guard != guard:     # mu does not divide r
                     continue
-                key = i, r - mu     # column (i, g), g = r / mu packed
-                if key in found:
+                g = r - mu      # column (i, g), g = r / mu packed
+                if (i, g) in found:
                     continue
                 for lt_mu in multiples:
                     if (top - lt_mu) & guard == guard:
                         break       # an earlier lead divides g
                 else:
-                    col = found[key] = columns.column(*key)
-                    for s in col:
-                        if s not in closed:
+                    found.add((i, g))
+                    for nu, _ in templates[i]:
+                        if (s := g + nu) not in closed:
                             closed.add(s)
                             stack.append(s)
-        self._eliminate((i, g, found[i, g])
-                        for i, g in sorted(found, key=lambda k: (k[0], -k[1])))
+        self._eliminate(sorted(found, key=lambda k: (k[0], -k[1])))
 
     def _reduce(self, col):
         """Head-reduce an augmented column with the stored pivots, which
@@ -292,10 +298,9 @@ class _DegreeSolver:
         keys = columns.listing(self.degree)
         closed = self._closed_rows
         if len(closed) < len(keys):
-            self._eliminate((i, g, col) for i, g in columns.kept()
+            self._eliminate((i, g) for i, g in columns.kept()
                             # its block is open
-                            if next(iter(col := columns.column(i, g)))
-                            not in closed)
+                            if g + columns.templates[i][0][0] not in closed)
             closed.update(keys)
         pivots = self.pivots
         return [columns.unpack(r) for r in keys if r not in pivots]
@@ -375,8 +380,9 @@ class GriffithsDworkReducer:
         return s
 
     def standard_forms(self):
-        """The basis as t-free coefficient polynomials x^nu (over QQ)."""
-        return [Polynomial.monomial(QQ, self.nvars, nu) for _, nu in self.std_basis]
+        """The basis x^nu as t-free polynomials over QQ, on one-term maps."""
+        return [Polynomial._of(QQ, self.nvars, {nu: QQ.one})
+                for _, nu in self.std_basis]
 
     def reduce(self, p: Polynomial) -> dict:
         """Coordinates of the class [p dx] in the standard basis, as a map
@@ -622,10 +628,11 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
     basis forms and those of R the reduced perturbation * form.  A standard
     monomial is a non-pivot row of its degree's echelon, so reduce returns
     it as its own unit vector: on the reducer's own standard_forms(), the
-    default basis, U = I and X = R with no solve.  Any other basis takes
-    the general path: its forms are reduced first, then their perturbation
-    products, and U X = R is solved; forms that are not a basis raise
-    BasisError there.
+    default basis, U = I and X = R with no solve, and each product is the
+    lifted perturbation's term map shifted by nu.  Any other basis takes
+    the general path: its forms are lifted and reduced first, then their
+    perturbation products, and U X = R is solved; forms that are not a
+    basis raise BasisError there.
     """
     field = reducer.field
     standard = reducer.standard_forms()
@@ -642,13 +649,16 @@ def connection_matrix(reducer: GriffithsDworkReducer, perturbation: Polynomial,
         raise BasisError(
             f"basis size {len(forms)} != cohomology dimension "
             f"{len(reducer.std_basis)}")
-    lifted = [p.map_coefficients(field.coerce, field) for p in forms]
     g_lift = perturbation.map_coefficients(field.coerce, field)
     if forms == standard:
         # U = I: the derivative coordinates are the columns of the matrix
-        nonzero = {(i, j): e for j, p in enumerate(lifted)
-                   for i, e in reducer.reduce(g_lift * p).items()}
+        products = (Polynomial._of(field, reducer.nvars, {
+            mono_mul(mu, nu): c for mu, c in g_lift.terms.items()})
+            for _, nu in reducer.std_basis)
+        nonzero = {(i, j): e for j, p in enumerate(products)
+                   for i, e in reducer.reduce(p).items()}
     else:
+        lifted = [p.map_coefficients(field.coerce, field) for p in forms]
         k, zero = len(forms), field.zero
         u_cols = [_dense(reducer.reduce(p), k, zero) for p in lifted]
         r_cols = [_dense(reducer.reduce(g_lift * p), k, zero) for p in lifted]

@@ -210,7 +210,8 @@ class MacaulayColumns:
     with the augmentation entry 1 that _DegreeSolver appends to a column,
     which leaves ``scale[i]`` as that entry (integers over QQ, IntPoly
     tuples over QQ(t)).  Column (i, g) then moves the template's rows mu to
-    pack(g) + pack(mu); no entry cancels, as mu -> g * mu is injective.
+    pack(g) + pack(mu); no entry cancels, as mu -> g * mu is injective and
+    keeps the order, so the column's largest row is g + ``top[i]``.
     ``accumulator`` is the rank accumulator for the columns.
     """
 
@@ -222,7 +223,7 @@ class MacaulayColumns:
         self.base = base = 2 * bit
         self.weights = tuple(base ** k for k in reversed(range(nvars)))
         self.guard = bit * sum(self.weights)    # H, the mask of the guard bits
-        self.templates, self.scale = {}, {}
+        self.templates, self.scale, self.top = {}, {}, {}
         field = partials[0].field
         self.accumulator = (IntRankAccumulator if field is QQ
                             else FieldRankAccumulator)
@@ -231,6 +232,7 @@ class MacaulayColumns:
             self.scale[i] = terms.pop(None)
             self.templates[i] = tuple((self.pack(mu), c)
                                       for mu, c in terms.items())
+            self.top[i] = max(mu for mu, _ in self.templates[i])
 
     def pack(self, nu) -> int:
         """The monomial x^nu as a packed integer, x_0 most significant."""

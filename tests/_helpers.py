@@ -12,7 +12,8 @@ from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
                               twisted_column)
 from dworkcohom.gaussmanin import (_SCALE, GriffithsDworkReducer, _DegreeSolver,
                                    _dense, _solve_square, connection_matrix)
-from dworkcohom.fields import RatFunc
+from dworkcohom.fields import (RatFunc, poly_neg, poly_primitive,
+                               poly_pseudo_rem)
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import (IntRankAccumulator, _RankAccumulator,
                                  integerize_column, primitive_column)
@@ -145,6 +146,20 @@ def solved_connection_matrix(reducer, perturbation, forms):
         [_dense(reducer.reduce(g * p), k, field.zero) for p in lifted], k)
 
 
+def prs_gcd(a, b):
+    """fields.poly_gcd by the primitive PRS alone, for every argument: the
+    oracle of its monomial shortcut.  Primitive, with a positive leading
+    coefficient; () when both arguments are zero."""
+    a, b = poly_primitive(a), poly_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, poly_primitive(poly_pseudo_rem(a, b))
+    if not a:
+        return ()
+    return poly_neg(a) if a[-1] < 0 else a
+
+
 def dense_matmul(a, b):
     """a @ b for matrices given as sequences of rows.
 
@@ -258,18 +273,20 @@ def division_solve(solver, part):
 class PerColumnSolver(_DegreeSolver):
     """_DegreeSolver with the elimination it had before one loop served a
     whole listing: ``_close`` and ``standard_monomials`` reduce each column
-    by its own ``_eliminate_one`` call, which calls ``_reduce``.  The
+    by its own ``_eliminate_one`` call, which builds the column with
+    MacaulayColumns.column and calls ``_reduce``, from max(col).  The
     oracle of the batch loop: both must store the same pivots."""
 
-    def _eliminate_one(self, i, g, col):
+    def _eliminate_one(self, i, g):
+        col = self.columns.column(i, g)
         col[-2 - (g * self.columns.nvars + i)] = self.columns.scale[i]
         r, col = self._reduce(col)
         if r is not None:
             self.pivots[r] = col
 
     def _eliminate(self, listing):
-        for i, g, col in listing:
-            self._eliminate_one(i, g, col)
+        for i, g in listing:
+            self._eliminate_one(i, g)
 
     @property
     def standard_monomials(self):
@@ -281,7 +298,7 @@ class PerColumnSolver(_DegreeSolver):
             for i, g in columns.kept():
                 col = columns.column(i, g)
                 if next(iter(col)) not in closed:   # its block is open
-                    self._eliminate_one(i, g, col)
+                    self._eliminate_one(i, g)
             closed.update(keys)
         pivots = self.pivots
         return [nu for nu, r in zip(monomials, keys) if r not in pivots]
@@ -326,8 +343,7 @@ class TupleWalkSolver(_DegreeSolver):
                         if s not in closed:
                             closed.add(s)
                             stack.append(s)
-        self._eliminate((i, g, found[i, g])
-                        for i, g in sorted(found, key=lambda k: (k[0], -k[1])))
+        self._eliminate(sorted(found, key=lambda k: (k[0], -k[1])))
 
 
 def consuming_step(step):

@@ -1,5 +1,6 @@
 """CLI grammar, job dispatch, exit codes, determinism, corpus runner."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -747,6 +748,26 @@ def test_main_gm_k3_fails_as_the_benchmark_pins(capsys, monkeypatch):
     rep = json.loads(capsys.readouterr().out)
     pin = load_workloads(monkeypatch).K3_GM_ERROR
     assert f"exit {code}: {rep['error']}" == pin
+
+
+# sha256 of the symbolic Dwork-quintic gm report (default basis, no
+# samples), timing_ms removed, as json.dumps(report, sort_keys=True)
+QUINTIC_GM_REPORT_DIGEST = ("2f18b8449c4be89afea157b651c66674"
+                            "cf15842b595ce4f3a6c5fd1ac0943389")
+
+
+@pytest.mark.hash_order
+def test_main_gm_symbolic_quintic_report_is_frozen(capsys):
+    # the 204 perturbation products over QQ(t) on the standard basis, as
+    # the gm command prints them; no frozen report or benchmark digest
+    # covers this product path over QQ(t)
+    code = main(["gm", "x0^5 + x1^5 + x2^5 + x3^5 + x4^5",
+                 "-v", "x0,x1,x2,x3,x4", "--perturbation=-5*x0*x1*x2*x3*x4"])
+    rep = json.loads(capsys.readouterr().out)
+    rep.pop("timing_ms")
+    text = json.dumps(rep, sort_keys=True)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_GM_REPORT_DIGEST
 
 
 def test_main_gm_singular_base_member(capsys):

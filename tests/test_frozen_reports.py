@@ -2,7 +2,9 @@
 
 tests/frozen_reports.json holds the argv, the exit code and the report of
 jobs on the Jacobian and Griffiths-Dwork route (three gm families, one of
-them failing its discriminant samples), the window engine (dwork on a
+them failing its discriminant samples; the cubic once more on the basis
+1, x0^3, whose general path lifts the basis, solves U X = R and fails its
+t = 0 sample), the window engine (dwork on a
 singular cubic) and the Jacobian profile (strands, hodge).  Four more run
 the window engine's orbit sharing: dwork on x0*x1*x2*x3 (a lattice of low
 rank), dwork on the Fermat quartic with an explicit policy (a full-rank

@@ -911,6 +911,26 @@ def test_batch_elimination_is_the_per_column_elimination(m, symbolic):
             assert new.pivots
 
 
+@pytest.mark.parametrize("symbolic", [False, True], ids=["t2", "QQ(t)"])
+@pytest.mark.parametrize("m", [3, 4, 5], ids=["cubic", "k3", "quintic"])
+def test_default_basis_products_are_the_polynomial_products(m, symbolic):
+    # on the standard basis the products g * x^nu are g's term maps shifted
+    # by nu: the matrix, dict order included, is the one reduced from the
+    # products of the lifted standard forms with the lifted perturbation
+    f = pencil_member(m, T, QQ_T) if symbolic else pencil_member(m, 2)
+    g = Polynomial.monomial(QQ, m, (1,) * m).scale(-m)
+    reducer = GriffithsDworkReducer(f)
+    field, forms = reducer.field, reducer.standard_forms()
+    assert forms == [Polynomial.monomial(QQ, m, nu)
+                     for _, nu in reducer.std_basis]
+    g_lift = g.map_coefficients(field.coerce, field)
+    want = {(i, j): e for j, p in enumerate(forms)
+            for i, e in reducer.reduce(
+                g_lift * p.map_coefficients(field.coerce, field)).items()}
+    got = connection_matrix(reducer, g).nonzero
+    assert list(got.items()) == list(want.items())
+
+
 # ---- the packed walk, and steps that consume their column --------------
 
 
@@ -920,9 +940,9 @@ def walked_columns(solver, rows):
     found, eliminate = [], solver._eliminate
 
     def record(listing):
-        for i, g, col in listing:
+        for i, g in listing:
             found.append((i, g))
-            eliminate([(i, g, col)])
+            eliminate([(i, g)])
 
     solver._eliminate = record
     solver._close(rows)

@@ -370,6 +370,21 @@ def test_template_columns_are_the_lifted_columns():
                     assert all(map(lifted[form.field], col.values()))
 
 
+@pytest.mark.parametrize("f", [*DWORK_PENCILS.values(),
+                               *(f for f, _ in PRUNING.values())],
+                         ids=[*DWORK_PENCILS, *PRUNING])
+def test_top_is_the_largest_row_of_every_kept_column(f):
+    # _DegreeSolver starts a column's reduction at g + top[i], not at a max
+    # over the column: for every kept column of every degree up to the
+    # socle's plus m that is its largest row
+    m, nvars = f.homogeneous_degree(), f.nvars
+    partials = [f.partial_derivative(k) for k in range(nvars)]
+    for d in range(m - 1, nvars * (m - 2) + m + 1):
+        columns = griffiths.MacaulayColumns(partials, nvars, d - (m - 1))
+        for i, g in columns.kept():
+            assert g + columns.top[i] == max(columns.column(i, g))
+
+
 def monomials_of_degree(nvars, d):
     """Exponent vectors of degree d in nvars variables, as the gaps between
     nvars - 1 cut points of 0..d."""

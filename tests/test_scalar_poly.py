@@ -3,15 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dworkcohom import QQ, QQ_T, Polynomial, RatFunc, monomial_basis
 from dworkcohom.exceptions import VariableCountMismatch
-from dworkcohom.fields import poly_eval, poly_gcd, poly_mul
+from dworkcohom.fields import poly_eval, poly_gcd, poly_mul, poly_trim
 from dworkcohom.gaussmanin import ConnectionMatrix
 from dworkcohom.poly import add_term
 
-from _helpers import fermat, recursive_monomial_basis, var
+from _helpers import fermat, prs_gcd, recursive_monomial_basis, var
 
 
 # ---- rational functions ----------------------------------------------
@@ -105,6 +105,30 @@ def test_poly_gcd_primitive_positive():
     assert poly_gcd((-1, 0, 1), (-1, 1)) == (-1, 1)
     assert poly_gcd((2, 2), (4,)) == (1,)
     assert poly_mul((1, 1), (-1, 1)) == (-1, 0, 1)
+
+
+# integer polynomials in t: zero, constants, c*t^k up to k = 6, anything
+# of degree up to 6, and t^k times anything, coefficients of either sign
+_NONZERO = st.integers(-12, 12).filter(bool)
+_MONOMIALS = st.builds(lambda c, k: (0,) * k + (c,), _NONZERO,
+                       st.integers(0, 6))
+_GENERAL = st.lists(st.integers(-6, 6), max_size=7).map(poly_trim)
+_INT_POLYS = st.one_of(st.just(()), _MONOMIALS, _GENERAL, st.builds(
+    lambda k, p: (0,) * k + p if p else p, st.integers(0, 4), _GENERAL))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INT_POLYS, _INT_POLYS)
+@example((), ())
+@example((), (0, 0, -3))
+@example((-5,), ())
+@example((0, 0, 0, -2), (0, 4, 0, 6))
+@example((0, 0, 7), (3, 0, 1))
+@example((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0, -1))
+def test_poly_gcd_is_the_prs_gcd(a, b):
+    # a monomial argument c*t^k takes no PRS: the gcd is t^min(k, v(y)),
+    # and equals the primitive PRS's in either order
+    assert poly_gcd(a, b) == poly_gcd(b, a) == prs_gcd(a, b)
 
 
 # ---- polynomials ------------------------------------------------------
