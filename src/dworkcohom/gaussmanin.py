@@ -213,7 +213,7 @@ class _DegreeSolver:
         self._step = columns.accumulator._step
         self._one = _RINGS[field][1]
         self.pivots = {}
-        self._closed_rows = set()
+        self._closed_rows = set()   # None once every row is closed
         # (i, mu, the multiples of mu by the earlier leads if their degree,
         # 2 * gen_degree, is at most d) per nonzero partial i and term mu
         self._walk = [(i, mu, [mu + columns.pack(lt) for lt in leads
@@ -250,9 +250,13 @@ class _DegreeSolver:
         column's rows as g + nu for the rows nu of its template, then
         eliminates the columns found in Macaulay order, (i, g) with g
         lex-descending.  Closed rows stay closed: every column meeting them
-        is already eliminated, so rows that are all closed return at once.
+        is already eliminated, so rows that are all closed return at once,
+        and so does every call once ``standard_monomials`` has closed every
+        block (``_closed_rows`` is then None).
         """
         closed = self._closed_rows
+        if closed is None:
+            return
         stack = [r for r in rows if r not in closed]
         if not stack:
             return
@@ -293,15 +297,15 @@ class _DegreeSolver:
     @property
     def standard_monomials(self):
         """The non-pivot rows, as exponent tuples; the first read closes
-        every open block."""
+        every open block and drops the set of closed rows."""
         columns = self.columns
         keys = columns.listing(self.degree)
         closed = self._closed_rows
-        if len(closed) < len(keys):
+        if closed is not None and len(closed) < len(keys):
             self._eliminate((i, g) for i, g in columns.kept()
                             # its block is open
                             if g + columns.templates[i][0][0] not in closed)
-            closed.update(keys)
+        self._closed_rows = None    # every row is closed
         pivots = self.pivots
         return [columns.unpack(r) for r in keys if r not in pivots]
 

@@ -398,9 +398,10 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     Each piece feeds form degree i-1 whole before form degree i, so the
     stored columns of that piece span its image of dF^ out of degree i-1,
     and every row of such a column is a source of degree i of the same
-    piece.  A stored column is zero at the pivots stored before it, so by
-    induction down the births the image of each such pivot is a
-    combination of the images of the other sources of the piece.
+    piece.  A stored column has entries only at rows below its pivot row
+    (matrices), so by induction up the row order the image of each such
+    pivot is a combination of the images of the sources of the piece that
+    are no pivot.
     """
     validate_twist_input(f, spec)
     nvars = spec.nvars

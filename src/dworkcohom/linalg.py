@@ -19,35 +19,37 @@ records three consecutive windows with identical dimension maps.  Stability
 is evidence, not proof; reports always carry the certificate.
 
 Band counts: one elimination gives both ranks.  The accumulator of D^i
-knows each row's degree (source degree plus the entry's rise) and stores
-each reduced column under a row of greatest degree among its entries.  A
-stored column is zero at the pivot rows stored before it, so the stored
-columns span everything fed and are triangular, with a nonzero diagonal,
-on their pivot rows in birth order.  One whose pivot has degree <= N has
-no entry above N; those whose pivots lie above N stay triangular on their
-pivot rows, so they are independent on the rows above N.  Sources enter in
-ascending degree, so after the sweep to N the accumulator holds exactly the
-columns of M_{i-1}, and the band rank is the number of stored pivots of
-degree > N: each N costs a count, not an elimination (the rank profile of
-Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013).
+keys each row by an integer id that orders rows by degree (source degree
+plus the entry's rise) first, and stores each reduced column under its
+largest row (matrices).  So a stored column has entries only at rows below
+its pivot, all of degree <= its pivot's, and the stored columns, which span
+everything fed, are triangular on their pivot rows with a nonzero diagonal.
+One whose pivot has degree <= N has no entry above N; those whose pivots
+lie above N stay triangular on their pivot rows, so they are independent on
+the rows above N.  Sources enter in ascending degree, so after the sweep to
+N the stored columns span exactly the columns of M_{i-1}, and the band rank
+is the number of stored pivots of degree > N: each N costs a count, not an
+elimination (the rank profile of Jeannerod, Pernet and Storjohann, J.
+Symbolic Comput. 2013).
 
 Skipped sources: a source of D^i that is a stored pivot row of D^(i-1) is
 never assembled, because D^i o D^(i-1) = 0 makes its column dependent (the
-window analogue of Faugere's F5 criterion, ISSAC 2002).  Let p_1..p_k be
-the stored pivots of D^(i-1) of degree <= N, in birth order, with columns
-c_j.  The degree-first key puts every entry of c_j at degree <= N, and the
-left-looking loop makes c_j zero at p_1..p_(j-1).  c_j lies in the image
-of D^(i-1), so D^i(c_j) = 0, which writes D^i(p_j) as a combination of the
-images of sources of degree <= N, each a non-pivot row or a pivot born
-after j.  By induction down the births, the sources of degree <= N that
-are no such pivot have the same image under D^i as all of them: the same
-rank, and the same band count, since the stored columns still span what
-is fed.  A row's degree is its form's own, so the pivots that a source of
-degree e can be are those of degree e, and ``dims_at`` sweeps D^(i-1) to
-the bound before D^i; rises are >= 0, so no later column of D^(i-1) puts
-a pivot at a degree already swept.  A skipped source still counts, with
-its orbit size, in the dimension of C^i.  Pivots and sources lie in the
-same representative classes, so orbit sharing is unaffected.
+window analogue of Faugere's F5 criterion, ISSAC 2002).  After the sweep
+of D^(i-1) to N, let p be a stored pivot of degree <= N, with column c_p.
+Every other entry of c_p lies at a row below p, of degree <= N.  c_p lies
+in the image of D^(i-1), so D^i(c_p) = 0, which writes D^i(p) as a
+combination of the images of the rows of c_p below p: sources of degree
+<= N, each a non-pivot row or a smaller pivot.  By induction up the row
+order, the image of every such pivot is a combination of the images of
+the sources of degree <= N that are no pivot.  ``dims_at`` sweeps D^(i-1)
+to the bound before D^i, a source is skipped only when it is a pivot row
+as it is reached, and a pivot row stays one, so the sweep of D^i to N
+assembles every source of degree <= N that is no pivot: the assembled
+sources have the same image under D^i as all of them, the same rank, and
+the same band count, since the stored columns still span what is fed.  A
+skipped source still counts, with its orbit size, in the dimension of
+C^i.  Pivots and sources lie in the same representative classes, so orbit
+sharing is unaffected.
 
 ``proved_window_cohomology`` replaces that evidence by a proof when F is
 homogeneous of degree m, unweighted, with a finite Jacobian ring R (the
@@ -113,14 +115,12 @@ let L be the lattice spanned by the exponents of F.
   only by pivots of its own class, and the accumulator stores exactly the
   pivots that per-class accumulators would store.  The choices that the
   loop makes agree too, because everything it compares lies in one class:
-  the oldest pivot among a column's rows is the oldest of its own class,
-  births counting up in each class's own feed order; the degree of a row,
-  which leads the pivot-row key, is its own; its use, which breaks ties
-  within a degree, counts only stored columns of its own class; and row
-  ids, the last tie-break, are registered in that class's feed order.  So
-  the rank and the pivots above N are the sums of the per-class ones, and
-  a window's rank and band rank are the sums of the orbit sizes w of the
-  stored pivots, all of them and those of degree > N.
+  the largest row of a column is the largest of its own class, and two
+  rows of one class compare by degree, then by registration, rows being
+  registered in that class's feed order, as a per-class accumulator would
+  register them.  So the rank and the pivots above N are the sums of the
+  per-class ones, and a window's rank and band rank are the sums of the
+  orbit sizes w of the stored pivots, all of them and those of degree > N.
 
 The dims and certificates are therefore those of the unsplit engine, by
 construction, and every class's columns are reduced as they were when the
@@ -260,12 +260,18 @@ class _WindowEngine:
     degree, so the cumulative rank after finishing degree e equals the exact
     rank of D^i restricted to sources of degree <= e; one sweep serves every
     window bound.  Targets are never truncated.  Columns come from one
-    integer stencil of F and are assembled once.  ``row_deg`` holds the
-    degree of each row id of ``rows``, and the accumulator of each D^i
-    stores each column under a row of greatest degree, so a band rank is a
-    count of stored pivots (module docstring, "Band counts").  A source of
-    D^i that is a stored pivot row of D^(i-1) is counted but not assembled
-    ("Skipped sources").
+    integer stencil of F and are assembled once.  ``rows`` gives each row
+    the id degree << SERIAL_BITS | serial, serial the number of rows of its
+    form degree registered before it, so ids order rows by degree, then by
+    registration.  Serials stay below 2^SERIAL_BITS: every row keeps its
+    key, a dict slot and an orbit size, over 100 bytes, so 2^32 rows would
+    take over 400 GB.  The accumulator of each D^i stores each column under
+    its largest row, a row of greatest degree, so a band rank is a count of
+    stored pivots (module docstring, "Band counts").  Within a degree the
+    newest row wins: registered last, it is the row that the fewest stored
+    columns have had the chance to touch.  A source of D^i that is a stored
+    pivot row of D^(i-1) is counted but not assembled ("Skipped
+    sources").
 
     When F has variable symmetries, only the classes that represent their
     orbits are assembled (see the module docstring).  ``vectors`` lists,
@@ -282,6 +288,8 @@ class _WindowEngine:
     escalation and keeps only the ranks up to the last bound swept.
     """
 
+    SERIAL_BITS = 32
+
     def __init__(self, f: Polynomial, spec: StrandSpec):
         validate_twist_input(f, spec)
         if f.field is not QQ:
@@ -292,10 +300,9 @@ class _WindowEngine:
         gens = variable_symmetries(f, spec.weights)
         self.classes = ExponentClasses(f, gens) if gens else None
         n = self.top + 1
-        self.rows = [dict() for _ in range(n + 1)]
-        self.row_deg = [[] for _ in range(n + 1)]   # row id -> degree
-        self.row_w = [[] for _ in range(n + 1)]     # row id -> orbit size
-        self.acc = [IntRankAccumulator(self.row_deg[i + 1]) for i in range(n)]
+        self.rows = [dict() for _ in range(n + 1)]  # (nu, I) -> row id
+        self.row_w = [[] for _ in range(n + 1)]     # serial -> orbit size
+        self.acc = [IntRankAccumulator() for _ in range(n)]
         self.vectors = {}                       # degree -> _vectors
         self.next_deg = [spec.residue] * n
         self.dim_cum = [0] * n
@@ -345,8 +352,8 @@ class _WindowEngine:
         D^i, skipping the sources that are stored pivot rows of D^(i-1)
         (module docstring, "Skipped sources"); return how many sources of
         degree e there are, each counted with its orbit size."""
-        reg, deg, row_w = self.rows[i + 1], self.row_deg[i + 1], self.row_w[i + 1]
-        acc, column = self.acc[i], self.stencil.column
+        reg, row_w = self.rows[i + 1], self.row_w[i + 1]
+        acc, column, shift = self.acc[i], self.stencil.column, self.SERIAL_BITS
         own, pivots = self.rows[i], self.acc[i - 1].pivcol if i else {}
         count = 0
         for nu, I, w in self._sources(i, e):
@@ -357,8 +364,7 @@ class _WindowEngine:
             for key, rise, v in column(nu, I):
                 rid = reg.get(key)
                 if rid is None:
-                    rid = reg[key] = len(reg)
-                    deg.append(e + rise)
+                    rid = reg[key] = (e + rise) << shift | len(row_w)
                     row_w.append(w)
                 col[rid] = v
             if col:
@@ -374,10 +380,11 @@ class _WindowEngine:
             self.dim_cum[i] += self._add_degree(i, e)
             e += self.spec.modulus
         self.next_deg[i] = e
-        deg, row_w = self.row_deg[i + 1], self.row_w[i + 1]
-        pivots = self.acc[i].pivcol
-        return (sum(row_w[r] for r in pivots),
-                sum(row_w[r] for r in pivots if deg[r] > bound))
+        row_w, pivots = self.row_w[i + 1], self.acc[i].pivcol
+        serial = (1 << self.SERIAL_BITS) - 1
+        cut = (bound + 1) << self.SERIAL_BITS   # rows above bound: id >= cut
+        return (sum(row_w[r & serial] for r in pivots),
+                sum(row_w[r & serial] for r in pivots if r >= cut))
 
     def dims_at(self, bound: int) -> dict:
         """Windowed dims at bound; raises ValueError below the last bound."""

@@ -1,14 +1,15 @@
 """Exact ranks of sparse column maps over the engine's scalar fields.
 
 Ranks are computed by one left-looking sparse elimination loop with two
-steps.  The loop reduces each incoming column against the oldest stored pivot
-it touches and stores a nonzero remainder under the least-used pivot row,
-smallest entry next (Markowitz first), so columns stay sparse; the result
-is deterministic for a fixed column order.  A caller that gives each row a
-degree gets rows of greatest degree first, so that the rank above any degree
-is a count of pivots (``_RankAccumulator``).  The step is what differs,
-and both are fraction-free (Bareiss, Math. Comp. 22, 1968, carried from Z
-to Z[t]): ``IntRankAccumulator`` clears an entry of an integer column by
+steps.  The loop head-reduces each incoming column: while its largest row
+is a stored pivot row, it clears that row with the pivot's column; a
+nonzero remainder is stored under its largest row, the Macaulay-order
+echelon of F4 (Faugere, JPAA 139, 1999).  Every stored column's pivot is
+its largest row, so the rank above any row is a count of pivots, and a
+caller whose row keys order by degree first gets its band ranks as counts
+(``_RankAccumulator``).  The step is what differs, and both are
+fraction-free (Bareiss, Math. Comp. 22, 1968, carried from Z to Z[t]):
+``IntRankAccumulator`` clears an entry of an integer column by
 cross-multiplication with the two entries divided by their gcd, then
 divides the column by the gcd of its entries; ``FieldRankAccumulator`` does
 the same over Z[t], for columns over the rational functions in t, with
@@ -122,59 +123,37 @@ def primitive_poly_column(col: dict) -> dict:
 class _RankAccumulator:
     """Incremental exact rank by left-looking sparse elimination.
 
-    An incoming column is reduced against the oldest stored pivot among its
-    rows until no pivot row remains; a nonzero remainder is stored under the
-    pivot row of least (row use, entry size, row), the Markowitz choice of
-    structured Gaussian elimination (LaMacchia and Odlyzko 1990).  A rank
-    does not depend on which row a column is stored under.  Subclasses give
-    the elimination step and the entry size.
+    Rows are keys that compare.  An incoming column is reduced at its
+    largest row while that row is a stored pivot row; a nonzero remainder
+    is stored under its largest row.  A step clears its row and adds only
+    rows below it, since the pivot's column has no larger row, so each
+    step lowers the column's largest row and the loop ends.  Subclasses
+    give the elimination step.
 
-    ``degree``, when given, maps every row to a degree, and the key becomes
-    (-degree, row use, entry size, row): each column is stored under a row
-    of greatest degree among its entries.  Then, for every N, the number of
-    stored pivots of degree > N is the rank of the columns fed so far on
-    their rows of degree > N (the linalg docstring, "Band counts").
+    The stored columns span every column fed, and ordered by pivot row
+    they are triangular: each is nonzero at its pivot and zero above it.
+    So for every row N, the stored pivots above N number the rank of the
+    columns fed so far on their rows above N: the stored columns with a
+    pivot at or below N vanish there, and the others stay triangular on
+    their pivots.  With row keys ordered by degree first this makes every
+    band rank a count (the linalg docstring, "Band counts").
     """
 
-    def __init__(self, degree=None):
+    def __init__(self):
         self.pivcol = {}    # pivot row -> reduced column (dict row -> value)
-        self.birth = {}     # pivot row -> insertion counter
-        self.row_use = {}   # row -> number of stored pivot columns touching it
-        self.degree = degree    # row -> degree, or None
         self.rank = 0
 
     def add_column(self, col: dict) -> bool:
         """Reduce col against current pivots; returns True if rank grew."""
         col = {r: v for r, v in col.items() if v}
-        pivcol, birth, step = self.pivcol, self.birth, self._step
+        pivcol, step = self.pivcol, self._step
         while col:
-            hit = None
-            for r in col:
-                b = birth.get(r)
-                if b is not None and (hit is None or b < hit[0]):
-                    hit = (b, r)
-            if hit is None:
-                break
-            col = step(col, pivcol[hit[1]], hit[1])
-        if not col:
-            return False
-        row = self._pivot_row(col)
-        pivcol[row] = col
-        birth[row] = self.rank
-        use = self.row_use
-        for s in col:
-            use[s] = use.get(s, 0) + 1
-        self.rank += 1
-        return True
-
-    def _pivot_row(self, col: dict):
-        """The row to store col under: least (-degree, row use, entry size,
-        row), or least (row use, entry size, row) with no degrees."""
-        size, use, degree = self._size, self.row_use, self.degree
-        if degree is None:
-            return min((use.get(r, 0), size(v), r) for r, v in col.items())[2]
-        return min((-degree[r], use.get(r, 0), size(v), r)
-                   for r, v in col.items())[3]
+            if (pcol := pivcol.get(r := max(col))) is None:
+                pivcol[r] = col
+                self.rank += 1
+                return True
+            col = step(col, pcol, r)
+        return False
 
 
 class IntRankAccumulator(_RankAccumulator):
@@ -207,8 +186,6 @@ class IntRankAccumulator(_RankAccumulator):
             else:
                 col.pop(s, None)
         return primitive_column(col)
-
-    _size = staticmethod(int.bit_length)    # of |v|; +-1 is the smallest
 
 
 class FieldRankAccumulator(_RankAccumulator):
@@ -243,8 +220,6 @@ class FieldRankAccumulator(_RankAccumulator):
             else:
                 col.pop(s, None)
         return primitive_poly_column(col)
-
-    _size = staticmethod(len)    # degree + 1; a constant is the smallest
 
 
 def _is_rational_valued(columns) -> bool:

@@ -15,8 +15,9 @@ from dworkcohom.gaussmanin import (_SCALE, GriffithsDworkReducer, _DegreeSolver,
 from dworkcohom.fields import (RatFunc, poly_neg, poly_primitive,
                                poly_pseudo_rem)
 from dworkcohom.linalg import _WindowEngine
-from dworkcohom.matrices import (IntRankAccumulator, _RankAccumulator,
-                                 integerize_column, primitive_column)
+from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
+                                 _RankAccumulator, integerize_column,
+                                 primitive_column)
 from dworkcohom.poly import add_term, count_monomials, monomial_basis
 from dworkcohom.reports import Check
 
@@ -452,28 +453,72 @@ def cross_multiplied_step(col, pcol, r):
     return primitive_column(new)
 
 
-def size_first_row(acc, col):
-    """The pivot row of least (entry size, row use, row): the accumulator's
-    choice before it took the least-used row first."""
-    size, use = acc._size, acc.row_use
-    return min((size(v), use.get(r, 0), r) for r, v in col.items())[2]
+class MarkowitzRankAccumulator(_RankAccumulator):
+    """IntRankAccumulator as it was before it stored each column under its
+    largest row: the oldest stored pivot among a column's rows first, and a
+    remainder stored under the pivot row of least (row use, entry size,
+    row), the Markowitz choice (LaMacchia and Odlyzko 1990), or of least
+    (-degree, row use, entry size, row) when ``degree`` maps every row to a
+    degree.  Kept, loop and key verbatim, as the oracle of the ranks and
+    band counts of the largest-row loop.
+    """
+
+    _step = staticmethod(IntRankAccumulator._step)
+    _size = staticmethod(int.bit_length)    # of |v|; +-1 is the smallest
+
+    def __init__(self, degree=None):
+        super().__init__()
+        self.birth = {}     # pivot row -> insertion counter
+        self.row_use = {}   # row -> number of stored pivot columns touching it
+        self.degree = degree    # row -> degree, or None
+
+    def add_column(self, col: dict) -> bool:
+        """Reduce col against current pivots; returns True if rank grew."""
+        col = {r: v for r, v in col.items() if v}
+        pivcol, birth, step = self.pivcol, self.birth, self._step
+        while col:
+            hit = None
+            for r in col:
+                b = birth.get(r)
+                if b is not None and (hit is None or b < hit[0]):
+                    hit = (b, r)
+            if hit is None:
+                break
+            col = step(col, pivcol[hit[1]], hit[1])
+        if not col:
+            return False
+        row = self._pivot_row(col)
+        pivcol[row] = col
+        birth[row] = self.rank
+        use = self.row_use
+        for s in col:
+            use[s] = use.get(s, 0) + 1
+        self.rank += 1
+        return True
+
+    def _pivot_row(self, col: dict):
+        """The row to store col under: least (-degree, row use, entry size,
+        row), or least (row use, entry size, row) with no degrees."""
+        size, use, degree = self._size, self.row_use, self.degree
+        if degree is None:
+            return min((use.get(r, 0), size(v), r) for r, v in col.items())[2]
+        return min((-degree[r], use.get(r, 0), size(v), r)
+                   for r, v in col.items())[3]
+
+
+class FieldMarkowitzRankAccumulator(MarkowitzRankAccumulator):
+    """MarkowitzRankAccumulator on columns over Z[t], with the Z[t] step."""
+
+    _step = staticmethod(FieldRankAccumulator._step)
+    _size = staticmethod(len)    # degree + 1; a constant is the smallest
 
 
 class CrossMultipliedRankAccumulator(IntRankAccumulator):
-    """IntRankAccumulator as it was before its gcd-reduced step and its
-    Markowitz-first pivot row: the engine's loop with the cross-multiplied
-    step and the size-first pivot row.  The oracle of the step and, by rank
-    alone, of the pivot-row key."""
+    """IntRankAccumulator as it was before its gcd-reduced step: the
+    engine's loop with the cross-multiplied step, which must store exactly
+    the columns the engine's step stores."""
 
     _step = staticmethod(cross_multiplied_step)
-    _pivot_row = size_first_row
-
-
-class SizeFirstRankAccumulator(IntRankAccumulator):
-    """The engine's loop and step with the size-first pivot row, which must
-    store exactly the columns CrossMultipliedRankAccumulator stores."""
-
-    _pivot_row = size_first_row
 
 
 def division_step(col, pcol, r):
@@ -803,16 +848,15 @@ class UnskippedWindowEngine(_WindowEngine):
     sources")."""
 
     def _add_degree(self, i, e):
-        reg, deg, row_w = self.rows[i + 1], self.row_deg[i + 1], self.row_w[i + 1]
-        acc, column = self.acc[i], self.stencil.column
+        reg, row_w = self.rows[i + 1], self.row_w[i + 1]
+        acc, column, shift = self.acc[i], self.stencil.column, self.SERIAL_BITS
         count = 0
         for nu, I, w in self._sources(i, e):
             col = {}
             for key, rise, v in column(nu, I):
                 rid = reg.get(key)
                 if rid is None:
-                    rid = reg[key] = len(reg)
-                    deg.append(e + rise)
+                    rid = reg[key] = (e + rise) << shift | len(row_w)
                     row_w.append(w)
                 col[rid] = v
             if col:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from dworkcohom import (Polynomial, QQ, StrandSpec,
+from dworkcohom import (Job, Polynomial, QQ, StrandSpec,
                         affine_twisted_cohomology, ci_dwork_koszul,
                         compare_smooth_paths, default_policy,
                         fourier_lemma_check, full_complex_spec,
-                        primitive_dwork_cohomology,
+                        primitive_dwork_cohomology, run_job,
                         stabilized_cohomology, strand_cohomology,
                         strand_decomposition, suspension_check,
                         thom_sebastiani_check)
@@ -282,3 +282,17 @@ def test_strand_zero_euler_characteristic_of_the_coordinate_tetrahedron():
     rep = primitive_dwork_cohomology(f)
     assert rep.dims == {0: 0, 1: 0, 2: 3, 3: 3, 4: 1} and rep.stabilized
     assert euler(rep) == 1
+
+
+@pytest.mark.slow
+def test_nodal_quintic_with_125_nodes():
+    # the Dwork quintic at t = 1 has 125 ordinary double points; its
+    # dwork job takes seconds, so it runs only under pytest -m slow
+    names = ["x0", "x1", "x2", "x3", "x4"]
+    code, report = run_job(Job.from_dict({
+        "command": "dwork", "variables": names,
+        "polynomial": " + ".join(f"{x}^5" for x in names)
+                      + " - 5*" + "*".join(names)}))
+    assert code == 0
+    assert [d["dim"] for d in report["dims"]] == [0, 0, 0, 0, 24, 103]
+    assert report["certificate"]["bounds"] == [30, 35, 40]

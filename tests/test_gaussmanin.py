@@ -514,9 +514,16 @@ def test_block_closure_order_gives_one_echelon(family, symbolic, degrees):
         assert [field_solve(late, p.terms) for p in parts] == solved
         assert first.standard_monomials == std
         assert first.pivots == late.pivots
-        assert ({first.columns.unpack(r) for r in first._closed_rows}
-                == {late.columns.unpack(r) for r in late._closed_rows}
+        # every row is closed, so the set of closed rows is dropped; closing
+        # every monomial by the walk instead closes exactly those rows and
+        # stores the same pivots
+        assert first._closed_rows is late._closed_rows is None
+        walked = _DegreeSolver(reducer.partials, f.field, f.nvars,
+                               reducer.m - 1, d)
+        walked._close([walked.columns.pack(mu) for mu in monomials])
+        assert ({walked.columns.unpack(r) for r in walked._closed_rows}
                 == set(monomials))
+        assert walked.pivots == first.pivots
         if d <= at2.std_degrees[-1]:
             assert std == leading_rows_oracle(
                 at2._solver(d), at2.partials, at2.nvars, at2.m - 1)

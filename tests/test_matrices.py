@@ -1,7 +1,7 @@
 """The shared elimination loop of matrices against the loop before its
-gcd-reduced step and Markowitz-first pivot row, its Z[t] step against
-field division over QQ(t), and its degree-first pivot rows against dense
-band ranks."""
+gcd-reduced step and before its largest-row pivots (the Markowitz loop),
+its Z[t] step against field division over QQ(t), and its band counts on
+degree-first row keys against the Markowitz loop and dense band ranks."""
 
 import random
 from fractions import Fraction
@@ -12,15 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from dworkcohom import Job, dwork, griffiths, parse_polynomial, run_job
 from dworkcohom.linalg import _WindowEngine
-from dworkcohom.fields import RatFunc, poly_zgcd
+from dworkcohom.fields import (RatFunc, poly_add, poly_eval, poly_mul, poly_trim,
+                               poly_zgcd)
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  integerize_column, rank_mod_p,
                                  rank_of_columns)
 
 from _helpers import (PRIMES_62, CrossMultipliedRankAccumulator,
-                      DivisionRankAccumulator, SizeFirstRankAccumulator,
-                      consuming_step, cross_multiplied_step,
-                      dense_rank_fractions, division_step, sparse_to_dense)
+                      DivisionRankAccumulator, FieldMarkowitzRankAccumulator,
+                      MarkowitzRankAccumulator, consuming_step,
+                      cross_multiplied_step, dense_rank_fractions,
+                      division_step, sparse_to_dense)
 
 # a smooth plane cubic of the benchmark's window-dense panel
 DENSE_CUBIC = "2*x0^3 - 2*x0*x1^2 + 2*x0*x1*x2 + x0*x2^2 + 2*x1^2*x2 - x1*x2^2"
@@ -59,14 +61,11 @@ def feed(acc, columns):
 
 
 def assert_same_elimination(columns):
-    """With the size-first key the gcd-reduced step stores the columns of
-    the cross-multiplied one, in the same order; with its own key the loop
-    reaches the same rank."""
-    old = feed(CrossMultipliedRankAccumulator(), columns)
-    same = feed(SizeFirstRankAccumulator(), columns)
-    assert stored(same) == stored(old)
-    assert list(same.birth.items()) == list(old.birth.items())
-    assert same.rank == old.rank == feed(IntRankAccumulator(), columns).rank
+    """The gcd-reduced step stores the columns of the cross-multiplied one,
+    in the same order, and the Markowitz loop reaches the same rank."""
+    new = feed(IntRankAccumulator(), columns)
+    assert stored(new) == stored(feed(CrossMultipliedRankAccumulator(), columns))
+    assert new.rank == feed(MarkowitzRankAccumulator(), columns).rank
 
 
 def test_random_matrices_eliminate_as_before():
@@ -109,13 +108,15 @@ def test_dense_cubic_eliminates_as_before(dense_cubic_streams):
 # The steps compare_smooth_paths takes on the dense cubic, in the Macaulay
 # rank at socle+1 and in the proved window.  A cost pin: the size-first
 # pivot row took 1,371 and the Markowitz-first one 1,165, 1,113 of them in
-# the window's main and band accumulators.  The window engine now stores
-# each column under a row of greatest degree and counts its band ranks
-# (linalg docstring, "Band counts"), so its band columns and their steps
-# are gone (754 steps), and it skips the sources that are pivot rows of the
-# differential before ("Skipped sources").  Fewer is better, and a change
-# either way should be understood before the pin is moved.
-STEPS = 475
+# the window's main and band accumulators.  Counting band ranks as pivots
+# (linalg docstring, "Band counts") dropped the band columns and their
+# steps (754), and skipping the sources that are pivot rows of the
+# differential before ("Skipped sources") left 475.  Storing each column
+# under its largest row, newest row first within a degree, takes 96: new
+# rows are the ones that the fewest stored columns touch.  Fewer is
+# better, and a change either way should be understood before the pin is
+# moved.
+STEPS = 96
 
 
 def test_compare_smooth_paths_step_count(monkeypatch):
@@ -177,14 +178,20 @@ def test_engine_columns_are_whole(monkeypatch):
                     skipped.append((nu, I))
         return stream
 
-    add = IntRankAccumulator.add_column
+    init, add = _WindowEngine.__init__, IntRankAccumulator.add_column
+    engine_accs = {}
+
+    def record_init(self, f, spec):
+        init(self, f, spec)
+        engine_accs.update((id(acc), acc) for acc in self.acc)
 
     def record(self, col):
-        if self.degree is not None:
+        if id(self) in engine_accs:
             calls.append(col)
         return add(self, col)
 
     monkeypatch.setattr(_WindowEngine, "_sources", record_sources)
+    monkeypatch.setattr(_WindowEngine, "__init__", record_init)
     monkeypatch.setattr(IntRankAccumulator, "add_column", record)
     code, _ = run_job(Job.from_dict({"command": "dwork",
                                      "polynomial": "x0*x1*x2",
@@ -195,8 +202,13 @@ def test_engine_columns_are_whole(monkeypatch):
 
 
 def test_quintic_macaulay_rank_step_count(monkeypatch):
-    # the Jacobian route passes no row degrees: the Dwork quintic's rank at
-    # socle+1 (dominating jacobian-gm's Macaulay ranks) keeps its steps
+    # the Dwork quintic's rank at socle+1, which dominates jacobian-gm's
+    # Macaulay ranks: 3,144 steps with the oldest-pivot scan and the
+    # Markowitz key, 5,542 under largest-row pivots.  The count rises
+    # because head reduction stores columns whose lower rows are still
+    # pivot rows, which later columns clear; the time falls (23 to 17 ms
+    # on one x86-64 core) because a step's row is one max over the column,
+    # where the scan walked every row of it in Python at every step
     calls = []
     step = IntRankAccumulator._step
 
@@ -210,7 +222,7 @@ def test_quintic_macaulay_rank_step_count(monkeypatch):
                          " - 10*x0*x1*x2*x3*x4", names)
     partials = [f.partial_derivative(k) for k in range(5)]
     assert griffiths.macaulay_rank(partials, 5, 4, 16) == 4845
-    assert len(calls) == 3144
+    assert len(calls) == 5542
 
 
 # ---- the gcd-reduced step -------------------------------------------------
@@ -377,25 +389,93 @@ def test_zt_rank_is_the_division_rank(cols):
     assert acc.rank <= min(len(cols), len({r for col in cols for r in col}))
 
 
-# ---- degree-first pivot rows ----------------------------------------------
+# ---- degree-first row keys ------------------------------------------------
+
+SHIFT = 8   # a row r of degree d is keyed d << SHIFT | r, r < 2^SHIFT
+
+
+def graded(col, degree):
+    """col with each row r keyed by its degree first, then by r."""
+    return {degree[r] << SHIFT | r: v for r, v in col.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(low_rank_columns(), st.data())
 def test_pivots_above_n_count_the_band_rank(drawn, data):
-    """After every column, the stored pivots of degree > N number the rank
-    of the columns fed so far on their rows of degree > N, for every N, and
-    no stored column has an entry above its pivot's degree."""
+    """On degree-first row keys, after every column, the stored pivots of
+    degree > N number the rank of the columns fed so far on their rows of
+    degree > N, for every N, and no stored column has an entry above its
+    pivot's degree."""
     nrows, cols = drawn
     degree = data.draw(st.lists(st.integers(0, 3), min_size=nrows,
                                 max_size=nrows))
-    acc = IntRankAccumulator(degree)
+    acc = IntRankAccumulator()
     for k, col in enumerate(cols, 1):
-        acc.add_column(dict(col))
+        acc.add_column(graded(col, degree))
         for r, pcol in acc.pivcol.items():
-            assert max(degree[s] for s in pcol) == degree[r]
+            assert max(s >> SHIFT for s in pcol) == r >> SHIFT
         for n in range(-1, 4):
             band = [[Fraction(c.get(r, 0)) for c in cols[:k]]
                     for r in range(nrows) if degree[r] > n]
-            pivots = sum(degree[r] > n for r in acc.pivcol)
+            pivots = sum(r >> SHIFT > n for r in acc.pivcol)
             assert pivots == dense_rank_fractions(band), (k, n)
+
+
+ZT_POLY = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+    poly_trim).filter(bool)
+
+
+@st.composite
+def zt_low_rank_columns(draw):
+    """Columns over Z[t], IntPoly entries, spanned by a few drawn ones with
+    Z[t] multipliers, so that some are dependent and steps cancel rows."""
+    nrows = draw(st.integers(1, 6))
+    basis = draw(st.lists(st.dictionaries(st.integers(0, nrows - 1), ZT_POLY,
+                                          min_size=1), min_size=1, max_size=4))
+    multiplier = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(
+        poly_trim)
+    cols = []
+    for ks in draw(st.lists(st.lists(multiplier, min_size=len(basis),
+                                     max_size=len(basis)), max_size=7)):
+        col = {}
+        for k, b in zip(ks, basis):
+            for r, v in b.items():
+                col[r] = poly_add(col.get(r, ()), poly_mul(k, v))
+        cols.append({r: v for r, v in col.items() if v})
+    return nrows, cols
+
+
+# Entries of zt_low_rank_columns have degree <= 3 and coefficients below
+# 100, so a minor of at most 6 rows has coefficients below 2^60, and every
+# root has absolute value below 2^61 (Cauchy's bound): at t = 2^80 the rank
+# over QQ is the rank over QQ(t).
+T = 2 ** 80
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(low_rank_columns().map(lambda d: (False, *d)),
+                 zt_low_rank_columns().map(lambda d: (True, *d))), st.data())
+def test_band_counts_are_the_markowitz_band_ranks(drawn, data):
+    """On random integer and Z[t] columns with random row degrees, after
+    every column, the rank and every band count of the largest-row loop on
+    degree-first row keys are those of the Markowitz loop with the same
+    degrees, and the dense rank of the band rows."""
+    symbolic, nrows, cols = drawn
+    degree = data.draw(st.lists(st.integers(0, 3), min_size=nrows,
+                                max_size=nrows))
+    if symbolic:
+        new, old = FieldRankAccumulator(), FieldMarkowitzRankAccumulator(degree)
+        value = lambda v: poly_eval(v, T)
+    else:
+        new, old = IntRankAccumulator(), MarkowitzRankAccumulator(degree)
+        value = Fraction
+    for k, col in enumerate(cols, 1):
+        new.add_column(graded(col, degree))
+        old.add_column(dict(col))
+        for n in range(-1, 4):
+            band = [[value(c[r]) if r in c else 0 for c in cols[:k]]
+                    for r in range(nrows) if degree[r] > n]
+            assert (sum(r >> SHIFT > n for r in new.pivcol)
+                    == sum(degree[r] > n for r in old.pivcol)
+                    == dense_rank_fractions(band)), (k, n)
+        assert new.rank == old.rank

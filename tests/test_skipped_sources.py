@@ -47,7 +47,8 @@ def window(engine, bound):
     """The dims at bound, the source counts and the weighted rank of every
     differential."""
     dims = engine.dims_at(bound)
-    ranks = [sum(engine.row_w[i + 1][r] for r in acc.pivcol)
+    serial = (1 << engine.SERIAL_BITS) - 1      # the serial bits of a row id
+    ranks = [sum(engine.row_w[i + 1][r & serial] for r in acc.pivcol)
              for i, acc in enumerate(engine.acc)]
     return dims, list(engine.dim_cum), ranks
 
