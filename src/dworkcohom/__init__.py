@@ -21,13 +21,10 @@ from .exceptions import (BasisError, NonHomogeneousError, NotSmoothError,
                          VariableCountMismatch)
 from .fields import QQ, QQ_T, RatFunc
 from .poly import Monomial, Polynomial, format_polynomial, monomial_basis
-from .forms import (DifferentialForm, StrandSpec, full_complex_spec,
-                    gradient_form, strand_basis)
-from .matrices import rank_mod_p
-from .linalg import (ComplexDims, StabilizationPolicy, default_policy,
+from .forms import StrandSpec, full_complex_spec
+from .linalg import (StabilizationPolicy, default_policy,
                      proved_window_cohomology, stabilized_cohomology)
-from .griffiths import (JacobianProfile, dF_only_cohomology, jacobian_hilbert,
-                        strand_top_dims)
+from .griffiths import JacobianProfile, jacobian_hilbert, strand_top_dims
 from .reports import Certificate, Check, CohomologyReport, Verdict
 from .dwork import (affine_twisted_cohomology, ci_dwork_koszul,
                     compare_smooth_paths, fourier_lemma_check,

@@ -81,7 +81,9 @@ class _Complexes:
         if m is None:
             raise NonHomogeneousError(
                 "strand dimensions need a homogeneous input")
-        m = max(m, 1)
+        if m == 0:
+            raise ValueError(
+                "a nonzero constant defines no hypersurface and has no strands")
         residue %= m
         if self.profile is not None:
             return self._concentrated(
@@ -248,6 +250,8 @@ def ci_dwork_koszul(fs, bound: int) -> CohomologyReport:
     n = fs[0].nvars
     if any(p.nvars != n for p in fs):
         raise ValueError("defining polynomials must share one variable count")
+    if not all(fs):
+        raise ValueError("defining polynomials must be nonzero")
     r = len(fs)
     field = fs[0].field
     total = Polynomial.zero(field, n + r)

@@ -14,10 +14,11 @@ Degree truncation keeps total degree |nu| + |I| <= N.  Since d preserves the
 total degree and dF^ raises it, the span of degrees > N is a subcomplex and
 the retained part is a quotient complex, on which D o D = 0 holds exactly.
 
-D has one definition, ``DifferentialForm.twisted_differential``;
-``twisted_column`` is its monomial case, the reference for the engine's
-column builder.  ``ColumnStencil`` is that builder: built once per F, it
-yields integer columns tagged with the degree each entry rises by.
+The engine builds D on monomial forms only, and has one builder for it,
+``ColumnStencil``: built once per F, it yields integer columns tagged with
+the degree each entry rises by.  ``twisted_column`` writes the same column
+directly over F's field, as the reference the stencil is tested against;
+the tests check it in turn against D on whole forms (tests/oracles.py).
 ``ExponentClasses`` names the class of a monomial form modulo the lattice
 of F's exponents, which D keeps, and the orbits of those classes under
 F's variable symmetries, and groups exponent vectors by the classes that
@@ -34,7 +35,7 @@ from math import lcm
 from operator import add
 
 from .exceptions import NonHomogeneousError, VariableCountMismatch
-from .poly import Polynomial, add_term, mono_degree, mono_mul, monomial_basis
+from .poly import Polynomial, mono_degree, mono_mul, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,6 @@ class StrandSpec:
                 raise ValueError("weights must be positive integers")
             object.__setattr__(self, "weights", tuple(self.weights))
 
-    def form_degree(self, nu, I) -> int:
-        w = self.weights
-        if w is None:
-            return sum(nu) + len(I)
-        return mono_degree(nu, w) + sum(w[k] for k in I)
-
 
 def full_complex_spec(nvars: int, weights=None) -> StrandSpec:
     """Spec selecting the whole form complex (single strand, modulus 1)."""
@@ -88,186 +83,23 @@ def insert_sign(k: int, I: tuple):
     return (-1 if pos & 1 else 1), I[:pos] + (k,) + I[pos:]
 
 
-def merge_index_sets(I: tuple, J: tuple):
-    """Sign and sorted union for dx_I ^ dx_J; (None, None) on collision."""
-    if set(I) & set(J):
-        return None, None
-    inv = 0
-    for b in J:
-        for a in I:
-            if a > b:
-                inv += 1
-    return (-1 if inv & 1 else 1), tuple(sorted(I + J))
-
-
-class DifferentialForm:
-    """Immutable polynomial differential form of a fixed exterior degree."""
-
-    __slots__ = ("field", "nvars", "degree", "terms")
-
-    def __init__(self, field, nvars: int, degree: int, terms=None):
-        if not 0 <= degree <= nvars:
-            raise ValueError(f"form degree {degree} outside 0..{nvars}")
-        clean = {}
-        for (nu, I), c in (terms or {}).items():
-            nu, I = tuple(nu), tuple(I)
-            if len(nu) != nvars or any(e < 0 for e in nu):
-                raise ValueError(f"bad exponent tuple {nu}")
-            if len(I) != degree or list(I) != sorted(set(I)) \
-                    or (I and not 0 <= I[0] <= I[-1] < nvars):
-                raise ValueError(f"bad index set {I} for degree {degree}")
-            add_term(clean, (nu, I), field.coerce(c))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _of(cls, field, nvars: int, degree: int, terms: dict) -> "DifferentialForm":
-        """A form on a term map built here, already without zeros."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __setattr__(self, *a):
-        raise AttributeError("DifferentialForm is immutable")
-
-    # ---- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(field, nvars: int, degree: int) -> "DifferentialForm":
-        return DifferentialForm(field, nvars, degree, {})
-
-    @staticmethod
-    def monomial_form(field, nvars, nu, I, c=1) -> "DifferentialForm":
-        return DifferentialForm(field, nvars, len(tuple(I)), {(tuple(nu), tuple(I)): c})
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "DifferentialForm":
-        return DifferentialForm(p.field, p.nvars, 0,
-                                {(nu, ()): c for nu, c in p.terms.items()})
-
-    # ---- linear structure ----------------------------------------------
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise VariableCountMismatch("forms over different variable counts")
-        if self.field is not other.field:
-            raise TypeError("forms over different base fields")
-
-    def __add__(self, other: "DifferentialForm"):
-        self._check(other)
-        if self.degree != other.degree:
-            if not self.terms:
-                return other
-            if not other.terms:
-                return self
-            raise ValueError("cannot add forms of different degrees")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(terms, key, c)
-        return DifferentialForm._of(self.field, self.nvars, self.degree, terms)
-
-    def __neg__(self):
-        return DifferentialForm._of(self.field, self.nvars, self.degree,
-                                    {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "DifferentialForm":
-        c = self.field.coerce(c)
-        if not c:
-            return DifferentialForm.zero(self.field, self.nvars, self.degree)
-        return DifferentialForm._of(self.field, self.nvars, self.degree,
-                                    {k: v * c for k, v in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, DifferentialForm):
-            if not self.terms and not other.terms:
-                return self.nvars == other.nvars
-            return (self.nvars, self.degree, self.terms) == \
-                   (other.nvars, other.degree, other.terms)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, self.degree, frozenset(self.terms.items())))
-
-    # ---- exterior algebra ------------------------------------------------
-
-    def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check(other)
-        deg = self.degree + other.degree
-        if deg > self.nvars:
-            # some dx index must repeat, so the product vanishes identically
-            return DifferentialForm.zero(self.field, self.nvars, self.nvars)
-        out = {}
-        for (nu1, I1), c1 in self.terms.items():
-            for (nu2, I2), c2 in other.terms.items():
-                sign, K = merge_index_sets(I1, I2)
-                if sign is None:
-                    continue
-                add_term(out, (mono_mul(nu1, nu2), K),
-                         c1 * c2 if sign > 0 else -(c1 * c2))
-        return DifferentialForm._of(self.field, self.nvars, deg, out)
-
-    def exterior_derivative(self) -> "DifferentialForm":
-        if self.degree == self.nvars:
-            return DifferentialForm.zero(self.field, self.nvars, self.nvars)
-        out = {}
-        for (nu, I), c in self.terms.items():
-            for k in range(self.nvars):
-                e = nu[k]
-                if not e or k in I:
-                    continue
-                sign, K = insert_sign(k, I)
-                add_term(out, (nu[:k] + (e - 1,) + nu[k + 1:], K),
-                         c * e if sign > 0 else -(c * e))
-        return DifferentialForm._of(self.field, self.nvars, self.degree + 1, out)
-
-    def twisted_differential(self, f: Polynomial) -> "DifferentialForm":
-        """D(omega) = d(omega) + dF ^ omega."""
-        if f.nvars != self.nvars:
-            raise VariableCountMismatch("twist polynomial over wrong variable count")
-        return self.exterior_derivative() + gradient_form(f).wedge(self)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (nu, I), c in sorted(self.terms.items()):
-            base = str(Polynomial.monomial(self.field, self.nvars, nu, c))
-            dx = "^".join(f"dx{k}" for k in I)
-            parts.append(f"{base}*{dx}" if dx else base)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"DifferentialForm({self})"
-
-
-def gradient_form(f: Polynomial) -> DifferentialForm:
-    """The 1-form dF = sum_k (dF/dx_k) dx_k."""
-    terms = {}
-    for nu, c in f.terms.items():
-        for k, e in enumerate(nu):
-            if e:
-                add_term(terms, (nu[:k] + (e - 1,) + nu[k + 1:], (k,)), c * e)
-    return DifferentialForm._of(f.field, f.nvars, 1, terms)
-
-
 def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
-    """Column of d + dF^ on the monomial form x^nu dx_I, untruncated: the
-    map (nu', I') -> coefficient of twisted_differential on that form, the
-    reference ColumnStencil.column is tested against."""
-    one = {(nu, I): f.field.one}
-    return DifferentialForm._of(f.field, f.nvars, len(I), one) \
-        .twisted_differential(f).terms
+    """D(x^nu dx_I), untruncated, as a map (nu', I') -> coefficient in
+    f.field: the reference ColumnStencil.column is tested against, in its
+    order (the d part by k, then dF ^ x^nu dx_I in F's term order, signs
+    from insert_sign).  No two entries share a key (ColumnStencil.column)."""
+    one, out = f.field.one, {}
+    for k, e in enumerate(nu):
+        sign, K = insert_sign(k, I)
+        if e and sign:
+            out[nu[:k] + (e - 1,) + nu[k + 1:], K] = one * (sign * e)
+    for mu, c in f.terms.items():
+        for k, e in enumerate(mu):
+            sign, K = insert_sign(k, I)
+            if e and sign:
+                out[mono_mul(nu, mu[:k] + (e - 1,) + mu[k + 1:]), K] = \
+                    c * (sign * e)
+    return out
 
 
 class ColumnStencil:
@@ -338,7 +170,7 @@ class ExponentClasses:
     vector nu + e_I (the d part) or nu + e_I + mu for a term x^mu of F,
     so D keeps the class.  ``echelon`` is an integer echelon basis of L,
     one (pivot column, pivot value > 0, nonzero (column, value) entries)
-    per row with pivot columns increasing; ``key`` reduces each pivot
+    per row with pivot columns increasing; ``reduce`` reduces each pivot
     coordinate into 0..pivot-1 in that order, which gives one key per
     class.
 
@@ -395,13 +227,6 @@ class ExponentClasses:
                     v[k] -= q * b
         return tuple(v)
 
-    def key(self, nu: tuple, I: tuple) -> tuple:
-        """The key of the class of x^nu dx_I."""
-        v = list(nu)
-        for k in I:
-            v[k] += 1
-        return self.reduce(v)
-
     def orbit(self, key: tuple) -> set:
         """The keys of the classes that the symmetries reach from key: the
         set T_0 (T_1 (.. (T_(n-1) {key}))), each T_k with the identity."""
@@ -451,20 +276,6 @@ def strand_basis_at_degree(spec: StrandSpec, i: int, e: int) -> list:
         if rem not in monomials:
             monomials[rem] = monomial_basis(spec.nvars, rem, w)
         out.extend((nu, I) for nu in monomials[rem])
-    return out
-
-
-def strand_basis(spec: StrandSpec, i: int, bound: int) -> list:
-    """Ordered basis of the strand in form degree i, total degree <= bound.
-
-    Order: ascending total degree, then index sets in lexicographic order,
-    then coefficient monomials in descending lex (the global graded-lex).
-    """
-    if not 0 <= i <= spec.nvars:
-        raise ValueError(f"form degree {i} outside 0..{spec.nvars}")
-    out = []
-    for e in range(spec.residue, bound + 1, spec.modulus):
-        out.extend(strand_basis_at_degree(spec, i, e))
     return out
 
 

@@ -92,11 +92,7 @@ from operator import mul
 
 from .exceptions import NonHomogeneousError, NotSmoothError
 from .fields import QQ
-from .forms import (ColumnStencil, StrandSpec, strand_basis,
-                    strand_basis_at_degree, validate_twist_input)
-from .linalg import ComplexDims
-from .matrices import (FieldRankAccumulator, IntRankAccumulator, integerize_column,
-                       primitive_column)
+from .matrices import FieldRankAccumulator, IntRankAccumulator, integerize_column
 from .poly import Polynomial, count_monomials
 
 
@@ -377,59 +373,3 @@ def strand_top_dims(profile: JacobianProfile, residue: int) -> int:
     m = profile.modulus
     want = (residue - profile.nvars) % m
     return sum(h for d, h in enumerate(profile.hilbert) if d % m == want)
-
-
-def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDims:
-    """Cohomology of the associated-graded complex (strand, dF^ only).
-
-    dF^ is homogeneous of degree +m, so the complex splits into finite
-    graded Koszul pieces  V^0_tau -> V^1_{tau+m} -> ... -> V^(n+1)_{tau+(n+1)m}.
-    Every piece whose lowest nonempty space has total degree <= bound is
-    included whole; the result is an honest finite complex, exact in
-    sub-top degrees whenever the partials form a regular sequence.  Pieces
-    of different tau have targets of different degree, so they share no
-    row, and one accumulator per form degree, with the target forms as
-    rows, ranks every piece at once.  Only the dF^ entries of each column
-    are built (ColumnStencil.dF_part).
-
-    As in the window engine (linalg docstring, "Skipped sources"), a
-    source of form degree i that is a stored pivot row of the accumulator
-    of form degree i-1 is counted but not fed, because dF^ o dF^ = 0.
-    Each piece feeds form degree i-1 whole before form degree i, so the
-    stored columns of that piece span its image of dF^ out of degree i-1,
-    and every row of such a column is a source of degree i of the same
-    piece.  A stored column has entries only at rows below its pivot row
-    (matrices), so by induction up the row order the image of each such
-    pivot is a combination of the images of the sources of the piece that
-    are no pivot.
-    """
-    validate_twist_input(f, spec)
-    nvars = spec.nvars
-    if not f:
-        return ComplexDims.from_ranks(
-            [len(strand_basis(spec, i, bound)) for i in range(nvars + 1)], [])
-    m = f.homogeneous_degree(spec.weights)
-    if m is None:
-        raise NonHomogeneousError("dF-only grading needs a homogeneous input")
-    stencil = ColumnStencil(f, spec.weights)
-    space = [0] * (nvars + 1)
-    accs = [IntRankAccumulator() for _ in range(nvars)]
-    for tau in range(-nvars * m, bound + 1):
-        if spec.modulus > 1 and tau % spec.modulus != spec.residue:
-            continue
-        bases = [strand_basis_at_degree(spec, i, tau + i * m)
-                 for i in range(nvars + 1)]
-        low = [tau + i * m for i, basis in enumerate(bases) if basis]
-        if not low or min(low) > bound:
-            continue
-        for i, basis in enumerate(bases):
-            space[i] += len(basis)
-        for i, acc in enumerate(accs):      # dF^ is 0 on top forms
-            pivots = accs[i - 1].pivcol if i else {}
-            for nu, I in bases[i]:
-                if (nu, I) in pivots:
-                    continue
-                col = {key: c for key, _, c in stencil.dF_part(nu, I)}
-                if col:
-                    acc.add_column(primitive_column(col))
-    return ComplexDims.from_ranks(space, [acc.rank for acc in accs])

@@ -146,57 +146,9 @@ from .poly import Polynomial, monomial_basis, variable_symmetries
 from .reports import Certificate, CohomologyReport, Proof
 
 __all__ = [
-    "ComplexDims", "StabilizationPolicy", "default_policy",
-    "stabilized_cohomology", "proved_window_cohomology",
+    "StabilizationPolicy", "default_policy", "stabilized_cohomology",
+    "proved_window_cohomology",
 ]
-
-
-@dataclass(frozen=True)
-class ComplexDims:
-    """Per-degree (space dim, rank of outgoing differential, cohomology dim).
-
-    rank_in at degree i is rank_out at degree i-1.  The stored data always
-    satisfies coh = space - rank_out - rank_in >= 0 and the Euler identity
-    sum (-1)^i coh_i = sum (-1)^i space_i.  from_ranks builds it from the
-    space dims and the ranks of the differentials.
-    """
-
-    data: tuple  # ((degree, space, rank_out, coh), ...) ascending
-
-    @classmethod
-    def from_ranks(cls, spaces, ranks) -> "ComplexDims":
-        """Dims of the complex with spaces[i] in degree i, where ranks[i]
-        is the rank of the differential out of degree i; a degree past the
-        end of ranks has none."""
-        data, prev = [], 0
-        for i, space in enumerate(spaces):
-            out = ranks[i] if i < len(ranks) else 0
-            data.append((i, space, out, space - out - prev))
-            prev = out
-        return cls(tuple(data))
-
-    def __post_init__(self):
-        prev_out = 0
-        for degree, space, out, coh in self.data:
-            if coh != space - out - prev_out or coh < 0:
-                raise ValueError(
-                    f"inconsistent dims at degree {degree}: "
-                    f"space={space} out={out} in={prev_out} coh={coh}")
-            prev_out = out
-        if prev_out != 0:
-            raise ValueError("outgoing rank of the top degree must be zero")
-
-    def space(self, i):
-        return dict((d, s) for d, s, _, _ in self.data).get(i, 0)
-
-    def coh(self, i):
-        return dict((d, c) for d, _, _, c in self.data).get(i, 0)
-
-    def euler_spaces(self):
-        return sum((-1) ** d * s for d, s, _, _ in self.data)
-
-    def euler_cohomology(self):
-        return sum((-1) ** d * c for d, _, _, c in self.data)
 
 
 @dataclass(frozen=True)

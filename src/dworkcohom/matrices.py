@@ -25,10 +25,10 @@ window-sparse pass), and a copy, or a call per entry, would show.  So a
 step consumes its column, and every caller passes one it owns
 (``add_column`` copies its column on entry).
 
-``rank_mod_p`` takes the same columns and ranks them by an independent
-dense elimination over a prime field, kept separate on purpose: it serves
-as a probabilistic cross-check of the exact path, never as a substitute
-for it.
+``rank_of_columns`` ranks a list of columns over either field.  The tests
+cross-check it with a dense rank over a prime field on the same columns
+(``rank_mod_p`` in tests/oracles.py), a probabilistic check of the exact
+path, never a substitute for it.
 """
 
 from __future__ import annotations
@@ -237,47 +237,3 @@ def rank_of_columns(columns) -> int:
     for col in columns:
         acc.add_column(integerize_column(col))
     return acc.rank
-
-
-def rank_mod_p(columns, p: int) -> int:
-    """Rank over GF(p) of a matrix given as a list of sparse columns, by
-    dense row elimination (independent of rank_of_columns).  Its rows are
-    the keys its columns touch.
-
-    Entries must be rational with denominators invertible mod p.
-    """
-    columns = list(columns)
-    index = {}
-    for col in columns:
-        for r in col:
-            index.setdefault(r, len(index))
-    nrows, ncols = len(index), len(columns)
-    rows = [[0] * ncols for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            if isinstance(v, Fraction):
-                den = v.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError(f"denominator divisible by p={p}")
-                v = v.numerator * pow(den, -1, p)
-            rows[index[r]][c] = v % p
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

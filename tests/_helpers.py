@@ -5,10 +5,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from dworkcohom import QQ, ComplexDims, Polynomial, full_complex_spec, griffiths
+from dworkcohom import QQ, Polynomial, full_complex_spec, griffiths
 from dworkcohom.exceptions import BasisError, ParseError, UnknownVariableError
-from dworkcohom.forms import (ColumnStencil, DifferentialForm, gradient_form,
-                              strand_basis, strand_basis_at_degree,
+from dworkcohom.forms import (ColumnStencil, strand_basis_at_degree,
                               twisted_column)
 from dworkcohom.gaussmanin import (_SCALE, GriffithsDworkReducer, _DegreeSolver,
                                    _dense, _solve_square, connection_matrix)
@@ -20,6 +19,9 @@ from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
                                  primitive_column)
 from dworkcohom.poly import add_term, count_monomials, monomial_basis
 from dworkcohom.reports import Check
+
+from oracles import (ComplexDims, DifferentialForm, class_key, form_degree,
+                     gradient_form, strand_basis)
 
 
 def act(s, mu):
@@ -674,7 +676,7 @@ def dense_windowed_dims(f, spec, bound):
         full = [[Fraction(col.get(r, 0)) for col in cols]
                 for r in range(len(rows))]
         band = [[Fraction(col.get(r, 0)) for col in cols]
-                for key, r in rows.items() if spec.form_degree(*key) > bound]
+                for key, r in rows.items() if form_degree(spec, *key) > bound]
         rank_full = dense_rank_fractions(full)
         kernel[i] = len(basis) - rank_full
         witnessed[i + 1] = rank_full - dense_rank_fractions(band)
@@ -682,7 +684,7 @@ def dense_windowed_dims(f, spec, bound):
 
 
 def dense_dF_only_dims(f, spec, bound):
-    """Independent oracle for griffiths.dF_only_cohomology: the space dims
+    """Independent oracle for oracles.dF_only_cohomology: the space dims
     and the ranks of dF^ out of each form degree, as two lists.
 
     Every graded Koszul piece V^0_tau -> .. -> V^(n+1)_(tau+(n+1)m) whose
@@ -756,7 +758,7 @@ def filtered_sources(classes, spec, i, e):
     """
     sizes, groups = {}, {}
     for nu, I in strand_basis_at_degree(spec, i, e):
-        w = orbit_weight(classes, sizes, classes.key(nu, I))
+        w = orbit_weight(classes, sizes, class_key(classes, nu, I))
         if w:
             groups.setdefault(w, []).append((nu, I))
     return groups
@@ -769,10 +771,11 @@ class UnsplitWindowEngine:
     symmetric classes and counted its band ranks as pivots, kept as the
     oracle for both: it eliminates each window's band, the columns' entries
     of degree > bound, in accumulators of its own.  With ``key``, a
-    function of (nu, I) such as ExponentClasses.key, every class gets its
-    own main and band accumulators, and ``ranks(i, k)`` gives the sources,
-    main rank and band rank of class k in degree i at the last window:
-    the per-class ranks that orbit sharing assumes equal along an orbit.
+    function of (nu, I) such as class_key with its classes bound, every
+    class gets its own main and band accumulators, and ``ranks(i, k)``
+    gives the sources, main rank and band rank of class k in degree i at
+    the last window: the per-class ranks that orbit sharing assumes equal
+    along an orbit.
     """
 
     def __init__(self, f, spec, key=None):

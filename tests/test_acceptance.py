@@ -14,18 +14,18 @@ import random
 import time
 from fractions import Fraction
 
-from dworkcohom import (DifferentialForm, GriffithsDworkReducer, Polynomial,
-                        QQ, StrandSpec, affine_twisted_cohomology,
-                        ci_dwork_koszul, compare_smooth_paths,
-                        connection_matrix, connection_properties_check,
-                        dF_only_cohomology, fourier_lemma_check,
+from dworkcohom import (GriffithsDworkReducer, Polynomial, QQ, StrandSpec,
+                        affine_twisted_cohomology, ci_dwork_koszul,
+                        compare_smooth_paths, connection_matrix,
+                        connection_properties_check, fourier_lemma_check,
                         full_complex_spec, jacobian_hilbert,
-                        primitive_dwork_cohomology, rank_mod_p,
-                        stabilized_cohomology, strand_decomposition,
-                        suspension_check, thom_sebastiani_check, Family)
+                        primitive_dwork_cohomology, stabilized_cohomology,
+                        strand_decomposition, suspension_check,
+                        thom_sebastiani_check, Family)
 from dworkcohom.matrices import rank_of_columns
 
 from _helpers import PRIMES_62, fermat, quotient_dims, triangle, var
+from oracles import DifferentialForm, dF_only_cohomology, rank_mod_p
 
 
 class Criterion:

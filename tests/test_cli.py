@@ -547,6 +547,9 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
     assert code == 1 and out["error"].startswith("dworkcohom")
 
 
+CONSTANT = "a nonzero constant defines no hypersurface and has no strands"
+
+
 @pytest.mark.parametrize("argv,error", [
     (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
       "--perturbation=-3*x0*x1*x2", "--samples", "0,1/0"],
@@ -562,8 +565,16 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
     (["gm", "x0^3 + x1^3 + x2^3", "-v", "x0,x1,x2",
       "--perturbation=-3*x0*x1*x2", "--samples", "\uff11"],
      "sample '\uff11' is not a rational number"),
+    # V(F) is empty, or F = sum y_i f_i does not see a dual variable
+    (["dwork", "7/2", "-v", "x0,x1,x2"], CONSTANT),
+    (["strands", "1", "-v", "x0,x1", "--strand", "0"], CONSTANT),
+    (["strands", "1", "-v", "x0,x1"],
+     "affine twisted cohomology needs a nonconstant polynomial"),
+    (["koszul", "x0^2+x1^2;0", "-v", "x0,x1", "--bound", "2"],
+     "defining polynomials must be nonzero"),
 ], ids=["gm-sample", "koszul-bound", "fourier-bound", "gm-zero-perturbation",
-        "gm-sample-arabic-indic-three", "gm-sample-fullwidth-one"])
+        "gm-sample-arabic-indic-three", "gm-sample-fullwidth-one",
+        "dwork-constant", "strand-constant", "strands-constant", "koszul-zero"])
 def test_bad_values_exit_1_with_json(capsys, argv, error):
     code = main(argv)
     out = json.loads(capsys.readouterr().out)

@@ -1,8 +1,10 @@
 """Top-level pipelines: comparison identities between independent routes."""
 
+from fractions import Fraction
+
 import pytest
 
-from dworkcohom import (Job, Polynomial, QQ, StrandSpec,
+from dworkcohom import (Job, Polynomial, QQ, StabilizationPolicy, StrandSpec,
                         affine_twisted_cohomology, ci_dwork_koszul,
                         compare_smooth_paths, default_policy,
                         fourier_lemma_check, full_complex_spec,
@@ -53,6 +55,18 @@ def test_primitive_input_validation():
         primitive_dwork_cohomology(var(2, 0) ** 2 + var(2, 1))
     with pytest.raises(ValueError):
         primitive_dwork_cohomology(Polynomial.zero(QQ, 2))
+    # a nonzero constant defines the empty hypersurface, on either route;
+    # a zero f_i leaves F = sum y_i f_i blind to y_i
+    empty = "a nonzero constant defines no hypersurface and has no strands"
+    for policy in (None, StabilizationPolicy(4)):
+        with pytest.raises(ValueError, match=empty):
+            primitive_dwork_cohomology(
+                Polynomial.constant(QQ, 3, Fraction(7, 2)), policy)
+    for weights in (None, (3, 2)):
+        with pytest.raises(ValueError, match=empty):
+            strand_cohomology(Polynomial.constant(QQ, 2, 1), 0, weights=weights)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        ci_dwork_koszul([fermat(2, 2), Polynomial.zero(QQ, 2)], 2)
 
 
 @pytest.mark.parametrize("g,top,mu", [

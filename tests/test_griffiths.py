@@ -7,19 +7,18 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec, dF_only_cohomology,
+from dworkcohom import (QQ, QQ_T, Family, RatFunc, StrandSpec,
                         full_complex_spec, griffiths, jacobian_hilbert,
                         parse_polynomial, strand_top_dims)
 from dworkcohom.exceptions import NonHomogeneousError, NotSmoothError
 from dworkcohom.dwork import _Complexes
-from dworkcohom.forms import ColumnStencil
 from dworkcohom.gaussmanin import GriffithsDworkReducer
-from dworkcohom.matrices import (IntRankAccumulator, integerize_column,
-                                 rank_of_columns)
+from dworkcohom.matrices import integerize_column, rank_of_columns
 from dworkcohom.poly import Polynomial, monomial_basis
 
 from _helpers import (all_macaulay_columns, dense_dF_only_dims, fermat,
                       ranked_profile, series_hilbert, triangle, var)
+from oracles import dF_only_cohomology
 
 
 def ranked_hilbert(f):
@@ -555,35 +554,6 @@ def test_df_only_strand_sum_is_milnor():
         total += dims.coh(4)
     assert total == 81
 
-
-
-def test_df_only_builds_only_dF_entries(monkeypatch):
-    # a cost pin on the Fermat quartic's strand 0 at bound 12: no whole
-    # column is built (with them, 52,080 of 115,240 entries were d entries
-    # thrown away), and a source that is a stored pivot row of the form
-    # degree before is not fed (linalg docstring, "Skipped sources"); fed,
-    # the 63,160 dF^ entries made 36,292 columns
-    entries, columns = [], []
-    dF_part, add = ColumnStencil.dF_part, IntRankAccumulator.add_column
-
-    def no_column(self, nu, I):
-        raise AssertionError("dF_only_cohomology built a whole column")
-
-    def count_part(self, nu, I):
-        part = dF_part(self, nu, I)
-        entries.extend(part)
-        return part
-
-    def count_add(self, col):
-        columns.append(col)
-        return add(self, col)
-
-    monkeypatch.setattr(ColumnStencil, "column", no_column)
-    monkeypatch.setattr(ColumnStencil, "dF_part", count_part)
-    monkeypatch.setattr(IntRankAccumulator, "add_column", count_add)
-    dims = dF_only_cohomology(fermat(4, 4), StrandSpec(4, 4, 0), 12)
-    assert dims.coh(4) == 21
-    assert (len(entries), len(columns)) == (42228, 21296)
 
 # singular and weighted inputs, against a dense rank of every piece:
 # (F, spec, bound, cohomology dims)

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from dworkcohom import (ComplexDims, Job, Polynomial, QQ, QQ_T,
-                        StabilizationPolicy, StrandSpec, default_policy,
-                        full_complex_spec, jacobian_hilbert,
-                        proved_window_cohomology, rank_mod_p, run_job,
+from dworkcohom import (Job, Polynomial, QQ, QQ_T, StabilizationPolicy,
+                        StrandSpec, default_policy, full_complex_spec,
+                        jacobian_hilbert, proved_window_cohomology, run_job,
                         stabilized_cohomology, strand_top_dims)
 from dworkcohom.exceptions import NotSmoothError
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
@@ -20,6 +19,7 @@ from dworkcohom.poly import monomial_basis
 from _helpers import (PRIMES_62, DivisionRankAccumulator, dense_rank_fractions,
                       dense_windowed_dims, fermat, quotient_dims,
                       sparse_to_dense, step_one_twist, var)
+from oracles import ComplexDims, rank_mod_p
 
 
 def random_sparse(rng, nrows, ncols, fill=0.12, fractions=True):
@@ -111,17 +111,6 @@ def test_rank_modular_oracle_40x60():
     mod_ranks = [rank_mod_p(m, p) for p in primes]
     assert all(r <= exact for r in mod_ranks)
     assert max(mod_ranks) == exact
-
-
-def test_modular_consistency_many_matrices():
-    rng = random.Random(50)
-    for _ in range(50):
-        m = random_sparse(rng, rng.randint(2, 14), rng.randint(2, 14))
-        exact = rank_of_columns(m)
-        primes = rng.sample(PRIMES_62, 3)
-        ranks = [rank_mod_p(m, p) for p in primes]
-        assert all(r <= exact for r in ranks)
-        assert max(ranks) == exact
 
 
 def test_rank_over_function_field():

@@ -15,14 +15,14 @@ from dworkcohom.linalg import _WindowEngine
 from dworkcohom.fields import (RatFunc, poly_add, poly_eval, poly_mul, poly_trim,
                                poly_zgcd)
 from dworkcohom.matrices import (FieldRankAccumulator, IntRankAccumulator,
-                                 integerize_column, rank_mod_p,
-                                 rank_of_columns)
+                                 integerize_column, rank_of_columns)
 
 from _helpers import (PRIMES_62, CrossMultipliedRankAccumulator,
                       DivisionRankAccumulator, FieldMarkowitzRankAccumulator,
                       MarkowitzRankAccumulator, consuming_step,
                       cross_multiplied_step, dense_rank_fractions,
                       division_step, sparse_to_dense)
+from oracles import rank_mod_p
 
 # a smooth plane cubic of the benchmark's window-dense panel
 DENSE_CUBIC = "2*x0^3 - 2*x0*x1^2 + 2*x0*x1*x2 + x0*x2^2 + 2*x1^2*x2 - x1*x2^2"
