@@ -77,6 +77,7 @@ class _Complexes:
     def strand(self, residue: int) -> CohomologyReport:
         """Dimensions of one strand, residue taken mod m."""
         f = self.f
+        _need_nonzero(f)
         m = f.homogeneous_degree(self.weights)
         if m is None:
             raise NonHomogeneousError(
@@ -120,8 +121,7 @@ def primitive_dwork_cohomology(f: Polynomial,
     Smooth F goes through the Jacobian ring (exact); singular F goes through
     truncation and the report carries the stabilization certificate.
     """
-    if not f:
-        raise ValueError("zero polynomial does not define a hypersurface")
+    _need_nonzero(f)
     if f.nvars < 2:
         raise ValueError("need at least 2 variables (a hypersurface in P^n, n >= 1)")
     if f.homogeneous_degree() is None:
@@ -136,6 +136,11 @@ def affine_twisted_cohomology(g: Polynomial, weights=None,
     """Full-complex dims: H^k(d + dG^) = reduced H^(k-1) of U = G^{-1}(1)."""
     _need_nonconstant(g)
     return _affine_report(g, _Complexes(g, weights, policy).full())
+
+
+def _need_nonzero(f: Polynomial) -> None:
+    if not f:
+        raise ValueError("zero polynomial does not define a hypersurface")
 
 
 def _need_nonconstant(g: Polynomial) -> None:
@@ -155,7 +160,8 @@ def strand_decomposition(f: Polynomial, policy: StabilizationPolicy = None,
     affine_twisted_cohomology(f) labels it.  A failed identity raises
     StrandSumError."""
     complexes = _Complexes(f, weights, policy)
-    m = f.homogeneous_degree(weights) if f else None
+    _need_nonzero(f)
+    m = f.homogeneous_degree(weights)
     if m is None:
         raise NonHomogeneousError("strand decomposition needs a homogeneous input")
     _need_nonconstant(f)

@@ -15,10 +15,14 @@ total degree and dF^ raises it, the span of degrees > N is a subcomplex and
 the retained part is a quotient complex, on which D o D = 0 holds exactly.
 
 The engine builds D on monomial forms only, and has one builder for it,
-``ColumnStencil``: built once per F, it yields integer columns tagged with
-the degree each entry rises by.  ``twisted_column`` writes the same column
-directly over F's field, as the reference the stencil is tested against;
-the tests check it in turn against D on whole forms (tests/oracles.py).
+``ColumnStencil``: built once per F, it keys each monomial form by one
+integer, its index set a bit mask and its exponents fixed-width digits,
+and yields integer columns as target keys tagged with the degree each
+entry rises by.  Each target key is the source's key plus a constant of
+(k, I), since no digit carries at the width the stencil is sized for.
+``twisted_column`` writes the same column directly over F's field, on
+(nu, I) tuples, as the reference the stencil is tested against; the tests
+check it in turn against D on whole forms (tests/oracles.py).
 ``ExponentClasses`` names the class of a monomial form modulo the lattice
 of F's exponents, which D keeps, and the orbits of those classes under
 F's variable symmetries, and groups exponent vectors by the classes that
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
 
 from .exceptions import NonHomogeneousError, VariableCountMismatch
 from .poly import Polynomial, mono_degree, mono_mul, monomial_basis
@@ -103,17 +106,42 @@ def twisted_column(f: Polynomial, nu: tuple, I: tuple) -> dict:
 
 
 class ColumnStencil:
-    """Integer columns of d + dF^ on monomial forms, precomputed once per F.
+    """Integer columns of d + dF^ on monomial forms, keyed by packed integers.
 
-    ``scale`` is the lcm L of F's coefficient denominators.  ``terms`` holds
-    (k, mu - e_k, c * mu_k * L, deg_w(mu)) for every term c x^mu of F and
-    every k with mu_k > 0, in f.terms order; ``wedge[I][k]`` is the
-    (sign, K) of dx_k ^ dx_I, or None when k lies in I.
+    The form x^nu dx_I of n variables has the key
+
+        key(nu, I) = sum_k nu_k << (n + k*b)  +  sum_(k in I) 1 << k:
+
+    I is a bit mask in the low n bits, and each exponent a b-bit digit
+    above them (the packed exponent vectors of Monagan and Pearce, CASC
+    2007).  ``bits`` is b, sized for sources of degree <= ``degree``: each
+    exponent of a form is at most its total degree (weights are >= 1),
+    and a target of D has the source's degree plus its rise, so b holds
+    degree + the largest rise.  Keys of forms whose exponents fit in b
+    bits are distinct, and ``unpack`` inverts ``pack`` on them.
+
+    Every target of D(x^nu dx_I) is the source's key plus a constant that
+    depends only on k and I.  dx_k ^ dx_I, for k not in I, sets bit k,
+    which is clear in the mask of I; the d part lowers the digit nu_k > 0
+    by one, and a dF term c x^mu adds the digits of mu - e_k.  No digit
+    borrows, since nu_k > 0, and none carries into the next, since every
+    target exponent fits in b bits; so the sum is the target's key.
+
+    ``scale`` is the lcm L of F's coefficient denominators.  ``terms``
+    holds (k, mu - e_k, c * mu_k * L, deg_w(mu)) for every term c x^mu of F
+    and every k with mu_k > 0, in f.terms order, and ``rise`` is the
+    largest deg_w(mu) among them (0 without one).  ``tables`` maps the
+    mask of I to its two tables, each built when a column first asks:
+    (digit shift, constant, sign * L) of the d part for each k not in I,
+    in k order, and (constant, rise, sign * c * mu_k * L) of the dF part
+    for each term whose k is not in I, in terms order, the signs those of
+    dx_k ^ dx_I (insert_sign).
     """
 
-    __slots__ = ("scale", "terms", "wedge")
+    __slots__ = ("nvars", "bits", "scale", "terms", "rise", "tables",
+                 "_low", "_digit")
 
-    def __init__(self, f: Polynomial, weights=None):
+    def __init__(self, f: Polynomial, weights, degree: int):
         coeffs = [Fraction(c) for c in f.terms.values()]
         scale = lcm(*(c.denominator for c in coeffs))
         terms = []
@@ -124,42 +152,66 @@ class ColumnStencil:
                 if ek:
                     shift = mu[:k] + (ek - 1,) + mu[k + 1:]
                     terms.append((k, shift, c * ek, rise))
-        wedge = {}
-        for i in range(f.nvars + 1):
-            for I in combinations(range(f.nvars), i):
-                wedge[I] = tuple(None if k in I else insert_sign(k, I)
-                                 for k in range(f.nvars))
+        self.nvars = f.nvars
         self.scale = scale
         self.terms = tuple(terms)
-        self.wedge = wedge
+        self.rise = max((t[3] for t in terms), default=0)
+        self.bits = max(degree + self.rise, 1).bit_length()
+        self.tables = {}
+        self._low = (1 << f.nvars) - 1
+        self._digit = (1 << self.bits) - 1
 
-    def column(self, nu: tuple, I: tuple) -> list:
-        """Entries (target key, rise, value) of L * D(x^nu dx_I).
+    def pack(self, nu: tuple, I: tuple = ()) -> int:
+        """The key of x^nu dx_I."""
+        n, b = self.nvars, self.bits
+        key = sum(1 << k for k in I)
+        for k, e in enumerate(nu):
+            key += e << (n + k * b)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        """(nu, I) of a key that pack gave."""
+        n, b, digit = self.nvars, self.bits, self._digit
+        return (tuple(key >> (n + k * b) & digit for k in range(n)),
+                tuple(k for k in range(n) if key >> k & 1))
+
+    def _tables(self, mask: int) -> tuple:
+        """Build and keep the d-part and dF-part tables of the index set
+        with this mask."""
+        n, b, scale = self.nvars, self.bits, self.scale
+        I = tuple(k for k in range(n) if mask >> k & 1)
+        wedge = [insert_sign(k, I)[0] for k in range(n)]
+        d_part = tuple((n + k * b, (1 << k) - (1 << (n + k * b)), s * scale)
+                       for k, s in enumerate(wedge) if s)
+        dF_part = tuple(((1 << k) + self.pack(shift), rise, wedge[k] * c)
+                        for k, shift, c, rise in self.terms if wedge[k])
+        tables = self.tables[mask] = (d_part, dF_part)
+        return tables
+
+    def column(self, key: int) -> list:
+        """Entries (target key, rise, value) of L * D(x^nu dx_I), for the
+        key of x^nu dx_I.
 
         The order is twisted_column's: the d part by k (rise 0), then the
         dF part in F's term order (rise deg_w(mu)).  No two entries share a
-        key: entries with the same k share K, and their exponents differ by
-        a monomial of F (d part against dF part) or by two distinct ones, so
-        nothing cancels and every value is a nonzero integer.
+        key: entries with the same k share I + {k}, and their exponents
+        differ by a monomial of F (d part against dF part) or by two
+        distinct ones, so nothing cancels and every value is a nonzero
+        integer.
         """
-        wedge = self.wedge[I]
-        scale = self.scale
-        out = []
-        for k, e in enumerate(nu):
-            w = wedge[k]
-            if e and w is not None:
-                out.append(((nu[:k] + (e - 1,) + nu[k + 1:], w[1]), 0,
-                            w[0] * e * scale))
-        out += self.dF_part(nu, I)
+        mask, digit = key & self._low, self._digit
+        d_part = (self.tables.get(mask) or self._tables(mask))[0]
+        out = [(key + delta, 0, v * e) for shift, delta, v in d_part
+               if (e := key >> shift & digit)]
+        out += self.dF_part(key)
         return out
 
-    def dF_part(self, nu: tuple, I: tuple) -> list:
-        """Entries (target key, rise, value) of L * dF ^ x^nu dx_I, the
-        dF part of column(nu, I), in F's term order."""
-        wedge = self.wedge[I]
-        return [((tuple(map(add, nu, shift)), w[1]), rise, w[0] * c)
-                for k, shift, c, rise in self.terms
-                if (w := wedge[k]) is not None]
+    def dF_part(self, key: int) -> list:
+        """Entries (target key, rise, value) of L * dF ^ x^nu dx_I, the dF
+        part of column(key), in F's term order."""
+        mask = key & self._low
+        return [(key + delta, rise, v) for delta, rise, v in
+                (self.tables.get(mask) or self._tables(mask))[1]]
 
 
 class ExponentClasses:

@@ -135,7 +135,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import sub
 
 from .exceptions import NotSmoothError
 from .fields import QQ
@@ -212,18 +211,25 @@ class _WindowEngine:
     degree, so the cumulative rank after finishing degree e equals the exact
     rank of D^i restricted to sources of degree <= e; one sweep serves every
     window bound.  Targets are never truncated.  Columns come from one
-    integer stencil of F and are assembled once.  ``rows`` gives each row
-    the id degree << SERIAL_BITS | serial, serial the number of rows of its
-    form degree registered before it, so ids order rows by degree, then by
-    registration.  Serials stay below 2^SERIAL_BITS: every row keeps its
-    key, a dict slot and an orbit size, over 100 bytes, so 2^32 rows would
-    take over 400 GB.  The accumulator of each D^i stores each column under
-    its largest row, a row of greatest degree, so a band rank is a count of
-    stored pivots (module docstring, "Band counts").  Within a degree the
-    newest row wins: registered last, it is the row that the fewest stored
-    columns have had the chance to touch.  A source of D^i that is a stored
-    pivot row of D^(i-1) is counted but not assembled ("Skipped
-    sources").
+    integer stencil of F and are assembled once.  Every form, source or
+    row, is named by the stencil's integer key (forms.ColumnStencil), so
+    the registry and the skip test hash ints, and a column's targets are
+    the source's key plus constants.  The keys' exponent digits are sized
+    for sources of degree <= max_bound: a source's exponents are at most
+    its degree, and a row's at most its source's degree plus the rise of
+    its entry, so no digit overflows; dims_at refuses a bound above
+    max_bound, as it refuses one below the last.  ``rows`` maps the key of
+    each row to the id degree << SERIAL_BITS | serial, serial the number
+    of rows of its form degree registered before it, so ids order rows by
+    degree, then by registration.  Serials stay below 2^SERIAL_BITS: every
+    row keeps its key, a dict slot and an orbit size, over 100 bytes, so
+    2^32 rows would take over 400 GB.  The accumulator of each D^i stores
+    each column under its largest row, a row of greatest degree, so a band
+    rank is a count of stored pivots (module docstring, "Band counts").
+    Within a degree the newest row wins: registered last, it is the row
+    that the fewest stored columns have had the chance to touch.  A source
+    of D^i that is a stored pivot row of D^(i-1) is counted but not
+    assembled ("Skipped sources").
 
     When F has variable symmetries, only the classes that represent their
     orbits are assembled (see the module docstring).  ``vectors`` lists,
@@ -242,17 +248,18 @@ class _WindowEngine:
 
     SERIAL_BITS = 32
 
-    def __init__(self, f: Polynomial, spec: StrandSpec):
+    def __init__(self, f: Polynomial, spec: StrandSpec, max_bound: int):
         validate_twist_input(f, spec)
         if f.field is not QQ:
             raise TypeError("windowed dimensions run over the rational field")
         self.spec = spec
         self.top = spec.nvars
-        self.stencil = ColumnStencil(f, spec.weights)
+        self.max_bound = max_bound
+        self.stencil = ColumnStencil(f, spec.weights, max_bound)
         gens = variable_symmetries(f, spec.weights)
         self.classes = ExponentClasses(f, gens) if gens else None
         n = self.top + 1
-        self.rows = [dict() for _ in range(n + 1)]  # (nu, I) -> row id
+        self.rows = [dict() for _ in range(n + 1)]  # form key -> row id
         self.row_w = [[] for _ in range(n + 1)]     # serial -> orbit size
         self.acc = [IntRankAccumulator() for _ in range(n)]
         self.vectors = {}                       # degree -> _vectors
@@ -261,8 +268,9 @@ class _WindowEngine:
         self.bound = None
 
     def _vectors(self, e: int) -> list:
-        """(v, orbit size, support mask) for the exponent vectors v of
-        degree e whose class represents its orbit, lex-descending.
+        """(key of x^v, orbit size, support mask) for the exponent vectors
+        v of degree e whose class represents its orbit, lex-descending
+        in v.
 
         The representative classes come from ExponentClasses.representatives,
         one key per vector of monomial_basis; only their vectors are then
@@ -272,32 +280,36 @@ class _WindowEngine:
         vectors = self.vectors.get(e)
         if vectors is None:
             basis = monomial_basis(self.top, e, self.spec.weights)
-            vectors = self.vectors[e] = sorted(
-                ((v, w, sum(1 << k for k, a in enumerate(v) if a))
-                 for w, group in self.classes.representatives(basis)
-                 for v in group), reverse=True)
+            pack = self.stencil.pack
+            vectors = self.vectors[e] = [
+                (pack(v), w, sum(1 << k for k, a in enumerate(v) if a))
+                for v, w in sorted(
+                    ((v, w) for w, group in self.classes.representatives(basis)
+                     for v in group), reverse=True)]
         return vectors
 
     def _sources(self, i: int, e: int):
-        """(nu, I, orbit size) for the D^i sources of degree e, in
+        """(key, orbit size) for the D^i sources of degree e, in
         strand_basis_at_degree's order.
 
         With no symmetry that is the whole basis at size 1; otherwise the
         orbit representatives: the sources (v - e_I, I) of the
         representative vectors v that are at least 1 on I, for I in
-        combinations order and v in lex-descending order.
+        combinations order and v in lex-descending order.  The key of
+        x^(v - e_I) dx_I is that of x^v plus a constant of I.
         """
+        pack = self.stencil.pack
         if self.classes is None:
             for nu, I in strand_basis_at_degree(self.spec, i, e):
-                yield nu, I, 1
+                yield pack(nu, I), 1
             return
         vectors = self._vectors(e)
         for I in combinations(range(self.top), i):
             mask = sum(1 << k for k in I)
-            e_I = tuple(int(k in I) for k in range(self.top))
-            for v, w, support in vectors:
+            shift = mask - pack(tuple(int(k in I) for k in range(self.top)))
+            for key, w, support in vectors:
                 if support & mask == mask:
-                    yield tuple(map(sub, v, e_I)), I, w
+                    yield key + shift, w
 
     def _add_degree(self, i: int, e: int) -> int:
         """Feed the D^i columns of source degree e to the accumulator of
@@ -308,15 +320,15 @@ class _WindowEngine:
         acc, column, shift = self.acc[i], self.stencil.column, self.SERIAL_BITS
         own, pivots = self.rows[i], self.acc[i - 1].pivcol if i else {}
         count = 0
-        for nu, I, w in self._sources(i, e):
+        for key, w in self._sources(i, e):
             count += w
-            if own.get((nu, I)) in pivots:
+            if own.get(key) in pivots:
                 continue
             col = {}
-            for key, rise, v in column(nu, I):
-                rid = reg.get(key)
+            for target, rise, v in column(key):
+                rid = reg.get(target)
                 if rid is None:
-                    rid = reg[key] = (e + rise) << shift | len(row_w)
+                    rid = reg[target] = (e + rise) << shift | len(row_w)
                     row_w.append(w)
                 col[rid] = v
             if col:
@@ -339,10 +351,14 @@ class _WindowEngine:
                 sum(row_w[r & serial] for r in pivots if r >= cut))
 
     def dims_at(self, bound: int) -> dict:
-        """Windowed dims at bound; raises ValueError below the last bound."""
+        """Windowed dims at bound; raises ValueError below the last bound
+        and above max_bound, the bound the form keys are sized for."""
         if self.bound is not None and bound < self.bound:
             raise ValueError(f"window {bound} is below the last window "
                              f"{self.bound} of this engine")
+        if bound > self.max_bound:
+            raise ValueError(f"window {bound} is above the last window "
+                             f"{self.max_bound} this engine is sized for")
         self.bound = bound
         rank, band = zip(*(self._process(i, bound)
                            for i in range(self.top + 1)))
@@ -366,7 +382,7 @@ def stabilized_cohomology(f: Polynomial, spec: StrandSpec,
     return, so a repeated call recomputes.
     """
     policy = default_policy(f, spec, policy)
-    engine = _WindowEngine(f, spec)
+    engine = _WindowEngine(f, spec, policy.max_bound)
     history = []
     bound = policy.initial_bound
     while True:
@@ -399,7 +415,7 @@ def proved_window_cohomology(f: Polynomial, spec: StrandSpec,
     if spec.weights is not None or f.homogeneous_degree() != profile.modulus:
         raise ValueError("a proved window needs the unweighted profile of f")
     bound = profile.socle + f.nvars
-    dims = _WindowEngine(f, spec).dims_at(bound)
+    dims = _WindowEngine(f, spec, bound).dims_at(bound)
     proof = Proof("koszul-window", profile.smooth, profile.socle, bound)
     cert = Certificate((bound,), True, ((bound, tuple(sorted(dims.items()))),),
                        proof)

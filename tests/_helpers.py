@@ -775,12 +775,14 @@ class UnsplitWindowEngine:
     class gets its own main and band accumulators, and ``ranks(i, k)``
     gives the sources, main rank and band rank of class k in degree i at
     the last window: the per-class ranks that orbit sharing assumes equal
-    along an orbit.
+    along an orbit.  Its rows are the (nu, I) that the stencil's keys
+    decode to, so it shares no row format with the engine; each window
+    gets a stencil sized for its bound.
     """
 
     def __init__(self, f, spec, key=None):
-        self.spec, self.top, self.key = spec, spec.nvars, key
-        self.stencil = ColumnStencil(f, spec.weights)
+        self.f, self.spec, self.top, self.key = f, spec, spec.nvars, key
+        self.stencil = None                        # sized by dims_at
         n = self.top + 1
         self.acc = [dict() for _ in range(n)]      # class -> accumulator
         self.band = [dict() for _ in range(n)]     # of the last window
@@ -790,12 +792,12 @@ class UnsplitWindowEngine:
         self.bound = None
 
     def _add_degree(self, i, e, acc, band, cut):
-        reg = self.rows[i + 1]
+        reg, stencil = self.rows[i + 1], self.stencil
         for nu, I in strand_basis_at_degree(self.spec, i, e):
             k = self.key(nu, I) if self.key else None
             col, above = {}, {}
-            for key, rise, v in self.stencil.column(nu, I):
-                rid = reg.setdefault(key, len(reg))
+            for key, rise, v in stencil.column(stencil.pack(nu, I)):
+                rid = reg.setdefault(stencil.unpack(key), len(reg))
                 col[rid] = v
                 if rise > cut:
                     above[rid] = v
@@ -831,6 +833,7 @@ class UnsplitWindowEngine:
     def dims_at(self, bound):
         assert self.bound is None or bound >= self.bound
         self.bound = bound
+        self.stencil = ColumnStencil(self.f, self.spec.weights, bound)
         for i in range(self.top + 1):
             self._process(i, bound)
         total = lambda accs: sum(a.rank for a in (accs or {}).values())
@@ -854,12 +857,12 @@ class UnskippedWindowEngine(_WindowEngine):
         reg, row_w = self.rows[i + 1], self.row_w[i + 1]
         acc, column, shift = self.acc[i], self.stencil.column, self.SERIAL_BITS
         count = 0
-        for nu, I, w in self._sources(i, e):
+        for key, w in self._sources(i, e):
             col = {}
-            for key, rise, v in column(nu, I):
-                rid = reg.get(key)
+            for target, rise, v in column(key):
+                rid = reg.get(target)
                 if rid is None:
-                    rid = reg[key] = (e + rise) << shift | len(row_w)
+                    rid = reg[target] = (e + rise) << shift | len(row_w)
                     row_w.append(w)
                 col[rid] = v
             if col:

@@ -261,7 +261,7 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     m = f.homogeneous_degree(spec.weights)
     if m is None:
         raise NonHomogeneousError("dF-only grading needs a homogeneous input")
-    stencil = ColumnStencil(f, spec.weights)
+    stencil = ColumnStencil(f, spec.weights, bound + nvars * m)
     space = [0] * (nvars + 1)
     accs = [IntRankAccumulator() for _ in range(nvars)]
     for tau in range(-nvars * m, bound + 1):
@@ -279,7 +279,8 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
             for nu, I in bases[i]:
                 if (nu, I) in pivots:
                     continue
-                col = {key: c for key, _, c in stencil.dF_part(nu, I)}
+                col = {stencil.unpack(key): c for key, _, c
+                       in stencil.dF_part(stencil.pack(nu, I))}
                 if col:
                     acc.add_column(primitive_column(col))
     return ComplexDims.from_ranks(space, [acc.rank for acc in accs])

@@ -39,7 +39,8 @@ CASES = [
 
 def assert_counts_match_eliminated_bands(f, spec, policy):
     history = stabilized_cohomology(f, spec, policy).certificate.history
-    engine, unsplit = _WindowEngine(f, spec), UnsplitWindowEngine(f, spec)
+    engine = _WindowEngine(f, spec, history[-1][0])
+    unsplit = UnsplitWindowEngine(f, spec)
     for bound, dims in history:
         assert engine.dims_at(bound) == dict(dims) == unsplit.dims_at(bound), \
             bound
@@ -69,7 +70,7 @@ def test_band_counts_match_eliminated_bands_on_random_input(f, data):
 def test_a_repeated_bound_adds_no_column(monkeypatch):
     # the second call at a bound sweeps nothing and counts the same pivots
     f, spec = triangle(), StrandSpec(3, 3, 0)
-    engine = _WindowEngine(f, spec)
+    engine = _WindowEngine(f, spec, 6)
     first = engine.dims_at(6)
     calls = []
     add = IntRankAccumulator.add_column

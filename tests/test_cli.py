@@ -548,6 +548,7 @@ def test_usage_errors_exit_1_with_json(capsys, argv):
 
 
 CONSTANT = "a nonzero constant defines no hypersurface and has no strands"
+ZERO = "zero polynomial does not define a hypersurface"
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -572,9 +573,13 @@ CONSTANT = "a nonzero constant defines no hypersurface and has no strands"
      "affine twisted cohomology needs a nonconstant polynomial"),
     (["koszul", "x0^2+x1^2;0", "-v", "x0,x1", "--bound", "2"],
      "defining polynomials must be nonzero"),
+    # the zero polynomial gets dwork's message on both strands routes
+    (["strands", "0", "-v", "x0,x1", "--strand", "0"], ZERO),
+    (["strands", "0", "-v", "x0,x1"], ZERO),
 ], ids=["gm-sample", "koszul-bound", "fourier-bound", "gm-zero-perturbation",
         "gm-sample-arabic-indic-three", "gm-sample-fullwidth-one",
-        "dwork-constant", "strand-constant", "strands-constant", "koszul-zero"])
+        "dwork-constant", "strand-constant", "strands-constant", "koszul-zero",
+        "strand-zero", "strands-zero"])
 def test_bad_values_exit_1_with_json(capsys, argv, error):
     code = main(argv)
     out = json.loads(capsys.readouterr().out)

@@ -11,7 +11,7 @@ from dworkcohom.forms import (ColumnStencil, strand_basis_at_degree,
                               twisted_column, validate_twist_input)
 from dworkcohom.exceptions import NonHomogeneousError
 
-from _helpers import fermat, quotient_dims, var
+from _helpers import fermat, polys, quotient_dims, var
 from oracles import DifferentialForm, form_degree, gradient_form, strand_basis
 
 
@@ -99,7 +99,7 @@ def test_twisted_column_matches_form_operations():
     # member at t = 2, whose terms come in the same order
     for f, weights, scale in STENCIL_CASES:
         spec = full_complex_spec(f.nvars, weights)
-        stencil = ColumnStencil(f if scale else PENCIL.at(2), weights)
+        stencil = ColumnStencil(f if scale else PENCIL.at(2), weights, 7)
         assert stencil.scale == (scale or 1)
         for i in range(f.nvars + 1):
             for nu, I in strand_basis(spec, i, 7):
@@ -108,7 +108,8 @@ def test_twisted_column_matches_form_operations():
                 want = form.twisted_differential(f).terms
                 assert col == want and list(col) == list(want)
                 assert all(type(v) is type(f.field.one) for v in col.values())
-                entries = stencil.column(nu, I)
+                entries = [(stencil.unpack(key), rise, v) for key, rise, v
+                           in stencil.column(stencil.pack(nu, I))]
                 assert [key for key, _, _ in entries] == list(col)
                 for key, rise, v in entries:
                     assert isinstance(v, int)
@@ -121,15 +122,59 @@ def test_stencil_df_part_is_the_wedge_with_dF():
     # ColumnStencil.dF_part must be scale * (dF ^ x^nu dx_I), and the tail
     # of column(nu, I) that follows its d part
     for f, weights, _ in STENCIL_CASES[:-1]:
-        stencil, dF = ColumnStencil(f, weights), gradient_form(f)
+        stencil, dF = ColumnStencil(f, weights, 7), gradient_form(f)
         for i in range(f.nvars + 1):
             for nu, I in strand_basis(full_complex_spec(f.nvars, weights), i, 7):
-                part = stencil.dF_part(nu, I)
-                column = stencil.column(nu, I)
+                part = stencil.dF_part(stencil.pack(nu, I))
+                column = stencil.column(stencil.pack(nu, I))
                 assert column[len(column) - len(part):] == part
                 assert all(rise for _, rise, _ in part)
+                part = [(stencil.unpack(key), rise, v)
+                        for key, rise, v in part]
                 assert {key: Fraction(v, stencil.scale) for key, _, v in part} \
                     == dF.wedge(mono_form(f.nvars, nu, I)).terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.data())
+def test_stencil_keys_round_trip_up_to_the_width(f, data):
+    # a stencil sized for sources of degree <= degree keys every form whose
+    # exponents are at most degree + its largest rise, which bounds every
+    # exponent of a source and of its column's targets: unpack inverts
+    # pack there, so pack is injective, the form with every exponent at
+    # that bound included
+    n = f.nvars
+    weights = data.draw(st.none() | st.tuples(*[st.integers(1, 3)] * n))
+    degree = data.draw(st.integers(0, 40))
+    stencil = ColumnStencil(f, weights, degree)
+    top = degree + stencil.rise
+    index_sets = st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+    forms = data.draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, top)] * n), index_sets), max_size=10))
+    forms.append(((top,) * n, tuple(range(n))))
+    keys = [stencil.pack(nu, I) for nu, I in forms]
+    assert [stencil.unpack(key) for key in keys] == forms
+    assert len(set(keys)) == len(set(forms))
+
+
+def test_stencil_builds_an_index_set_table_on_first_use():
+    # 40 variables have 2^40 index sets: the stencil holds no table until
+    # a column asks for one, then the one of that column's I
+    n = 40
+    f = sum(var(n, k) for k in range(n))
+    stencil = ColumnStencil(f, None, 2)
+    assert stencil.tables == {}
+    nu, I = (1,) + (0,) * (n - 1), (3, 5)
+    key = stencil.pack(nu, I)
+    entries = [(stencil.unpack(target), rise, v)
+               for target, rise, v in stencil.column(key)]
+    assert list(stencil.tables) == [(1 << 3) | (1 << 5)]
+    zero = (0,) * n
+    assert entries == [((zero, (0, 3, 5)), 0, 1)] + [
+        ((nu, tuple(sorted((k, 3, 5)))), 1, (-1) ** sum(j < k for j in I))
+        for k in range(n) if k not in I]
+    assert stencil.dF_part(key) == stencil.column(key)[1:]
+    assert len(stencil.tables) == 1
 
 
 def test_strand_preservation():

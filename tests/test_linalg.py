@@ -251,13 +251,25 @@ def test_band_completion_matches_oracle_and_fresh_engine():
 def test_engine_bounds_never_decrease():
     from dworkcohom.linalg import _WindowEngine
     f, spec = step_one_twist()
-    engine = _WindowEngine(f, spec)
+    engine = _WindowEngine(f, spec, 6)
     first = engine.dims_at(5)
     assert first == dense_windowed_dims(f, spec, 5)
     assert engine.dims_at(5) == first
     with pytest.raises(ValueError):
         engine.dims_at(4)
     assert engine.dims_at(6) == dense_windowed_dims(f, spec, 6)
+
+
+def test_engine_refuses_a_window_above_its_sized_bound():
+    # the form keys hold the exponents of windows up to max_bound only
+    from dworkcohom.linalg import _WindowEngine
+    f, spec = step_one_twist()
+    engine = _WindowEngine(f, spec, 5)
+    with pytest.raises(ValueError, match="above"):
+        engine.dims_at(6)
+    assert engine.dims_at(5) == dense_windowed_dims(f, spec, 5)
+    with pytest.raises(ValueError, match="above"):
+        engine.dims_at(6)
 
 
 def test_milnor_numbers_by_truncation():
@@ -318,7 +330,7 @@ def test_proved_window_on_the_k3_strand_and_its_sharp_bound():
     assert proved.dims == stabilized_cohomology(f, spec).dims
     assert proved.dims == {0: 0, 1: 0, 2: 0, 3: 0, 4: 21}
     assert proved.certificate.bounds == (12,)
-    assert _WindowEngine(f, spec).dims_at(11)[4] == 20
+    assert _WindowEngine(f, spec, 11).dims_at(11)[4] == 20
 
 
 def _random_smooth_plane_curves(rng, degree, count):
@@ -356,7 +368,7 @@ def test_windowed_dims_grow_to_the_proved_window():
     profile = jacobian_hilbert(f)
     n0 = profile.socle + f.nvars
     for j in range(3):
-        engine = _WindowEngine(f, StrandSpec(3, 3, j))
+        engine = _WindowEngine(f, StrandSpec(3, 3, j), n0 + 2 * 3)
         tops = []
         for bound in range(n0 + 2 * 3 + 1):
             dims = engine.dims_at(bound)

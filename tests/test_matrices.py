@@ -171,18 +171,18 @@ def test_engine_columns_are_whole(monkeypatch):
     def record_sources(self, i, e):
         stream = list(emit(self, i, e))
         pivots = self.acc[i - 1].pivcol if i else {}
-        for nu, I, _ in stream:
-            if self.stencil.column(nu, I):
-                sources.append((nu, I))
-                if self.rows[i].get((nu, I)) in pivots:
-                    skipped.append((nu, I))
+        for key, _ in stream:
+            if self.stencil.column(key):
+                sources.append(key)
+                if self.rows[i].get(key) in pivots:
+                    skipped.append(key)
         return stream
 
     init, add = _WindowEngine.__init__, IntRankAccumulator.add_column
     engine_accs = {}
 
-    def record_init(self, f, spec):
-        init(self, f, spec)
+    def record_init(self, f, spec, max_bound):
+        init(self, f, spec, max_bound)
         engine_accs.update((id(acc), acc) for acc in self.acc)
 
     def record(self, col):

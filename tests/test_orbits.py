@@ -50,12 +50,13 @@ def test_class_key_is_canonical(f, data):
 @settings(max_examples=60, deadline=None)
 @given(polys(), st.data())
 def test_every_column_entry_lies_in_its_source_class(f, data):
-    classes, stencil = ExponentClasses(f), ColumnStencil(f)
     n = f.nvars
+    classes, stencil = ExponentClasses(f), ColumnStencil(f, None, 5 * n)
     nu = data.draw(st.tuples(*[st.integers(0, 4)] * n))
     I = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
     source = class_key(classes, nu, I)
-    for (target_nu, target_I), _, _ in stencil.column(nu, I):
+    for key, _, _ in stencil.column(stencil.pack(nu, I)):
+        target_nu, target_I = stencil.unpack(key)
         assert class_key(classes, target_nu, target_I) == source
 
 
@@ -195,11 +196,11 @@ CASES = [
 def test_orbit_sharing_matches_the_unsplit_engine(name, f, spec, policy,
                                                   dense):
     gens = variable_symmetries(f, spec.weights)
-    engine = _WindowEngine(f, spec)
+    history = stabilized_cohomology(f, spec, policy).certificate.history
+    engine = _WindowEngine(f, spec, history[-1][0])
     assert (engine.classes is None) == (not gens)
     classes = ExponentClasses(f, gens)
     unsplit = UnsplitWindowEngine(f, spec, partial(class_key, classes))
-    history = stabilized_cohomology(f, spec, policy).certificate.history
     assert len(history) >= 2
     for bound, dims in history:
         want = unsplit.dims_at(bound)
@@ -211,7 +212,7 @@ def test_orbit_sharing_matches_the_unsplit_engine(name, f, spec, policy,
                 assert len(ranks) == 1, (bound, i, key, ranks)
     for bound in dense:
         assert UnsplitWindowEngine(f, spec).dims_at(bound) == \
-            _WindowEngine(f, spec).dims_at(bound) == \
+            _WindowEngine(f, spec, bound).dims_at(bound) == \
             dense_windowed_dims(f, spec, bound)
 
 
@@ -226,7 +227,8 @@ def test_orbit_sharing_matches_the_unsplit_engine_on_random_input(f, data):
         spec = StrandSpec(n, m, data.draw(st.integers(0, m - 1)), weights)
     bounds = sorted(data.draw(st.sets(st.integers(0, 7), min_size=1,
                                       max_size=3)))
-    engine, unsplit = _WindowEngine(f, spec), UnsplitWindowEngine(f, spec)
+    engine = _WindowEngine(f, spec, bounds[-1])
+    unsplit = UnsplitWindowEngine(f, spec)
     for bound in bounds:
         assert engine.dims_at(bound) == unsplit.dims_at(bound), bound
 
@@ -237,7 +239,7 @@ def assert_sources_are_filtered(f, spec, bound):
     the representative classes, in basis order, each source with the orbit
     size the filter gives it.  With no symmetry that is the whole basis,
     every source at size 1."""
-    engine = _WindowEngine(f, spec)
+    engine = _WindowEngine(f, spec, bound)
     classes = ExponentClasses(f, variable_symmetries(f, spec.weights))
     for i in range(spec.nvars + 1):
         for e in range(spec.residue, bound + 1, spec.modulus):
@@ -249,7 +251,9 @@ def assert_sources_are_filtered(f, spec, bound):
                     if (nu, I) in sizes]
             if engine.classes is None:
                 assert want == [(nu, I, 1) for nu, I in basis]
-            assert list(engine._sources(i, e)) == want, (i, e)
+            got = [(*engine.stencil.unpack(key), w)
+                   for key, w in engine._sources(i, e)]
+            assert got == want, (i, e)
 
 
 # the oracle also runs on a weighted input with a symmetry, and on a strand
@@ -341,8 +345,8 @@ def engine_work(monkeypatch, run):
     init = _WindowEngine.__init__
     add, step = IntRankAccumulator.add_column, IntRankAccumulator._step
 
-    def record_init(self, f, spec):
-        init(self, f, spec)
+    def record_init(self, f, spec, max_bound):
+        init(self, f, spec, max_bound)
         engine_accs.update((id(acc), acc) for acc in self.acc)
 
     def count_add(self, col):

@@ -55,7 +55,9 @@ def window(engine, bound):
 
 def assert_skip_matches_unskipped(f, spec, policy):
     history = stabilized_cohomology(f, spec, policy).certificate.history
-    engine, unskipped = _WindowEngine(f, spec), UnskippedWindowEngine(f, spec)
+    last = history[-1][0]
+    engine = _WindowEngine(f, spec, last)
+    unskipped = UnskippedWindowEngine(f, spec, last)
     for bound, dims in history:
         got = window(engine, bound)
         assert got == window(unskipped, bound), bound
