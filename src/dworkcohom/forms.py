@@ -17,8 +17,9 @@ the retained part is a quotient complex, on which D o D = 0 holds exactly.
 The engine builds D on monomial forms only, and has one builder for it,
 ``ColumnStencil``: built once per F, it keys each monomial form by one
 integer, its index set a bit mask and its exponents fixed-width digits,
-and yields integer columns as target keys tagged with the degree each
-entry rises by.  Each target key is the source's key plus a constant of
+and yields integer columns through one entry point, ``column``, as target
+keys tagged with the degree each entry rises by: 0 for d, at least 1 for
+dF^.  Each target key is the source's key plus a constant of
 (k, I), since no digit carries at the width the stencil is sized for.
 ``twisted_column`` writes the same column directly over F's field, on
 (nu, I) tuples, as the reference the stencil is tested against; the tests
@@ -193,25 +194,19 @@ class ColumnStencil:
         key of x^nu dx_I.
 
         The order is twisted_column's: the d part by k (rise 0), then the
-        dF part in F's term order (rise deg_w(mu)).  No two entries share a
-        key: entries with the same k share I + {k}, and their exponents
-        differ by a monomial of F (d part against dF part) or by two
-        distinct ones, so nothing cancels and every value is a nonzero
-        integer.
+        dF part in F's term order (rise deg_w(mu) >= 1, as mu_k > 0), so
+        the entries of rise > 0 are exactly L * dF ^ x^nu dx_I.  No two
+        entries share a key: entries with the same k share I + {k}, and
+        their exponents differ by a monomial of F (d part against dF part)
+        or by two distinct ones, so nothing cancels and every value is a
+        nonzero integer.
         """
         mask, digit = key & self._low, self._digit
-        d_part = (self.tables.get(mask) or self._tables(mask))[0]
+        d_part, dF_part = self.tables.get(mask) or self._tables(mask)
         out = [(key + delta, 0, v * e) for shift, delta, v in d_part
                if (e := key >> shift & digit)]
-        out += self.dF_part(key)
+        out += [(key + delta, rise, v) for delta, rise, v in dF_part]
         return out
-
-    def dF_part(self, key: int) -> list:
-        """Entries (target key, rise, value) of L * dF ^ x^nu dx_I, the dF
-        part of column(key), in F's term order."""
-        mask = key & self._low
-        return [(key + delta, rise, v) for delta, rise, v in
-                (self.tables.get(mask) or self._tables(mask))[1]]
 
 
 class ExponentClasses:

@@ -107,7 +107,9 @@ let L be the lattice spanned by the exponents of F.
   lex-descending, and emits (v - e_I, I) for each I in combinations order
   and each kept v that is at least 1 on I, in that order.  For a fixed I,
   subtracting e_I keeps the lex order, so these are exactly the
-  representative sources of strand_basis_at_degree, in its order.
+  representative sources of strand_basis_at_degree, in its order.  With
+  G trivial every vector is kept, at size 1, unkeyed and unsorted.  No I
+  wider than the widest support of the kept vectors is walked.
 * Weighted pivots: the engine assembles the sources of one representative
   class per orbit (forms.ExponentClasses) and feeds them all, in basis
   order, to the one accumulator of D^i; each row carries the orbit size w
@@ -125,10 +127,9 @@ let L be the lattice spanned by the exponents of F.
 The dims and certificates are therefore those of the unsplit engine, by
 construction, and every class's columns are reduced as they were when the
 engine filtered the whole basis by class, in the same order.  When G is
-trivial every class is its own orbit, of size 1, and no class key is
-computed.  On the nodal quartic x0^4 + .. + x3^4 - 4 x0x1x2x3, L has
-index 64 and G is S4, so strand 0's 16 classes fall into 3 orbits, of
-sizes 1, 3 and 12.
+trivial every class is its own orbit, of size 1.  On the nodal quartic
+x0^4 + .. + x3^4 - 4 x0x1x2x3, L has index 64 and G is S4, so strand 0's
+16 classes fall into 3 orbits, of sizes 1, 3 and 12.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ from itertools import combinations
 from .exceptions import NotSmoothError
 from .fields import QQ
 from .forms import (ColumnStencil, ExponentClasses, StrandSpec,
-                    strand_basis_at_degree, validate_twist_input)
+                    validate_twist_input)
 from .matrices import IntRankAccumulator, primitive_column
 from .poly import Polynomial, monomial_basis, variable_symmetries
 from .reports import Certificate, CohomologyReport, Proof
@@ -231,16 +232,16 @@ class _WindowEngine:
     of D^i that is a stored pivot row of D^(i-1) is counted but not
     assembled ("Skipped sources").
 
-    When F has variable symmetries, only the classes that represent their
-    orbits are assembled (see the module docstring).  ``vectors`` lists,
-    per degree, the exponent vectors whose class represents its orbit;
-    the sources of every form degree come from it, so a class key is
-    computed once per vector of a degree, not once per source.  Every
-    source counts its orbit size w, and so does every row its column
-    registers (``row_w``), since a row's class is its source's.  All
-    sources of D^i feed one accumulator, and each rank is the sum of the
-    orbit sizes of its stored pivots ("Weighted pivots").  With no symmetry
-    every source is assembled at size 1 and no class key is computed.
+    Only the classes that represent their orbits under F's variable
+    symmetries are assembled (see the module docstring).  ``vectors``
+    lists, per degree, the exponent vectors whose class represents its
+    orbit, every vector at size 1 when F has no symmetry; the sources of
+    every form degree come from it, so a class key, if any, is computed
+    once per vector of a degree, not once per source.  Every source
+    counts its orbit size w, and so does every row its column registers
+    (``row_w``), since a row's class is its source's.  All sources of D^i
+    feed one accumulator, and each rank is the sum of the orbit sizes of
+    its stored pivots ("Weighted pivots").
 
     Bounds must be asked in non-decreasing order: an engine lives for one
     escalation and keeps only the ranks up to the last bound swept.
@@ -267,43 +268,40 @@ class _WindowEngine:
         self.dim_cum = [0] * n
         self.bound = None
 
-    def _vectors(self, e: int) -> list:
-        """(key of x^v, orbit size, support mask) for the exponent vectors
-        v of degree e whose class represents its orbit, lex-descending
-        in v.
+    def _vectors(self, e: int) -> tuple:
+        """([(key of x^v, orbit size, support mask)], widest support) for
+        the exponent vectors v of degree e whose class represents its
+        orbit, lex-descending in v, as monomial_basis lists them.
 
-        The representative classes come from ExponentClasses.representatives,
-        one key per vector of monomial_basis; only their vectors are then
-        sorted back into its order.  Listed once per engine and shared by
-        every form degree.
+        With no symmetry that is all of them, at size 1.  Otherwise the
+        representative classes come from ExponentClasses.representatives,
+        one key per vector, and only their vectors are sorted back into
+        order.  Listed once per engine and shared by every form degree.
         """
         vectors = self.vectors.get(e)
         if vectors is None:
             basis = monomial_basis(self.top, e, self.spec.weights)
+            sized = [(v, 1) for v in basis] if self.classes is None else \
+                sorted(((v, w) for w, group in
+                        self.classes.representatives(basis) for v in group),
+                       reverse=True)
             pack = self.stencil.pack
-            vectors = self.vectors[e] = [
-                (pack(v), w, sum(1 << k for k, a in enumerate(v) if a))
-                for v, w in sorted(
-                    ((v, w) for w, group in self.classes.representatives(basis)
-                     for v in group), reverse=True)]
+            listed = [(pack(v), w, sum(1 << k for k, a in enumerate(v) if a))
+                      for v, w in sized]
+            widest = max((s.bit_count() for _, _, s in listed), default=0)
+            vectors = self.vectors[e] = listed, widest
         return vectors
 
     def _sources(self, i: int, e: int):
-        """(key, orbit size) for the D^i sources of degree e, in
-        strand_basis_at_degree's order.
-
-        With no symmetry that is the whole basis at size 1; otherwise the
-        orbit representatives: the sources (v - e_I, I) of the
-        representative vectors v that are at least 1 on I, for I in
-        combinations order and v in lex-descending order.  The key of
-        x^(v - e_I) dx_I is that of x^v plus a constant of I.
+        """(key, orbit size) for the D^i sources of degree e that represent
+        their orbits, in strand_basis_at_degree's order: (v - e_I, I) for
+        I in combinations order, up to the widest support, and v of
+        _vectors(e) at least 1 on I.  Its key is x^v's plus a constant of I.
         """
-        pack = self.stencil.pack
-        if self.classes is None:
-            for nu, I in strand_basis_at_degree(self.spec, i, e):
-                yield pack(nu, I), 1
+        vectors, widest = self._vectors(e)
+        if i > widest:
             return
-        vectors = self._vectors(e)
+        pack = self.stencil.pack
         for I in combinations(range(self.top), i):
             mask = sum(1 << k for k in I)
             shift = mask - pack(tuple(int(k in I) for k in range(self.top)))

@@ -22,8 +22,9 @@ The two steps update the column they are given in place, and inline
 rather than through poly.add_term, the engine's one cancelling update:
 they are the inner loop of every elimination (about a quarter of the
 window-sparse pass), and a copy, or a call per entry, would show.  So a
-step consumes its column, and every caller passes one it owns
-(``add_column`` copies its column on entry).
+step consumes its column, and so does ``add_column``: every caller
+passes a fresh one with no zero value (stencil, template or
+``integerize_column``) and never reads it again.
 
 ``rank_of_columns`` ranks a list of columns over either field.  The tests
 cross-check it with a dense rank over a prime field on the same columns
@@ -144,8 +145,9 @@ class _RankAccumulator:
         self.rank = 0
 
     def add_column(self, col: dict) -> bool:
-        """Reduce col against current pivots; returns True if rank grew."""
-        col = {r: v for r, v in col.items() if v}
+        """Reduce col, a column with no zero value, owned by the
+        accumulator from then on, against current pivots; returns True if
+        rank grew."""
         pivcol, step = self.pivcol, self._step
         while col:
             if (pcol := pivcol.get(r := max(col))) is None:

@@ -545,6 +545,11 @@ class DivisionRankAccumulator(_RankAccumulator):
 
     _step = staticmethod(division_step)
 
+    def add_column(self, col: dict) -> bool:
+        """The engine's add_column on col without its zero values: a raw
+        field column may have some, and the loop takes none."""
+        return super().add_column({r: v for r, v in col.items() if v})
+
     @staticmethod
     def _size(v):
         return len(v.num) + len(v.den) if isinstance(v, RatFunc) else 0

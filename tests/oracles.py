@@ -239,8 +239,10 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
     sub-top degrees whenever the partials form a regular sequence.  Pieces
     of different tau have targets of different degree, so they share no
     row, and one accumulator per form degree, with the target forms as
-    rows, ranks every piece at once.  Only the dF^ entries of each column
-    are built (ColumnStencil.dF_part).
+    rows, ranks every piece at once.  The dF^ entries of a column are
+    those of ColumnStencil.column with rise > 0: its d part has rise 0, and
+    every term of dF^ rises by the weighted degree of a nonconstant
+    monomial of F, which is at least 1.
 
     As in the window engine (linalg docstring, "Skipped sources"), a
     source of form degree i that is a stored pivot row of the accumulator
@@ -279,8 +281,8 @@ def dF_only_cohomology(f: Polynomial, spec: StrandSpec, bound: int) -> ComplexDi
             for nu, I in bases[i]:
                 if (nu, I) in pivots:
                     continue
-                col = {stencil.unpack(key): c for key, _, c
-                       in stencil.dF_part(stencil.pack(nu, I))}
+                col = {stencil.unpack(key): c for key, rise, c
+                       in stencil.column(stencil.pack(nu, I)) if rise}
                 if col:
                     acc.add_column(primitive_column(col))
     return ComplexDims.from_ranks(space, [acc.rank for acc in accs])

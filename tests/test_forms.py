@@ -119,16 +119,19 @@ def test_twisted_column_matches_form_operations():
 
 
 def test_stencil_df_part_is_the_wedge_with_dF():
-    # ColumnStencil.dF_part must be scale * (dF ^ x^nu dx_I), and the tail
-    # of column(nu, I) that follows its d part
+    # the entries of column(nu, I) with rise > 0 must be scale * (dF ^ x^nu
+    # dx_I), and the tail of the column that follows its d part, the
+    # entries of rise 0
     for f, weights, _ in STENCIL_CASES[:-1]:
         stencil, dF = ColumnStencil(f, weights, 7), gradient_form(f)
         for i in range(f.nvars + 1):
             for nu, I in strand_basis(full_complex_spec(f.nvars, weights), i, 7):
-                part = stencil.dF_part(stencil.pack(nu, I))
                 column = stencil.column(stencil.pack(nu, I))
+                part = [entry for entry in column if entry[1]]
                 assert column[len(column) - len(part):] == part
-                assert all(rise for _, rise, _ in part)
+                d = mono_form(f.nvars, nu, I).exterior_derivative().terms
+                assert {stencil.unpack(key): Fraction(v, stencil.scale) for
+                        key, _, v in column[:len(column) - len(part)]} == d
                 part = [(stencil.unpack(key), rise, v)
                         for key, rise, v in part]
                 assert {key: Fraction(v, stencil.scale) for key, _, v in part} \
@@ -173,7 +176,7 @@ def test_stencil_builds_an_index_set_table_on_first_use():
     assert entries == [((zero, (0, 3, 5)), 0, 1)] + [
         ((nu, tuple(sorted((k, 3, 5)))), 1, (-1) ** sum(j < k for j in I))
         for k in range(n) if k not in I]
-    assert stencil.dF_part(key) == stencil.column(key)[1:]
+    stencil.column(stencil.pack((2,) + (0,) * (n - 1), I))
     assert len(stencil.tables) == 1
 
 

@@ -4,7 +4,8 @@ window engine, each against an independent oracle."""
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from dworkcohom.forms import (ColumnStencil, ExponentClasses,
                               strand_basis_at_degree)
 from dworkcohom.linalg import _WindowEngine
 from dworkcohom.matrices import IntRankAccumulator
-from dworkcohom.poly import variable_symmetries
+from dworkcohom.poly import monomial_basis, variable_symmetries
 
 from _helpers import (UnsplitWindowEngine, act, closure,
                       counted_variable_symmetries, dense_windowed_dims, fermat,
@@ -320,6 +321,53 @@ def test_sources_cost_one_class_key_per_exponent_vector(monkeypatch):
     basis = sum(len(strand_basis_at_degree(spec, i, e)) for i, e in swept)
     assert (len(swept), basis) == (28, 3289)
     assert len(reductions) == 682 < basis
+
+
+def test_sources_walk_no_index_set_wider_than_a_support(monkeypatch):
+    # affine x0 + .. + x15 with windows 0, 1 and 2: every source's I lies
+    # in the support of an exponent vector of degree <= 2, so only the
+    # index sets of size <= e are walked at degree e, 1 + 17 + 137 = 155
+    # of them, where walking all 2^16 at each degree took 196,608
+    walked = []
+
+    def spy(pool, r):
+        for I in combinations(pool, r):
+            walked.append(I)
+            yield I
+
+    monkeypatch.setattr("dworkcohom.linalg.combinations", spy)
+    names = [f"x{k}" for k in range(16)]
+    code, report = run_job(Job.from_dict({
+        "command": "affine", "polynomial": " + ".join(names),
+        "variables": names,
+        "policy": {"initial_bound": 0, "step": 1, "max_bound": 2}}))
+    assert code == 0 and report["certificate"]["bounds"] == [0, 1, 2]
+    assert len(walked) == 155
+
+
+def test_sources_list_each_degree_once_without_symmetry(monkeypatch):
+    # with no variable symmetry the sources come from the same listing of
+    # exponent vectors as with one: monomial_basis once per swept degree,
+    # shared by every form degree
+    f = var(3, 0) ** 3 + 2 * var(3, 1) ** 3 + 3 * var(3, 2) ** 3 \
+        + var(3, 0) * var(3, 1) * var(3, 2)
+    assert not variable_symmetries(f)
+    degrees, swept = [], []
+    basis, sources = monomial_basis, _WindowEngine._sources
+
+    def spy(nvars, d, weights=None):
+        degrees.append(d)
+        return basis(nvars, d, weights)
+
+    def record(self, i, e):
+        swept.append(e)
+        return sources(self, i, e)
+
+    monkeypatch.setattr("dworkcohom.linalg.monomial_basis", spy)
+    monkeypatch.setattr(_WindowEngine, "_sources", record)
+    stabilized_cohomology(f, StrandSpec(3, 3, 0))
+    assert len(swept) > len(degrees) > 1
+    assert degrees == sorted(set(swept))
 
 
 def test_symmetric_inputs_share_their_orbits():
